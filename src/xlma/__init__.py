@@ -39,12 +39,7 @@ from .rate import (
     RateModel,
     aux_kernels,
     build_kernel_tables,
-    expected_rate_mrc,
-    expected_sinr_mrc,
     fejer_correlation,
-    marginal_rate,
-    upper_bound_rate,
-    weighted_sum_rate,
 )
 from .scenario import (
     CoverageSpec,

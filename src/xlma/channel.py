@@ -10,9 +10,7 @@ aperture).
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,22 +75,23 @@ def los_path_gain(distance, wavelength: float):
 class GainTables:
     """Per (grid, candidate) large-scale channel statistics.
 
-    ``beta_total = xi * beta_los + beta_nlos`` elementwise. Wave vectors are
-    optional: at full scale they are recomputed on demand for the active
-    grids instead of being materialized for all K x N0 pairs.
+    Row r of every table belongs to user grid ``grid_rows[r]``; the pipeline
+    tabulates only the grids with positive activation probability.
+    ``beta_total = xi * beta_los + beta_nlos`` elementwise, and ``u`` holds
+    the unit wave vectors, shape (rows, N0, 3).
     """
 
     beta_los: np.ndarray
     beta_nlos: np.ndarray
     beta_total: np.ndarray
     xi: np.ndarray
-    u: np.ndarray | None = None
+    u: np.ndarray
+    grid_rows: np.ndarray
 
     def validate(self, atol: float = 1e-12):
-        if self.u is not None:
-            norms = np.linalg.norm(self.u, axis=-1)
-            if not np.allclose(norms, 1.0, atol=atol):
-                raise ConfigurationError("wave vectors must be unit norm")
+        norms = np.linalg.norm(self.u, axis=-1)
+        if not np.allclose(norms, 1.0, atol=atol):
+            raise ConfigurationError("wave vectors must be unit norm")
         recon = self.xi * self.beta_los + self.beta_nlos
         if not np.allclose(recon, self.beta_total, rtol=0, atol=0):
             raise ConfigurationError("beta_total must equal xi*beta_los + beta_nlos")
@@ -105,12 +104,21 @@ def build_gain_tables(
     candidates: np.ndarray,
     grids: np.ndarray,
     xi: np.ndarray,
-    include_wave_vectors: bool = True,
+    grid_rows=None,
 ) -> GainTables:
-    """LoS/NLoS gain tables for all (grid, candidate) pairs."""
+    """LoS/NLoS gain tables for every (grid, candidate) pair.
+
+    ``grids`` are the centers of the tabulated grids and ``grid_rows`` their
+    absolute indices (default: all grids, in order); ``xi`` has one row each.
+    """
     xi = np.asarray(xi)
     if xi.shape != (len(grids), len(candidates)):
-        raise ConfigurationError("xi shape must be (K, N0)")
+        raise ConfigurationError("xi shape must be (len(grids), N0)")
+    if grid_rows is None:
+        grid_rows = np.arange(len(grids))
+    grid_rows = np.asarray(grid_rows, int)
+    if grid_rows.shape != (len(grids),):
+        raise ConfigurationError("grid_rows must hold one index per tabulated grid")
     u, dist = wave_vectors(grids, candidates)
     beta_los = los_path_gain(dist, scenario.wavelength)
     if scenario.pure_los:
@@ -123,22 +131,9 @@ def build_gain_tables(
         beta_nlos=beta_nlos,
         beta_total=beta_total,
         xi=xi.astype(np.uint8),
-        u=u if include_wave_vectors else None,
+        u=u,
+        grid_rows=grid_rows,
     )
-
-
-def gains_to_csv(tables: GainTables, path) -> None:
-    """Debug dump with columns k, n, xi, beta_los, beta_nlos."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "n", "xi", "beta_los", "beta_nlos"])
-        n_grids, n_cand = tables.beta_los.shape
-        for k in range(n_grids):
-            for n in range(n_cand):
-                writer.writerow(
-                    [k, n, int(tables.xi[k, n]), repr(tables.beta_los[k, n]),
-                     repr(tables.beta_nlos[k, n])]
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +210,30 @@ class ArrayLayout:
                 for s in self.subarrays
             ]
         }
+
+
+def resolve_support(placement, n_cols: int) -> np.ndarray:
+    """Column indices of a placement given as an index list or a 0/1 mask.
+
+    A boolean array, or an array of length ``n_cols`` > 1 holding only 0s
+    and 1s, is read as a mask. The indices keep their given order. An empty
+    support and negative, out-of-range or duplicate indices raise
+    ``DomainError``.
+    """
+    arr = np.asarray(placement)
+    if arr.ndim != 1:
+        raise DomainError("placement support must be one-dimensional")
+    is_mask = arr.dtype == bool or (
+        n_cols > 1 and arr.size == n_cols and np.isin(arr, (0, 1)).all()
+    )
+    support = np.flatnonzero(arr) if is_mask else arr.astype(int)
+    if support.size == 0:
+        raise DomainError("placement support must be nonempty")
+    if support.min() < 0 or support.max() >= n_cols:
+        raise DomainError(f"placement support indices must lie in [0, {n_cols})")
+    if np.unique(support).size != support.size:
+        raise DomainError("placement support indices must be distinct")
+    return support
 
 
 def support_layout(scenario: ScenarioConfig, support) -> ArrayLayout:

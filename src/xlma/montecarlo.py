@@ -20,6 +20,7 @@ from .channel import (
     ArrayLayout,
     compute_layout_stats,
     draw_realization,
+    resolve_support,
     support_layout,
 )
 from .errors import ConfigurationError, DomainError
@@ -116,14 +117,7 @@ def _combiner_sinr(h, alpha, k, tx_power_mw, noise_power_mw, combiner):
 def _resolve_layout(scenario: ScenarioConfig, placement) -> ArrayLayout:
     if isinstance(placement, ArrayLayout):
         return placement
-    arr = np.asarray(placement)
-    n0 = scenario.ma_region.n_candidates
-    if arr.dtype == bool or (arr.size == n0 and n0 > 1 and np.isin(arr, (0, 1)).all()):
-        support = np.flatnonzero(arr)
-    else:
-        support = arr.astype(int)
-    if support.size == 0:
-        raise DomainError("placement support must be nonempty")
+    support = resolve_support(placement, scenario.ma_region.n_candidates)
     return support_layout(scenario, support)
 
 
@@ -171,18 +165,6 @@ def simulate_weighted_sum_rate(
     else:
         stderr = 0.0
     return estimate, stderr
-
-
-def result_to_json(scenario: ScenarioConfig, opts: SimOptions, estimate: float,
-                   stderr: float) -> dict:
-    """JSON-ready record of one simulation result."""
-    return {
-        "estimate": estimate,
-        "stderr": stderr,
-        "trials": opts.trials,
-        "combiner": opts.combiner,
-        "seed": scenario.rng_seed if opts.rng_seed is None else opts.rng_seed,
-    }
 
 
 # ---------------------------------------------------------------------------

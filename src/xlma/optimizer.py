@@ -68,14 +68,18 @@ class PlacementResult:
 
 
 def build_init_lp(scenario: ScenarioConfig, model: RateModel, xi: np.ndarray) -> LpProblem:
-    """Marginal-contribution objective plus LoS coverage of the top-N grids."""
+    """Marginal-contribution objective plus LoS coverage of the top-N grids.
+
+    Row r of ``xi`` is the visibility of grid ``model.grid_rows[r]``.
+    """
     c = model.marginal_objective()
     rho = scenario.distribution.rho
     n_select = scenario.n_subarrays
     order = np.lexsort((np.arange(len(rho)), -rho))
     top = [k for k in order[:n_select] if rho[k] > 0.0]
-    reachable = [k for k in top if xi[k].sum() >= 1]
-    coverage = xi[reachable].astype(float) if reachable else np.zeros((0, len(c)))
+    reachable = [k for k in top if xi[model.row_of(k)].sum() >= 1]
+    coverage = (xi[[model.row_of(k) for k in reachable]].astype(float)
+                if reachable else np.zeros((0, len(c))))
     return LpProblem(
         c=c,
         coverage_rows=coverage,

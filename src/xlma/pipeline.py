@@ -13,18 +13,17 @@ from .optimizer import PlacementResult, exhaustive_search, successive_replacemen
 from .rate import RateModel
 from .scenario import ScenarioConfig, compute_los_visibility
 
-# Above this many table entries, wave vectors are recomputed on demand for
-# the active grids instead of being materialized for every (grid, candidate).
-WAVE_VECTOR_BUDGET = 4_000_000
-
-
 @dataclass
 class ScenarioContext:
-    """Scenario plus everything derived from it that evaluations share."""
+    """Scenario plus everything derived from it that evaluations share.
+
+    ``xi`` and ``gains`` cover only the grids with positive activation
+    probability, row r being grid ``gains.grid_rows[r]``: the others add
+    nothing to the expected weighted sum rate.
+    """
 
     scenario: ScenarioConfig
     candidates: np.ndarray
-    grids: np.ndarray
     xi: np.ndarray
     gains: GainTables
     model: RateModel
@@ -32,20 +31,19 @@ class ScenarioContext:
     @classmethod
     def build(cls, scenario: ScenarioConfig) -> "ScenarioContext":
         candidates = scenario.candidates()
-        grids = scenario.grid_centers()
+        rows = np.flatnonzero(scenario.distribution.rho > 0.0)
         xi = compute_los_visibility(
             candidates,
             scenario.coverage,
             scenario.obstacles,
             scenario.visibility_samples,
             scenario.rng_seed,
+            grid_indices=rows,
         )
-        include_u = grids.shape[0] * candidates.shape[0] <= WAVE_VECTOR_BUDGET
-        gains = build_gain_tables(
-            scenario, candidates, grids, xi, include_wave_vectors=include_u
-        )
+        grids = scenario.grid_centers()[rows]
+        gains = build_gain_tables(scenario, candidates, grids, xi, grid_rows=rows)
         model = RateModel.from_candidate_tables(scenario, gains)
-        return cls(scenario, candidates, grids, xi, gains, model)
+        return cls(scenario, candidates, xi, gains, model)
 
     def plan(self) -> PlacementResult:
         return successive_replacement(self.scenario, self.model, self.xi)

@@ -5,7 +5,7 @@ structure that makes placement optimization matter: always-on hotspot
 clusters containing nearly radially-aligned grid pairs (same direction from
 the region center, different range), which a centered dense array cannot
 separate but spread subarrays can. The paper-scale presets reproduce the
-full simulation geometries; ``full_scale_3d`` is a long-running job.
+full simulation geometries.
 """
 
 from __future__ import annotations
@@ -159,7 +159,7 @@ def paper_partial_los_1d() -> dict:
 
 
 def paper_full_scale_3d(hotspot: int = 1) -> dict:
-    """Full-scale geometry: 3030 candidates, 1890 grids. Long-running."""
+    """Full-scale geometry: 3030 candidates, 1890 grids, 12 of them active."""
     cov = CoverageSpec(
         x_min=7.5, x_max=52.5, y_min=-52.5, y_max=52.5, z_min=0.0, z_max=50.0,
         k_x=9, k_y=21, k_z=10,

@@ -15,9 +15,9 @@ per-column antenna count m_c, so the signal term adds it bare; g and q are
 defined per interfering pair. All rates are log2, all powers linear.
 
 Grids with zero activation probability contribute nothing to either the
-weighted sum or the interference sums (their terms carry rho_i = 0) and are
-pruned from the evaluator, which is exact and makes the optimizer's inner
-loop O(#active grids) per support update.
+weighted sum or the interference sums (their terms carry rho_i = 0), so the
+pipeline tabulates and models only the active grids. That is exact and makes
+the optimizer's inner loop O(#active grids) per support update.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import LayoutStats, wave_vectors
+from .channel import LayoutStats, resolve_support
 from .errors import ConfigurationError, DomainError
 from .scenario import ScenarioConfig
 
@@ -175,8 +175,7 @@ class RateModel:
 
     Columns are candidate positions (optimizer use) or the subarrays of an
     arbitrary layout (benchmark evaluation); both reduce to the same per-
-    column sums. Rows cover the grids kept by ``grid_rows`` (by default the
-    positive-probability ones).
+    column sums. Row r covers user grid ``grid_rows[r]``.
     """
 
     def __init__(self, grid_rows, rho, pbar, m_col, sig_mean, sig_var, denom):
@@ -221,30 +220,24 @@ class RateModel:
         return cls(grid_rows, rho, pbar, m_col, sig_mean, sig_var, denom)
 
     @classmethod
-    def from_candidate_tables(cls, scenario: ScenarioConfig, gains,
-                              include_zero_rho: bool = False) -> "RateModel":
-        """Model over all candidate positions, from precomputed gain tables."""
-        rho_all = scenario.distribution.rho
-        if include_zero_rho:
-            grid_rows = np.arange(scenario.coverage.n_grids)
-        else:
-            grid_rows = np.flatnonzero(rho_all > 0.0)
-        if len(grid_rows) == 0:
+    def from_candidate_tables(cls, scenario: ScenarioConfig, gains) -> "RateModel":
+        """Model over all candidate positions, one row per gain-table row.
+
+        Rows of grids with zero activation probability, when the tables
+        carry them, stay in the model and contribute nothing.
+        """
+        if not np.any(scenario.distribution.rho[gains.grid_rows] > 0.0):
             raise ConfigurationError("no grids with positive activation probability")
-        if gains.u is not None:
-            u = gains.u[grid_rows]
-        else:
-            u, _ = wave_vectors(scenario.grid_centers()[grid_rows], scenario.candidates())
         n_cols = gains.beta_total.shape[1]
         m = scenario.antennas_per_subarray
         return cls._assemble(
             scenario,
-            grid_rows,
-            gains.beta_total[grid_rows].astype(float),
-            gains.beta_los[grid_rows],
-            gains.beta_nlos[grid_rows],
-            gains.xi[grid_rows].astype(float),
-            u,
+            gains.grid_rows,
+            gains.beta_total,
+            gains.beta_los,
+            gains.beta_nlos,
+            gains.xi.astype(float),
+            gains.u,
             m_col=np.full(n_cols, m),
             mh_col=np.full(n_cols, scenario.m_h),
             mv_col=np.full(n_cols, scenario.m_v),
@@ -288,21 +281,8 @@ class RateModel:
                 f"grid {grid_index} is not modeled (zero activation probability)"
             ) from None
 
-    def _support(self, chi) -> np.ndarray:
-        """Accept either a length-C binary selection vector or an index list."""
-        arr = np.asarray(chi)
-        if arr.ndim != 1:
-            raise DomainError("chi/support must be one-dimensional")
-        is_mask = arr.dtype == bool or (
-            self.n_cols > 1 and arr.size == self.n_cols and np.isin(arr, (0, 1)).all()
-        )
-        support = np.flatnonzero(arr) if is_mask else arr.astype(int)
-        if support.size == 0:
-            raise DomainError("placement support must be nonempty")
-        return support
-
     def sums(self, support) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        cols = self._support(support)
+        cols = resolve_support(support, self.n_cols)
         return (
             self.sig_mean[:, cols].sum(axis=1),
             self.sig_var[:, cols].sum(axis=1),
@@ -351,7 +331,7 @@ class RateModel:
         return self.rho @ np.log2(1.0 + gamma)
 
     def support_state(self, support) -> "SupportState":
-        return SupportState(self, self._support(support))
+        return SupportState(self, resolve_support(support, self.n_cols))
 
 
 class SupportState:
@@ -392,28 +372,3 @@ class SupportState:
             self.s_den - m.denom[:, col],
         )
         return float(m.rho @ np.log2(1.0 + gamma))
-
-
-# ---------------------------------------------------------------------------
-# Functional wrappers
-# ---------------------------------------------------------------------------
-
-
-def expected_sinr_mrc(model: RateModel, chi, grid_index: int) -> float:
-    return model.sinr(chi, grid_index)
-
-
-def expected_rate_mrc(model: RateModel, chi, grid_index: int) -> float:
-    return model.rate(chi, grid_index)
-
-
-def weighted_sum_rate(model: RateModel, chi) -> float:
-    return model.weighted_sum(chi)
-
-
-def marginal_rate(model: RateModel, column: int, grid_index: int) -> float:
-    return model.marginal_rate(column, grid_index)
-
-
-def upper_bound_rate(model: RateModel, chi, grid_index: int) -> float:
-    return model.upper_bound_rate(chi, grid_index)

@@ -406,9 +406,16 @@ def compute_los_visibility(
     obstacles,
     samples_per_grid: int = 20,
     rng_seed: int = 0,
+    grid_indices=None,
 ) -> np.ndarray:
-    """Binary LoS table xi[K, N0] between user grids and candidate positions."""
-    return visibility_from_points(candidates, cov, obstacles, samples_per_grid, rng_seed)
+    """Binary LoS table xi[K, N0] between user grids and candidate positions.
+
+    ``grid_indices`` restricts the rows to those grids, in the given order
+    (default: all K); each row equals the corresponding row of the full table.
+    """
+    return visibility_from_points(
+        candidates, cov, obstacles, samples_per_grid, rng_seed, grid_indices=grid_indices
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -92,6 +92,12 @@ class TestSimulateWeightedSum:
         est, err = simulate_weighted_sum_rate(sc, support, SimOptions(trials=64))
         assert err < 1e-12  # variance at roundoff level only
 
+    @pytest.mark.parametrize("support", [[-1], [2, 2, 2], [8], [0, 9]])
+    def test_bad_support_indices_rejected(self, support):
+        sc = make_scenario(n_y=8, n_subarrays=2)
+        with pytest.raises(DomainError):
+            simulate_weighted_sum_rate(sc, support, SimOptions(trials=2))
+
     def test_seed_determinism(self):
         sc = make_scenario(n_y=10, k_x=2, k_y=2, kappa=8.0,
                            rho=[0.5, 0.6, 0.4, 0.7], seed=23)

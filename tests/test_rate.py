@@ -27,10 +27,14 @@ LAMBDA = 299792458.0 / 30e9
 
 
 def build_model(sc, include_zero_rho=False):
-    cands, grids = sc.candidates(), sc.grid_centers()
-    xi = np.ones((len(grids), len(cands)), dtype=np.uint8)
-    gains = build_gain_tables(sc, cands, grids, xi)
-    return RateModel.from_candidate_tables(sc, gains, include_zero_rho=include_zero_rho)
+    """Full-LoS model over the active grids, or over every grid."""
+    rows = np.arange(sc.coverage.n_grids)
+    if not include_zero_rho:
+        rows = np.flatnonzero(sc.distribution.rho > 0)
+    cands, grids = sc.candidates(), sc.grid_centers()[rows]
+    xi = np.ones((len(rows), len(cands)), dtype=np.uint8)
+    gains = build_gain_tables(sc, cands, grids, xi, grid_rows=rows)
+    return RateModel.from_candidate_tables(sc, gains)
 
 
 class TestFejer:
@@ -314,6 +318,15 @@ class TestRateModel:
         )
         with pytest.raises(DomainError):
             pruned.rate(support, 1)
+
+    @pytest.mark.parametrize("support", [[-1], [2, 2, 2], [8], [0, 9]])
+    def test_bad_support_indices_rejected(self, support):
+        sc = make_scenario(n_y=8, n_subarrays=2)
+        model = build_model(sc)
+        with pytest.raises(DomainError):
+            model.weighted_sum(support)
+        with pytest.raises(DomainError):
+            model.support_state(support)
 
     def test_support_state_incremental_matches_direct(self):
         sc = make_scenario(n_y=12, k_x=2, k_y=2, kappa=10.0,
