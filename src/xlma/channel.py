@@ -212,21 +212,15 @@ class ArrayLayout:
         }
 
 
-def resolve_support(placement, n_cols: int) -> np.ndarray:
-    """Column indices of a placement given as an index list or a 0/1 mask.
+def check_support(indices, n_cols: int) -> np.ndarray:
+    """``indices`` as an int array, checked as a list of candidate columns.
 
-    A boolean array, or an array of length ``n_cols`` > 1 holding only 0s
-    and 1s, is read as a mask. The indices keep their given order. An empty
-    support and negative, out-of-range or duplicate indices raise
-    ``DomainError``.
+    An empty, multi-dimensional, negative, out-of-range (>= ``n_cols``) or
+    duplicate index list raises ``DomainError``. The order is kept.
     """
-    arr = np.asarray(placement)
-    if arr.ndim != 1:
+    support = np.asarray(indices).astype(int)
+    if support.ndim != 1:
         raise DomainError("placement support must be one-dimensional")
-    is_mask = arr.dtype == bool or (
-        n_cols > 1 and arr.size == n_cols and np.isin(arr, (0, 1)).all()
-    )
-    support = np.flatnonzero(arr) if is_mask else arr.astype(int)
     if support.size == 0:
         raise DomainError("placement support must be nonempty")
     if support.min() < 0 or support.max() >= n_cols:
@@ -234,6 +228,21 @@ def resolve_support(placement, n_cols: int) -> np.ndarray:
     if np.unique(support).size != support.size:
         raise DomainError("placement support indices must be distinct")
     return support
+
+
+def resolve_support(placement, n_cols: int) -> np.ndarray:
+    """Column indices of a placement given as an index list or a 0/1 mask.
+
+    A one-dimensional boolean array, or one of length ``n_cols`` > 1 holding
+    only 0s and 1s, is read as a mask; anything else goes to
+    ``check_support`` as an index list.
+    """
+    arr = np.asarray(placement)
+    is_mask = arr.ndim == 1 and (
+        arr.dtype == bool
+        or (n_cols > 1 and arr.size == n_cols and np.isin(arr, (0, 1)).all())
+    )
+    return check_support(np.flatnonzero(arr) if is_mask else arr, n_cols)
 
 
 def support_layout(scenario: ScenarioConfig, support) -> ArrayLayout:

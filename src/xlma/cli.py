@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .benchmarks import BENCHMARK_KINDS, fpa_layout
-from .channel import ArrayLayout
+from .channel import ArrayLayout, check_support, support_layout
 from .errors import ConfigurationError, DomainError
 from .montecarlo import MapRequest, SimOptions, correlation_map, power_gain_map, \
     simulate_weighted_sum_rate
@@ -221,12 +221,10 @@ def cmd_map(args) -> int:
     ctx = context_from_document(doc)
     scheme = spec.get("scheme", "proposed")
     if isinstance(scheme, dict) and "support" in scheme:
-        placement = np.asarray(scheme["support"], int)
+        placement = check_support(scheme["support"], len(ctx.candidates))
     else:
         placement = ctx.placement_for_scheme(scheme)
     if not isinstance(placement, ArrayLayout):
-        from .channel import support_layout
-
         placement = support_layout(ctx.scenario, placement)
 
     probe = spec.get("probe_point")

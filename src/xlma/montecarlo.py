@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .channel import (
     ArrayLayout,
@@ -49,42 +48,22 @@ class SimOptions:
 
 def _sinr_all_active(h: np.ndarray, pbar: np.ndarray, combiner: str) -> np.ndarray:
     """Per-user SINRs for the active-column channel matrix h (M x J)."""
-    n_ant, n_act = h.shape
     gram = h.conj().T @ h
-    norms = np.real(np.diag(gram)).copy()
     if combiner == "mrc":
+        norms = np.real(np.diag(gram))
         cross = (np.abs(gram) ** 2) @ pbar
         interf = cross - pbar * norms**2
         with np.errstate(divide="ignore", invalid="ignore"):
             gamma = pbar * norms**2 / (interf + norms)
         return np.where(norms > 0.0, gamma, 0.0)
 
-    gamma = np.empty(n_act)
+    # MMSE: gamma_j = 1 / [(I + P^1/2 G P^1/2)^-1]_jj - 1 for every user at once
+    # (Tse & Viswanath, Fundamentals of Wireless Communication, ch. 8). A zero
+    # column's row of ``core`` is an identity row, so its SINR is exactly 0;
+    # the clamp removes rounding below 0 for tiny columns.
     scaled = np.sqrt(pbar)
-    for j in range(n_act):
-        if norms[j] <= 0.0:
-            gamma[j] = 0.0
-            continue
-        others = np.delete(np.arange(n_act), j)
-        if len(others) == 0:
-            gamma[j] = pbar[j] * norms[j]
-            continue
-        if len(others) <= n_ant:
-            # Gram-domain Woodbury: gamma = p_j (||h_j||^2 - z^H (I + S)^-1 z).
-            s = (scaled[others, None] * scaled[None, others]) * gram[
-                np.ix_(others, others)
-            ]
-            z = scaled[others] * gram[others, j]
-            core = np.eye(len(others)) + s
-            sol = cho_solve(cho_factor(core, lower=True), z)
-            gamma[j] = pbar[j] * max(norms[j] - float(np.real(z.conj() @ sol)), 0.0)
-        else:
-            a = np.eye(n_ant, dtype=complex) + (
-                h[:, others] * pbar[others]
-            ) @ h[:, others].conj().T
-            sol = cho_solve(cho_factor(a, lower=True), h[:, j])
-            gamma[j] = pbar[j] * float(np.real(h[:, j].conj() @ sol))
-    return gamma
+    core = np.eye(len(pbar)) + scaled[:, None] * gram * scaled[None, :]
+    return np.maximum(1.0 / np.real(np.diag(np.linalg.inv(core))) - 1.0, 0.0)
 
 
 def mrc_sinr(h: np.ndarray, alpha: np.ndarray, k: int, tx_power_mw, noise_power_mw):

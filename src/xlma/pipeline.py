@@ -60,24 +60,24 @@ class ScenarioContext:
             return np.flatnonzero(chi)
         return fpa_layout(scheme, self.scenario)
 
+    def _model_for(self, placement) -> tuple[RateModel, np.ndarray]:
+        """(model, columns) that score a support or a layout."""
+        if isinstance(placement, ArrayLayout):
+            stats = compute_layout_stats(
+                self.scenario, placement, grid_indices=self.model.grid_rows
+            )
+            model = RateModel.from_layout_stats(self.scenario, stats)
+            return model, np.arange(model.n_cols)
+        return self.model, np.asarray(placement, int)
+
     def approx_weighted_sum(self, placement) -> float:
         """Closed-form expected weighted sum rate for a support or layout."""
-        if isinstance(placement, ArrayLayout):
-            stats = compute_layout_stats(
-                self.scenario, placement, grid_indices=self.model.grid_rows
-            )
-            layout_model = RateModel.from_layout_stats(self.scenario, stats)
-            return layout_model.weighted_sum(np.arange(layout_model.n_cols))
-        return self.model.weighted_sum(np.asarray(placement, int))
+        model, columns = self._model_for(placement)
+        return model.weighted_sum(columns)
 
     def weighted_upper_bound(self, placement) -> float:
-        if isinstance(placement, ArrayLayout):
-            stats = compute_layout_stats(
-                self.scenario, placement, grid_indices=self.model.grid_rows
-            )
-            layout_model = RateModel.from_layout_stats(self.scenario, stats)
-            return layout_model.weighted_upper_bound(np.arange(layout_model.n_cols))
-        return self.model.weighted_upper_bound(np.asarray(placement, int))
+        model, columns = self._model_for(placement)
+        return model.weighted_upper_bound(columns)
 
 
 def context_from_document(doc) -> ScenarioContext:

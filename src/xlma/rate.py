@@ -31,6 +31,11 @@ from .errors import ConfigurationError, DomainError
 from .scenario import ScenarioConfig
 
 FEJER_SIN_TOL = 1e-9
+# Bytes per float64 temporary in the interference loop, which runs over
+# column blocks of this size. Below glibc's default 128 KiB mmap threshold,
+# freed temporaries are reused from the heap; whole (rows x columns) ones
+# are mapped and page-faulted afresh in every iteration.
+ASSEMBLY_BLOCK_BYTES = 120_000
 
 
 def _fejer_axis(delta_u, m, d_over_lambda):
@@ -205,17 +210,21 @@ class RateModel:
 
         interf = np.zeros((n_rows, n_cols))
         lam = scenario.wavelength
-        for i in range(n_rows):
-            du_h = u[:, :, 1] - u[i, None, :, 1]
-            du_v = u[:, :, 2] - u[i, None, :, 2]
-            phi = (_fejer_axis(du_h, mh_col[None, :], dh_col[None, :] / lam)
-                   * _fejer_axis(du_v, mv_col[None, :], dv_col[None, :] / lam))
-            kap_i = None if pure else kap[i][None, :]
-            g = aux_g(xi, xi[i][None, :], kap, kap_i, pure)
-            q = aux_q(m_col[None, :], xi, xi[i][None, :], kap, kap_i, pure)
-            contrib = (pbar[i] * rho[i]) * beta[i][None, :] * (phi * g + q)
-            contrib[i, :] = 0.0
-            interf += contrib
+        width = max(1, ASSEMBLY_BLOCK_BYTES // (8 * n_rows))
+        for start in range(0, n_cols, width):
+            c = slice(start, start + width)
+            kap_c = None if pure else kap[:, c]
+            for i in range(n_rows):
+                du_h = u[:, c, 1] - u[i, None, c, 1]
+                du_v = u[:, c, 2] - u[i, None, c, 2]
+                phi = (_fejer_axis(du_h, mh_col[None, c], dh_col[None, c] / lam)
+                       * _fejer_axis(du_v, mv_col[None, c], dv_col[None, c] / lam))
+                kap_i = None if pure else kap[i][None, c]
+                g = aux_g(xi[:, c], xi[i][None, c], kap_c, kap_i, pure)
+                q = aux_q(m_col[None, c], xi[:, c], xi[i][None, c], kap_c, kap_i, pure)
+                contrib = (pbar[i] * rho[i]) * beta[i][None, c] * (phi * g + q)
+                contrib[i, :] = 0.0
+                interf[:, c] += contrib
         denom = beta * interf + sig_mean
         return cls(grid_rows, rho, pbar, m_col, sig_mean, sig_var, denom)
 

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xlma
 from xlma.cli import main
 from xlma.presets import desk_full_los, desk_full_los_2d, desk_single_grid
 from xlma.scenario import load_scenario
@@ -174,6 +179,29 @@ class TestMap:
         assert main(["map", "--config", str(cfg), "--map-spec", str(spath),
                      "--out", str(tmp_path / "m.csv")]) == 1
         assert "coverage" in capsys.readouterr().err
+
+    def test_bad_support_indices_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, desk_full_los())
+        spec = {"kind": "power", "scheme": {"support": [-1, 5, 5]}}
+        spath = tmp_path / "map.json"
+        spath.write_text(json.dumps(spec))
+        out = tmp_path / "m.csv"
+        assert main(["map", "--config", str(cfg), "--map-spec", str(spath),
+                     "--out", str(out)]) == 1
+        assert "support" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_import_leaves_scipy_unloaded():
+    """The package and its CLI run on numpy alone; scipy is a test dependency."""
+    src = str(Path(xlma.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, xlma, xlma.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 class TestValidate:

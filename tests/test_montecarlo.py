@@ -70,6 +70,33 @@ class TestCombinerSinr:
         assert mrc_sinr(h, np.array([1]), 0, 1.0, 1.0) == 0.0
 
 
+class TestMmseReference:
+    """mmse_sinr against p_k h_k^H (I + sum_{i != k} p_i h_i h_i^H)^-1 h_k."""
+
+    @staticmethod
+    def reference(h, p, k):
+        others = [i for i in range(h.shape[1]) if i != k]
+        cov = np.eye(h.shape[0]) + (h[:, others] * p[others]) @ h[:, others].conj().T
+        return p[k] * np.real(h[:, k].conj() @ np.linalg.solve(cov, h[:, k]))
+
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    @pytest.mark.parametrize("j", range(1, 13))
+    def test_matches_solve_reference(self, m, j):
+        rng = np.random.default_rng(100 * m + j)
+        for case in range(4):
+            h = rng.normal(size=(m, j)) + 1j * rng.normal(size=(m, j))
+            if case % 2:
+                h[:, rng.integers(j)] = 0.0
+            p = rng.uniform(0.5, 1e3, j)
+            alpha = np.ones(j, dtype=int)
+            for k in range(j):
+                gamma = mmse_sinr(h, alpha, k, p, 1.0)
+                if not h[:, k].any():
+                    assert gamma == 0.0
+                else:
+                    assert gamma == pytest.approx(self.reference(h, p, k), rel=1e-9)
+
+
 def single_grid_scenario(n_subarrays=3):
     return make_scenario(n_y=20, k_x=1, k_y=1, kappa=np.inf, rho=[1.0],
                          n_subarrays=n_subarrays, seed=17)

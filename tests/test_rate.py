@@ -21,6 +21,7 @@ from xlma.rate import (
     build_kernel_tables,
     fejer_correlation,
 )
+from xlma import rate as rate_module
 from xlma.rng import substream
 
 LAMBDA = 299792458.0 / 30e9
@@ -327,6 +328,19 @@ class TestRateModel:
             model.weighted_sum(support)
         with pytest.raises(DomainError):
             model.support_state(support)
+
+    def test_column_blocks_match_one_block_exactly(self, monkeypatch):
+        sc = make_scenario(n_y=11, k_x=2, k_y=2, kappa=7.0,
+                           rho=[0.6, 0.4, 0.3, 0.5], seed=5)
+        cands, grids = sc.candidates(), sc.grid_centers()
+        xi = np.random.default_rng(5).integers(0, 2, (4, 11), dtype=np.uint8)
+        gains = build_gain_tables(sc, cands, grids, xi, grid_rows=np.arange(4))
+        monkeypatch.setattr(rate_module, "ASSEMBLY_BLOCK_BYTES", 10**12)
+        whole = RateModel.from_candidate_tables(sc, gains)
+        monkeypatch.setattr(rate_module, "ASSEMBLY_BLOCK_BYTES", 8 * 4 * 3)
+        blocked = RateModel.from_candidate_tables(sc, gains)  # blocks 3, 3, 3, 2
+        for name in ("sig_mean", "sig_var", "denom"):
+            assert np.array_equal(getattr(blocked, name), getattr(whole, name))
 
     def test_support_state_incremental_matches_direct(self):
         sc = make_scenario(n_y=12, k_x=2, k_y=2, kappa=10.0,
