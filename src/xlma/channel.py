@@ -215,10 +215,17 @@ class ArrayLayout:
 def check_support(indices, n_cols: int) -> np.ndarray:
     """``indices`` as an int array, checked as a list of candidate columns.
 
-    An empty, multi-dimensional, negative, out-of-range (>= ``n_cols``) or
-    duplicate index list raises ``DomainError``. The order is kept.
+    An empty, multi-dimensional, boolean, non-integral, negative,
+    out-of-range (>= ``n_cols``) or duplicate index list raises
+    ``DomainError``; integral floats such as ``5.0`` pass. The order is kept.
     """
-    support = np.asarray(indices).astype(int)
+    arr = np.asarray(indices)
+    if arr.dtype == bool:
+        raise DomainError("placement support must be an index list, not a boolean mask")
+    with np.errstate(invalid="ignore"):  # NaN/inf cast to garbage, rejected below
+        support = arr.astype(int)
+    if not np.array_equal(support, arr):
+        raise DomainError("placement support indices must be integers")
     if support.ndim != 1:
         raise DomainError("placement support must be one-dimensional")
     if support.size == 0:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -23,6 +24,7 @@ from .channel import ArrayLayout, check_support, support_layout
 from .errors import ConfigurationError, DomainError
 from .montecarlo import MapRequest, SimOptions, correlation_map, power_gain_map, \
     simulate_weighted_sum_rate
+from .optimizer import EXHAUSTIVE_LIMIT
 from .pipeline import ScenarioContext, context_from_document
 from .presets import PRESETS
 from .scenario import dbm_to_mw, mw_to_dbm
@@ -30,7 +32,6 @@ from .scenario import dbm_to_mw, mw_to_dbm
 SWEEP_PARAMETERS = ("m_h", "ma_width", "expected_users", "rician_db")
 SWEEP_SCHEMES = ("proposed", "optimal") + BENCHMARK_KINDS
 SWEEP_EVALUATORS = ("approx_mrc", "sim_mrc", "sim_mmse", "upper_bound")
-EXHAUSTIVE_LIMIT = 10_000_000
 
 
 def _load_document(args) -> dict:
@@ -112,8 +113,6 @@ def _sweep_cell(ctx: ScenarioContext, scheme: str, evaluators, trials: int):
     rows = []
     try:
         if scheme == "optimal":
-            import math
-
             n0 = ctx.scenario.ma_region.n_candidates
             count = math.comb(n0, ctx.scenario.n_subarrays)
             if count > EXHAUSTIVE_LIMIT:

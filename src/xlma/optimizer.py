@@ -18,12 +18,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import rate
 from .errors import ConfigurationError, DomainError
 from .lp import FEAS_TOL, SimplexResult, solve_simplex
 from .rate import RateModel, SupportState
 from .scenario import ScenarioConfig
 
 IMPROVEMENT_EPS = 1e-12
+# Largest C(N0, N) that exhaustive_search (and the sweep's optimal scheme)
+# will enumerate.
+EXHAUSTIVE_LIMIT = 10_000_000
 
 
 @dataclass
@@ -255,27 +259,42 @@ def successive_replacement(
 
 
 def exhaustive_search(
-    model: RateModel, n_select: int, limit: int = 10_000_000
+    model: RateModel, n_select: int, limit: int = EXHAUSTIVE_LIMIT
 ) -> tuple[np.ndarray, float]:
-    """Global optimum over all N-subsets (lexicographically first among ties)."""
+    """Global optimum over all N-subsets (lexicographically first among ties).
+
+    Subsets are scored in lexicographic order, in blocks whose float64
+    temporaries stay under ``rate.ASSEMBLY_BLOCK_BYTES``. Each score is summed
+    over grids on its own, not by a matvec that may round by position in the
+    block, so exact ties stay exact. The winner is re-scored by
+    ``model.weighted_sum``.
+    """
     n_cols = model.n_cols
+    if not 1 <= n_select <= n_cols:
+        raise ConfigurationError(f"cannot select {n_select} of {n_cols} candidates")
     count = math.comb(n_cols, n_select)
     if count > limit:
         raise ConfigurationError(
             f"exhaustive search over {count} combinations exceeds limit {limit}"
         )
+    width = max(1, rate.ASSEMBLY_BLOCK_BYTES // (8 * len(model.rho) * n_select))
+    combos = itertools.combinations(range(n_cols), n_select)
     best_support = None
     best_value = -np.inf
-    for combo in itertools.combinations(range(n_cols), n_select):
-        cols = np.asarray(combo, int)
-        s_mean = model.sig_mean[:, cols].sum(axis=1)
-        s_var = model.sig_var[:, cols].sum(axis=1)
-        s_den = model.denom[:, cols].sum(axis=1)
-        gamma = model._sinr_from_sums(model.pbar, s_mean, s_var, s_den)
-        value = float(model.rho @ np.log2(1.0 + gamma))
-        if value > best_value:
-            best_value = value
-            best_support = cols
+    for _ in range(0, count, width):
+        block = itertools.chain.from_iterable(itertools.islice(combos, width))
+        idx = np.fromiter(block, dtype=np.intp).reshape(-1, n_select)
+        gamma = model._sinr_from_sums(
+            model.pbar[:, None],
+            model.sig_mean[:, idx].sum(axis=2),
+            model.sig_var[:, idx].sum(axis=2),
+            model.denom[:, idx].sum(axis=2),
+        )
+        values = (model.rho[:, None] * np.log2(1.0 + gamma)).sum(axis=0)
+        j = int(np.argmax(values))  # first maximum = lexicographically first
+        if values[j] > best_value:
+            best_value = values[j]
+            best_support = idx[j]
     chi = np.zeros(n_cols, dtype=np.uint8)
     chi[best_support] = 1
-    return chi, best_value
+    return chi, model.weighted_sum(chi.astype(bool))  # bool: always read as a mask

@@ -9,7 +9,8 @@ import numpy as np
 from .benchmarks import fpa_layout
 from .channel import ArrayLayout, GainTables, build_gain_tables, compute_layout_stats
 from .errors import ConfigurationError
-from .optimizer import PlacementResult, exhaustive_search, successive_replacement
+from .optimizer import (EXHAUSTIVE_LIMIT, PlacementResult, exhaustive_search,
+                        successive_replacement)
 from .rate import RateModel
 from .scenario import ScenarioConfig, compute_los_visibility
 
@@ -48,7 +49,7 @@ class ScenarioContext:
     def plan(self) -> PlacementResult:
         return successive_replacement(self.scenario, self.model, self.xi)
 
-    def exhaustive(self, limit: int = 10_000_000):
+    def exhaustive(self, limit: int = EXHAUSTIVE_LIMIT):
         return exhaustive_search(self.model, self.scenario.n_subarrays, limit)
 
     def placement_for_scheme(self, scheme: str):

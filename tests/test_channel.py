@@ -9,6 +9,7 @@ from xlma.channel import (
     ArrayLayout,
     Subarray,
     build_gain_tables,
+    check_support,
     compute_layout_stats,
     los_path_gain,
     sample_activation,
@@ -123,6 +124,23 @@ class TestLayouts:
     def test_empty_layout_rejected(self):
         with pytest.raises(ConfigurationError):
             ArrayLayout(())
+
+
+class TestCheckSupport:
+    @pytest.mark.parametrize("support", [[5.7, 2.2], [5.9], [1.0, 2.5], [np.nan]])
+    def test_non_integral_indices_rejected(self, support):
+        with pytest.raises(DomainError, match="integers"):
+            check_support(support, 10)
+
+    @pytest.mark.parametrize("support", [[True, False], np.array([0, 1, 1], bool)])
+    def test_boolean_array_rejected(self, support):
+        with pytest.raises(DomainError, match="boolean"):
+            check_support(support, 10)
+
+    def test_integral_floats_pass(self):
+        out = check_support([5.0, 2.0], 10)
+        np.testing.assert_array_equal(out, [5, 2])
+        assert out.dtype.kind == "i"
 
 
 def _one_grid_stats(kappa, xi_override=None):

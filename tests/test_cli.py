@@ -191,6 +191,17 @@ class TestMap:
         assert "support" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_integer_support_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, desk_full_los())
+        spec = {"kind": "power", "scheme": {"support": [5.7]}}
+        spath = tmp_path / "map.json"
+        spath.write_text(json.dumps(spec))
+        out = tmp_path / "m.csv"
+        assert main(["map", "--config", str(cfg), "--map-spec", str(spath),
+                     "--out", str(out)]) == 1
+        assert "integers" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_import_leaves_scipy_unloaded():
     """The package and its CLI run on numpy alone; scipy is a test dependency."""

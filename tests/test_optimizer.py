@@ -14,6 +14,7 @@ from xlma.optimizer import (
     select_victim,
     successive_replacement,
 )
+from xlma import rate
 from xlma.rate import RateModel
 from xlma.scenario import compute_los_visibility
 
@@ -190,7 +191,7 @@ class TestExhaustive:
         model, _ = build_ctx(sc)
         chi, val = exhaustive_search(model, 3)
         supp, best = brute_force(model, 3)
-        assert val == pytest.approx(best, rel=1e-12)
+        assert val == best
         assert tuple(np.flatnonzero(chi)) == supp
 
     def test_limit_refusal_reports_count(self):
@@ -198,3 +199,105 @@ class TestExhaustive:
         model, _ = build_ctx(sc)
         with pytest.raises(ConfigurationError, match="30045015"):
             exhaustive_search(model, 10, limit=1000)
+
+
+def set_block_width(monkeypatch, model, n_select, width):
+    """Make exhaustive_search score ``width`` combinations per block."""
+    monkeypatch.setattr(rate, "ASSEMBLY_BLOCK_BYTES", 8 * len(model.rho) * n_select * width)
+
+
+class TestExhaustiveBlocks:
+    """The block oracle against the per-combination loop ``brute_force``."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 9])
+    def test_matches_loop_for_every_n(self, seed):
+        rng = np.random.default_rng(seed)
+        sc = make_scenario(n_y=7, k_x=2, k_y=2, kappa=float(rng.uniform(2.0, 15.0)),
+                           rho=list(rng.uniform(0.1, 0.9, 4)), seed=seed)
+        model, _ = build_ctx(sc)
+        for n_select in range(1, model.n_cols + 1):
+            chi, val = exhaustive_search(model, n_select)
+            supp, best = brute_force(model, n_select)
+            assert tuple(np.flatnonzero(chi)) == supp
+            assert val == best
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_matches_loop_across_block_boundaries(self, monkeypatch, width):
+        sc = make_scenario(n_y=9, k_x=2, k_y=2, kappa=6.0,
+                           rho=[0.3, 0.8, 0.5, 0.6], seed=4)
+        model, _ = build_ctx(sc)
+        for n_select in (1, 2, 3, 5):
+            set_block_width(monkeypatch, model, n_select, width)
+            chi, val = exhaustive_search(model, n_select)
+            supp, best = brute_force(model, n_select)
+            assert tuple(np.flatnonzero(chi)) == supp
+            assert val == best
+
+    def test_rejects_impossible_selection(self):
+        sc = make_scenario(n_y=5, k_x=2, k_y=1, rho=[0.5, 0.5])
+        model, _ = build_ctx(sc)
+        for n_select in (0, 6):
+            with pytest.raises(ConfigurationError, match="cannot select"):
+                exhaustive_search(model, n_select)
+
+
+class TestExhaustiveTies:
+    """Two supports tie exactly; the lexicographically first must win."""
+
+    N_SELECT = 3
+
+    @pytest.fixture(scope="class")
+    def tie(self):
+        """(model, first, second): column b is a copy of an adjacent column a.
+
+        ``best`` holds a but not b; swapping a for b sums the same values in
+        the same order, so the two supports score exactly alike. Among the
+        neighbours b = a -+ 1, take one where the pair stays optimal (a copy
+        may instead make a support holding both a and b best).
+        """
+        sc = make_scenario(n_y=8, k_x=2, k_y=2, kappa=9.0,
+                           rho=[0.6, 0.5, 0.4, 0.7], seed=2)
+        base, _ = build_ctx(sc)
+        best, _ = brute_force(base, self.N_SELECT)
+        for a in best:
+            for b in (a - 1, a + 1):
+                if not 0 <= b < base.n_cols or b in best:
+                    continue
+                tables = [t.copy() for t in (base.sig_mean, base.sig_var, base.denom)]
+                for t in tables:
+                    t[:, b] = t[:, a]
+                model = RateModel(base.grid_rows, base.rho, base.pbar, base.m_col, *tables)
+                first, second = sorted([best, tuple(sorted(set(best) - {a} | {b}))])
+                if brute_force(model, self.N_SELECT)[0] == first:
+                    assert (model.weighted_sum(np.array(second))
+                            == model.weighted_sum(np.array(first)))
+                    return model, first, second
+        pytest.fail("no adjacent column copy keeps the tied pair optimal")
+
+    def _ranks(self, model, first, second):
+        order = list(itertools.combinations(range(model.n_cols), self.N_SELECT))
+        return order.index(first), order.index(second)
+
+    def _check(self, monkeypatch, model, first, width):
+        set_block_width(monkeypatch, model, self.N_SELECT, width)
+        chi, val = exhaustive_search(model, self.N_SELECT)
+        assert tuple(np.flatnonzero(chi)) == first
+        assert val == model.weighted_sum(np.array(first))
+
+    def test_tie_within_one_block(self, monkeypatch, tie):
+        model, first, second = tie
+        r1, r2 = self._ranks(model, first, second)
+        width = r2 + 1  # block 0 holds ranks 0..r2
+        assert r1 // width == r2 // width
+        self._check(monkeypatch, model, first, width)
+
+    def test_tie_across_block_boundary(self, monkeypatch, tie):
+        model, first, second = tie
+        r1, r2 = self._ranks(model, first, second)
+        width = r2  # r1 ends block 0, r2 starts block 1
+        assert r1 // width < r2 // width
+        self._check(monkeypatch, model, first, width)
+
+    def test_tie_one_combination_per_block(self, monkeypatch, tie):
+        model, first, _ = tie
+        self._check(monkeypatch, model, first, 1)

@@ -320,7 +320,7 @@ class TestRateModel:
         with pytest.raises(DomainError):
             pruned.rate(support, 1)
 
-    @pytest.mark.parametrize("support", [[-1], [2, 2, 2], [8], [0, 9]])
+    @pytest.mark.parametrize("support", [[-1], [2, 2, 2], [8], [0, 9], [5.7], [1.5, 3.0]])
     def test_bad_support_indices_rejected(self, support):
         sc = make_scenario(n_y=8, n_subarrays=2)
         model = build_model(sc)
