@@ -34,13 +34,7 @@ from .optimizer import (
     successive_replacement,
 )
 from .pipeline import ScenarioContext
-from .rate import (
-    KernelTables,
-    RateModel,
-    aux_kernels,
-    build_kernel_tables,
-    fejer_correlation,
-)
+from .rate import RateModel, fejer_correlation
 from .scenario import (
     CoverageSpec,
     MaRegionSpec,

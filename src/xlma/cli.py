@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -24,7 +23,6 @@ from .channel import ArrayLayout, check_support, support_layout
 from .errors import ConfigurationError, DomainError
 from .montecarlo import MapRequest, SimOptions, correlation_map, power_gain_map, \
     simulate_weighted_sum_rate
-from .optimizer import EXHAUSTIVE_LIMIT
 from .pipeline import ScenarioContext, context_from_document
 from .presets import PRESETS
 from .scenario import dbm_to_mw, mw_to_dbm
@@ -112,14 +110,6 @@ def _sweep_cell(ctx: ScenarioContext, scheme: str, evaluators, trials: int):
     """Rows (scheme, evaluator, rate, stderr, note) for one sweep cell."""
     rows = []
     try:
-        if scheme == "optimal":
-            n0 = ctx.scenario.ma_region.n_candidates
-            count = math.comb(n0, ctx.scenario.n_subarrays)
-            if count > EXHAUSTIVE_LIMIT:
-                return [
-                    (scheme, ev, "", "", f"skipped: C(N0,N)={count} exceeds limit")
-                    for ev in evaluators
-                ]
         placement = ctx.placement_for_scheme(scheme)
     except ConfigurationError as exc:
         return [(scheme, ev, "", "", f"skipped: {exc}") for ev in evaluators]

@@ -1,0 +1,147 @@
+"""Direct, slow references for what ``xlma.rate`` computes in factored form.
+
+``assemble_row_loop`` is the interference assembly written pair by pair:
+one pass over the interfering grids, each adding its Fejer-kernel, g and q
+terms for every other grid, at O(K'^2 * C) cost. ``row_loop_model`` builds a
+``RateModel`` through its public constructors with that assembly in place of
+the lag-domain one. ``build_kernel_tables`` materializes every pair's kernels.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from xlma.errors import ConfigurationError
+from xlma.rate import RateModel, _fejer_axis, aux_f, fejer_correlation
+
+
+def aux_g(xi_k, xi_i, kap_k, kap_i, pure_los: bool):
+    """LoS-on-LoS weight of the steering correlation term."""
+    xi_k = np.asarray(xi_k, float)
+    xi_i = np.asarray(xi_i, float)
+    if pure_los:
+        return xi_k * xi_i
+    a = np.asarray(kap_k) * xi_k
+    b = np.asarray(kap_i) * xi_i
+    return a * b / ((a + 1.0) * (b + 1.0))
+
+
+def aux_q(m, xi_k, xi_i, kap_k, kap_i, pure_los: bool):
+    """Incoherent (NLoS-involved) cross-moment term."""
+    if pure_los:
+        return np.zeros(np.broadcast_shapes(np.shape(xi_k), np.shape(xi_i), np.shape(m)))
+    a = np.asarray(kap_k) * np.asarray(xi_k, float)
+    b = np.asarray(kap_i) * np.asarray(xi_i, float)
+    return np.asarray(m) * (1.0 + a + b) / ((a + 1.0) * (b + 1.0))
+
+
+def aux_kernels(beta_los_k, beta_nlos_k, xi_k, beta_los_i, beta_nlos_i, xi_i, m,
+                pure_los: bool):
+    """(f_k, g_ki, q_ki) for a pair of grids at common columns."""
+    if pure_los:
+        kap_k = kap_i = None
+    else:
+        kap_k = np.asarray(beta_los_k) / np.asarray(beta_nlos_k)
+        kap_i = np.asarray(beta_los_i) / np.asarray(beta_nlos_i)
+    f = aux_f(m, xi_k, kap_k, pure_los)
+    g = aux_g(xi_k, xi_i, kap_k, kap_i, pure_los)
+    q = aux_q(m, xi_k, xi_i, kap_k, kap_i, pure_los)
+    return f, g, q
+
+
+@dataclass
+class KernelTables:
+    """Per (k, i, column) correlation kernel and auxiliary moments.
+
+    Memory is O(K^2 * C); construction refuses above ``budget`` entries.
+    """
+
+    phi: np.ndarray  # (K, K, C)
+    f: np.ndarray    # (K, C)
+    g: np.ndarray    # (K, K, C)
+    q: np.ndarray    # (K, K, C)
+
+    def validate(self, m: int, atol: float = 1e-9):
+        if np.any(self.phi > m * m + atol) or np.any(self.phi < -atol):
+            raise ConfigurationError("phi out of [0, M^2]")
+        diag = np.einsum("kkc->kc", self.phi)
+        if not np.allclose(diag, float(m * m)):
+            raise ConfigurationError("phi diagonal must equal M^2")
+        if np.any(self.g < -atol) or np.any(self.g > 1 + atol):
+            raise ConfigurationError("g out of [0, 1]")
+        if np.any(self.f < -atol) or np.any(self.f > m + atol):
+            raise ConfigurationError("f out of [0, M]")
+        if np.any(self.q < -atol) or np.any(self.q > 2 * m + atol):
+            raise ConfigurationError("q out of [0, 2M]")
+        if not (np.allclose(self.phi, self.phi.transpose(1, 0, 2))
+                and np.allclose(self.g, self.g.transpose(1, 0, 2))):
+            raise ConfigurationError("phi and g must be symmetric in (k, i)")
+
+
+DEFAULT_KERNEL_BUDGET = int(2e8)
+
+
+def build_kernel_tables(scenario, beta_los, beta_nlos, xi, u,
+                        budget: int = DEFAULT_KERNEL_BUDGET) -> KernelTables:
+    """Materialize phi/f/g/q for all grid pairs over candidate columns."""
+    n_grids, n_cols = beta_los.shape
+    if n_grids * n_grids * n_cols > budget:
+        raise ConfigurationError(
+            f"kernel tables need {n_grids * n_grids * n_cols} entries > budget {budget}; "
+            "use the streaming rate model instead"
+        )
+    m = scenario.antennas_per_subarray
+    pure = scenario.pure_los
+    kap = None if pure else beta_los / beta_nlos
+    phi = np.empty((n_grids, n_grids, n_cols))
+    g = np.empty_like(phi)
+    q = np.empty_like(phi)
+    f = aux_f(m, xi, kap, pure)
+    for i in range(n_grids):
+        phi[:, i, :] = fejer_correlation(
+            u, u[i][None, ...], scenario.m_h, scenario.m_v,
+            scenario.d_h, scenario.d_v, scenario.wavelength,
+        )
+        g[:, i, :] = aux_g(xi, xi[i][None, :], kap, None if pure else kap[i][None, :], pure)
+        q[:, i, :] = aux_q(m, xi, xi[i][None, :], kap,
+                           None if pure else kap[i][None, :], pure)
+    return KernelTables(phi=phi, f=np.asarray(f, float), g=g, q=q)
+
+
+def assemble_row_loop(cls, scenario, grid_rows, beta, beta_los, beta_nlos, xi, u,
+                      m_col, mh_col, mv_col, dh_col, dv_col):
+    """``RateModel._assemble`` summed pair by pair over interfering grids."""
+    rho = scenario.distribution.rho[grid_rows]
+    pbar = scenario.snr_scale[grid_rows]
+    pure = scenario.pure_los
+    kap = None if pure else beta_los / beta_nlos
+    f = aux_f(m_col[None, :], xi, kap, pure)
+    sig_mean = m_col[None, :] * beta
+    sig_var = beta * beta * f
+
+    interf = np.zeros(beta.shape)
+    lam = scenario.wavelength
+    for i in range(beta.shape[0]):
+        phi = (_fejer_axis(u[:, :, 1] - u[i, None, :, 1], mh_col[None, :], dh_col[None, :] / lam)
+               * _fejer_axis(u[:, :, 2] - u[i, None, :, 2], mv_col[None, :], dv_col[None, :] / lam))
+        kap_i = None if pure else kap[i][None, :]
+        g = aux_g(xi, xi[i][None, :], kap, kap_i, pure)
+        q = aux_q(m_col[None, :], xi, xi[i][None, :], kap, kap_i, pure)
+        contrib = (pbar[i] * rho[i]) * beta[i][None, :] * (phi * g + q)
+        contrib[i, :] = 0.0
+        interf += contrib
+    denom = beta * interf + sig_mean
+    return cls(grid_rows, rho, pbar, m_col, sig_mean, sig_var, denom)
+
+
+def row_loop_model(constructor, scenario, data) -> RateModel:
+    """``constructor(scenario, data)`` (a ``RateModel`` constructor) with the
+    row-loop assembly in place of the lag-domain one."""
+    lag_domain = RateModel.__dict__["_assemble"]
+    RateModel._assemble = classmethod(assemble_row_loop)
+    try:
+        return constructor(scenario, data)
+    finally:
+        RateModel._assemble = lag_domain

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -118,6 +119,7 @@ class TestSweep:
                      "--out-dir", str(out_dir)]) == 0
         rows = read_sweep(out_dir / "sweep_approx_mrc.csv")
         assert rows[0]["note"].startswith("skipped")
+        assert str(math.comb(100, 8)) in rows[0]["note"]
         assert rows[0]["rate"] == ""
 
     def test_threads_flag_gives_identical_results(self, tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import make_scenario
 from xlma.channel import (
+    ArrayLayout,
+    Subarray,
     build_gain_tables,
     compute_layout_stats,
     sample_channel,
@@ -12,16 +16,9 @@ from xlma.channel import (
     support_layout,
 )
 from xlma.errors import ConfigurationError, DomainError
-from xlma.rate import (
-    RateModel,
-    aux_f,
-    aux_g,
-    aux_kernels,
-    aux_q,
-    build_kernel_tables,
-    fejer_correlation,
-)
+from xlma.rate import RateModel, aux_f, fejer_correlation
 from xlma import rate as rate_module
+from oracles import aux_g, aux_kernels, aux_q, build_kernel_tables, row_loop_model
 from xlma.rng import substream
 
 LAMBDA = 299792458.0 / 30e9
@@ -212,6 +209,140 @@ class TestSinrRatioOfMeansOracle:
             gamma_mc = num / (interf + norm2.mean())
             gamma_closed = model.sinr(support, k)
             assert abs(gamma_closed - gamma_mc) / gamma_mc < 0.03
+
+
+def assert_matches_row_loop(constructor, sc, data):
+    """``constructor(sc, data)`` against the same model from the row loop."""
+    fast = constructor(sc, data)
+    slow = row_loop_model(constructor, sc, data)
+    for name in ("sig_mean", "sig_var", "denom"):
+        np.testing.assert_allclose(getattr(fast, name), getattr(slow, name),
+                                   rtol=1e-12, atol=0, err_msg=name)
+    return fast, slow
+
+
+def random_visibility_tables(sc, seed):
+    """Gain tables over every grid and candidate, with random 0/1 visibility."""
+    cands, grids = sc.candidates(), sc.grid_centers()
+    xi = np.random.default_rng(seed).integers(0, 2, (len(grids), len(cands)), dtype=np.uint8)
+    return build_gain_tables(sc, cands, grids, xi)
+
+
+def with_visibility(stats, xi):
+    """Layout statistics with ``xi`` as the visibility and beta_total to match."""
+    return dataclasses.replace(stats, xi=xi, beta_total=xi * stats.beta_los + stats.beta_nlos)
+
+
+def random_unit_vectors(rng, shape):
+    u = rng.normal(size=shape + (3,))
+    return u / np.linalg.norm(u, axis=-1, keepdims=True)
+
+
+class TestLagDomainAssembly:
+    """The lag-domain interference assembly against the pair-by-pair row loop."""
+
+    @pytest.mark.parametrize("kappa", [np.inf, 7.0])
+    @pytest.mark.parametrize("m_h, m_v", [(4, 1), (3, 2), (8, 4)])
+    def test_candidate_tables_match_row_loop(self, kappa, m_h, m_v):
+        rho = np.random.default_rng(m_h).uniform(0.05, 1.0, 12)
+        sc = make_scenario(n_y=9, n_z=3, k_x=3, k_y=4, m_h=m_h, m_v=m_v,
+                           kappa=kappa, rho=rho, seed=m_v)
+        assert_matches_row_loop(RateModel.from_candidate_tables, sc,
+                                random_visibility_tables(sc, seed=m_h))
+
+    @pytest.mark.parametrize("kappa", [np.inf, 7.0])
+    def test_mixed_layout_subarrays_match_row_loop(self, kappa):
+        rho = np.random.default_rng(3).uniform(0.05, 1.0, 12)
+        sc = make_scenario(k_x=3, k_y=4, kappa=kappa, rho=rho)
+        lam = sc.wavelength
+        layout = ArrayLayout((
+            Subarray((0.0, -15.0, 15.0), 4, 1, lam / 2, lam / 2),
+            Subarray((0.0, -5.0, 15.0), 2, 3, lam, lam / 2),
+            Subarray((0.0, 5.0, 15.0), 64, 1, lam / 2, lam / 2),
+            Subarray((0.0, 15.0, 15.0), 1, 1, lam / 2, lam / 2),
+            Subarray((0.0, 15.0, 25.0), 3, 5, 0.7 * lam, 1.3 * lam),
+        ))
+        stats = compute_layout_stats(sc, layout, grid_indices=np.arange(12))
+        xi = np.random.default_rng(4).integers(0, 2, stats.xi.shape).astype(np.uint8)
+        xi[:, 2] = 1  # every grid sees the 64-element subarray
+        assert_matches_row_loop(RateModel.from_layout_stats, sc, with_visibility(stats, xi))
+
+    @pytest.mark.parametrize("kappa", [np.inf, 7.0])
+    def test_fejer_singular_points_match_row_loop(self, kappa):
+        # Grids 0 and 1 share every wave vector; grid 2 (horizontally) and
+        # grid 3 (in both axes) sit lambda/d or 2*lambda/d away from grid 0,
+        # where sin(x) in the kernel's closed form is 0 to rounding.
+        sc = make_scenario(k_x=3, k_y=2, kappa=kappa, rho=[0.5, 0.4, 0.7, 0.3, 0.6, 0.2])
+        lam = sc.wavelength
+        layout = ArrayLayout((
+            Subarray((0.0, -10.0, 15.0), 4, 2, lam / 2, lam / 2),
+            Subarray((0.0, 0.0, 15.0), 5, 1, lam, lam / 2),
+            Subarray((0.0, 10.0, 15.0), 3, 3, lam, lam),
+        ))
+        stats = compute_layout_stats(sc, layout, grid_indices=np.arange(6))
+        u = random_unit_vectors(np.random.default_rng(8), (6, 3))
+        r = np.sqrt(0.5)
+        u[0] = [[0.0, 1.0, 0.0], [np.sqrt(0.75), 0.5, 0.0], [r, 0.5, 0.5]]
+        u[1] = u[0]
+        u[2] = [[0.0, -1.0, 0.0], [np.sqrt(0.75), -0.5, 0.0], [r, -0.5, 0.5]]
+        u[3] = [[0.0, 1.0, 0.0], [np.sqrt(0.75), -0.5, 0.0], [r, -0.5, -0.5]]
+        stats = dataclasses.replace(with_visibility(stats, np.ones((6, 3), np.uint8)), u=u)
+        fast, slow = assert_matches_row_loop(RateModel.from_layout_stats, sc, stats)
+        assert np.all(fast.denom > fast.sig_mean)
+
+    def test_dominant_grid_matches_row_loop(self):
+        # Grid 7 carries 1e6 times the weight of any other grid, at a per-
+        # element SNR near 1e5: its own term is about 1e5 times the rest of
+        # its interference, so a total-minus-self sum would lose ~5 digits.
+        rho = np.full(20, 1e-6)
+        rho[7] = 1.0
+        sc = make_scenario(n_y=16, k_x=4, k_y=5, m_h=8, kappa=10.0, rho=rho,
+                           tx_power_mw=3.1622776601683795e6)
+        gains = build_gain_tables(sc, sc.candidates(), sc.grid_centers(),
+                                  np.ones((20, 16), np.uint8))
+        assert_matches_row_loop(RateModel.from_candidate_tables, sc, gains)
+
+    def test_pure_los_error_within_stated_bound(self):
+        # Without the incoherent floor, a strong interferer near a kernel
+        # null can leave the denominator smaller than the lag sums' absolute
+        # rounding, a few ulps of beta_k * M^2 * sum_i w_i per column (seen:
+        # 4.7e-12 relative here). Bound the error by 8 ulps of that plus the
+        # denominator itself.
+        rho = np.full(20, 1e-6)
+        rho[7] = 1.0
+        sc = make_scenario(n_y=16, k_x=4, k_y=5, m_h=8, kappa=np.inf, rho=rho,
+                           tx_power_mw=3.1622776601683795e6)
+        gains = build_gain_tables(sc, sc.candidates(), sc.grid_centers(),
+                                  np.ones((20, 16), np.uint8))
+        fast = RateModel.from_candidate_tables(sc, gains)
+        slow = row_loop_model(RateModel.from_candidate_tables, sc, gains)
+        w_sum = (sc.snr_scale[:20] * rho) @ gains.beta_total
+        bound = 8 * np.finfo(float).eps * (64 * gains.beta_total * w_sum + slow.denom)
+        assert np.all(np.abs(fast.denom - slow.denom) <= bound)
+
+    def test_zero_gain_columns_give_exact_zero_denominators(self):
+        # Pure LoS: a blocked entry has no gain at all (beta = 0), and columns
+        # 1 and 6 are blocked for every grid.
+        sc = make_scenario(n_y=10, k_x=3, k_y=3, kappa=np.inf, rho=np.linspace(0.2, 0.9, 9))
+        xi = np.random.default_rng(2).integers(0, 2, (9, 10), dtype=np.uint8)
+        xi[:, [1, 6]] = 0
+        gains = build_gain_tables(sc, sc.candidates(), sc.grid_centers(), xi)
+        assert np.all(gains.beta_total[xi == 0] == 0.0)
+        fast, slow = assert_matches_row_loop(RateModel.from_candidate_tables, sc, gains)
+        assert np.all(fast.denom[xi == 0] == 0.0) and np.all(slow.denom[xi == 0] == 0.0)
+
+    @pytest.mark.parametrize("kappa", [np.inf, 7.0])
+    def test_any_block_width_matches_one_block_exactly(self, monkeypatch, kappa):
+        sc = make_scenario(n_y=11, n_z=2, k_x=4, k_y=5, m_h=3, m_v=2, kappa=kappa,
+                           rho=np.random.default_rng(6).uniform(0.1, 1.0, 20), seed=6)
+        gains = random_visibility_tables(sc, seed=6)
+        monkeypatch.setattr(rate_module, "ASSEMBLY_BLOCK_BYTES", 10**12)
+        whole = RateModel.from_candidate_tables(sc, gains)
+        for width in (1, 2, 3):
+            monkeypatch.setattr(rate_module, "ASSEMBLY_BLOCK_BYTES", 8 * 20 * width)
+            blocked = RateModel.from_candidate_tables(sc, gains)
+            for name in ("sig_mean", "sig_var", "denom"):
+                assert np.array_equal(getattr(blocked, name), getattr(whole, name)), (width, name)
 
 
 class TestRateModel:
