@@ -76,9 +76,10 @@ class GainTables:
     """Per (grid, candidate) large-scale channel statistics.
 
     Row r of every table belongs to user grid ``grid_rows[r]``; the pipeline
-    tabulates only the grids with positive activation probability.
+    tabulates only the grids with positive activation probability. Columns
+    are candidate positions, or the subarrays of a layout (``LayoutStats``).
     ``beta_total = xi * beta_los + beta_nlos`` elementwise, and ``u`` holds
-    the unit wave vectors, shape (rows, N0, 3).
+    the unit wave vectors, shape (rows, columns, 3).
     """
 
     beta_los: np.ndarray
@@ -108,8 +109,9 @@ def build_gain_tables(
 ) -> GainTables:
     """LoS/NLoS gain tables for every (grid, candidate) pair.
 
-    ``grids`` are the centers of the tabulated grids and ``grid_rows`` their
-    absolute indices (default: all grids, in order); ``xi`` has one row each.
+    ``candidates`` are the column positions, ``grids`` the centers of the
+    tabulated grids and ``grid_rows`` their absolute indices (default: all
+    grids, in order); ``xi`` has one row each.
     """
     xi = np.asarray(xi)
     if xi.shape != (len(grids), len(candidates)):
@@ -237,21 +239,6 @@ def check_support(indices, n_cols: int) -> np.ndarray:
     return support
 
 
-def resolve_support(placement, n_cols: int) -> np.ndarray:
-    """Column indices of a placement given as an index list or a 0/1 mask.
-
-    A one-dimensional boolean array, or one of length ``n_cols`` > 1 holding
-    only 0s and 1s, is read as a mask; anything else goes to
-    ``check_support`` as an index list.
-    """
-    arr = np.asarray(placement)
-    is_mask = arr.ndim == 1 and (
-        arr.dtype == bool
-        or (n_cols > 1 and arr.size == n_cols and np.isin(arr, (0, 1)).all())
-    )
-    return check_support(np.flatnonzero(arr) if is_mask else arr, n_cols)
-
-
 def support_layout(scenario: ScenarioConfig, support) -> ArrayLayout:
     """Layout of scenario subarrays placed at the given candidate indices."""
     candidates = scenario.candidates()
@@ -274,22 +261,16 @@ def support_layout(scenario: ScenarioConfig, support) -> ArrayLayout:
 
 
 @dataclass
-class LayoutStats:
-    """Deterministic per-(grid, subarray) statistics for one layout.
+class LayoutStats(GainTables):
+    """Gain tables whose column s is subarray s of one layout, at its exact
+    center, plus what channel draws need.
 
-    Grids are a subset of the scenario's user grids (``grid_indices``); rows
-    of every array follow that subset's order. ``los_blocks`` holds the
-    stacked per-element LoS response xi * sqrt(beta_los) * a(u) without the
-    random phase, so channel draws only add phases and Gaussian noise.
+    ``los_blocks`` holds the stacked per-element LoS response
+    xi * sqrt(beta_los) * a(u) without the random phase, so channel draws
+    only add phases and Gaussian noise.
     """
 
-    grid_indices: np.ndarray
     m_col: np.ndarray          # antennas per subarray, shape (S,)
-    xi: np.ndarray             # (G, S)
-    beta_los: np.ndarray       # (G, S)
-    beta_nlos: np.ndarray      # (G, S)
-    beta_total: np.ndarray     # (G, S)
-    u: np.ndarray              # (G, S, 3)
     geometry: tuple            # (m_h, m_v, d_h, d_v) per subarray
     los_blocks: np.ndarray     # (G, M_total) complex
     nlos_std: np.ndarray       # (G, M_total)
@@ -303,18 +284,14 @@ class LayoutStats:
 def compute_layout_stats(
     scenario: ScenarioConfig, layout: ArrayLayout, grid_indices=None
 ) -> LayoutStats:
-    """Gains, visibility and steering blocks for ``layout`` at exact centers."""
+    """Gains, visibility and steering blocks for ``layout`` at exact centers.
+
+    Rows cover the user grids ``grid_indices`` (default: all), in that order.
+    """
     if grid_indices is None:
         grid_indices = np.arange(scenario.coverage.n_grids)
     grid_indices = np.asarray(grid_indices, int)
-    grids = scenario.grid_centers()[grid_indices]
     centers = layout.centers()
-    u, dist = wave_vectors(grids, centers)
-    beta_los = los_path_gain(dist, scenario.wavelength)
-    if scenario.pure_los:
-        beta_nlos = np.zeros_like(beta_los)
-    else:
-        beta_nlos = beta_los / scenario.rician_kappa
     xi = visibility_from_points(
         centers,
         scenario.coverage,
@@ -323,7 +300,9 @@ def compute_layout_stats(
         scenario.rng_seed,
         grid_indices=grid_indices,
     )
-    beta_total = xi * beta_los + beta_nlos
+    gains = build_gain_tables(
+        scenario, centers, scenario.grid_centers()[grid_indices], xi, grid_rows=grid_indices
+    )
 
     m_col = np.array([s.n_antennas for s in layout.subarrays], int)
     stops = np.cumsum(m_col)
@@ -338,21 +317,15 @@ def compute_layout_stats(
         a, b = slices[s_idx]
         for g in range(n_grids):
             steer = steering_vector(
-                u[g, s_idx], sub.m_h, sub.m_v, sub.d_h, sub.d_v, scenario.wavelength
+                gains.u[g, s_idx], sub.m_h, sub.m_v, sub.d_h, sub.d_v, scenario.wavelength
             )
-            los_blocks[g, a:b] = xi[g, s_idx] * np.sqrt(beta_los[g, s_idx]) * steer
-        nlos_std[:, a:b] = np.sqrt(beta_nlos[:, s_idx] / 2.0)[:, None]
+            los_blocks[g, a:b] = gains.xi[g, s_idx] * np.sqrt(gains.beta_los[g, s_idx]) * steer
+        nlos_std[:, a:b] = np.sqrt(gains.beta_nlos[:, s_idx] / 2.0)[:, None]
 
-    geometry = tuple((s.m_h, s.m_v, s.d_h, s.d_v) for s in layout.subarrays)
     return LayoutStats(
-        grid_indices=grid_indices,
+        **vars(gains),
         m_col=m_col,
-        xi=xi,
-        beta_los=beta_los,
-        beta_nlos=beta_nlos,
-        beta_total=beta_total,
-        u=u,
-        geometry=geometry,
+        geometry=tuple((s.m_h, s.m_v, s.d_h, s.d_v) for s in layout.subarrays),
         los_blocks=los_blocks,
         nlos_std=nlos_std,
         slices=slices,
@@ -379,10 +352,7 @@ class ChannelRealization:
 
 
 def draw_realization(
-    stats: LayoutStats,
-    rho_rows: np.ndarray,
-    rng: np.random.Generator,
-    force_active_row: int | None = None,
+    stats: LayoutStats, rho_rows: np.ndarray, rng: np.random.Generator
 ) -> ChannelRealization:
     """One Monte Carlo draw: activation indicators, then channel columns.
 
@@ -390,8 +360,6 @@ def draw_realization(
     then per-active-grid phases and noise) is fixed for reproducibility.
     """
     alpha = sample_activation(rho_rows, rng)
-    if force_active_row is not None:
-        alpha[force_active_row] = 1
     active = np.flatnonzero(alpha)
     h = sample_channel(stats, active, rng)
     return ChannelRealization(alpha=alpha, columns=active, h=h)

@@ -114,11 +114,13 @@ def _sweep_cell(ctx: ScenarioContext, scheme: str, evaluators, trials: int):
     except ConfigurationError as exc:
         return [(scheme, ev, "", "", f"skipped: {exc}") for ev in evaluators]
 
+    if {"approx_mrc", "upper_bound"} & set(evaluators):
+        model, columns = ctx.model_for(placement)
     for evaluator in evaluators:
         if evaluator == "approx_mrc":
-            rows.append((scheme, evaluator, ctx.approx_weighted_sum(placement), "", ""))
+            rows.append((scheme, evaluator, model.weighted_sum(columns), "", ""))
         elif evaluator == "upper_bound":
-            rows.append((scheme, evaluator, ctx.weighted_upper_bound(placement), "", ""))
+            rows.append((scheme, evaluator, model.weighted_upper_bound(columns), "", ""))
         else:
             combiner = "mrc" if evaluator == "sim_mrc" else "mmse"
             est, err = simulate_weighted_sum_rate(
@@ -278,12 +280,12 @@ def cmd_benchmark(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
 
-    plan = ctx.plan()
-    support = np.asarray(plan.n_mu, int)
-    rows.append(("proposed", ctx.approx_weighted_sum(support),
-                 ctx.weighted_upper_bound(support), ""))
-    from .channel import support_layout
+    def scored(scheme, placement):
+        model, columns = ctx.model_for(placement)
+        return (scheme, model.weighted_sum(columns), model.weighted_upper_bound(columns), "")
 
+    support = np.asarray(ctx.plan().n_mu, int)
+    rows.append(scored("proposed", support))
     _write_json(out_dir / "layout_proposed.json",
                 support_layout(ctx.scenario, support).to_json_dict())
 
@@ -294,8 +296,7 @@ def cmd_benchmark(args) -> int:
             rows.append((kind, "", "", f"skipped: {exc}"))
             continue
         _write_json(out_dir / f"layout_{kind}.json", layout.to_json_dict())
-        rows.append((kind, ctx.approx_weighted_sum(layout),
-                     ctx.weighted_upper_bound(layout), ""))
+        rows.append(scored(kind, layout))
 
     path = out_dir / "benchmarks.csv"
     with path.open("w", newline="") as fh:

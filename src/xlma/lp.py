@@ -30,7 +30,6 @@ class SimplexResult:
     iterations: int
     primal_residual: float = np.nan
     dual_residual: float = np.nan
-    complementarity: float = np.nan
 
 
 class _Tableau:
@@ -142,8 +141,10 @@ def solve_simplex(
 ) -> SimplexResult:
     """Solve max/min c^T x s.t. A x (<=, >=, =) b, 0 <= x <= upper.
 
-    Returns primal/dual residuals and a complementarity residual computed
-    from the final basis, so callers can assert an optimality certificate.
+    Returns the primal residual and the dual residual (reduced-cost sign
+    violation) of the final basis, so callers can assert an optimality
+    certificate. Complementary slackness holds by construction: every
+    nonbasic variable sits exactly at one of its bounds.
     """
     c = np.asarray(c, float)
     a = np.atleast_2d(np.asarray(a, float))
@@ -260,18 +261,13 @@ def solve_simplex(
 
     rc = c2 - c2[tab.basis] @ tab.t
     dual = 0.0
-    comp = 0.0
     for j in range(cols):
         if tab.status[j] == BASIC:
             continue  # reduced cost is zeroed by pivoting
-        value = x_full[j]
         if tab.status[j] == AT_LOWER:
             dual = max(dual, rc[j])           # must be <= 0 at optimum
-            comp = max(comp, abs(rc[j] * value))
         else:
             dual = max(dual, -rc[j])          # must be >= 0 at optimum
-            gap = full_upper[j] - value
-            comp = max(comp, abs(rc[j] * gap))
 
     return SimplexResult(
         "optimal",
@@ -280,5 +276,4 @@ def solve_simplex(
         tab.iterations,
         primal_residual=float(primal),
         dual_residual=float(max(dual, 0.0)),
-        complementarity=float(comp),
     )

@@ -17,9 +17,9 @@ import numpy as np
 
 from .channel import (
     ArrayLayout,
+    check_support,
     compute_layout_stats,
     draw_realization,
-    resolve_support,
     support_layout,
 )
 from .errors import ConfigurationError, DomainError
@@ -32,7 +32,6 @@ class SimOptions:
     trials: int = 1000
     combiner: str = "mrc"
     rng_seed: int | None = None
-    force_active_grid: int | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -96,40 +95,32 @@ def _combiner_sinr(h, alpha, k, tx_power_mw, noise_power_mw, combiner):
 def _resolve_layout(scenario: ScenarioConfig, placement) -> ArrayLayout:
     if isinstance(placement, ArrayLayout):
         return placement
-    support = resolve_support(placement, scenario.ma_region.n_candidates)
+    support = check_support(placement, scenario.ma_region.n_candidates)
     return support_layout(scenario, support)
 
 
 def simulate_trials(
     scenario: ScenarioConfig, placement, opts: SimOptions
 ) -> np.ndarray:
-    """Per-trial weighted-sum samples (or per-trial conditional rates)."""
+    """Per-trial weighted-sum samples; ``placement`` is a support or a layout."""
     layout = _resolve_layout(scenario, placement)
     rho_all = scenario.distribution.rho
     rows = np.flatnonzero(rho_all > 0.0)
-    forced = opts.force_active_grid
-    if forced is not None and forced not in rows:
-        rows = np.sort(np.append(rows, forced))
     if len(rows) == 0:
         return np.zeros(opts.trials)
     stats = compute_layout_stats(scenario, layout, grid_indices=rows)
     rho_rows = rho_all[rows]
     pbar_rows = scenario.snr_scale[rows]
-    forced_row = int(np.searchsorted(rows, forced)) if forced is not None else None
     seed = scenario.rng_seed if opts.rng_seed is None else opts.rng_seed
 
     values = np.zeros(opts.trials)
     for t in range(opts.trials):
         rng = substream(seed, "mc", t)
-        real = draw_realization(stats, rho_rows, rng, force_active_row=forced_row)
+        real = draw_realization(stats, rho_rows, rng)
         if len(real.columns) == 0:
             continue
         gammas = _sinr_all_active(real.h, pbar_rows[real.columns], opts.combiner)
-        rates = np.log2(1.0 + gammas)
-        if forced_row is not None:
-            values[t] = rates[int(np.searchsorted(real.columns, forced_row))]
-        else:
-            values[t] = rates.sum()
+        values[t] = np.log2(1.0 + gammas).sum()
     return values
 
 

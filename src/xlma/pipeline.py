@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmarks import fpa_layout
-from .channel import ArrayLayout, GainTables, build_gain_tables, compute_layout_stats
+from .channel import (ArrayLayout, GainTables, build_gain_tables, check_support,
+                      compute_layout_stats)
 from .errors import ConfigurationError
 from .optimizer import (EXHAUSTIVE_LIMIT, PlacementResult, exhaustive_search,
                         successive_replacement)
@@ -61,24 +62,19 @@ class ScenarioContext:
             return np.flatnonzero(chi)
         return fpa_layout(scheme, self.scenario)
 
-    def _model_for(self, placement) -> tuple[RateModel, np.ndarray]:
-        """(model, columns) that score a support or a layout."""
+    def model_for(self, placement) -> tuple[RateModel, np.ndarray]:
+        """(model, columns) that score a support (index list) or a layout.
+
+        A support is scored on the candidate model; a layout gets a model of
+        its own, whose columns are its subarrays.
+        """
         if isinstance(placement, ArrayLayout):
             stats = compute_layout_stats(
                 self.scenario, placement, grid_indices=self.model.grid_rows
             )
             model = RateModel.from_layout_stats(self.scenario, stats)
             return model, np.arange(model.n_cols)
-        return self.model, np.asarray(placement, int)
-
-    def approx_weighted_sum(self, placement) -> float:
-        """Closed-form expected weighted sum rate for a support or layout."""
-        model, columns = self._model_for(placement)
-        return model.weighted_sum(columns)
-
-    def weighted_upper_bound(self, placement) -> float:
-        model, columns = self._model_for(placement)
-        return model.weighted_upper_bound(columns)
+        return self.model, check_support(placement, self.model.n_cols)
 
 
 def context_from_document(doc) -> ScenarioContext:

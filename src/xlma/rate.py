@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import LayoutStats, resolve_support
+from .channel import GainTables, LayoutStats, check_support
 from .errors import ConfigurationError, DomainError
 from .scenario import ScenarioConfig
 
@@ -179,7 +179,7 @@ class RateModel:
         return cls(grid_rows, rho, pbar, m_col, sig_mean, sig_var, denom)
 
     @classmethod
-    def from_candidate_tables(cls, scenario: ScenarioConfig, gains) -> "RateModel":
+    def from_candidate_tables(cls, scenario: ScenarioConfig, gains: GainTables) -> "RateModel":
         """Model over all candidate positions, one row per gain-table row.
 
         Rows of grids with zero activation probability, when the tables
@@ -188,42 +188,31 @@ class RateModel:
         if not np.any(scenario.distribution.rho[gains.grid_rows] > 0.0):
             raise ConfigurationError("no grids with positive activation probability")
         n_cols = gains.beta_total.shape[1]
-        m = scenario.antennas_per_subarray
-        return cls._assemble(
-            scenario,
-            gains.grid_rows,
-            gains.beta_total,
-            gains.beta_los,
-            gains.beta_nlos,
-            gains.xi.astype(float),
-            gains.u,
-            m_col=np.full(n_cols, m),
-            mh_col=np.full(n_cols, scenario.m_h),
-            mv_col=np.full(n_cols, scenario.m_v),
-            dh_col=np.full(n_cols, scenario.d_h),
-            dv_col=np.full(n_cols, scenario.d_v),
-        )
+        geometry = ((scenario.m_h, scenario.m_v, scenario.d_h, scenario.d_v),) * n_cols
+        return cls._from_tables(scenario, gains, geometry)
 
     @classmethod
     def from_layout_stats(cls, scenario: ScenarioConfig, stats: LayoutStats) -> "RateModel":
         """Model whose columns are the subarrays of one concrete layout."""
-        mh = np.array([g[0] for g in stats.geometry])
-        mv = np.array([g[1] for g in stats.geometry])
-        dh = np.array([g[2] for g in stats.geometry], float)
-        dv = np.array([g[3] for g in stats.geometry], float)
+        return cls._from_tables(scenario, stats, stats.geometry)
+
+    @classmethod
+    def _from_tables(cls, scenario, tables: GainTables, geometry) -> "RateModel":
+        """Model over the columns of ``tables``, with (m_h, m_v, d_h, d_v) per column."""
+        mh, mv, dh, dv = (np.array(axis) for axis in zip(*geometry))
         return cls._assemble(
             scenario,
-            stats.grid_indices,
-            stats.beta_total.astype(float),
-            stats.beta_los,
-            stats.beta_nlos,
-            stats.xi.astype(float),
-            stats.u,
-            m_col=stats.m_col,
+            tables.grid_rows,
+            tables.beta_total,
+            tables.beta_los,
+            tables.beta_nlos,
+            tables.xi.astype(float),
+            tables.u,
+            m_col=mh * mv,
             mh_col=mh,
             mv_col=mv,
-            dh_col=dh,
-            dv_col=dv,
+            dh_col=dh.astype(float),
+            dv_col=dv.astype(float),
         )
 
     # -- evaluation --------------------------------------------------------
@@ -241,7 +230,7 @@ class RateModel:
             ) from None
 
     def sums(self, support) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        cols = resolve_support(support, self.n_cols)
+        cols = check_support(support, self.n_cols)
         return (
             self.sig_mean[:, cols].sum(axis=1),
             self.sig_var[:, cols].sum(axis=1),
@@ -290,7 +279,7 @@ class RateModel:
         return self.rho @ np.log2(1.0 + gamma)
 
     def support_state(self, support) -> "SupportState":
-        return SupportState(self, resolve_support(support, self.n_cols))
+        return SupportState(self, check_support(support, self.n_cols))
 
 
 class SupportState:

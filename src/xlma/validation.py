@@ -8,7 +8,7 @@ scales the fourth-moment factor) fails decisively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .channel import (
     support_layout,
 )
 from .montecarlo import SimOptions, simulate_trials
+from .pipeline import ScenarioContext
 from .rate import RateModel, aux_f, fejer_correlation
 from .rng import substream
 from .scenario import (
@@ -158,34 +159,12 @@ def _check_moments(scenario, draws, corrupt, rng) -> CheckResult:
 
 def _check_pure_los_exactness(scenario) -> CheckResult:
     """Single always-active grid, pure LoS: simulation equals the closed form."""
-    base = scenario
-    cov = base.coverage
-    rho = np.zeros(cov.n_grids)
-    first = int(np.flatnonzero(base.distribution.rho > 0)[0]) if np.any(
-        base.distribution.rho > 0
-    ) else 0
-    rho[first] = 1.0
+    active = np.flatnonzero(scenario.distribution.rho > 0)
+    rho = np.zeros(scenario.coverage.n_grids)
+    rho[active[0] if len(active) else 0] = 1.0
     dist = UserDistribution(rho=rho, hotspot_k1=[], hotspot_k2=[],
                             regular_ratio=1.0, expected_users=1.0)
-    single = ScenarioConfig(
-        carrier_freq=base.carrier_freq,
-        m_h=base.m_h,
-        m_v=base.m_v,
-        d_h=base.d_h,
-        d_v=base.d_v,
-        n_subarrays=base.n_subarrays,
-        tx_power_mw=base.tx_power_mw,
-        noise_power_mw=base.noise_power_mw,
-        rician_kappa=np.inf,
-        rng_seed=base.rng_seed,
-        ma_region=base.ma_region,
-        coverage=base.coverage,
-        obstacles=list(base.obstacles),
-        distribution=dist,
-        visibility_samples=base.visibility_samples,
-    )
-    from .pipeline import ScenarioContext
-
+    single = replace(scenario, rician_kappa=np.inf, distribution=dist)
     ctx = ScenarioContext.build(single)
     n0 = single.ma_region.n_candidates
     support = np.linspace(0, n0 - 1, single.n_subarrays).astype(int)

@@ -153,7 +153,8 @@ def test_criterion_2_theorem_tightness(desk_1d):
         for scheme in ("proposed", "horizontal_sparse", "dense_ula"):
             placement = (np.asarray(plan.n_mu, int) if scheme == "proposed"
                          else ctx.placement_for_scheme(scheme))
-            closed = ctx.approx_weighted_sum(placement)
+            model, columns = ctx.model_for(placement)
+            closed = model.weighted_sum(columns)
             est, _ = simulate_weighted_sum_rate(
                 ctx.scenario, placement, SimOptions(trials=2000, combiner="mrc")
             )
@@ -181,7 +182,8 @@ def test_criterion_3_near_optimality(random_instances):
 def test_criterion_4_benchmark_dominance(desk_2d):
     ctx, plan = desk_2d
     support = np.asarray(plan.n_mu, int)
-    prop_closed = ctx.approx_weighted_sum(support)
+    model, columns = ctx.model_for(support)
+    prop_closed = model.weighted_sum(columns)
     prop_mmse, prop_se = simulate_weighted_sum_rate(
         ctx.scenario, support, SimOptions(trials=2000, combiner="mmse")
     )
@@ -189,7 +191,8 @@ def test_criterion_4_benchmark_dominance(desk_2d):
     margin = np.inf
     for kind in BENCHMARK_KINDS:
         placement = ctx.placement_for_scheme(kind)
-        closed = ctx.approx_weighted_sum(placement)
+        model, columns = ctx.model_for(placement)
+        closed = model.weighted_sum(columns)
         est, se = simulate_weighted_sum_rate(
             ctx.scenario, placement, SimOptions(trials=2000, combiner="mmse")
         )
@@ -234,7 +237,8 @@ def test_criterion_7_mmse_dominance_and_upper_bound(desk_1d):
     mrc = simulate_trials(ctx.scenario, support, SimOptions(trials=1000, combiner="mrc"))
     mmse = simulate_trials(ctx.scenario, support, SimOptions(trials=1000, combiner="mmse"))
     per_real = bool(np.all(mmse >= mrc - 1e-9))
-    bound = ctx.weighted_upper_bound(support)
+    model, columns = ctx.model_for(support)
+    bound = model.weighted_upper_bound(columns)
     est = float(mmse.mean())
     se = float(mmse.std(ddof=1) / np.sqrt(len(mmse)))
     bounded = est <= bound + 3 * se

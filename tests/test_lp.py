@@ -124,7 +124,6 @@ class TestSolveLp:
             assert not sol.penalty_fallback
             assert sol.objective == pytest.approx(-ref.fun, abs=1e-8)
             assert sol.result.primal_residual <= 1e-8
-            assert sol.result.complementarity <= 1e-6
 
     def test_vertex_enumeration_small_instances(self):
         rng = np.random.default_rng(7)
@@ -167,7 +166,7 @@ def tampered_result(n, residual):
     x[0] = 1.0
     return SimplexResult(
         "optimal", x, 1.0, 1,
-        primal_residual=residual, dual_residual=residual, complementarity=residual,
+        primal_residual=residual, dual_residual=residual,
     )
 
 
@@ -179,7 +178,7 @@ class TestCertificate:
 
     def test_primal_residual_alone_raises(self):
         res = SimplexResult("optimal", np.ones(2), 2.0, 1, primal_residual=1e-3,
-                            dual_residual=0.0, complementarity=0.0)
+                            dual_residual=0.0)
         with pytest.raises(ConfigurationError, match="primal_residual"):
             _check_certificate(res)
 

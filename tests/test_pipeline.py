@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from xlma.channel import GainTables, build_gain_tables
+from xlma import pipeline
+from xlma.channel import GainTables, build_gain_tables, compute_layout_stats, support_layout
+from xlma.cli import _sweep_cell
 from xlma.optimizer import successive_replacement
 from xlma.pipeline import context_from_document
 from xlma.presets import paper_partial_los_1d
@@ -54,3 +56,28 @@ def test_plan_matches_model_from_pruned_full_tables():
     assert unpruned.n_mu == new.n_mu
     assert np.array_equal(unpruned.lp.chi, new.lp.chi)
     assert unpruned.objective == pytest.approx(new.objective, rel=1e-12)
+
+
+def test_layout_stats_of_a_support_are_its_candidate_columns():
+    ctx = context_from_document(paper_partial_los_1d())
+    support = ctx.plan().n_mu
+    stats = compute_layout_stats(ctx.scenario, support_layout(ctx.scenario, support),
+                                 grid_indices=ctx.gains.grid_rows)
+    np.testing.assert_array_equal(stats.grid_rows, ctx.gains.grid_rows)
+    for name in TABLES:
+        assert np.array_equal(getattr(stats, name), getattr(ctx.gains, name)[:, support]), name
+
+
+def test_baseline_sweep_cell_builds_one_layout_model(desk_context, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return compute_layout_stats(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "compute_layout_stats", counted)
+    rows = _sweep_cell(desk_context, "horizontal_sparse", ["approx_mrc", "upper_bound"], 1)
+    assert len(calls) == 1
+    model, columns = desk_context.model_for(calls[0])
+    assert [row[2] for row in rows] == [model.weighted_sum(columns),
+                                        model.weighted_upper_bound(columns)]

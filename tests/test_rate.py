@@ -120,7 +120,7 @@ class TestKernelTables:
 
 def sample_stacked(sc, stats, draws, seed, chunk=20_000):
     """Draws of stacked channels for all modeled grids: (draws, G, M_total)."""
-    g = len(stats.grid_indices)
+    g = len(stats.grid_rows)
     rng = substream(seed, "oracle")
     out = np.empty((draws, g, stats.total_antennas), complex)
     done = 0
@@ -451,7 +451,8 @@ class TestRateModel:
         with pytest.raises(DomainError):
             pruned.rate(support, 1)
 
-    @pytest.mark.parametrize("support", [[-1], [2, 2, 2], [8], [0, 9], [5.7], [1.5, 3.0]])
+    @pytest.mark.parametrize("support", [[-1], [2, 2, 2], [8], [0, 9], [5.7], [1.5, 3.0],
+                                         [True, True]])
     def test_bad_support_indices_rejected(self, support):
         sc = make_scenario(n_y=8, n_subarrays=2)
         model = build_model(sc)
@@ -459,6 +460,15 @@ class TestRateModel:
             model.weighted_sum(support)
         with pytest.raises(DomainError):
             model.support_state(support)
+
+    def test_support_is_an_index_list_never_a_mask(self):
+        # With N0 = 2, [0, 1] is the two-column support, in either order; a
+        # mask reading would score it as [1] (1.4398).
+        sc = make_scenario(n_y=2, n_subarrays=2)
+        model = build_model(sc)
+        assert model.weighted_sum([0, 1]) == pytest.approx(2.3560, abs=1e-4)
+        assert model.weighted_sum([1, 0]) == model.weighted_sum([0, 1])
+        assert model.weighted_sum([1]) == pytest.approx(1.4398, abs=1e-4)
 
     def test_column_blocks_match_one_block_exactly(self, monkeypatch):
         sc = make_scenario(n_y=11, k_x=2, k_y=2, kappa=7.0,
