@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .scenario import ScenarioConfig, visibility_from_points
+from .scenario import ScenarioConfig, check_indices, visibility_from_points
 
 
 def wave_vector(t_k: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -47,15 +47,16 @@ def steering_vector(
 
     Entry (m_v_idx * m_h + m_h_idx) has phase
     -2*pi/wavelength * (m_v_idx * d_v * u_z + m_h_idx * d_h * u_y);
-    every entry has unit magnitude, so ||a||^2 = m_h * m_v exactly.
+    every entry has unit magnitude, so ||a||^2 = m_h * m_v exactly. Stacked
+    wave vectors, shape (..., 3), give stacked responses (..., m_h * m_v).
     """
     if wavelength <= 0:
         raise DomainError("wavelength must be positive")
     u = np.asarray(u, float)
     k = 2.0 * np.pi / wavelength
-    a_h = np.exp(-1j * k * d_h * np.arange(m_h) * u[1])
-    a_v = np.exp(-1j * k * d_v * np.arange(m_v) * u[2])
-    return np.kron(a_v, a_h)
+    a_h = np.exp(-1j * k * d_h * np.arange(m_h) * u[..., 1:2])
+    a_v = np.exp(-1j * k * d_v * np.arange(m_v) * u[..., 2:3])
+    return (a_v[..., :, None] * a_h[..., None, :]).reshape(u.shape[:-1] + (m_v * m_h,))
 
 
 def los_path_gain(distance, wavelength: float):
@@ -88,16 +89,6 @@ class GainTables:
     xi: np.ndarray
     u: np.ndarray
     grid_rows: np.ndarray
-
-    def validate(self, atol: float = 1e-12):
-        norms = np.linalg.norm(self.u, axis=-1)
-        if not np.allclose(norms, 1.0, atol=atol):
-            raise ConfigurationError("wave vectors must be unit norm")
-        recon = self.xi * self.beta_los + self.beta_nlos
-        if not np.allclose(recon, self.beta_total, rtol=0, atol=0):
-            raise ConfigurationError("beta_total must equal xi*beta_los + beta_nlos")
-        if np.any(self.beta_los < 0) or np.any(self.beta_nlos < 0):
-            raise ConfigurationError("gains must be nonnegative")
 
 
 def build_gain_tables(
@@ -217,26 +208,12 @@ class ArrayLayout:
 def check_support(indices, n_cols: int) -> np.ndarray:
     """``indices`` as an int array, checked as a list of candidate columns.
 
-    An empty, multi-dimensional, boolean, non-integral, negative,
-    out-of-range (>= ``n_cols``) or duplicate index list raises
-    ``DomainError``; integral floats such as ``5.0`` pass. The order is kept.
+    An empty index list raises ``DomainError``, and so does every list
+    ``check_indices`` rejects. The order is kept.
     """
-    arr = np.asarray(indices)
-    if arr.dtype == bool:
-        raise DomainError("placement support must be an index list, not a boolean mask")
-    with np.errstate(invalid="ignore"):  # NaN/inf cast to garbage, rejected below
-        support = arr.astype(int)
-    if not np.array_equal(support, arr):
-        raise DomainError("placement support indices must be integers")
-    if support.ndim != 1:
-        raise DomainError("placement support must be one-dimensional")
-    if support.size == 0:
+    if np.size(indices) == 0:
         raise DomainError("placement support must be nonempty")
-    if support.min() < 0 or support.max() >= n_cols:
-        raise DomainError(f"placement support indices must lie in [0, {n_cols})")
-    if np.unique(support).size != support.size:
-        raise DomainError("placement support indices must be distinct")
-    return support
+    return check_indices(indices, n_cols, "placement support")
 
 
 def support_layout(scenario: ScenarioConfig, support) -> ArrayLayout:
@@ -290,7 +267,7 @@ def compute_layout_stats(
     """
     if grid_indices is None:
         grid_indices = np.arange(scenario.coverage.n_grids)
-    grid_indices = np.asarray(grid_indices, int)
+    grid_indices = check_indices(grid_indices, scenario.coverage.n_grids, "grid_indices")
     centers = layout.centers()
     xi = visibility_from_points(
         centers,
@@ -315,11 +292,11 @@ def compute_layout_stats(
     nlos_std = np.zeros((n_grids, total))
     for s_idx, sub in enumerate(layout.subarrays):
         a, b = slices[s_idx]
-        for g in range(n_grids):
-            steer = steering_vector(
-                gains.u[g, s_idx], sub.m_h, sub.m_v, sub.d_h, sub.d_v, scenario.wavelength
-            )
-            los_blocks[g, a:b] = gains.xi[g, s_idx] * np.sqrt(gains.beta_los[g, s_idx]) * steer
+        steer = steering_vector(
+            gains.u[:, s_idx], sub.m_h, sub.m_v, sub.d_h, sub.d_v, scenario.wavelength
+        )
+        amplitude = gains.xi[:, s_idx] * np.sqrt(gains.beta_los[:, s_idx])
+        los_blocks[:, a:b] = amplitude[:, None] * steer
         nlos_std[:, a:b] = np.sqrt(gains.beta_nlos[:, s_idx] / 2.0)[:, None]
 
     return LayoutStats(

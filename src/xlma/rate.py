@@ -259,17 +259,9 @@ class RateModel:
     def weighted_sum(self, chi) -> float:
         return float(self.rho @ self.all_rates(chi))
 
-    def upper_bound_rate(self, chi, grid_index: int) -> float:
-        s_mean, _, _ = self.sums(chi)
-        r = self.row_of(grid_index)
-        return float(np.log2(1.0 + self.pbar[r] * s_mean[r]))
-
     def weighted_upper_bound(self, chi) -> float:
         s_mean, _, _ = self.sums(chi)
         return float(self.rho @ np.log2(1.0 + self.pbar * s_mean))
-
-    def marginal_rate(self, column: int, grid_index: int) -> float:
-        return self.rate([column], grid_index)
 
     def marginal_objective(self) -> np.ndarray:
         """c[n] = sum_k rho_k * rate_k(e_n) for every column, vectorized."""

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from .rng import substream
 
 SPEED_OF_LIGHT = 299792458.0
@@ -310,53 +310,101 @@ class UserDistribution:
 # ---------------------------------------------------------------------------
 
 
-def _segment_box_hits(starts: np.ndarray, ends: np.ndarray, lo, hi) -> np.ndarray:
-    """Slab test, broadcast over leading dims; boundary contact counts as a hit."""
-    starts = np.asarray(starts, float)
-    ends = np.asarray(ends, float)
-    d = ends - starts
-    shape = d.shape[:-1]
-    t_lo = np.zeros(shape)
-    t_hi = np.ones(shape)
-    inside_all = np.ones(shape, dtype=bool)
-    for a in range(3):
-        da = d[..., a]
-        oa = np.broadcast_to(starts[..., a], shape)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            t0 = (lo[a] - oa) / da
-            t1 = (hi[a] - oa) / da
-        parallel = da == 0.0
-        inside = (oa >= lo[a]) & (oa <= hi[a])
-        tmin = np.where(parallel, np.where(inside, -np.inf, np.inf), np.minimum(t0, t1))
-        tmax = np.where(parallel, np.where(inside, np.inf, -np.inf), np.maximum(t0, t1))
-        t_lo = np.maximum(t_lo, tmin)
-        t_hi = np.minimum(t_hi, tmax)
-        inside_all &= ~(parallel & ~inside)
-    return (t_lo <= t_hi) & inside_all
+def check_indices(indices, size: int, what: str) -> np.ndarray:
+    """``indices`` as an int array, checked as a list of distinct indices.
 
-
-def segment_intersects_box(p, q, obstacle: Obstacle) -> bool:
-    """Whether segment [p, q] touches ``obstacle`` (inclusive boundaries).
-
-    Endpoints are canonicalized (lexicographic order) so the test is exactly
-    symmetric in p and q.
+    A multi-dimensional, boolean, non-integral, negative, out-of-range
+    (>= ``size``) or duplicate index list raises ``DomainError``; integral
+    floats such as ``5.0`` pass. ``what`` names the list in the message.
+    The order is kept.
     """
-    p = np.asarray(p, float)
-    q = np.asarray(q, float)
-    if tuple(q) < tuple(p):
-        p, q = q, p
-    return bool(_segment_box_hits(p[None, :], q[None, :], obstacle.lo, obstacle.hi)[0])
+    arr = np.asarray(indices)
+    if arr.dtype == bool:
+        raise DomainError(f"{what} must be an index list, not a boolean mask")
+    with np.errstate(invalid="ignore"):  # NaN/inf cast to garbage, rejected below
+        out = arr.astype(int)
+    if not np.array_equal(out, arr):
+        raise DomainError(f"{what} indices must be integers")
+    if out.ndim != 1:
+        raise DomainError(f"{what} must be one-dimensional")
+    if out.size and (out.min() < 0 or out.max() >= size):
+        raise DomainError(f"{what} indices must lie in [0, {size})")
+    if np.unique(out).size != out.size:
+        raise DomainError(f"{what} indices must be distinct")
+    return out
+
+
+class _SlabTest:
+    """Slab test of segments of one broadcast shape against box obstacles.
+
+    Segment p + t*d, t in [0, 1], touches box [lo, hi] (boundary contact
+    counts) iff [0, 1] and the intervals between (lo_a - p_a)/d_a and
+    (hi_a - p_a)/d_a of the three axes a intersect. The differences
+    d = end - start are formed once per call and shared by every obstacle,
+    the numerators on the shape of the start points, and the temporaries of
+    the segments' shape live in buffers reused across calls and obstacles.
+    A component d_a == 0 makes the segment parallel to slab a: it lies
+    inside the slab for every t or for none, so its bounds become infinite
+    and its hit depends on whether the start is inside. That branch runs
+    only on axes where some component is exactly 0. Each segment gets the
+    operations of a separate test per obstacle, so results are the same
+    bit for bit.
+    """
+
+    def __init__(self, shape):
+        self.d = np.empty((3,) + shape)
+        self.t_lo, self.t_hi, self.t0, self.t1, self.tmin = np.empty((5,) + shape)
+        self.hit = np.empty(shape, dtype=bool)
+        self.blocked = np.empty(shape, dtype=bool)
+
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
+    def __call__(self, starts: np.ndarray, ends: np.ndarray, obstacles) -> np.ndarray:
+        """Whether each segment [starts, ends] touches any obstacle.
+
+        The result is a buffer of this test, overwritten by the next call.
+        """
+        d, t_lo, t_hi, t0, t1, hit, blocked = (
+            self.d, self.t_lo, self.t_hi, self.t0, self.t1, self.hit, self.blocked
+        )
+        for a in range(3):
+            np.subtract(ends[..., a], starts[..., a], out=d[a])
+        parallel = [d[a] == 0.0 for a in range(3)]
+        parallel = [mask if mask.any() else None for mask in parallel]
+        blocked.fill(False)
+        for box in obstacles:
+            lo, hi = box.lo, box.hi
+            inside_all = None
+            for a in range(3):
+                oa = starts[..., a]
+                np.divide(lo[a] - oa, d[a], out=t0)
+                np.divide(hi[a] - oa, d[a], out=t1)
+                tmin = np.minimum(t0, t1, out=self.tmin)
+                tmax = np.maximum(t0, t1, out=t1)
+                if parallel[a] is not None:
+                    inside = (oa >= lo[a]) & (oa <= hi[a])
+                    tmin = np.where(parallel[a], np.where(inside, -np.inf, np.inf), tmin)
+                    tmax = np.where(parallel[a], np.where(inside, np.inf, -np.inf), tmax)
+                    keep = ~(parallel[a] & ~inside)
+                    inside_all = keep if inside_all is None else inside_all & keep
+                # [t_lo, t_hi] starts as [0, 1]: axis 0 clips the scalars.
+                np.maximum(t_lo if a else 0.0, tmin, out=t_lo)
+                np.minimum(t_hi if a else 1.0, tmax, out=t_hi)
+            np.less_equal(t_lo, t_hi, out=hit)
+            if inside_all is not None:
+                hit &= inside_all
+            blocked |= hit
+        return blocked
 
 
 def segments_blocked(starts: np.ndarray, ends: np.ndarray, obstacles) -> np.ndarray:
-    """Boolean array (broadcast of starts/ends): any obstacle hit per segment."""
+    """Boolean array (broadcast of starts/ends): any obstacle hit per segment.
+
+    Boundaries are inclusive: a segment touching a face counts as blocked.
+    """
     starts = np.asarray(starts, float)
     ends = np.asarray(ends, float)
     shape = np.broadcast_shapes(starts.shape[:-1], ends.shape[:-1])
-    blocked = np.zeros(shape, dtype=bool)
-    for box in obstacles:
-        blocked |= _segment_box_hits(starts, ends, box.lo, box.hi)
-    return blocked
+    return _SlabTest(shape)(starts, ends, obstacles)
 
 
 def grid_sample_points(
@@ -382,21 +430,24 @@ def visibility_from_points(
     Entry (k, s) is 1 iff none of the ``samples_per_grid`` points drawn inside
     grid k is blocked from points[s]. Sample points use a per-grid RNG
     substream keyed by the absolute grid index, so results are independent of
-    evaluation order and of which grid subset is requested.
+    evaluation order and of which grid subset is requested. ``grid_indices``
+    must be distinct grid indices (``check_indices``).
     """
     if samples_per_grid < 1:
         raise ConfigurationError("samples_per_grid must be >= 1")
     points = np.atleast_2d(np.asarray(points, float))
     if grid_indices is None:
-        grid_indices = range(cov.n_grids)
-    grid_indices = list(grid_indices)
+        grid_indices = np.arange(cov.n_grids)
+    grid_indices = check_indices(grid_indices, cov.n_grids, "grid_indices")
     xi = np.ones((len(grid_indices), len(points)), dtype=np.uint8)
     if not obstacles:
         return xi
+    # Segments laid out (samples, points): the long points axis is innermost.
+    slab_test = _SlabTest((samples_per_grid, len(points)))
     for row, k in enumerate(grid_indices):
         targets = grid_sample_points(cov, int(k), samples_per_grid, rng_seed, purpose)
-        blocked = segments_blocked(points[:, None, :], targets[None, :, :], obstacles)
-        xi[row] = ~blocked.any(axis=1)
+        blocked = slab_test(points[None, :, :], targets[:, None, :], obstacles)
+        xi[row] = ~blocked.any(axis=0)
     return xi
 
 
@@ -410,8 +461,9 @@ def compute_los_visibility(
 ) -> np.ndarray:
     """Binary LoS table xi[K, N0] between user grids and candidate positions.
 
-    ``grid_indices`` restricts the rows to those grids, in the given order
-    (default: all K); each row equals the corresponding row of the full table.
+    ``grid_indices`` restricts the rows to those distinct grids, in the given
+    order (default: all K); each row equals the corresponding row of the full
+    table.
     """
     return visibility_from_points(
         candidates, cov, obstacles, samples_per_grid, rng_seed, grid_indices=grid_indices

@@ -1,10 +1,13 @@
-"""Direct, slow references for what ``xlma.rate`` computes in factored form.
+"""Direct, slow references for what ``xlma`` computes in factored form, and
+test-only helpers over its public API.
 
 ``assemble_row_loop`` is the interference assembly written pair by pair:
 one pass over the interfering grids, each adding its Fejer-kernel, g and q
 terms for every other grid, at O(K'^2 * C) cost. ``row_loop_model`` builds a
 ``RateModel`` through its public constructors with that assembly in place of
 the lag-domain one. ``build_kernel_tables`` materializes every pair's kernels.
+``slab_hits_reference`` is the segment-box slab test written one obstacle at
+a time, with every temporary at the segments' full shape.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import numpy as np
 
 from xlma.errors import ConfigurationError
 from xlma.rate import RateModel, _fejer_axis, aux_f, fejer_correlation
+from xlma.scenario import grid_sample_points, segments_blocked
 
 
 def aux_g(xi_k, xi_i, kap_k, kap_i, pure_los: bool):
@@ -145,3 +149,89 @@ def row_loop_model(constructor, scenario, data) -> RateModel:
         return constructor(scenario, data)
     finally:
         RateModel._assemble = lag_domain
+
+
+def slab_hits_reference(starts, ends, lo, hi) -> np.ndarray:
+    """Slab test, broadcast over leading dims; boundary contact counts as a hit."""
+    starts = np.asarray(starts, float)
+    ends = np.asarray(ends, float)
+    d = ends - starts
+    shape = d.shape[:-1]
+    t_lo = np.zeros(shape)
+    t_hi = np.ones(shape)
+    inside_all = np.ones(shape, dtype=bool)
+    for a in range(3):
+        da = d[..., a]
+        oa = np.broadcast_to(starts[..., a], shape)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t0 = (lo[a] - oa) / da
+            t1 = (hi[a] - oa) / da
+        parallel = da == 0.0
+        inside = (oa >= lo[a]) & (oa <= hi[a])
+        tmin = np.where(parallel, np.where(inside, -np.inf, np.inf), np.minimum(t0, t1))
+        tmax = np.where(parallel, np.where(inside, np.inf, -np.inf), np.maximum(t0, t1))
+        t_lo = np.maximum(t_lo, tmin)
+        t_hi = np.minimum(t_hi, tmax)
+        inside_all &= ~(parallel & ~inside)
+    return (t_lo <= t_hi) & inside_all
+
+
+def blocked_reference(starts, ends, obstacles) -> np.ndarray:
+    """``segments_blocked`` as one ``slab_hits_reference`` per obstacle."""
+    starts = np.asarray(starts, float)
+    ends = np.asarray(ends, float)
+    shape = np.broadcast_shapes(starts.shape[:-1], ends.shape[:-1])
+    blocked = np.zeros(shape, dtype=bool)
+    for box in obstacles:
+        blocked |= slab_hits_reference(starts, ends, box.lo, box.hi)
+    return blocked
+
+
+def visibility_reference(points, cov, obstacles, samples_per_grid, rng_seed, grid_indices):
+    """``visibility_from_points`` over ``blocked_reference``."""
+    points = np.asarray(points, float)
+    xi = np.ones((len(grid_indices), len(points)), dtype=np.uint8)
+    for row, k in enumerate(grid_indices):
+        targets = grid_sample_points(cov, int(k), samples_per_grid, rng_seed)
+        blocked = blocked_reference(points[:, None, :], targets[None, :, :], obstacles)
+        xi[row] = ~blocked.any(axis=1)
+    return xi
+
+
+def segment_intersects_box(p, q, obstacle) -> bool:
+    """Whether segment [p, q] touches ``obstacle`` (inclusive boundaries),
+    by ``segments_blocked``.
+
+    Endpoints are canonicalized (lexicographic order) so the test is exactly
+    symmetric in p and q.
+    """
+    p = np.asarray(p, float)
+    q = np.asarray(q, float)
+    if tuple(q) < tuple(p):
+        p, q = q, p
+    return bool(segments_blocked(p[None, :], q[None, :], [obstacle])[0])
+
+
+def validate_gain_tables(tables, atol: float = 1e-12):
+    """Raise ``ConfigurationError`` unless ``tables`` (``GainTables``) has unit
+    wave vectors, nonnegative gains and beta_total == xi*beta_los + beta_nlos."""
+    norms = np.linalg.norm(tables.u, axis=-1)
+    if not np.allclose(norms, 1.0, atol=atol):
+        raise ConfigurationError("wave vectors must be unit norm")
+    recon = tables.xi * tables.beta_los + tables.beta_nlos
+    if not np.allclose(recon, tables.beta_total, rtol=0, atol=0):
+        raise ConfigurationError("beta_total must equal xi*beta_los + beta_nlos")
+    if np.any(tables.beta_los < 0) or np.any(tables.beta_nlos < 0):
+        raise ConfigurationError("gains must be nonnegative")
+
+
+def upper_bound_rate(model: RateModel, chi, grid_index: int) -> float:
+    """Interference-free rate bound log2(1 + Pbar_k * sum_c m_c*beta_k,c) of one grid."""
+    s_mean, _, _ = model.sums(chi)
+    r = model.row_of(grid_index)
+    return float(np.log2(1.0 + model.pbar[r] * s_mean[r]))
+
+
+def marginal_rate(model: RateModel, column: int, grid_index: int) -> float:
+    """Rate of one grid when the support is the single ``column``."""
+    return model.rate([column], grid_index)

@@ -20,6 +20,7 @@ from xlma.channel import (
 )
 from xlma.errors import ConfigurationError, DomainError
 from xlma.rng import substream
+from oracles import validate_gain_tables
 
 LAMBDA = 299792458.0 / 30e9
 
@@ -82,7 +83,7 @@ class TestGainTables:
         cands, grids = sc.candidates(), sc.grid_centers()
         xi = np.ones((len(grids), len(cands)), dtype=np.uint8)
         tables = build_gain_tables(sc, cands, grids, xi)
-        tables.validate()
+        validate_gain_tables(tables)
         assert np.all(tables.beta_nlos == 0)
         np.testing.assert_allclose(tables.beta_total, tables.beta_los)
 
@@ -141,6 +142,12 @@ class TestCheckSupport:
         out = check_support([5.0, 2.0], 10)
         np.testing.assert_array_equal(out, [5, 2])
         assert out.dtype.kind == "i"
+
+    @pytest.mark.parametrize("grids", [[4], [-1], [1.5], [2, 2]])
+    def test_layout_stats_grid_indices_checked(self, grids):
+        sc = make_scenario()  # K = 4 grids
+        with pytest.raises(DomainError):
+            compute_layout_stats(sc, support_layout(sc, [0, 3]), grid_indices=grids)
 
 
 def _one_grid_stats(kappa, xi_override=None):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xlma.errors import ConfigurationError
+from xlma.errors import ConfigurationError, DomainError
 from xlma.scenario import (
     CoverageSpec,
     MaRegionSpec,
@@ -18,9 +18,11 @@ from xlma.scenario import (
     grid_linear_index,
     grid_multi_index,
     load_scenario,
-    segment_intersects_box,
+    segments_blocked,
+    visibility_from_points,
 )
-from xlma.presets import desk_full_los
+from xlma.presets import PRESETS, desk_full_los
+from oracles import blocked_reference, segment_intersects_box, visibility_reference
 
 
 class TestCandidateGrid:
@@ -185,6 +187,75 @@ class TestSegmentBox:
             assert not segment_intersects_box(p, q, BOX)
 
 
+# Half-integers hit box faces (integer centers, dims in {1, 2, 3}) exactly.
+_COORD = st.one_of(st.integers(-8, 8).map(lambda i: i / 2.0), st.floats(-5, 5))
+_POINT = st.tuples(_COORD, _COORD, _COORD)
+_BOX = st.builds(
+    Obstacle,
+    center=st.tuples(*[st.integers(-2, 2).map(float)] * 3),
+    dims=st.tuples(*[st.sampled_from([1.0, 2.0, 3.0])] * 3),
+)
+# (start, end, shared): axes in ``shared`` copy the start coordinate into
+# the end, which makes the segment parallel to that axis' slab.
+_SEGMENT = st.tuples(_POINT, _POINT, st.tuples(*[st.booleans()] * 3))
+
+
+class TestSlabKernel:
+    """``segments_blocked`` against the per-obstacle slab test it replaced."""
+
+    @given(st.lists(_SEGMENT, min_size=1, max_size=12),
+           st.lists(_BOX, min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference_elementwise(self, segments, boxes):
+        starts = np.array([p for p, _, _ in segments], float)
+        ends = np.array([[p_a if s_a else q_a for p_a, q_a, s_a in zip(p, q, shared)]
+                         for p, q, shared in segments], float)
+        np.testing.assert_array_equal(
+            segments_blocked(starts, ends, boxes), blocked_reference(starts, ends, boxes)
+        )
+        # Every start against every end: a broadcast (n, n) table.
+        np.testing.assert_array_equal(
+            segments_blocked(starts[:, None, :], ends[None, :, :], boxes),
+            blocked_reference(starts[:, None, :], ends[None, :, :], boxes),
+        )
+
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    @pytest.mark.parametrize("offset, hit", [(0.0, True), (2.0, True), (1.0, True),
+                                             (2.5, False), (-2.0, False)])
+    def test_parallel_axis(self, axis, offset, hit):
+        """A segment whose ``axis`` coordinate is fixed at ``offset``: inside
+        the slab [0, 2] of the box [0, 2]^3, on one of its faces, or outside."""
+        box = Obstacle(center=(1.0, 1.0, 1.0), dims=(2.0, 2.0, 2.0))
+        p = np.array([-1.0, 1.0, 1.0])
+        q = np.array([3.0, 1.5, 0.5])
+        if axis == 0:
+            p, q = p[[1, 0, 2]], q[[1, 0, 2]]
+        p[axis] = q[axis] = offset
+        starts, ends = p[None, :], q[None, :]
+        got = segments_blocked(starts, ends, [box])
+        np.testing.assert_array_equal(got, blocked_reference(starts, ends, [box]))
+        assert bool(got[0]) is hit
+
+    def test_endpoint_on_face(self):
+        box = Obstacle(center=(1.0, 1.0, 1.0), dims=(2.0, 2.0, 2.0))
+        starts = np.array([[-1.0, 0.5, 0.5], [-1.0, 0.5, 0.5], [-1.0, 3.0, 0.5]])
+        ends = np.array([[0.0, 0.5, 0.5], [-0.1, 0.5, 0.5], [0.0, 2.0, 0.5]])
+        got = segments_blocked(starts, ends, [box])
+        np.testing.assert_array_equal(got, blocked_reference(starts, ends, [box]))
+        np.testing.assert_array_equal(got, [True, False, True])
+
+    @pytest.mark.parametrize("preset", ["paper_partial_los_1d", "desk_partial_los_3d_type1"])
+    def test_visibility_equals_reference(self, preset):
+        sc = load_scenario(PRESETS[preset]())
+        grids = np.arange(sc.coverage.n_grids)
+        xi = compute_los_visibility(sc.candidates(), sc.coverage, sc.obstacles,
+                                    sc.visibility_samples, sc.rng_seed)
+        ref = visibility_reference(sc.candidates(), sc.coverage, sc.obstacles,
+                                   sc.visibility_samples, sc.rng_seed, grids)
+        assert 0 < xi.mean() < 1
+        assert np.array_equal(xi, ref)
+
+
 class TestVisibility:
     def _cov(self):
         return CoverageSpec(x_min=8, x_max=40, y_min=-18, y_max=18,
@@ -217,6 +288,30 @@ class TestVisibility:
         one = compute_los_visibility(self._candidates(), self._cov(), [box1], 20, 5)
         both = compute_los_visibility(self._candidates(), self._cov(), [box1, box2], 20, 5)
         assert np.all(both <= one)
+
+
+class TestGridIndices:
+    """``grid_indices`` is checked like a placement support (K = 50 here)."""
+
+    @pytest.mark.parametrize("indices", [[50], [57], [-1], [1.5], [3, 3], [True, False],
+                                         [[1, 2]], 4])
+    def test_rejected(self, indices):
+        sc = load_scenario(PRESETS["desk_partial_los"]())
+        cands = sc.candidates()
+        with pytest.raises(DomainError):
+            compute_los_visibility(cands, sc.coverage, sc.obstacles, 20, 0,
+                                   grid_indices=indices)
+        with pytest.raises(DomainError):
+            visibility_from_points(cands, sc.coverage, sc.obstacles, 20, 0,
+                                   grid_indices=indices)
+
+    def test_integral_floats_and_order_kept(self):
+        sc = load_scenario(PRESETS["desk_partial_los"]())
+        cands = sc.candidates()
+        full = compute_los_visibility(cands, sc.coverage, sc.obstacles, 20, 0)
+        rows = compute_los_visibility(cands, sc.coverage, sc.obstacles, 20, 0,
+                                      grid_indices=[49.0, 3.0, 0.0])
+        assert np.array_equal(rows, full[[49, 3, 0]])
 
 
 class TestLoadScenario:
