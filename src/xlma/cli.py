@@ -64,7 +64,6 @@ def cmd_plan(args) -> int:
         "objective": result.objective,
         "lp": {
             "objective": result.lp.objective,
-            "penalty_fallback": result.lp.penalty_fallback,
             "iterations": result.lp.result.iterations,
         },
         "trace": result.trace,

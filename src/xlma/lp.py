@@ -48,9 +48,6 @@ class _Tableau:
         self.basis[row] = col
         self.status[col] = BASIC
 
-    def nonbasic_value(self, j: int) -> float:
-        return self.upper[j] if self.status[j] == AT_UPPER else 0.0
-
     def solution(self) -> np.ndarray:
         x = np.where(self.status == AT_UPPER, self.upper, 0.0)
         x[self.basis] = self.x_basic
@@ -136,10 +133,9 @@ def solve_simplex(
     relations,
     b,
     upper=None,
-    maximize: bool = True,
     max_iterations: int | None = None,
 ) -> SimplexResult:
-    """Solve max/min c^T x s.t. A x (<=, >=, =) b, 0 <= x <= upper.
+    """Solve max c^T x s.t. A x (<=, >=, =) b, 0 <= x <= upper.
 
     Returns the primal residual and the dual residual (reduced-cost sign
     violation) of the final basis, so callers can assert an optimality
@@ -155,12 +151,6 @@ def solve_simplex(
     if upper is None:
         upper = np.full(n, np.inf)
     upper = np.asarray(upper, float)
-    if not maximize:
-        res = solve_simplex(-c, a, relations, b, upper, True, max_iterations)
-        if res.objective is not None:
-            res.objective = -res.objective
-        return res
-
     a = a.copy()
     rel = []
     for i, r in enumerate(relations):

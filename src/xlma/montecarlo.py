@@ -31,7 +31,6 @@ from .scenario import ScenarioConfig, segments_blocked
 class SimOptions:
     trials: int = 1000
     combiner: str = "mrc"
-    rng_seed: int | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -111,11 +110,10 @@ def simulate_trials(
     stats = compute_layout_stats(scenario, layout, grid_indices=rows)
     rho_rows = rho_all[rows]
     pbar_rows = scenario.snr_scale[rows]
-    seed = scenario.rng_seed if opts.rng_seed is None else opts.rng_seed
 
     values = np.zeros(opts.trials)
     for t in range(opts.trials):
-        rng = substream(seed, "mc", t)
+        rng = substream(scenario.rng_seed, "mc", t)
         real = draw_realization(stats, rho_rows, rng)
         if len(real.columns) == 0:
             continue

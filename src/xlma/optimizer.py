@@ -13,15 +13,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import rate
 from .errors import ConfigurationError, DomainError
 from .lp import FEAS_TOL, SimplexResult, solve_simplex
-from .rate import RateModel, SupportState
+from .rate import RateModel
 from .scenario import ScenarioConfig
 
 IMPROVEMENT_EPS = 1e-12
@@ -41,24 +40,44 @@ class LpProblem:
     c: np.ndarray
     coverage_rows: np.ndarray  # (n_rows, N0) binary
     n_select: int
-    covered_grids: np.ndarray = field(default_factory=lambda: np.array([], int))
 
 
 @dataclass
 class LpSolution:
     chi: np.ndarray
     objective: float
-    penalty_fallback: bool
     result: SimplexResult
 
 
-@dataclass
 class SelectionState:
-    """Ordered selected candidates plus the slots already replaced."""
+    """Ordered selected candidates, the slots already replaced, and the
+    running per-grid sums of the selection (O(K') per replacement)."""
 
-    n_mu: list
-    replaced_slots: set
-    objective: float
+    def __init__(self, model: RateModel, n_mu):
+        self.model = model
+        self.s_mean, self.s_var, self.s_den = model.sums(n_mu)
+        self.n_mu = [int(c) for c in n_mu]
+        self.replaced_slots = set()
+        self.objective = float(model.objective(self.s_mean, self.s_var, self.s_den))
+
+    def without(self, col: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-grid sums with the selected column ``col`` left out."""
+        m = self.model
+        return (self.s_mean - m.sig_mean[:, col],
+                self.s_var - m.sig_var[:, col],
+                self.s_den - m.denom[:, col])
+
+    def replace(self, slot: int, col: int, objective: float) -> None:
+        """Move ``slot`` to column ``col``, whose selection scores ``objective``."""
+        m = self.model
+        old = self.n_mu[slot]
+        for total, table in ((self.s_mean, m.sig_mean), (self.s_var, m.sig_var),
+                             (self.s_den, m.denom)):
+            total -= table[:, old]
+            total += table[:, col]
+        self.n_mu[slot] = col
+        self.replaced_slots.add(slot)
+        self.objective = objective
 
 
 @dataclass
@@ -74,7 +93,9 @@ class PlacementResult:
 def build_init_lp(scenario: ScenarioConfig, model: RateModel, xi: np.ndarray) -> LpProblem:
     """Marginal-contribution objective plus LoS coverage of the top-N grids.
 
-    Row r of ``xi`` is the visibility of grid ``model.grid_rows[r]``.
+    Row r of ``xi`` is the visibility of grid ``model.grid_rows[r]``. Only
+    grids that see at least one candidate get a coverage row, so there are
+    at most N rows, each with a visible candidate.
     """
     c = model.marginal_objective()
     rho = scenario.distribution.rho
@@ -84,12 +105,7 @@ def build_init_lp(scenario: ScenarioConfig, model: RateModel, xi: np.ndarray) ->
     reachable = [k for k in top if xi[model.row_of(k)].sum() >= 1]
     coverage = (xi[[model.row_of(k) for k in reachable]].astype(float)
                 if reachable else np.zeros((0, len(c))))
-    return LpProblem(
-        c=c,
-        coverage_rows=coverage,
-        n_select=n_select,
-        covered_grids=np.asarray(reachable, int),
-    )
+    return LpProblem(c=c, coverage_rows=coverage, n_select=n_select)
 
 
 def _check_certificate(res: SimplexResult) -> None:
@@ -107,47 +123,23 @@ def _check_certificate(res: SimplexResult) -> None:
 
 
 def solve_lp(problem: LpProblem) -> LpSolution:
-    """Solve the initialization LP; fall back to a penalty form if infeasible."""
-    n = len(problem.c)
-    n_rows = len(problem.coverage_rows)
-    rows = [np.ones(n)]
-    rels = ["="]
-    rhs = [float(problem.n_select)]
-    for row in problem.coverage_rows:
-        rows.append(row)
-        rels.append(">=")
-        rhs.append(1.0)
-    res = solve_simplex(problem.c, np.array(rows), rels, np.array(rhs), np.ones(n))
-    if res.status == "optimal":
-        _check_certificate(res)
-        return LpSolution(res.x, res.objective, False, res)
-    if res.status != "infeasible":
-        raise ConfigurationError(f"initialization LP failed with status {res.status}")
+    """Solve the initialization LP; any status but ``optimal`` raises.
 
-    # Coverage jointly unsatisfiable with sum(chi) = N: penalize violations.
-    warnings.warn(
-        "coverage constraints infeasible with the subarray budget; "
-        "re-solving with penalty objective",
-        stacklevel=2,
-    )
-    weight = 1e3 * float(np.max(np.abs(problem.c), initial=1.0))
-    n_ext = n + n_rows
-    c_ext = np.concatenate([problem.c, -weight * np.ones(n_rows)])
-    rows = [np.concatenate([np.ones(n), np.zeros(n_rows)])]
-    rels = ["="]
-    rhs = [float(problem.n_select)]
-    for j, row in enumerate(problem.coverage_rows):
-        ext = np.zeros(n_ext)
-        ext[:n] = row
-        ext[n + j] = 1.0
-        rows.append(ext)
-        rels.append(">=")
-        rhs.append(1.0)
-    res = solve_simplex(c_ext, np.array(rows), rels, np.array(rhs), np.ones(n_ext))
+    An LP from ``build_init_lp`` is always feasible: it has at most
+    N <= N0 coverage rows, each with at least one visible candidate, and
+    every variable may reach 1. Picking one visible candidate per row and
+    padding with other candidates up to N gives a 0/1 point meeting every
+    constraint. An infeasible LP can only come from a hand-built problem.
+    """
+    n = len(problem.c)
+    rows = np.vstack([np.ones((1, n)), problem.coverage_rows])
+    rels = ["="] + [">="] * len(problem.coverage_rows)
+    rhs = np.concatenate([[float(problem.n_select)], np.ones(len(problem.coverage_rows))])
+    res = solve_simplex(problem.c, rows, rels, rhs, np.ones(n))
     if res.status != "optimal":
-        raise ConfigurationError(f"penalty LP failed with status {res.status}")
+        raise ConfigurationError(f"initialization LP failed with status {res.status}")
     _check_certificate(res)
-    return LpSolution(res.x[:n], float(problem.c @ res.x[:n]), True, res)
+    return LpSolution(res.x, res.objective, res)
 
 
 def round_top_n(chi_star: np.ndarray, n_select: int) -> list:
@@ -157,14 +149,14 @@ def round_top_n(chi_star: np.ndarray, n_select: int) -> list:
     return [int(i) for i in order[:n_select]]
 
 
-def select_victim(state: SelectionState, support: SupportState) -> int:
+def select_victim(state: SelectionState) -> int:
     """Slot whose temporary removal costs least (highest remaining objective)."""
     best_slot = -1
     best_value = -np.inf
     for slot in range(len(state.n_mu)):
         if slot in state.replaced_slots:
             continue
-        value = support.weighted_sum_without(state.n_mu[slot])
+        value = state.model.objective(*state.without(state.n_mu[slot]))
         if value > best_value:
             best_value = value
             best_slot = slot
@@ -174,7 +166,7 @@ def select_victim(state: SelectionState, support: SupportState) -> int:
 
 
 def best_replacement(
-    model: RateModel, support: SupportState, state: SelectionState, victim_slot: int
+    model: RateModel, state: SelectionState, victim_slot: int
 ) -> tuple[int, float]:
     """Best candidate for the vacated slot (the old position is admissible).
 
@@ -182,17 +174,13 @@ def best_replacement(
     candidate index.
     """
     old = state.n_mu[victim_slot]
-    keep_mean = support.s_mean - model.sig_mean[:, old]
-    keep_var = support.s_var - model.sig_var[:, old]
-    keep_den = support.s_den - model.denom[:, old]
-    gamma = model._sinr_from_sums(
-        model.pbar[:, None],
+    keep_mean, keep_var, keep_den = state.without(old)
+    objectives = model.objective(
         keep_mean[:, None] + model.sig_mean,
         keep_var[:, None] + model.sig_var,
         keep_den[:, None] + model.denom,
     )
-    objectives = model.rho @ np.log2(1.0 + gamma)
-    blocked = [c for c in support.support if c != old]
+    blocked = [c for c in state.n_mu if c != old]
     objectives[blocked] = -np.inf
     best = int(np.argmax(objectives))  # first maximum = lowest index
     return best, float(objectives[best])
@@ -204,25 +192,21 @@ def successive_replacement(
     """LP-seeded successive replacement (at most N accepted iterations)."""
     problem = build_init_lp(scenario, model, xi)
     lp_solution = solve_lp(problem)
-    n_mu = round_top_n(lp_solution.chi, scenario.n_subarrays)
-
-    support = model.support_state(np.asarray(n_mu, int))
-    objective = support.weighted_sum()
-    state = SelectionState(n_mu=list(n_mu), replaced_slots=set(), objective=objective)
+    state = SelectionState(model, round_top_n(lp_solution.chi, scenario.n_subarrays))
     trace = [
         {
             "iteration": 0,
             "victim_slot": None,
             "old_candidate": None,
             "new_candidate": None,
-            "objective": objective,
+            "objective": state.objective,
             "accepted": True,
         }
     ]
 
     for iteration in range(1, scenario.n_subarrays + 1):
-        victim = select_victim(state, support)
-        candidate, cand_objective = best_replacement(model, support, state, victim)
+        victim = select_victim(state)
+        candidate, cand_objective = best_replacement(model, state, victim)
         accepted = cand_objective > state.objective + IMPROVEMENT_EPS
         trace.append(
             {
@@ -236,12 +220,7 @@ def successive_replacement(
         )
         if not accepted:
             break
-        old = state.n_mu[victim]
-        support.remove(old)
-        support.add(candidate)
-        state.n_mu[victim] = candidate
-        state.replaced_slots.add(victim)
-        state.objective = cand_objective
+        state.replace(victim, candidate, cand_objective)
 
     chi = np.zeros(model.n_cols, dtype=np.uint8)
     chi[state.n_mu] = 1

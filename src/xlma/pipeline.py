@@ -10,8 +10,7 @@ from .benchmarks import fpa_layout
 from .channel import (ArrayLayout, GainTables, build_gain_tables, check_support,
                       compute_layout_stats)
 from .errors import ConfigurationError
-from .optimizer import (EXHAUSTIVE_LIMIT, PlacementResult, exhaustive_search,
-                        successive_replacement)
+from .optimizer import PlacementResult, exhaustive_search, successive_replacement
 from .rate import RateModel
 from .scenario import ScenarioConfig, compute_los_visibility
 
@@ -50,8 +49,8 @@ class ScenarioContext:
     def plan(self) -> PlacementResult:
         return successive_replacement(self.scenario, self.model, self.xi)
 
-    def exhaustive(self, limit: int = EXHAUSTIVE_LIMIT):
-        return exhaustive_search(self.model, self.scenario.n_subarrays, limit)
+    def exhaustive(self):
+        return exhaustive_search(self.model, self.scenario.n_subarrays)
 
     def placement_for_scheme(self, scheme: str):
         """Support indices (proposed/optimal) or an ArrayLayout (baselines)."""

@@ -243,6 +243,14 @@ class RateModel:
             gamma = pbar * (s_mean**2 + s_var) / s_den
         return np.where(s_den > 0.0, gamma, 0.0)
 
+    def objective(self, s_mean, s_var, s_den):
+        """Weighted sum rate from per-grid sums, grids on axis 0.
+
+        Sums of shape (K',) give a scalar; (K', C) give one value per column.
+        """
+        pbar = self.pbar.reshape(self.pbar.shape + (1,) * (np.ndim(s_mean) - 1))
+        return self.rho @ np.log2(1.0 + self._sinr_from_sums(pbar, s_mean, s_var, s_den))
+
     def sinr(self, chi, grid_index: int) -> float:
         s_mean, s_var, s_den = self.sums(chi)
         r = self.row_of(grid_index)
@@ -251,13 +259,8 @@ class RateModel:
     def rate(self, chi, grid_index: int) -> float:
         return float(np.log2(1.0 + self.sinr(chi, grid_index)))
 
-    def all_rates(self, chi) -> np.ndarray:
-        s_mean, s_var, s_den = self.sums(chi)
-        gamma = self._sinr_from_sums(self.pbar, s_mean, s_var, s_den)
-        return np.log2(1.0 + gamma)
-
     def weighted_sum(self, chi) -> float:
-        return float(self.rho @ self.all_rates(chi))
+        return float(self.objective(*self.sums(chi)))
 
     def weighted_upper_bound(self, chi) -> float:
         s_mean, _, _ = self.sums(chi)
@@ -265,50 +268,4 @@ class RateModel:
 
     def marginal_objective(self) -> np.ndarray:
         """c[n] = sum_k rho_k * rate_k(e_n) for every column, vectorized."""
-        gamma = self._sinr_from_sums(
-            self.pbar[:, None], self.sig_mean, self.sig_var, self.denom
-        )
-        return self.rho @ np.log2(1.0 + gamma)
-
-    def support_state(self, support) -> "SupportState":
-        return SupportState(self, check_support(support, self.n_cols))
-
-
-class SupportState:
-    """Running per-grid sums for one support; O(K') column swaps."""
-
-    def __init__(self, model: RateModel, support):
-        self.model = model
-        self.support = list(int(c) for c in support)
-        cols = np.asarray(self.support, int)
-        self.s_mean = model.sig_mean[:, cols].sum(axis=1)
-        self.s_var = model.sig_var[:, cols].sum(axis=1)
-        self.s_den = model.denom[:, cols].sum(axis=1)
-
-    def add(self, col: int):
-        self.support.append(int(col))
-        self.s_mean += self.model.sig_mean[:, col]
-        self.s_var += self.model.sig_var[:, col]
-        self.s_den += self.model.denom[:, col]
-
-    def remove(self, col: int):
-        self.support.remove(int(col))
-        self.s_mean -= self.model.sig_mean[:, col]
-        self.s_var -= self.model.sig_var[:, col]
-        self.s_den -= self.model.denom[:, col]
-
-    def weighted_sum(self) -> float:
-        m = self.model
-        gamma = m._sinr_from_sums(m.pbar, self.s_mean, self.s_var, self.s_den)
-        return float(m.rho @ np.log2(1.0 + gamma))
-
-    def weighted_sum_without(self, col: int) -> float:
-        """Objective with one support column temporarily zeroed."""
-        m = self.model
-        gamma = m._sinr_from_sums(
-            m.pbar,
-            self.s_mean - m.sig_mean[:, col],
-            self.s_var - m.sig_var[:, col],
-            self.s_den - m.denom[:, col],
-        )
-        return float(m.rho @ np.log2(1.0 + gamma))
+        return self.objective(self.sig_mean, self.sig_var, self.denom)

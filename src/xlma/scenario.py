@@ -12,7 +12,7 @@ Index conventions (all 0-based in code):
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,12 @@ def dbm_to_mw(dbm: float) -> float:
 
 def mw_to_dbm(mw: float) -> float:
     return 10.0 * np.log10(mw)
+
+
+def _check_finite(what: str, *values) -> None:
+    """Reject NaN and infinite entries (JSON parsing accepts both)."""
+    if not np.all(np.isfinite(np.asarray(values, float))):
+        raise ConfigurationError(f"{what} must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +58,7 @@ class MaRegionSpec:
     n_z: int
 
     def __post_init__(self):
+        _check_finite("ma_region values", *astuple(self))
         for axis, lo, hi, count in (
             ("y", self.y_min, self.y_max, self.n_y),
             ("z", self.z_min, self.z_max, self.n_z),
@@ -91,6 +98,7 @@ class CoverageSpec:
     k_z: int
 
     def __post_init__(self):
+        _check_finite("coverage values", *astuple(self))
         if self.x_min <= 0:
             raise ConfigurationError("coverage.x_min must be > 0 (front half-space)")
         for axis, lo, hi, count in (
@@ -134,6 +142,7 @@ class Obstacle:
     dims: tuple[float, float, float]
 
     def __post_init__(self):
+        _check_finite("obstacle center and dims", *self.center, *self.dims)
         if any(d <= 0 for d in self.dims):
             raise ConfigurationError("obstacle dims must be strictly positive")
 
@@ -228,7 +237,7 @@ def assign_probabilities(
     if not 0.0 <= zeta <= 1.0:
         raise ConfigurationError("regular_ratio must be within [0, 1]")
     kbar = float(expected_users)
-    if kbar < 0 or kbar > total:
+    if not 0 <= kbar <= total:
         raise ConfigurationError("expected_users must be within [0, K]")
 
     hot_mass = kbar * (1.0 - zeta)
@@ -344,11 +353,14 @@ class _SlabTest:
     the numerators on the shape of the start points, and the temporaries of
     the segments' shape live in buffers reused across calls and obstacles.
     A component d_a == 0 makes the segment parallel to slab a: it lies
-    inside the slab for every t or for none, so its bounds become infinite
-    and its hit depends on whether the start is inside. That branch runs
-    only on axes where some component is exactly 0. Each segment gets the
-    operations of a separate test per obstacle, so results are the same
-    bit for bit.
+    inside the slab for every t or for none. Inside, its bounds become
+    (-inf, inf); outside (or not provably inside, as with NaN), (inf, -inf).
+    That alone decides the miss: np.maximum and np.minimum keep t_lo at inf
+    and t_hi at -inf or turn them into NaN, and inf <= -inf and comparisons
+    with NaN are false, so no mask is needed, for infinite or NaN
+    coordinates too. That branch runs only on axes where some component is
+    exactly 0. Each segment gets the operations of a separate test per
+    obstacle, so results are the same bit for bit.
     """
 
     def __init__(self, shape):
@@ -373,7 +385,6 @@ class _SlabTest:
         blocked.fill(False)
         for box in obstacles:
             lo, hi = box.lo, box.hi
-            inside_all = None
             for a in range(3):
                 oa = starts[..., a]
                 np.divide(lo[a] - oa, d[a], out=t0)
@@ -384,14 +395,10 @@ class _SlabTest:
                     inside = (oa >= lo[a]) & (oa <= hi[a])
                     tmin = np.where(parallel[a], np.where(inside, -np.inf, np.inf), tmin)
                     tmax = np.where(parallel[a], np.where(inside, np.inf, -np.inf), tmax)
-                    keep = ~(parallel[a] & ~inside)
-                    inside_all = keep if inside_all is None else inside_all & keep
                 # [t_lo, t_hi] starts as [0, 1]: axis 0 clips the scalars.
                 np.maximum(t_lo if a else 0.0, tmin, out=t_lo)
                 np.minimum(t_hi if a else 1.0, tmax, out=t_hi)
             np.less_equal(t_lo, t_hi, out=hit)
-            if inside_all is not None:
-                hit &= inside_all
             blocked |= hit
         return blocked
 
@@ -507,21 +514,22 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self):
-        if self.carrier_freq <= 0:
-            raise ConfigurationError("carrier_freq must be positive")
+        # Written as 0 < x < inf so that NaN fails too.
+        if not 0 < self.carrier_freq < np.inf:
+            raise ConfigurationError("carrier_freq must be positive and finite")
         if self.m_h < 1 or self.m_v < 1:
             raise ConfigurationError("m_h and m_v must be >= 1")
-        if self.d_h <= 0 or self.d_v <= 0:
-            raise ConfigurationError("d_h and d_v must be positive")
+        if not (0 < self.d_h < np.inf and 0 < self.d_v < np.inf):
+            raise ConfigurationError("d_h and d_v must be positive and finite")
         n0 = self.ma_region.n_candidates
         if not 1 <= self.n_subarrays <= n0:
             raise ConfigurationError(
                 f"n_subarrays must satisfy 1 <= N <= N0 = {n0}, got {self.n_subarrays}"
             )
-        if np.any(self.tx_power_mw <= 0):
-            raise ConfigurationError("tx_power_mw entries must be strictly positive")
-        if self.noise_power_mw <= 0:
-            raise ConfigurationError("noise_power_mw must be strictly positive")
+        if not np.all((0 < self.tx_power_mw) & (self.tx_power_mw < np.inf)):
+            raise ConfigurationError("tx_power_mw entries must be positive and finite")
+        if not 0 < self.noise_power_mw < np.inf:
+            raise ConfigurationError("noise_power_mw must be positive and finite")
         if not (self.rician_kappa > 0):  # rejects NaN and nonpositive
             raise ConfigurationError("rician_kappa must be > 0 or infinite (pure LoS)")
         if self.visibility_samples < 1:
@@ -607,8 +615,8 @@ def load_scenario(source) -> ScenarioConfig:
 
     freq = float(_require(doc, "carrier_freq", ""))
     wavelength = SPEED_OF_LIGHT / freq
-    d_h = float(doc.get("d_h") or wavelength / 2.0)
-    d_v = float(doc.get("d_v") or wavelength / 2.0)
+    d_h = float(wavelength / 2.0 if doc.get("d_h") is None else doc["d_h"])
+    d_v = float(wavelength / 2.0 if doc.get("d_v") is None else doc["d_v"])
 
     kappa_db = doc.get("rician_kappa_db", "infinite")
     if isinstance(kappa_db, str):

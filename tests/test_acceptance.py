@@ -287,7 +287,6 @@ def test_criterion_8_visibility_against_dense_oracle():
 
 def test_criterion_9_lp_against_oracle():
     from xlma.optimizer import solve_lp
-    import warnings
 
     rng = np.random.default_rng(99)
     checked = 0
@@ -298,10 +297,8 @@ def test_criterion_9_lp_against_oracle():
         ref = scipy_reference(problem)
         if ref.status != 0:
             continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            sol = solve_lp(problem)
-            sol2 = solve_lp(problem)
+        sol = solve_lp(problem)
+        sol2 = solve_lp(problem)
         worst = max(worst, abs(sol.objective - (-ref.fun)))
         deterministic &= np.array_equal(sol.chi, sol2.chi)
         checked += 1

@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import math
@@ -11,7 +12,7 @@ import pytest
 
 import xlma
 from xlma.cli import main
-from xlma.presets import desk_full_los, desk_full_los_2d, desk_single_grid
+from xlma.presets import desk_full_los, desk_full_los_2d, desk_partial_los, desk_single_grid
 from xlma.scenario import load_scenario
 from xlma.validation import validate_scenario
 
@@ -45,6 +46,30 @@ class TestPlan:
         cfg = write_config(tmp_path, doc)
         assert main(["plan", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 1
         assert "n_subarrays" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("ma_region", "y_max"), math.nan, "ma_region"),
+        (("obstacles", 0, "dims", 0), math.nan, "obstacle"),
+        (("tx_power_dbm",), math.nan, "tx_power"),
+        (("noise_power_dbm",), math.nan, "noise_power"),
+        (("carrier_freq",), math.nan, "carrier_freq"),
+        (("d_h",), 0.0, "d_h"),
+    ])
+    def test_plan_rejects_non_finite_or_zero_value(self, tmp_path, capsys, path, value,
+                                                   field):
+        # json.dumps writes NaN as the bare token that json.loads accepts.
+        # Presets share their nested lists, so edit a deep copy.
+        doc = copy.deepcopy(desk_partial_los())
+        *parents, key = path
+        target = doc
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        cfg = write_config(tmp_path, doc)
+        out = tmp_path / "x.json"
+        assert main(["plan", "--config", str(cfg), "--out", str(out)]) == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
 
     def test_plan_trace_jsonl(self, tmp_path):
         cfg = write_config(tmp_path, desk_full_los())

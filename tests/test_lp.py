@@ -1,13 +1,18 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.optimize import linprog
 
 from xlma.errors import ConfigurationError
 import xlma.optimizer
 from xlma.lp import SimplexResult, solve_simplex
-from xlma.optimizer import LpProblem, _check_certificate, solve_lp
+from xlma.optimizer import LpProblem, _check_certificate, build_init_lp, solve_lp
+from xlma.rate import RateModel
 
 
 def random_placement_lp(rng, n_max=20):
@@ -89,7 +94,7 @@ class TestSolveLp:
                             coverage_rows=np.zeros((0, 3)), n_select=3)
         sol = solve_lp(problem)
         np.testing.assert_allclose(sol.chi, 1.0)
-        assert not sol.penalty_fallback
+        assert sol.result.status == "optimal"
 
     def test_single_pick_is_argmax(self):
         c = np.array([0.3, 2.0, 1.1, 0.7])
@@ -109,19 +114,15 @@ class TestSolveLp:
 
     def test_random_instances_match_scipy(self):
         rng = np.random.default_rng(42)
-        import warnings
-
         for _ in range(50):
             problem = random_placement_lp(rng)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                sol = solve_lp(problem)
             ref = scipy_reference(problem)
-            if ref.status == 2:  # coverage infeasible: penalty fallback engaged
-                assert sol.penalty_fallback
+            if ref.status == 2:  # coverage infeasible with the budget
+                with pytest.raises(ConfigurationError, match="infeasible"):
+                    solve_lp(problem)
                 continue
             assert ref.status == 0
-            assert not sol.penalty_fallback
+            sol = solve_lp(problem)
             assert sol.objective == pytest.approx(-ref.fun, abs=1e-8)
             assert sol.result.primal_residual <= 1e-8
 
@@ -134,7 +135,7 @@ class TestSolveLp:
                 continue
             exact = enumerate_vertices(problem)
             if not np.isfinite(exact):
-                continue  # infeasible instance: covered by the fallback test
+                continue  # infeasible instance: solve_lp raises (tested above)
             sol = solve_lp(problem)
             assert sol.objective == pytest.approx(exact, abs=1e-8)
             done += 1
@@ -147,17 +148,36 @@ class TestSolveLp:
         assert np.array_equal(a.chi, b.chi)
         assert a.objective == b.objective
 
-    def test_infeasible_coverage_uses_penalty_fallback(self):
-        # Two disjoint coverage rows but only one subarray: infeasible.
+    def test_infeasible_coverage_raises(self):
+        # Two disjoint coverage rows but only one subarray: infeasible. Only a
+        # hand-built problem can be; build_init_lp's never are (below).
         rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         problem = LpProblem(c=np.array([1.0, 0.9, 0.1]),
                             coverage_rows=rows, n_select=1)
-        with pytest.warns(UserWarning, match="penalty"):
-            sol = solve_lp(problem)
-        assert sol.penalty_fallback
-        assert sol.chi.sum() == pytest.approx(1.0)
-        # Best compromise still picks the highest-value candidate.
-        assert sol.chi[0] == pytest.approx(1.0)
+        with pytest.raises(ConfigurationError, match="status infeasible"):
+            solve_lp(problem)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_grids=st.integers(1, 6), n_cols=st.integers(1, 10))
+    def test_init_lp_is_always_feasible(self, data, n_grids, n_cols):
+        # Random visibility (rows with and without a visible candidate),
+        # random rho with zeros, any N <= N0: solve_lp never raises.
+        xi = data.draw(hnp.arrays(np.uint8, (n_grids, n_cols), elements=st.integers(0, 1)))
+        xi[data.draw(hnp.arrays(bool, n_grids))] = 0
+        rho = data.draw(hnp.arrays(float, n_grids,
+                                   elements=st.sampled_from([0.0, 0.1, 0.5, 1.0])))
+        n_select = data.draw(st.integers(1, n_cols))
+        gains = data.draw(hnp.arrays(float, (3, n_grids, n_cols),
+                                     elements=st.floats(0.1, 10.0)))
+        model = RateModel(np.arange(n_grids), rho, np.ones(n_grids), np.ones(n_cols),
+                          gains[0], gains[1], gains[2] + gains[0])
+        scenario = SimpleNamespace(distribution=SimpleNamespace(rho=rho),
+                                   n_subarrays=n_select)
+        problem = build_init_lp(scenario, model, xi)
+        sol = solve_lp(problem)
+        assert sol.result.status == "optimal"
+        assert sol.chi.sum() == pytest.approx(n_select)
+        assert np.all(problem.coverage_rows @ sol.chi >= 1.0 - 1e-9)
 
 
 def tampered_result(n, residual):
@@ -193,25 +213,6 @@ class TestCertificate:
         with pytest.raises(ConfigurationError, match="certificate"):
             solve_lp(problem)
 
-    @pytest.mark.parametrize("residual", [1e-3, np.nan])
-    def test_solve_lp_rejects_tampered_penalty_solve(self, monkeypatch, residual):
-        calls = []
-
-        def fake_simplex(c, *args, **kwargs):
-            calls.append(len(c))
-            if len(calls) == 1:
-                return SimplexResult("infeasible", None, None, 1)
-            return tampered_result(len(c), residual)
-
-        monkeypatch.setattr(xlma.optimizer, "solve_simplex", fake_simplex)
-        rows = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-        problem = LpProblem(c=np.array([1.0, 0.9, 0.1]),
-                            coverage_rows=rows, n_select=1)
-        with pytest.warns(UserWarning, match="penalty"):
-            with pytest.raises(ConfigurationError, match="certificate"):
-                solve_lp(problem)
-        assert calls == [3, 5]
-
 
 class TestSimplexCore:
     def test_unbounded_detected(self):
@@ -227,18 +228,6 @@ class TestSimplexCore:
             upper=np.array([1.0, 1.0]),
         )
         assert res.status == "infeasible"
-
-    def test_minimize_mode(self):
-        res = solve_simplex(
-            np.array([2.0, 1.0]),
-            np.array([[1.0, 1.0]]),
-            ["="],
-            np.array([1.0]),
-            upper=np.array([1.0, 1.0]),
-            maximize=False,
-        )
-        assert res.objective == pytest.approx(1.0)
-        np.testing.assert_allclose(res.x, [0.0, 1.0], atol=1e-12)
 
     def test_fuzz_against_scipy_general(self):
         rng = np.random.default_rng(11)

@@ -53,21 +53,19 @@ class TestVictimAndReplacement:
         sc = make_scenario(n_y=n_y, k_x=2, k_y=2, kappa=10.0,
                            rho=rho or [0.6, 0.5, 0.4, 0.7], seed=9)
         model, _ = build_ctx(sc)
-        state = SelectionState(n_mu=list(support), replaced_slots=set(),
-                               objective=model.weighted_sum(np.asarray(support, int)))
-        return model, state, model.support_state(np.asarray(support, int))
+        return model, SelectionState(model, list(support))
 
     def test_single_slot_victim(self):
-        model, state, support = self._setup(support=(4,))
-        assert select_victim(state, support) == 0
+        model, state = self._setup(support=(4,))
+        assert select_victim(state) == 0
 
     def test_victim_matches_brute_enumeration(self):
-        model, state, support = self._setup()
+        model, state = self._setup()
         values = [
-            support.weighted_sum_without(state.n_mu[slot])
+            model.objective(*state.without(state.n_mu[slot]))
             for slot in range(len(state.n_mu))
         ]
-        assert select_victim(state, support) == int(np.argmax(values))
+        assert select_victim(state) == int(np.argmax(values))
 
     def test_useless_slot_selected_first(self):
         # A slot whose position is blocked toward every grid loses nothing.
@@ -78,15 +76,12 @@ class TestVictimAndReplacement:
         xi[:, 5] = 0  # candidate 5 sees nothing
         gains = build_gain_tables(sc, cands, grids, xi)
         model = RateModel.from_candidate_tables(sc, gains)
-        support_cols = np.array([0, 5, 9])
-        state = SelectionState(n_mu=[0, 5, 9], replaced_slots=set(),
-                               objective=model.weighted_sum(support_cols))
-        assert select_victim(state, model.support_state(support_cols)) == 1
+        assert select_victim(SelectionState(model, [0, 5, 9])) == 1
 
     def test_replacement_matches_brute_force(self):
-        model, state, support = self._setup()
+        model, state = self._setup()
         victim = 1  # slot holding candidate 5
-        cand, value = best_replacement(model, support, state, victim)
+        cand, value = best_replacement(model, state, victim)
         keep = [c for c in state.n_mu if c != state.n_mu[victim]]
         admissible = [c for c in range(model.n_cols) if c not in keep]
         values = {
@@ -100,10 +95,7 @@ class TestVictimAndReplacement:
         sc = make_scenario(n_y=12, k_x=2, k_y=2, kappa=10.0,
                            rho=[0.6, 0.5, 0.4, 0.7], seed=9, n_subarrays=1)
         model, _ = build_ctx(sc)
-        state = SelectionState(n_mu=[3], replaced_slots=set(),
-                               objective=model.weighted_sum(np.array([3])))
-        cand, value = best_replacement(model, model.support_state(np.array([3])),
-                                       state, 0)
+        cand, value = best_replacement(model, SelectionState(model, [3]), 0)
         marg = [model.weighted_sum(np.array([c])) for c in range(model.n_cols)]
         assert cand == int(np.argmax(marg))
         assert value == pytest.approx(max(marg), rel=1e-12)

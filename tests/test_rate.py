@@ -16,6 +16,7 @@ from xlma.channel import (
     support_layout,
 )
 from xlma.errors import ConfigurationError, DomainError
+from xlma.optimizer import SelectionState
 from xlma.rate import RateModel, aux_f, fejer_correlation
 from xlma import rate as rate_module
 from oracles import (aux_g, aux_kernels, aux_q, build_kernel_tables, marginal_rate,
@@ -460,7 +461,7 @@ class TestRateModel:
         with pytest.raises(DomainError):
             model.weighted_sum(support)
         with pytest.raises(DomainError):
-            model.support_state(support)
+            SelectionState(model, support)
 
     def test_support_is_an_index_list_never_a_mask(self):
         # With N0 = 2, [0, 1] is the two-column support, in either order; a
@@ -488,11 +489,12 @@ class TestRateModel:
         sc = make_scenario(n_y=12, k_x=2, k_y=2, kappa=10.0,
                            rho=[0.6, 0.4, 0.3, 0.5], seed=2)
         model = build_model(sc)
-        state = model.support_state(np.array([0, 4, 8]))
-        state.remove(4)
-        state.add(9)
-        direct = model.weighted_sum(np.array([0, 8, 9]))
-        assert state.weighted_sum() == pytest.approx(direct, rel=1e-12)
-        assert state.weighted_sum_without(9) == pytest.approx(
+        state = SelectionState(model, [0, 4, 8])
+        direct = model.weighted_sum(np.array([0, 9, 8]))
+        state.replace(1, 9, direct)
+        assert state.n_mu == [0, 9, 8] and state.replaced_slots == {1}
+        sums = (state.s_mean, state.s_var, state.s_den)
+        assert model.objective(*sums) == pytest.approx(direct, rel=1e-12)
+        assert model.objective(*state.without(9)) == pytest.approx(
             model.weighted_sum(np.array([0, 8])), rel=1e-12
         )

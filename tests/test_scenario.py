@@ -1,3 +1,6 @@
+import copy
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,6 +198,12 @@ _BOX = st.builds(
     center=st.tuples(*[st.integers(-2, 2).map(float)] * 3),
     dims=st.tuples(*[st.sampled_from([1.0, 2.0, 3.0])] * 3),
 )
+_POINT_NONFINITE = st.tuples(*[st.one_of(_COORD, st.sampled_from([np.inf, -np.inf, np.nan]))] * 3)
+# Obstacle rejects non-finite values; the kernel only reads ``lo`` and ``hi``.
+_BOX_NONFINITE = st.builds(
+    lambda lo, hi: SimpleNamespace(lo=np.array(lo), hi=np.array(hi)),
+    _POINT_NONFINITE, _POINT_NONFINITE,
+)
 # (start, end, shared): axes in ``shared`` copy the start coordinate into
 # the end, which makes the segment parallel to that axis' slab.
 _SEGMENT = st.tuples(_POINT, _POINT, st.tuples(*[st.booleans()] * 3))
@@ -235,6 +244,34 @@ class TestSlabKernel:
         got = segments_blocked(starts, ends, [box])
         np.testing.assert_array_equal(got, blocked_reference(starts, ends, [box]))
         assert bool(got[0]) is hit
+
+    @given(st.lists(st.tuples(_POINT_NONFINITE, _POINT_NONFINITE,
+                              st.tuples(*[st.booleans()] * 3)), min_size=1, max_size=12),
+           st.lists(st.one_of(_BOX, _BOX_NONFINITE), min_size=1, max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_non_finite_coordinates_equal_reference(self, segments, boxes):
+        """With +-inf and NaN in segments and boxes, the kernel (which has no
+        inside-slab mask) still agrees with the reference (which has one)."""
+        starts = np.array([p for p, _, _ in segments], float)
+        ends = np.array([[p_a if s_a else q_a for p_a, q_a, s_a in zip(p, q, shared)]
+                         for p, q, shared in segments], float)
+        with np.errstate(invalid="ignore"):
+            expected = blocked_reference(starts, ends, boxes)
+        np.testing.assert_array_equal(segments_blocked(starts, ends, boxes), expected)
+
+    @pytest.mark.parametrize("outside", [(0, 1), (0, 2), (1, 2), (0, 1, 2)])
+    def test_parallel_outside_on_several_axes(self, outside):
+        """Parallel to the slabs of ``outside`` and outside them; the free
+        axis (if any) crosses the box's extent."""
+        box = Obstacle(center=(1.0, 1.0, 1.0), dims=(2.0, 2.0, 2.0))
+        p = np.array([-1.0, -1.0, -1.0])
+        q = np.array([3.0, 3.0, 3.0])
+        for a in outside:
+            p[a] = q[a] = 2.5 if a % 2 else -0.5
+        starts, ends = p[None, :], q[None, :]
+        got = segments_blocked(starts, ends, [box])
+        np.testing.assert_array_equal(got, blocked_reference(starts, ends, [box]))
+        assert not got[0]
 
     def test_endpoint_on_face(self):
         box = Obstacle(center=(1.0, 1.0, 1.0), dims=(2.0, 2.0, 2.0))
@@ -346,6 +383,47 @@ class TestLoadScenario:
         doc["ma_region"]["n_y"] = 6000
         with pytest.raises(ConfigurationError, match="interval"):
             load_scenario(doc)
+
+    @pytest.mark.parametrize("path, value", [
+        (("ma_region", "y_max"), np.nan),
+        (("ma_region", "n_y"), np.inf),
+        (("coverage", "x_max"), np.inf),
+        (("coverage", "z_min"), np.nan),
+        (("obstacles", 0, "dims", 1), np.nan),
+        (("obstacles", 1, "center", 2), -np.inf),
+        (("tx_power_dbm",), np.nan),
+        (("tx_power_dbm",), np.inf),
+        (("noise_power_dbm",), np.nan),
+        (("noise_power_dbm",), np.inf),
+        (("carrier_freq",), np.nan),
+        (("carrier_freq",), np.inf),
+        (("d_h",), np.nan),
+        (("d_v",), np.inf),
+        (("d_h",), 0.0),
+        (("d_v",), 0),
+        (("distribution", "expected_users"), np.nan),
+    ])
+    def test_non_finite_or_zero_value_rejected(self, path, value):
+        doc = copy.deepcopy(PRESETS["desk_partial_los"]())  # presets share nested lists
+        *parents, key = path
+        target = doc
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        with pytest.raises(ConfigurationError):
+            load_scenario(doc)
+
+    def test_spacing_defaults_to_half_wavelength_when_absent_or_null(self):
+        doc = desk_full_los()
+        doc["d_h"] = None
+        doc.pop("d_v", None)
+        sc = load_scenario(doc)
+        assert sc.d_h == sc.d_v == sc.wavelength / 2
+
+    def test_infinite_kappa_db_is_pure_los(self):
+        doc = desk_full_los()
+        doc["rician_kappa_db"] = float("inf")
+        assert load_scenario(doc).pure_los
 
     def test_dbm_helper(self):
         assert dbm_to_mw(0.0) == pytest.approx(1.0)
