@@ -18,17 +18,6 @@ from .errors import ConfigurationError, DomainError
 from .scenario import ScenarioConfig, check_indices, visibility_from_points
 
 
-def wave_vector(t_k: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Unit direction of arrival (t_k - r) / ||t_k - r||."""
-    t_k = np.asarray(t_k, float)
-    r = np.asarray(r, float)
-    diff = t_k - r
-    norm = np.linalg.norm(diff)
-    if norm == 0.0:
-        raise DomainError("wave vector undefined for coincident points")
-    return diff / norm
-
-
 def wave_vectors(targets: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise unit vectors and distances, shapes (T, S, 3) and (T, S)."""
     targets = np.atleast_2d(np.asarray(targets, float))
@@ -170,25 +159,11 @@ class ArrayLayout:
         object.__setattr__(self, "subarrays", tuple(self.subarrays))
 
     @property
-    def n_subarrays(self) -> int:
-        return len(self.subarrays)
-
-    @property
     def total_antennas(self) -> int:
         return sum(s.n_antennas for s in self.subarrays)
 
     def centers(self) -> np.ndarray:
         return np.array([s.center for s in self.subarrays], float)
-
-    def element_positions(self) -> np.ndarray:
-        return np.concatenate([s.element_positions() for s in self.subarrays], axis=0)
-
-    def min_element_spacing(self) -> float:
-        pos = self.element_positions()
-        diff = pos[:, None, :] - pos[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        np.fill_diagonal(dist, np.inf)
-        return float(dist.min())
 
     def to_json_dict(self) -> dict:
         return {
@@ -280,32 +255,29 @@ def compute_layout_stats(
     gains = build_gain_tables(
         scenario, centers, scenario.grid_centers()[grid_indices], xi, grid_rows=grid_indices
     )
+    return layout_stats_from_gains(scenario, layout, gains)
 
+
+def layout_stats_from_gains(
+    scenario: ScenarioConfig, layout: ArrayLayout, gains: GainTables
+) -> LayoutStats:
+    """``gains``, whose column s is subarray s of ``layout``, plus the
+    per-element LoS steering blocks and NLoS deviations channel draws need."""
+    geometry = tuple((s.m_h, s.m_v, s.d_h, s.d_v) for s in layout.subarrays)
     m_col = np.array([s.n_antennas for s in layout.subarrays], int)
     stops = np.cumsum(m_col)
-    starts = stops - m_col
-    slices = tuple((int(a), int(b)) for a, b in zip(starts, stops))
-
-    n_grids = len(grid_indices)
-    total = int(m_col.sum())
-    los_blocks = np.zeros((n_grids, total), complex)
-    nlos_std = np.zeros((n_grids, total))
-    for s_idx, sub in enumerate(layout.subarrays):
-        a, b = slices[s_idx]
-        steer = steering_vector(
-            gains.u[:, s_idx], sub.m_h, sub.m_v, sub.d_h, sub.d_v, scenario.wavelength
-        )
-        amplitude = gains.xi[:, s_idx] * np.sqrt(gains.beta_los[:, s_idx])
-        los_blocks[:, a:b] = amplitude[:, None] * steer
-        nlos_std[:, a:b] = np.sqrt(gains.beta_nlos[:, s_idx] / 2.0)[:, None]
-
+    amplitude = gains.xi * np.sqrt(gains.beta_los)
+    los_blocks = np.concatenate([
+        amplitude[:, s_idx, None] * steering_vector(gains.u[:, s_idx], *geom, scenario.wavelength)
+        for s_idx, geom in enumerate(geometry)
+    ], axis=1)
     return LayoutStats(
         **vars(gains),
         m_col=m_col,
-        geometry=tuple((s.m_h, s.m_v, s.d_h, s.d_v) for s in layout.subarrays),
+        geometry=geometry,
         los_blocks=los_blocks,
-        nlos_std=nlos_std,
-        slices=slices,
+        nlos_std=np.repeat(np.sqrt(gains.beta_nlos / 2.0), m_col, axis=1),
+        slices=tuple((int(stop - m), int(stop)) for m, stop in zip(m_col, stops)),
     )
 
 
@@ -333,8 +305,9 @@ def draw_realization(
 ) -> ChannelRealization:
     """One Monte Carlo draw: activation indicators, then channel columns.
 
-    Only the drawn-active rows get channel columns; the draw order (alpha,
-    then per-active-grid phases and noise) is fixed for reproducibility.
+    Only the drawn-active rows get channel columns. The draw order is fixed
+    for reproducibility: the activation uniforms, then ``sample_channel``'s
+    phases, real normals and imaginary normals for the active rows.
     """
     alpha = sample_activation(rho_rows, rng)
     active = np.flatnonzero(alpha)
@@ -347,22 +320,17 @@ def sample_channel(
 ) -> np.ndarray:
     """Channel matrix (total antennas, len(rows)) for the given stat rows.
 
-    Per subarray and grid the LoS part gets an independent uniform phase and
+    Per subarray and row the LoS part gets an independent uniform phase and
     the NLoS part i.i.d. circular Gaussian entries with per-entry variance
-    beta_nlos. Draw order is fixed (phases, then real, then imaginary
-    normals, per grid in the order given), so results are reproducible for a
-    given generator state.
+    beta_nlos. There are three generator calls, in a fixed order: the
+    phases, shape (len(rows), S), then the real and then the imaginary
+    normals, each shape (len(rows), total antennas), all filled row-major.
+    Results are reproducible for a given generator state.
     """
     rows = np.asarray(rows, int)
-    total = stats.total_antennas
-    n_sub = len(stats.m_col)
-    h = np.empty((total, len(rows)), complex)
-    for j, g in enumerate(rows):
-        psi = rng.uniform(0.0, 2.0 * np.pi, n_sub)
-        phase = np.repeat(np.exp(-1j * psi), stats.m_col)
-        col = stats.los_blocks[g] * phase
-        re = rng.standard_normal(total)
-        im = rng.standard_normal(total)
-        col = col + (re + 1j * im) * stats.nlos_std[g]
-        h[:, j] = col
-    return h
+    n_rows = len(rows)
+    psi = rng.uniform(0.0, 2.0 * np.pi, (n_rows, len(stats.m_col)))
+    re = rng.standard_normal((n_rows, stats.total_antennas))
+    im = rng.standard_normal((n_rows, stats.total_antennas))
+    phase = np.repeat(np.exp(-1j * psi), stats.m_col, axis=1)
+    return (stats.los_blocks[rows] * phase + (re + 1j * im) * stats.nlos_std[rows]).T

@@ -113,6 +113,8 @@ def _sweep_cell(ctx: ScenarioContext, scheme: str, evaluators, trials: int):
     except ConfigurationError as exc:
         return [(scheme, ev, "", "", f"skipped: {exc}") for ev in evaluators]
 
+    if isinstance(placement, ArrayLayout):
+        placement = ctx.layout_stats(placement)  # one set of statistics for every evaluator
     if {"approx_mrc", "upper_bound"} & set(evaluators):
         model, columns = ctx.model_for(placement)
     for evaluator in evaluators:
@@ -123,7 +125,8 @@ def _sweep_cell(ctx: ScenarioContext, scheme: str, evaluators, trials: int):
         else:
             combiner = "mrc" if evaluator == "sim_mrc" else "mmse"
             est, err = simulate_weighted_sum_rate(
-                ctx.scenario, placement, SimOptions(trials=trials, combiner=combiner)
+                ctx.scenario, ctx.layout_stats(placement),
+                SimOptions(trials=trials, combiner=combiner),
             )
             rows.append((scheme, evaluator, est, err, ""))
     return rows

@@ -17,6 +17,7 @@ import numpy as np
 
 from .channel import (
     ArrayLayout,
+    LayoutStats,
     check_support,
     compute_layout_stats,
     draw_realization,
@@ -64,50 +65,32 @@ def _sinr_all_active(h: np.ndarray, pbar: np.ndarray, combiner: str) -> np.ndarr
     return np.maximum(1.0 / np.real(np.diag(np.linalg.inv(core))) - 1.0, 0.0)
 
 
-def mrc_sinr(h: np.ndarray, alpha: np.ndarray, k: int, tx_power_mw, noise_power_mw):
-    """MRC SINR of grid k: Pbar_k ||h_k||^4 / (interference + ||h_k||^2)."""
-    return _combiner_sinr(h, alpha, k, tx_power_mw, noise_power_mw, "mrc")
-
-
-def mmse_sinr(h: np.ndarray, alpha: np.ndarray, k: int, tx_power_mw, noise_power_mw):
-    """Output SINR of the interference-plus-noise-whitened matched filter."""
-    return _combiner_sinr(h, alpha, k, tx_power_mw, noise_power_mw, "mmse")
-
-
-def _combiner_sinr(h, alpha, k, tx_power_mw, noise_power_mw, combiner):
-    alpha = np.asarray(alpha)
-    if not alpha[k]:
-        raise DomainError("SINR requested for an inactive grid")
-    active = np.flatnonzero(alpha)
-    pbar = np.broadcast_to(np.asarray(tx_power_mw, float), alpha.shape)[active] / float(
-        noise_power_mw
-    )
-    gammas = _sinr_all_active(np.asarray(h)[:, active], pbar, combiner)
-    return float(gammas[int(np.searchsorted(active, k))])
-
-
 # ---------------------------------------------------------------------------
 # Weighted-sum-rate estimation
 # ---------------------------------------------------------------------------
 
 
-def _resolve_layout(scenario: ScenarioConfig, placement) -> ArrayLayout:
-    if isinstance(placement, ArrayLayout):
-        return placement
-    support = check_support(placement, scenario.ma_region.n_candidates)
-    return support_layout(scenario, support)
-
-
 def simulate_trials(
     scenario: ScenarioConfig, placement, opts: SimOptions
 ) -> np.ndarray:
-    """Per-trial weighted-sum samples; ``placement`` is a support or a layout."""
-    layout = _resolve_layout(scenario, placement)
+    """Per-trial weighted-sum samples.
+
+    ``placement`` is a support, a layout, or a layout's ``LayoutStats`` over
+    the grids with positive activation probability, in grid order.
+    """
+    if not isinstance(placement, (ArrayLayout, LayoutStats)):
+        support = check_support(placement, scenario.ma_region.n_candidates)
+        placement = support_layout(scenario, support)
     rho_all = scenario.distribution.rho
     rows = np.flatnonzero(rho_all > 0.0)
     if len(rows) == 0:
         return np.zeros(opts.trials)
-    stats = compute_layout_stats(scenario, layout, grid_indices=rows)
+    if isinstance(placement, ArrayLayout):
+        stats = compute_layout_stats(scenario, placement, grid_indices=rows)
+    elif np.array_equal(placement.grid_rows, rows):
+        stats = placement
+    else:
+        raise ConfigurationError("layout statistics must cover exactly the grids with rho > 0")
     rho_rows = rho_all[rows]
     pbar_rows = scenario.snr_scale[rows]
 

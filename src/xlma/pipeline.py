@@ -7,8 +7,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmarks import fpa_layout
-from .channel import (ArrayLayout, GainTables, build_gain_tables, check_support,
-                      compute_layout_stats)
+from .channel import (ArrayLayout, GainTables, LayoutStats, build_gain_tables,
+                      check_support, compute_layout_stats, layout_stats_from_gains,
+                      support_layout)
 from .errors import ConfigurationError
 from .optimizer import PlacementResult, exhaustive_search, successive_replacement
 from .rate import RateModel
@@ -61,17 +62,34 @@ class ScenarioContext:
             return np.flatnonzero(chi)
         return fpa_layout(scheme, self.scenario)
 
+    def layout_stats(self, placement) -> LayoutStats:
+        """Statistics of a support, layout or ``LayoutStats`` over the active grids.
+
+        A support's come from its columns of the candidate tables, with no
+        visibility pass of their own; a layout's are computed.
+        """
+        if isinstance(placement, LayoutStats):
+            return placement
+        if isinstance(placement, ArrayLayout):
+            return compute_layout_stats(
+                self.scenario, placement, grid_indices=self.model.grid_rows
+            )
+        support = check_support(placement, self.model.n_cols)
+        columns = {name: table if name == "grid_rows" else table[:, support]
+                   for name, table in vars(self.gains).items()}
+        return layout_stats_from_gains(
+            self.scenario, support_layout(self.scenario, support), GainTables(**columns)
+        )
+
     def model_for(self, placement) -> tuple[RateModel, np.ndarray]:
-        """(model, columns) that score a support (index list) or a layout.
+        """(model, columns) that score a support (index list), a layout or a
+        layout's ``LayoutStats``.
 
         A support is scored on the candidate model; a layout gets a model of
         its own, whose columns are its subarrays.
         """
-        if isinstance(placement, ArrayLayout):
-            stats = compute_layout_stats(
-                self.scenario, placement, grid_indices=self.model.grid_rows
-            )
-            model = RateModel.from_layout_stats(self.scenario, stats)
+        if isinstance(placement, (ArrayLayout, LayoutStats)):
+            model = RateModel.from_layout_stats(self.scenario, self.layout_stats(placement))
             return model, np.arange(model.n_cols)
         return self.model, check_support(placement, self.model.n_cols)
 

@@ -10,6 +10,9 @@ full simulation geometries.
 
 from __future__ import annotations
 
+import copy
+import functools
+
 from .benchmarks import hotspot_type
 from .scenario import CoverageSpec
 
@@ -40,6 +43,12 @@ _DESK_DISTRIBUTION = {
 }
 
 
+def _fresh(preset):
+    """``preset`` returning a deep copy, so no two documents share a list."""
+    return functools.wraps(preset)(lambda *args, **kw: copy.deepcopy(preset(*args, **kw)))
+
+
+@_fresh
 def desk_full_los(m_h: int = 4) -> dict:
     """1D placement over 100 candidates, all 50 grids positive-probability."""
     return {
@@ -54,12 +63,13 @@ def desk_full_los(m_h: int = 4) -> dict:
         "visibility_samples": 20,
         "ma_region": {"y_min": -50.5, "y_max": 50.5, "z_min": 20.5, "z_max": 20.5,
                       "n_y": 100, "n_z": 1},
-        "coverage": dict(_DESK_COVERAGE),
+        "coverage": _DESK_COVERAGE,
         "obstacles": [],
-        "distribution": dict(_DESK_DISTRIBUTION),
+        "distribution": _DESK_DISTRIBUTION,
     }
 
 
+@_fresh
 def desk_full_los_2d() -> dict:
     """2D placement grid with N = 8 so every FPA baseline is constructible."""
     doc = desk_full_los(m_h=4)
@@ -70,12 +80,14 @@ def desk_full_los_2d() -> dict:
     return doc
 
 
+@_fresh
 def desk_partial_los() -> dict:
     doc = desk_full_los(m_h=4)
-    doc["obstacles"] = [dict(o) for o in _PAPER_OBSTACLES]
+    doc["obstacles"] = _PAPER_OBSTACLES
     return doc
 
 
+@_fresh
 def desk_single_grid() -> dict:
     """Pure-LoS single always-active grid (estimator exactness studies)."""
     return {
@@ -97,6 +109,7 @@ def desk_single_grid() -> dict:
     }
 
 
+@_fresh
 def desk_partial_los_3d(hotspot: int = 1) -> dict:
     """Small 3D coverage with obstacles and a 12-grid hotspot type."""
     cov = CoverageSpec(x_min=7.5, x_max=52.5, y_min=-52.5, y_max=52.5,
@@ -116,7 +129,7 @@ def desk_partial_los_3d(hotspot: int = 1) -> dict:
                       "n_y": 10, "n_z": 5},
         "coverage": {"x_min": 7.5, "x_max": 52.5, "y_min": -52.5, "y_max": 52.5,
                      "z_min": 0.0, "z_max": 30.0, "k_x": 2, "k_y": 12, "k_z": 6},
-        "obstacles": [dict(o) for o in _PAPER_OBSTACLES],
+        "obstacles": _PAPER_OBSTACLES,
         "distribution": {
             "expected_users": 6.0,
             "regular_ratio": 0.0,
@@ -126,6 +139,7 @@ def desk_partial_los_3d(hotspot: int = 1) -> dict:
     }
 
 
+@_fresh
 def paper_full_los_1d() -> dict:
     """101-candidate segment at z = 20.5 m serving a 189-grid ground plane."""
     return {
@@ -152,12 +166,14 @@ def paper_full_los_1d() -> dict:
     }
 
 
+@_fresh
 def paper_partial_los_1d() -> dict:
     doc = paper_full_los_1d()
-    doc["obstacles"] = [dict(o) for o in _PAPER_OBSTACLES]
+    doc["obstacles"] = _PAPER_OBSTACLES
     return doc
 
 
+@_fresh
 def paper_full_scale_3d(hotspot: int = 1) -> dict:
     """Full-scale geometry: 3030 candidates, 1890 grids, 12 of them active."""
     cov = CoverageSpec(
@@ -179,7 +195,7 @@ def paper_full_scale_3d(hotspot: int = 1) -> dict:
                       "n_y": 101, "n_z": 30},
         "coverage": {"x_min": 7.5, "x_max": 52.5, "y_min": -52.5, "y_max": 52.5,
                      "z_min": 0.0, "z_max": 50.0, "k_x": 9, "k_y": 21, "k_z": 10},
-        "obstacles": [dict(o) for o in _PAPER_OBSTACLES],
+        "obstacles": _PAPER_OBSTACLES,
         "distribution": {
             "expected_users": 10.0,
             "regular_ratio": 0.0,

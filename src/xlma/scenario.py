@@ -534,6 +534,8 @@ class ScenarioConfig:
             raise ConfigurationError("rician_kappa must be > 0 or infinite (pure LoS)")
         if self.visibility_samples < 1:
             raise ConfigurationError("visibility_samples must be >= 1")
+        if self.rng_seed < 0:
+            raise ConfigurationError("rng_seed must be >= 0")
         # Adjacent placements must not overlap along any axis the subarray moves on.
         extent_y = (self.m_h - 1) * self.d_h
         extent_z = (self.m_v - 1) * self.d_v
@@ -578,6 +580,23 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _number(mapping: dict, key: str, context: str, default=None) -> float:
+    """``mapping[key]`` as a float; required unless ``default`` is given."""
+    value = _require(mapping, key, context) if default is None else mapping.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"'{context}{key}' must be a number, got {value!r}") from None
+
+
+def _integer(mapping: dict, key: str, context: str, default=None) -> int:
+    """``mapping[key]`` as an int; NaN, infinite and fractional values are refused."""
+    number = _number(mapping, key, context, default)
+    if not (np.isfinite(number) and number == int(number)):
+        raise ConfigurationError(f"'{context}{key}' must be an integer, got {number!r}")
+    return int(number)
+
+
 def load_scenario(source) -> ScenarioConfig:
     """Build a ScenarioConfig from a JSON document (path, JSON text, or dict).
 
@@ -593,27 +612,20 @@ def load_scenario(source) -> ScenarioConfig:
 
     ma_doc = _require(doc, "ma_region", "")
     ma = MaRegionSpec(
-        y_min=_require(ma_doc, "y_min", "ma_region."),
-        y_max=_require(ma_doc, "y_max", "ma_region."),
-        z_min=_require(ma_doc, "z_min", "ma_region."),
-        z_max=_require(ma_doc, "z_max", "ma_region."),
-        n_y=_require(ma_doc, "n_y", "ma_region."),
-        n_z=_require(ma_doc, "n_z", "ma_region."),
+        **{key: _number(ma_doc, key, "ma_region.")
+           for key in ("y_min", "y_max", "z_min", "z_max")},
+        **{key: _integer(ma_doc, key, "ma_region.") for key in ("n_y", "n_z")},
     )
     cov_doc = _require(doc, "coverage", "")
     cov = CoverageSpec(
-        x_min=_require(cov_doc, "x_min", "coverage."),
-        x_max=_require(cov_doc, "x_max", "coverage."),
-        y_min=_require(cov_doc, "y_min", "coverage."),
-        y_max=_require(cov_doc, "y_max", "coverage."),
-        z_min=_require(cov_doc, "z_min", "coverage."),
-        z_max=_require(cov_doc, "z_max", "coverage."),
-        k_x=_require(cov_doc, "k_x", "coverage."),
-        k_y=_require(cov_doc, "k_y", "coverage."),
-        k_z=_require(cov_doc, "k_z", "coverage."),
+        **{key: _number(cov_doc, key, "coverage.")
+           for key in ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")},
+        **{key: _integer(cov_doc, key, "coverage.") for key in ("k_x", "k_y", "k_z")},
     )
 
-    freq = float(_require(doc, "carrier_freq", ""))
+    freq = _number(doc, "carrier_freq", "")
+    if not 0 < freq < np.inf:  # NaN fails too
+        raise ConfigurationError(f"'carrier_freq' must be positive and finite, got {freq!r}")
     wavelength = SPEED_OF_LIGHT / freq
     d_h = float(wavelength / 2.0 if doc.get("d_h") is None else doc["d_h"])
     d_v = float(wavelength / 2.0 if doc.get("d_v") is None else doc["d_v"])
@@ -631,8 +643,8 @@ def load_scenario(source) -> ScenarioConfig:
     dist_doc = _require(doc, "distribution", "")
     distribution = UserDistribution.from_sets(
         n_grids=cov.n_grids,
-        expected_users=float(_require(dist_doc, "expected_users", "distribution.")),
-        regular_ratio=float(dist_doc.get("regular_ratio", 0.0)),
+        expected_users=_number(dist_doc, "expected_users", "distribution."),
+        regular_ratio=_number(dist_doc, "regular_ratio", "distribution.", default=0.0),
         hotspot_k1=dist_doc.get("hotspot_k1", []),
         hotspot_k2=dist_doc.get("hotspot_k2", []),
     )
@@ -644,18 +656,18 @@ def load_scenario(source) -> ScenarioConfig:
 
     return ScenarioConfig(
         carrier_freq=freq,
-        m_h=int(_require(doc, "m_h", "")),
-        m_v=int(_require(doc, "m_v", "")),
+        m_h=_integer(doc, "m_h", ""),
+        m_v=_integer(doc, "m_v", ""),
         d_h=d_h,
         d_v=d_v,
-        n_subarrays=int(_require(doc, "n_subarrays", "")),
+        n_subarrays=_integer(doc, "n_subarrays", ""),
         tx_power_mw=dbm_to_mw(np.asarray(_require(doc, "tx_power_dbm", ""), float)),
         noise_power_mw=float(dbm_to_mw(_require(doc, "noise_power_dbm", ""))),
         rician_kappa=kappa,
-        rng_seed=int(doc.get("rng_seed", 0)),
+        rng_seed=_integer(doc, "rng_seed", "", default=0),
         ma_region=ma,
         coverage=cov,
         obstacles=obstacles,
         distribution=distribution,
-        visibility_samples=int(doc.get("visibility_samples", 20)),
+        visibility_samples=_integer(doc, "visibility_samples", "", default=20),
     )

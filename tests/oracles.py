@@ -7,7 +7,10 @@ terms for every other grid, at O(K'^2 * C) cost. ``row_loop_model`` builds a
 ``RateModel`` through its public constructors with that assembly in place of
 the lag-domain one. ``build_kernel_tables`` materializes every pair's kernels.
 ``slab_hits_reference`` is the segment-box slab test written one obstacle at
-a time, with every temporary at the segments' full shape.
+a time, with every temporary at the segments' full shape. ``mrc_sinr`` and
+``mmse_sinr`` give one user's SINR from a full channel matrix and an
+activation vector; ``wave_vector`` is one pair's unit direction, and
+``element_positions`` lists every antenna element of a layout.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from xlma.errors import ConfigurationError
+from xlma.errors import ConfigurationError, DomainError
+from xlma.montecarlo import _sinr_all_active
 from xlma.rate import RateModel, _fejer_axis, aux_f, fejer_correlation
 from xlma.scenario import grid_sample_points, segments_blocked
 
@@ -235,3 +239,48 @@ def upper_bound_rate(model: RateModel, chi, grid_index: int) -> float:
 def marginal_rate(model: RateModel, column: int, grid_index: int) -> float:
     """Rate of one grid when the support is the single ``column``."""
     return model.rate([column], grid_index)
+
+
+def wave_vector(t_k, r) -> np.ndarray:
+    """Unit direction of arrival (t_k - r) / ||t_k - r||."""
+    diff = np.asarray(t_k, float) - np.asarray(r, float)
+    norm = np.linalg.norm(diff)
+    if norm == 0.0:
+        raise DomainError("wave vector undefined for coincident points")
+    return diff / norm
+
+
+def mrc_sinr(h, alpha, k, tx_power_mw, noise_power_mw):
+    """MRC SINR of grid k: Pbar_k ||h_k||^4 / (interference + ||h_k||^2)."""
+    return _combiner_sinr(h, alpha, k, tx_power_mw, noise_power_mw, "mrc")
+
+
+def mmse_sinr(h, alpha, k, tx_power_mw, noise_power_mw):
+    """Output SINR of the interference-plus-noise-whitened matched filter."""
+    return _combiner_sinr(h, alpha, k, tx_power_mw, noise_power_mw, "mmse")
+
+
+def _combiner_sinr(h, alpha, k, tx_power_mw, noise_power_mw, combiner):
+    """Grid k's entry of ``_sinr_all_active`` over the active columns of h."""
+    alpha = np.asarray(alpha)
+    if not alpha[k]:
+        raise DomainError("SINR requested for an inactive grid")
+    active = np.flatnonzero(alpha)
+    pbar = np.broadcast_to(np.asarray(tx_power_mw, float), alpha.shape)[active] / float(
+        noise_power_mw
+    )
+    gammas = _sinr_all_active(np.asarray(h)[:, active], pbar, combiner)
+    return float(gammas[int(np.searchsorted(active, k))])
+
+
+def element_positions(layout) -> np.ndarray:
+    """Every element of an ``ArrayLayout``, subarray by subarray, shape (M, 3)."""
+    return np.concatenate([s.element_positions() for s in layout.subarrays], axis=0)
+
+
+def min_element_spacing(layout) -> float:
+    """Smallest distance between two elements of ``layout``."""
+    pos = element_positions(layout)
+    dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
+    np.fill_diagonal(dist, np.inf)
+    return float(dist.min())

@@ -16,11 +16,10 @@ from xlma.channel import (
     sample_channel,
     steering_vector,
     support_layout,
-    wave_vector,
 )
 from xlma.errors import ConfigurationError, DomainError
 from xlma.rng import substream
-from oracles import validate_gain_tables
+from oracles import validate_gain_tables, wave_vector
 
 LAMBDA = 299792458.0 / 30e9
 
@@ -203,6 +202,40 @@ class TestSampleChannel:
         # E h_k^H h_i = 0; sample mean within 4 standard errors.
         se = inner.std(ddof=1) / np.sqrt(draws)
         assert abs(inner.mean()) < 4 * se
+
+    def test_no_rows_gives_no_columns(self):
+        _sc, stats = _one_grid_stats(10.0)
+        h = sample_channel(stats, [], substream(5, "t"))
+        assert h.shape == (stats.total_antennas, 0)
+
+    def test_pure_los_subarray_power_follows_each_columns_row(self):
+        # Each subarray block of a pure-LoS column has power m * beta_los of
+        # that column's own row; a row/antenna transposition breaks this.
+        sc = make_scenario(n_y=10, k_x=2, k_y=1, kappa=np.inf, rho=[0.5, 0.5])
+        stats = compute_layout_stats(sc, support_layout(sc, [1, 7]), grid_indices=[0, 1])
+        assert stats.xi.all() and len(np.unique(stats.beta_los)) == 4
+        rows = [1, 0, 1]
+        h = sample_channel(stats, rows, substream(6, "t"))
+        m = sc.antennas_per_subarray
+        for j, row in enumerate(rows):
+            for s_idx, (a, b) in enumerate(stats.slices):
+                power = np.vdot(h[a:b, j], h[a:b, j]).real
+                assert power == pytest.approx(m * stats.beta_los[row, s_idx], rel=1e-12)
+
+    def test_phases_of_one_subarray_independent_across_rows(self):
+        # Rows [0, 1] drawn 20,000 times: the pure-LoS phase of subarray s in
+        # row 0 is uncorrelated with that of the same subarray in row 1.
+        sc = make_scenario(n_y=10, k_x=2, k_y=1, kappa=np.inf, rho=[0.5, 0.5])
+        stats = compute_layout_stats(sc, support_layout(sc, [2, 7]), grid_indices=[0, 1])
+        draws = 20_000
+        h = sample_channel(stats, np.tile([0, 1], draws), substream(7, "t"))
+        for a, _b in stats.slices:
+            phase0 = h[a, 0::2] / stats.los_blocks[0, a]
+            phase1 = h[a, 1::2] / stats.los_blocks[1, a]
+            z = phase0 * phase1.conj()
+            np.testing.assert_allclose(np.abs(z), 1.0, rtol=1e-12)
+            # E[z] = 0; |z| = 1, so the sample mean's standard error is 1/sqrt(draws).
+            assert abs(z.mean()) < 4.0 / np.sqrt(draws)
 
     def test_activation_statistics(self):
         rho = np.array([0.0, 1.0, 0.3, 0.8])

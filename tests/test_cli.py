@@ -1,4 +1,3 @@
-import copy
 import csv
 import json
 import math
@@ -54,12 +53,14 @@ class TestPlan:
         (("noise_power_dbm",), math.nan, "noise_power"),
         (("carrier_freq",), math.nan, "carrier_freq"),
         (("d_h",), 0.0, "d_h"),
+        (("carrier_freq",), 0, "carrier_freq"),
+        (("m_h",), math.nan, "m_h"),
+        (("n_subarrays",), math.nan, "n_subarrays"),
     ])
     def test_plan_rejects_non_finite_or_zero_value(self, tmp_path, capsys, path, value,
                                                    field):
         # json.dumps writes NaN as the bare token that json.loads accepts.
-        # Presets share their nested lists, so edit a deep copy.
-        doc = copy.deepcopy(desk_partial_los())
+        doc = desk_partial_los()
         *parents, key = path
         target = doc
         for step in parents:

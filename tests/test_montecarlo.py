@@ -2,19 +2,18 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario
-from xlma.channel import Subarray, ArrayLayout, support_layout
+from xlma.channel import Subarray, ArrayLayout, compute_layout_stats, support_layout
 from xlma.errors import ConfigurationError, DomainError
 from xlma.montecarlo import (
     MapRequest,
     SimOptions,
     correlation_map,
-    mmse_sinr,
-    mrc_sinr,
     power_gain_map,
     simulate_trials,
     simulate_weighted_sum_rate,
 )
 from xlma.pipeline import ScenarioContext
+from oracles import mmse_sinr, mrc_sinr
 
 
 class TestCombinerSinr:
@@ -171,6 +170,26 @@ class TestSimulateWeightedSum:
         a = simulate_trials(sc, support, SimOptions(trials=20))
         b = simulate_trials(sc, support_layout(sc, support), SimOptions(trials=20))
         np.testing.assert_allclose(a, b, rtol=0, atol=0)
+
+    def test_context_statistics_and_support_agree(self):
+        # Statistics sliced from the candidate tables (rows with rho > 0 only)
+        # draw exactly the trials the support draws from its own statistics.
+        sc = make_scenario(n_y=10, k_x=2, k_y=2, kappa=6.0,
+                           rho=[0.8, 0.0, 0.6, 0.5], seed=43)
+        support = np.array([7, 2])
+        stats = ScenarioContext.build(sc).layout_stats(support)
+        for combiner in ("mrc", "mmse"):
+            opts = SimOptions(trials=20, combiner=combiner)
+            a = simulate_trials(sc, support, opts)
+            b = simulate_trials(sc, stats, opts)
+            np.testing.assert_array_equal(a, b)
+
+    def test_statistics_over_other_grids_rejected(self):
+        sc = make_scenario(n_y=10, k_x=2, k_y=2, kappa=6.0,
+                           rho=[0.8, 0.0, 0.6, 0.5], seed=43)
+        stats = compute_layout_stats(sc, support_layout(sc, [7, 2]))  # all four grids
+        with pytest.raises(ConfigurationError, match="rho > 0"):
+            simulate_trials(sc, stats, SimOptions(trials=2))
 
 
 class TestMaps:

@@ -351,6 +351,20 @@ class TestGridIndices:
         assert np.array_equal(rows, full[[49, 3, 0]])
 
 
+class TestPresets:
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_editing_nested_lists_leaves_the_next_document_unchanged(self, name):
+        doc = PRESETS[name]()
+        pristine = copy.deepcopy(doc)
+        for obstacle in doc["obstacles"]:
+            obstacle["center"][0] += 1.0
+            obstacle["dims"][1] *= 2.0
+        doc["distribution"]["hotspot_k1"].append(-1)
+        doc["distribution"]["hotspot_k2"].clear()
+        doc["coverage"]["k_x"] = 0
+        assert PRESETS[name]() == pristine
+
+
 class TestLoadScenario:
     def test_desk_preset_units(self):
         sc = load_scenario(desk_full_los())
@@ -385,6 +399,31 @@ class TestLoadScenario:
             load_scenario(doc)
 
     @pytest.mark.parametrize("path, value", [
+        (("carrier_freq",), 0),
+        (("carrier_freq",), -30e9),
+        (("carrier_freq",), "fast"),
+        (("m_h",), np.nan),
+        (("m_v",), np.inf),
+        (("n_subarrays",), np.nan),
+        (("n_subarrays",), 2.5),
+        (("rng_seed",), np.nan),
+        (("rng_seed",), -1),
+        (("visibility_samples",), np.inf),
+        (("ma_region", "n_z"), np.nan),
+        (("coverage", "k_x"), 1.5),
+        (("distribution", "regular_ratio"), None),
+    ])
+    def test_bad_number_raises_naming_the_field(self, path, value):
+        doc = desk_full_los()
+        *parents, key = path
+        target = doc
+        for step in parents:
+            target = target[step]
+        target[key] = value
+        with pytest.raises(ConfigurationError, match=key):
+            load_scenario(doc)
+
+    @pytest.mark.parametrize("path, value", [
         (("ma_region", "y_max"), np.nan),
         (("ma_region", "n_y"), np.inf),
         (("coverage", "x_max"), np.inf),
@@ -404,7 +443,7 @@ class TestLoadScenario:
         (("distribution", "expected_users"), np.nan),
     ])
     def test_non_finite_or_zero_value_rejected(self, path, value):
-        doc = copy.deepcopy(PRESETS["desk_partial_los"]())  # presets share nested lists
+        doc = PRESETS["desk_partial_los"]()
         *parents, key = path
         target = doc
         for step in parents:
