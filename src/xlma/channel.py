@@ -230,7 +230,8 @@ class LayoutStats(GainTables):
 
     @property
     def total_antennas(self) -> int:
-        return int(self.m_col.sum())
+        """Length of the antenna axis, m_col.sum()."""
+        return self.los_blocks.shape[1]
 
 
 def compute_layout_stats(
@@ -288,31 +289,58 @@ def sample_activation(rho: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 @dataclass
-class ChannelRealization:
-    """One draw: activation vector and channel columns for the drawn grids.
+class ChannelDraw:
+    """The random part of one Monte Carlo draw.
 
-    ``h`` holds one column per entry of ``columns`` (a subset of grid
-    indices); columns for never-sampled grids are omitted.
+    ``columns`` are the drawn-active stat rows; ``psi`` (J, S) holds their
+    LoS phases and ``re``/``im`` (J, total antennas) their NLoS normals.
+    ``channel_from_draws`` turns them into channel columns.
     """
 
-    alpha: np.ndarray
     columns: np.ndarray
-    h: np.ndarray
+    psi: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+
+
+def _channel_draws(stats: LayoutStats, n_rows: int, rng: np.random.Generator):
+    """Phases (n_rows, S), then real and imaginary normals (n_rows, M_total).
+
+    The normals come from one generator call: a normal draw keeps no state
+    beyond the generator's, so this is the stream of a real-part call
+    followed by an imaginary-part call.
+    """
+    psi = rng.uniform(0.0, 2.0 * np.pi, (n_rows, len(stats.m_col)))
+    re, im = rng.standard_normal((2, n_rows, stats.total_antennas))
+    return psi, re, im
 
 
 def draw_realization(
     stats: LayoutStats, rho_rows: np.ndarray, rng: np.random.Generator
-) -> ChannelRealization:
-    """One Monte Carlo draw: activation indicators, then channel columns.
+) -> ChannelDraw:
+    """One Monte Carlo draw: activation indicators, then the channel draws
+    of the active rows.
 
-    Only the drawn-active rows get channel columns. The draw order is fixed
-    for reproducibility: the activation uniforms, then ``sample_channel``'s
-    phases, real normals and imaginary normals for the active rows.
+    The draw order is fixed for reproducibility: the activation uniforms,
+    then ``sample_channel``'s phases, real normals and imaginary normals for
+    the active rows. The channel is left to ``channel_from_draws``, so that
+    draws with the same number of active rows can be assembled in one call.
     """
-    alpha = sample_activation(rho_rows, rng)
-    active = np.flatnonzero(alpha)
-    h = sample_channel(stats, active, rng)
-    return ChannelRealization(alpha=alpha, columns=active, h=h)
+    columns = np.flatnonzero(sample_activation(rho_rows, rng))
+    return ChannelDraw(columns, *_channel_draws(stats, len(columns), rng))
+
+
+def channel_from_draws(stats: LayoutStats, rows, psi, re, im) -> np.ndarray:
+    """Channel columns for stat ``rows`` from their phases and normals.
+
+    Works on any leading batch shape: ``rows`` (..., J), ``psi`` (..., J, S)
+    and ``re``/``im`` (..., J, M_total) give h (..., M_total, J). Every
+    entry is los_blocks * exp(-j psi) + (re + j im) * nlos_std, computed
+    elementwise, so a batch holds the same bits as its members one by one.
+    """
+    phase = np.repeat(np.exp(-1j * psi), stats.m_col, axis=-1)
+    h = stats.los_blocks[rows] * phase + (re + 1j * im) * stats.nlos_std[rows]
+    return np.swapaxes(h, -1, -2)
 
 
 def sample_channel(
@@ -322,15 +350,11 @@ def sample_channel(
 
     Per subarray and row the LoS part gets an independent uniform phase and
     the NLoS part i.i.d. circular Gaussian entries with per-entry variance
-    beta_nlos. There are three generator calls, in a fixed order: the
-    phases, shape (len(rows), S), then the real and then the imaginary
-    normals, each shape (len(rows), total antennas), all filled row-major.
-    Results are reproducible for a given generator state.
+    beta_nlos. The draws come in a fixed order: the phases, shape
+    (len(rows), S), then the real and then the imaginary normals, each
+    shape (len(rows), total antennas), all filled row-major;
+    ``channel_from_draws`` assembles them. Results are reproducible for a
+    given generator state.
     """
     rows = np.asarray(rows, int)
-    n_rows = len(rows)
-    psi = rng.uniform(0.0, 2.0 * np.pi, (n_rows, len(stats.m_col)))
-    re = rng.standard_normal((n_rows, stats.total_antennas))
-    im = rng.standard_normal((n_rows, stats.total_antennas))
-    phase = np.repeat(np.exp(-1j * psi), stats.m_col, axis=1)
-    return (stats.los_blocks[rows] * phase + (re + 1j * im) * stats.nlos_std[rows]).T
+    return channel_from_draws(stats, rows, *_channel_draws(stats, len(rows), rng))

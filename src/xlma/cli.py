@@ -25,7 +25,7 @@ from .montecarlo import MapRequest, SimOptions, correlation_map, power_gain_map,
     simulate_weighted_sum_rate
 from .pipeline import ScenarioContext, context_from_document
 from .presets import PRESETS
-from .scenario import dbm_to_mw, mw_to_dbm
+from .scenario import as_integer, as_number, dbm_to_mw, load_scenario, mw_to_dbm
 
 SWEEP_PARAMETERS = ("m_h", "ma_width", "expected_users", "rician_db")
 SWEEP_SCHEMES = ("proposed", "optimal") + BENCHMARK_KINDS
@@ -83,21 +83,26 @@ def cmd_plan(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _apply_parameter(doc: dict, parameter: str, value) -> dict:
+def _apply_parameter(doc: dict, parameter: str, value, field: str) -> dict:
+    """A copy of ``doc`` with the sweep ``parameter`` set to ``value``, which
+    the sweep spec holds at ``field``."""
     out = json.loads(json.dumps(doc))
     if parameter == "m_h":
-        out["m_h"] = int(value)
+        out["m_h"] = as_integer(value, field)
     elif parameter == "ma_width":
+        width = as_number(value, field)
+        region = load_scenario(doc).ma_region  # checks the numbers the step is made of
+        step = (region.y_max - region.y_min) / region.n_y
         ma = out["ma_region"]
-        step = (ma["y_max"] - ma["y_min"]) / ma["n_y"]
-        n_y = int(round(value / step))
+        n_y = round(width / step) if np.isfinite(width) else 0
         if n_y < 1:
-            raise ConfigurationError(f"ma_width {value} too small for step {step}")
-        ma["y_min"], ma["y_max"], ma["n_y"] = -value / 2.0, value / 2.0, n_y
+            raise ConfigurationError(f"'{field}': ma_width {value} too small for step {step}")
+        ma["y_min"], ma["y_max"], ma["n_y"] = -width / 2.0, width / 2.0, n_y
     elif parameter == "expected_users":
-        out["distribution"]["expected_users"] = float(value)
+        out["distribution"]["expected_users"] = as_number(value, field)
     elif parameter == "rician_db":
-        out["rician_kappa_db"] = float(value)
+        # "infinite" is checked by load_scenario, as in a scenario document.
+        out["rician_kappa_db"] = value if isinstance(value, str) else as_number(value, field)
     else:
         raise ConfigurationError(
             f"unknown sweep parameter {parameter!r}; one of {SWEEP_PARAMETERS}"
@@ -139,11 +144,11 @@ def cmd_sweep(args) -> int:
     values = spec.get("values", [])
     schemes = spec.get("schemes", [])
     evaluators = spec.get("evaluators", ["approx_mrc"])
-    trials = int(spec.get("trials", 500))
+    trials = as_integer(spec.get("trials", 500), "trials")
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigurationError(f"sweep parameter must be one of {SWEEP_PARAMETERS}")
-    if not values:
-        raise ConfigurationError("sweep values must be nonempty")
+    if not isinstance(values, list) or not values:
+        raise ConfigurationError("sweep values must be a nonempty list")
     if not schemes:
         raise ConfigurationError("sweep schemes must be nonempty")
     for s in schemes:
@@ -153,10 +158,10 @@ def cmd_sweep(args) -> int:
         if e not in SWEEP_EVALUATORS:
             raise ConfigurationError(f"unknown evaluator {e!r}; one of {SWEEP_EVALUATORS}")
 
+    contexts = [context_from_document(_apply_parameter(doc, parameter, v, f"values[{i}]"))
+                for i, v in enumerate(values)]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    contexts = [context_from_document(_apply_parameter(doc, parameter, v)) for v in values]
     cells = [(vi, si) for vi in range(len(values)) for si in range(len(schemes))]
     results = [None] * len(cells)
 
@@ -252,7 +257,6 @@ def cmd_map(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    from .scenario import load_scenario
     from .validation import validate_scenario
 
     doc = _load_document(args)

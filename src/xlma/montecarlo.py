@@ -7,6 +7,14 @@ independent of the channel and of the other indicators. Per-trial RNG
 substreams make trial t's draw independent of execution order, and per-trial
 values are aggregated through numpy's pairwise summation, so parallel or
 chunked evaluation reproduces the sequential estimate bit for bit.
+
+The trial loop only draws. Trials with the same number of active users J
+are staged together, and each group's channels, SINRs and rates are
+computed in one stacked call once the staged draws reach
+``rate.ASSEMBLY_BLOCK_BYTES``. Every step after the draws is elementwise, a
+per-matrix BLAS/LAPACK call or a sum over one trial's own users, so a trial
+gets the same bits as it would alone (``tests/oracles.py`` keeps the
+one-trial-at-a-time loop as the reference).
 """
 
 from __future__ import annotations
@@ -15,9 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import rate
 from .channel import (
     ArrayLayout,
     LayoutStats,
+    channel_from_draws,
     check_support,
     compute_layout_stats,
     draw_realization,
@@ -46,11 +56,17 @@ class SimOptions:
 
 
 def _sinr_all_active(h: np.ndarray, pbar: np.ndarray, combiner: str) -> np.ndarray:
-    """Per-user SINRs for the active-column channel matrix h (M x J)."""
-    gram = h.conj().T @ h
+    """Per-user SINRs for active-column channel matrices h (..., M, J).
+
+    ``pbar`` is (..., J). A stack of matrices gives the same bits as one
+    call per matrix: the stacked matmul and ``inv`` make one BLAS/LAPACK
+    call per matrix with the same shapes and strides, and the rest is
+    elementwise.
+    """
+    gram = np.swapaxes(h.conj(), -1, -2) @ h
     if combiner == "mrc":
-        norms = np.real(np.diag(gram))
-        cross = (np.abs(gram) ** 2) @ pbar
+        norms = np.real(np.diagonal(gram, axis1=-2, axis2=-1))
+        cross = ((np.abs(gram) ** 2) @ pbar[..., None])[..., 0]
         interf = cross - pbar * norms**2
         with np.errstate(divide="ignore", invalid="ignore"):
             gamma = pbar * norms**2 / (interf + norms)
@@ -61,8 +77,9 @@ def _sinr_all_active(h: np.ndarray, pbar: np.ndarray, combiner: str) -> np.ndarr
     # column's row of ``core`` is an identity row, so its SINR is exactly 0;
     # the clamp removes rounding below 0 for tiny columns.
     scaled = np.sqrt(pbar)
-    core = np.eye(len(pbar)) + scaled[:, None] * gram * scaled[None, :]
-    return np.maximum(1.0 / np.real(np.diag(np.linalg.inv(core))) - 1.0, 0.0)
+    core = np.eye(pbar.shape[-1]) + scaled[..., :, None] * gram * scaled[..., None, :]
+    inverse_diag = np.real(np.diagonal(np.linalg.inv(core), axis1=-2, axis2=-1))
+    return np.maximum(1.0 / inverse_diag - 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -76,15 +93,21 @@ def simulate_trials(
     """Per-trial weighted-sum samples.
 
     ``placement`` is a support, a layout, or a layout's ``LayoutStats`` over
-    the grids with positive activation probability, in grid order.
+    the grids with positive activation probability, in grid order. Trial t
+    draws from its own ``substream(seed, "mc", t)``. The draws are staged by
+    their number of active users J, all groups together under
+    ``rate.ASSEMBLY_BLOCK_BYTES``; then each group's channels and SINRs are
+    computed in one stacked call. Trial t's value is the sum of its own J
+    rates, as one trial at a time would give.
     """
     if not isinstance(placement, (ArrayLayout, LayoutStats)):
         support = check_support(placement, scenario.ma_region.n_candidates)
         placement = support_layout(scenario, support)
     rho_all = scenario.distribution.rho
     rows = np.flatnonzero(rho_all > 0.0)
+    values = np.zeros(opts.trials)
     if len(rows) == 0:
-        return np.zeros(opts.trials)
+        return values
     if isinstance(placement, ArrayLayout):
         stats = compute_layout_stats(scenario, placement, grid_indices=rows)
     elif np.array_equal(placement.grid_rows, rows):
@@ -94,14 +117,27 @@ def simulate_trials(
     rho_rows = rho_all[rows]
     pbar_rows = scenario.snr_scale[rows]
 
-    values = np.zeros(opts.trials)
+    def flush(groups):
+        for group in groups.values():
+            trials, active, psi, re, im = (np.array(field) for field in zip(*group))
+            h = channel_from_draws(stats, active, psi, re, im)
+            gammas = _sinr_all_active(h, pbar_rows[active], opts.combiner)
+            values[trials] = np.log2(1.0 + gammas).sum(axis=-1)
+
+    groups = {}
+    staged_bytes = 0
     for t in range(opts.trials):
-        rng = substream(scenario.rng_seed, "mc", t)
-        real = draw_realization(stats, rho_rows, rng)
-        if len(real.columns) == 0:
+        draw = draw_realization(stats, rho_rows, substream(scenario.rng_seed, "mc", t))
+        if len(draw.columns) == 0:
             continue
-        gammas = _sinr_all_active(real.h, pbar_rows[real.columns], opts.combiner)
-        values[t] = np.log2(1.0 + gammas).sum()
+        size = draw.psi.nbytes + draw.re.nbytes + draw.im.nbytes
+        if staged_bytes + size > rate.ASSEMBLY_BLOCK_BYTES:
+            flush(groups)
+            groups, staged_bytes = {}, 0
+        groups.setdefault(len(draw.columns), []).append(
+            (t, draw.columns, draw.psi, draw.re, draw.im))
+        staged_bytes += size
+    flush(groups)
     return values
 
 

@@ -12,6 +12,7 @@ Index conventions (all 0-based in code):
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
 
@@ -575,26 +576,46 @@ class ScenarioConfig:
 
 
 def _require(mapping: dict, key: str, context: str):
+    if not isinstance(mapping, dict):
+        raise ConfigurationError(f"'{context.rstrip('.')}' must be an object, got {mapping!r}")
     if key not in mapping:
         raise ConfigurationError(f"missing required field '{context}{key}'")
     return mapping[key]
 
 
+def as_number(value, field: str) -> float:
+    """``value`` as a float; anything but a JSON number (a string, a bool,
+    null, a list) raises ``ConfigurationError`` naming ``field``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"'{field}' must be a number, got {value!r}")
+    return float(value)
+
+
+def as_integer(value, field: str) -> int:
+    """``value`` as an int; NaN, infinite and fractional values are refused."""
+    number = as_number(value, field)
+    if not (np.isfinite(number) and number == int(number)):
+        raise ConfigurationError(f"'{field}' must be an integer, got {value!r}")
+    return int(number)
+
+
 def _number(mapping: dict, key: str, context: str, default=None) -> float:
     """``mapping[key]`` as a float; required unless ``default`` is given."""
     value = _require(mapping, key, context) if default is None else mapping.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"'{context}{key}' must be a number, got {value!r}") from None
+    return as_number(value, context + key)
 
 
 def _integer(mapping: dict, key: str, context: str, default=None) -> int:
-    """``mapping[key]`` as an int; NaN, infinite and fractional values are refused."""
-    number = _number(mapping, key, context, default)
-    if not (np.isfinite(number) and number == int(number)):
-        raise ConfigurationError(f"'{context}{key}' must be an integer, got {number!r}")
-    return int(number)
+    """``mapping[key]`` as an int; required unless ``default`` is given."""
+    value = _require(mapping, key, context) if default is None else mapping.get(key, default)
+    return as_integer(value, context + key)
+
+
+def _numbers(value, field: str, length: int) -> list:
+    """``value`` as a list of ``length`` floats."""
+    if not isinstance(value, list) or len(value) != length:
+        raise ConfigurationError(f"'{field}' must be a list of {length} numbers, got {value!r}")
+    return [as_number(v, f"{field}[{i}]") for i, v in enumerate(value)]
 
 
 def load_scenario(source) -> ScenarioConfig:
@@ -627,8 +648,8 @@ def load_scenario(source) -> ScenarioConfig:
     if not 0 < freq < np.inf:  # NaN fails too
         raise ConfigurationError(f"'carrier_freq' must be positive and finite, got {freq!r}")
     wavelength = SPEED_OF_LIGHT / freq
-    d_h = float(wavelength / 2.0 if doc.get("d_h") is None else doc["d_h"])
-    d_v = float(wavelength / 2.0 if doc.get("d_v") is None else doc["d_v"])
+    d_h = wavelength / 2.0 if doc.get("d_h") is None else _number(doc, "d_h", "")
+    d_v = wavelength / 2.0 if doc.get("d_v") is None else _number(doc, "d_v", "")
 
     kappa_db = doc.get("rician_kappa_db", "infinite")
     if isinstance(kappa_db, str):
@@ -638,7 +659,7 @@ def load_scenario(source) -> ScenarioConfig:
             )
         kappa = np.inf
     else:
-        kappa = float(10.0 ** (kappa_db / 10.0))
+        kappa = float(10.0 ** (as_number(kappa_db, "rician_kappa_db") / 10.0))
 
     dist_doc = _require(doc, "distribution", "")
     distribution = UserDistribution.from_sets(
@@ -649,10 +670,18 @@ def load_scenario(source) -> ScenarioConfig:
         hotspot_k2=dist_doc.get("hotspot_k2", []),
     )
 
-    obstacles = [
-        Obstacle(center=tuple(o["center"]), dims=tuple(o["dims"]))
-        for o in doc.get("obstacles", [])
-    ]
+    obstacles = []
+    for i, o in enumerate(doc.get("obstacles", [])):
+        where = f"obstacles[{i}]."
+        center, dims = (tuple(_numbers(_require(o, key, where), where + key, 3))
+                        for key in ("center", "dims"))
+        obstacles.append(Obstacle(center=center, dims=dims))
+
+    tx_power_dbm = _require(doc, "tx_power_dbm", "")
+    if isinstance(tx_power_dbm, list):  # one value per grid
+        tx_power_dbm = _numbers(tx_power_dbm, "tx_power_dbm", cov.n_grids)
+    else:
+        tx_power_dbm = as_number(tx_power_dbm, "tx_power_dbm")
 
     return ScenarioConfig(
         carrier_freq=freq,
@@ -661,8 +690,8 @@ def load_scenario(source) -> ScenarioConfig:
         d_h=d_h,
         d_v=d_v,
         n_subarrays=_integer(doc, "n_subarrays", ""),
-        tx_power_mw=dbm_to_mw(np.asarray(_require(doc, "tx_power_dbm", ""), float)),
-        noise_power_mw=float(dbm_to_mw(_require(doc, "noise_power_dbm", ""))),
+        tx_power_mw=dbm_to_mw(np.asarray(tx_power_dbm)),
+        noise_power_mw=float(dbm_to_mw(_number(doc, "noise_power_dbm", ""))),
         rician_kappa=kappa,
         rng_seed=_integer(doc, "rng_seed", "", default=0),
         ma_region=ma,

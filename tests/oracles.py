@@ -11,6 +11,8 @@ a time, with every temporary at the segments' full shape. ``mrc_sinr`` and
 ``mmse_sinr`` give one user's SINR from a full channel matrix and an
 activation vector; ``wave_vector`` is one pair's unit direction, and
 ``element_positions`` lists every antenna element of a layout.
+``simulate_trials_reference`` is the Monte Carlo loop one trial at a time:
+each trial's channel, SINRs and rate sum computed alone, with no staging.
 """
 
 from __future__ import annotations
@@ -19,9 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from xlma.channel import channel_from_draws, draw_realization
 from xlma.errors import ConfigurationError, DomainError
 from xlma.montecarlo import _sinr_all_active
 from xlma.rate import RateModel, _fejer_axis, aux_f, fejer_correlation
+from xlma.rng import substream
 from xlma.scenario import grid_sample_points, segments_blocked
 
 
@@ -284,3 +288,19 @@ def min_element_spacing(layout) -> float:
     dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
     np.fill_diagonal(dist, np.inf)
     return float(dist.min())
+
+
+def simulate_trials_reference(scenario, stats, opts) -> np.ndarray:
+    """``simulate_trials`` one trial at a time, in trial order, for a
+    layout's statistics over the grids with rho > 0."""
+    rho_rows = scenario.distribution.rho[stats.grid_rows]
+    pbar_rows = scenario.snr_scale[stats.grid_rows]
+    values = np.zeros(opts.trials)
+    for t in range(opts.trials):
+        draw = draw_realization(stats, rho_rows, substream(scenario.rng_seed, "mc", t))
+        if len(draw.columns) == 0:
+            continue
+        h = channel_from_draws(stats, draw.columns, draw.psi, draw.re, draw.im)
+        gammas = _sinr_all_active(h, pbar_rows[draw.columns], opts.combiner)
+        values[t] = np.log2(1.0 + gammas).sum()
+    return values

@@ -9,8 +9,10 @@ from xlma.channel import (
     ArrayLayout,
     Subarray,
     build_gain_tables,
+    channel_from_draws,
     check_support,
     compute_layout_stats,
+    draw_realization,
     los_path_gain,
     sample_activation,
     sample_channel,
@@ -236,6 +238,37 @@ class TestSampleChannel:
             np.testing.assert_allclose(np.abs(z), 1.0, rtol=1e-12)
             # E[z] = 0; |z| = 1, so the sample mean's standard error is 1/sqrt(draws).
             assert abs(z.mean()) < 4.0 / np.sqrt(draws)
+
+    @pytest.mark.parametrize("kappa", [np.inf, 10.0])
+    def test_fixed_generator_state_gives_the_same_channel(self, kappa):
+        # The three draws assembled column by column, as h was built before
+        # assembly moved to channel_from_draws.
+        sc = make_scenario(n_y=10, k_x=2, k_y=2, kappa=kappa, rho=[0.5] * 4)
+        stats = compute_layout_stats(sc, support_layout(sc, [1, 4, 8]))
+        rows = [3, 0, 3, 2]
+        h = sample_channel(stats, rows, substream(8, "t"))
+        rng = substream(8, "t")
+        psi = rng.uniform(0.0, 2.0 * np.pi, (len(rows), 3))
+        re = rng.standard_normal((len(rows), stats.total_antennas))
+        im = rng.standard_normal((len(rows), stats.total_antennas))
+        m = sc.antennas_per_subarray
+        for j, row in enumerate(rows):
+            phase = np.repeat(np.exp(-1j * psi[j]), m)
+            column = stats.los_blocks[row] * phase + (re[j] + 1j * im[j]) * stats.nlos_std[row]
+            np.testing.assert_array_equal(h[:, j], column)
+
+    def test_draw_realization_then_channel_from_draws_is_sample_channel(self):
+        # One draw's activation uniforms come first, then sample_channel's draws.
+        sc = make_scenario(n_y=10, k_x=2, k_y=2, kappa=5.0, rho=[0.5] * 4)
+        stats = compute_layout_stats(sc, support_layout(sc, [1, 4, 8]))
+        rho = np.array([0.9, 0.2, 0.7, 0.6])
+        draw = draw_realization(stats, rho, substream(9, "t"))
+        rng = substream(9, "t")
+        columns = np.flatnonzero(sample_activation(rho, rng))
+        np.testing.assert_array_equal(draw.columns, columns)
+        np.testing.assert_array_equal(
+            channel_from_draws(stats, draw.columns, draw.psi, draw.re, draw.im),
+            sample_channel(stats, columns, rng))
 
     def test_activation_statistics(self):
         rho = np.array([0.0, 1.0, 0.3, 0.8])

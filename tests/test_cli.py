@@ -56,6 +56,9 @@ class TestPlan:
         (("carrier_freq",), 0, "carrier_freq"),
         (("m_h",), math.nan, "m_h"),
         (("n_subarrays",), math.nan, "n_subarrays"),
+        (("rician_kappa_db",), None, "rician_kappa_db"),
+        (("tx_power_dbm",), "high", "tx_power_dbm"),
+        (("obstacles", 0, "center"), [4.0, 0.0], "obstacles[0].center"),
     ])
     def test_plan_rejects_non_finite_or_zero_value(self, tmp_path, capsys, path, value,
                                                    field):
@@ -124,6 +127,57 @@ class TestSweep:
         # repr round-trip: rates parse back to exact floats
         again = read_sweep(out_dir / "sweep_approx_mrc.csv")
         assert [r["rate"] for r in again] == [r["rate"] for r in rows]
+
+    @pytest.mark.parametrize("parameter, values, trials, field", [
+        ("m_h", [2.5], 10, "values[0]"),
+        ("m_h", [2, True], 10, "values[1]"),
+        ("m_h", ["abc"], 10, "values[0]"),
+        ("m_h", [None], 10, "values[0]"),
+        ("ma_width", [5.0, math.nan], 10, "values[1]"),
+        ("ma_width", ["wide"], 10, "values[0]"),
+        ("expected_users", [None], 10, "values[0]"),
+        ("rician_db", [10, None], 10, "values[1]"),
+        ("rician_db", ["loud"], 10, "rician_kappa_db"),
+        ("m_h", [2], 2.7, "trials"),
+        ("m_h", [2], True, "trials"),
+        ("m_h", [2], "abc", "trials"),
+        ("m_h", [2], None, "trials"),
+        ("m_h", 2, 10, "values"),
+    ])
+    def test_bad_spec_number_names_the_field(self, tmp_path, capsys, parameter, values,
+                                             trials, field):
+        cfg = write_config(tmp_path, desk_full_los())
+        spath = tmp_path / "sweep.json"
+        spath.write_text(json.dumps({"parameter": parameter, "values": values,
+                                     "trials": trials, "schemes": ["proposed"],
+                                     "evaluators": ["approx_mrc", "sim_mrc"]}))
+        out_dir = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(spath),
+                     "--out-dir", str(out_dir)]) == 1
+        assert field in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_ma_width_sweep_checks_the_region_it_rescales(self, tmp_path, capsys):
+        doc = desk_full_los()
+        doc["ma_region"]["y_max"] = "x"
+        cfg = write_config(tmp_path, doc)
+        spath = tmp_path / "sweep.json"
+        spath.write_text(json.dumps({"parameter": "ma_width", "values": [2.0],
+                                     "schemes": ["proposed"], "evaluators": ["approx_mrc"]}))
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(spath),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+        assert "ma_region.y_max" in capsys.readouterr().err
+
+    def test_infinite_rician_sweep_value_is_pure_los(self, tmp_path):
+        cfg = write_config(tmp_path, desk_full_los())
+        spath = tmp_path / "sweep.json"
+        spath.write_text(json.dumps({"parameter": "rician_db", "values": [10, "infinite"],
+                                     "schemes": ["proposed"], "evaluators": ["approx_mrc"]}))
+        out_dir = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(spath),
+                     "--out-dir", str(out_dir)]) == 0
+        rows = read_sweep(out_dir / "sweep_approx_mrc.csv")
+        assert [r["value"] for r in rows] == ["10", "infinite"]
 
     def test_empty_schemes_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, desk_full_los())

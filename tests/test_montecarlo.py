@@ -2,18 +2,20 @@ import numpy as np
 import pytest
 
 from conftest import make_scenario
+from xlma import montecarlo, rate
 from xlma.channel import Subarray, ArrayLayout, compute_layout_stats, support_layout
 from xlma.errors import ConfigurationError, DomainError
 from xlma.montecarlo import (
     MapRequest,
     SimOptions,
+    _sinr_all_active,
     correlation_map,
     power_gain_map,
     simulate_trials,
     simulate_weighted_sum_rate,
 )
 from xlma.pipeline import ScenarioContext
-from oracles import mmse_sinr, mrc_sinr
+from oracles import mmse_sinr, mrc_sinr, simulate_trials_reference
 
 
 class TestCombinerSinr:
@@ -94,6 +96,31 @@ class TestMmseReference:
                     assert gamma == 0.0
                 else:
                     assert gamma == pytest.approx(self.reference(h, p, k), rel=1e-9)
+
+
+class TestStackedSinr:
+    """``_sinr_all_active`` over a stack (n, M, J) against one call per matrix."""
+
+    @pytest.mark.parametrize("combiner", ["mrc", "mmse"])
+    @pytest.mark.parametrize("m, j", [(1, 1), (4, 1), (16, 3), (16, 10), (8, 13)])
+    def test_stack_equals_per_matrix_calls(self, combiner, m, j):
+        rng = np.random.default_rng(10 * m + j)
+        n = 7
+        # Built as the Monte Carlo builds them: the swapped axes of a C-ordered
+        # (n, J, M) array, so each matrix has the strides one trial's has.
+        h = np.swapaxes(rng.normal(size=(n, j, m)) + 1j * rng.normal(size=(n, j, m)), -1, -2)
+        h[2, :, 0] = 0.0  # an all-zero column
+        pbar = rng.uniform(0.5, 1e3, (n, j))
+        stacked = _sinr_all_active(h, pbar, combiner)
+        assert stacked.shape == (n, j)
+        for i in range(n):
+            np.testing.assert_array_equal(stacked[i], _sinr_all_active(h[i], pbar[i], combiner))
+        assert stacked[2, 0] == 0.0
+
+    @pytest.mark.parametrize("combiner", ["mrc", "mmse"])
+    def test_all_zero_matrix_gives_zero(self, combiner):
+        h = np.zeros((3, 4, 2), complex)
+        np.testing.assert_array_equal(_sinr_all_active(h, np.full((3, 2), 5.0), combiner), 0.0)
 
 
 def single_grid_scenario(n_subarrays=3):
@@ -190,6 +217,84 @@ class TestSimulateWeightedSum:
         stats = compute_layout_stats(sc, support_layout(sc, [7, 2]))  # all four grids
         with pytest.raises(ConfigurationError, match="rho > 0"):
             simulate_trials(sc, stats, SimOptions(trials=2))
+
+
+def record_groups(monkeypatch) -> list:
+    """Shapes (n, J) of the row stacks ``simulate_trials`` assembles."""
+    shapes = []
+    stacked = montecarlo.channel_from_draws
+
+    def recording(stats, rows, *draws):
+        shapes.append(rows.shape)
+        return stacked(stats, rows, *draws)
+
+    monkeypatch.setattr(montecarlo, "channel_from_draws", recording)
+    return shapes
+
+
+class TestStagedTrials:
+    """``simulate_trials`` stages trials by active count and assembles each
+    group in one stacked call; ``simulate_trials_reference`` does one trial
+    at a time. They must agree bit for bit."""
+
+    @staticmethod
+    def _varying_scenario(kappa):
+        # Six grids at rho 0.05-0.6: about a tenth of the trials (0.089)
+        # draw no active grid, and the others draw 1 to 6.
+        return make_scenario(n_y=12, k_x=3, k_y=2, kappa=kappa,
+                             rho=[0.05, 0.6, 0.2, 0.35, 0.1, 0.5], seed=53)
+
+    @pytest.mark.parametrize("combiner", ["mrc", "mmse"])
+    @pytest.mark.parametrize("kappa", [np.inf, 4.0])
+    def test_equals_per_trial_reference(self, combiner, kappa, monkeypatch):
+        sc = self._varying_scenario(kappa)
+        support = np.array([1, 6, 10])
+        opts = SimOptions(trials=200, combiner=combiner)
+        shapes = record_groups(monkeypatch)
+        values = simulate_trials(sc, support, opts)
+        stats = ScenarioContext.build(sc).layout_stats(support)
+        reference = simulate_trials_reference(sc, stats, opts)
+        np.testing.assert_array_equal(values, reference)
+        assert np.sum(reference == 0.0) >= 10  # zero-activation trials
+        assert len({j for _, j in shapes}) >= 4  # groups of several sizes
+        assert max(n for n, _ in shapes) > 1  # each group in one stacked call
+        assert sum(n for n, _ in shapes) == np.sum(reference != 0.0)
+
+    @pytest.mark.parametrize("combiner", ["mrc", "mmse"])
+    @pytest.mark.parametrize("trials_per_flush", [1, 4, 16])
+    def test_small_budgets_equal_reference(self, combiner, trials_per_flush, monkeypatch):
+        sc = self._varying_scenario(4.0)
+        support = np.array([0, 5, 11])
+        opts = SimOptions(trials=150, combiner=combiner)
+        stats = ScenarioContext.build(sc).layout_stats(support)
+        reference = simulate_trials_reference(sc, stats, opts)
+        per_user = 8 * (len(stats.m_col) + 2 * stats.total_antennas)
+        monkeypatch.setattr(rate, "ASSEMBLY_BLOCK_BYTES", 2 * per_user * trials_per_flush)
+        shapes = record_groups(monkeypatch)
+        np.testing.assert_array_equal(simulate_trials(sc, stats, opts), reference)
+        assert len(shapes) > 2 * len({j for _, j in shapes})  # several flushes
+
+    @pytest.mark.parametrize("combiner", ["mrc", "mmse"])
+    def test_default_budget_flushes_several_times(self, combiner, monkeypatch):
+        # 400 trials of about ten active users at 16 antennas stage several
+        # times the 120 kB budget.
+        sc = make_scenario(n_y=12, k_x=4, k_y=4, kappa=6.0, rho=np.full(16, 0.6),
+                           n_subarrays=4, seed=59)
+        support = np.array([0, 3, 7, 11])
+        opts = SimOptions(trials=400, combiner=combiner)
+        stats = ScenarioContext.build(sc).layout_stats(support)
+        shapes = record_groups(monkeypatch)
+        values = simulate_trials(sc, support, opts)
+        np.testing.assert_array_equal(values, simulate_trials_reference(sc, stats, opts))
+        assert len(shapes) > 2 * len({j for _, j in shapes})
+
+    @pytest.mark.parametrize("combiner", ["mrc", "mmse"])
+    def test_prefix_of_longer_run(self, combiner):
+        sc = self._varying_scenario(4.0)
+        support = np.array([2, 8])
+        short = simulate_trials(sc, support, SimOptions(trials=20, combiner=combiner))
+        long = simulate_trials(sc, support, SimOptions(trials=57, combiner=combiner))
+        np.testing.assert_array_equal(short, long[:20])
 
 
 class TestMaps:

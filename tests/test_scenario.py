@@ -412,6 +412,13 @@ class TestLoadScenario:
         (("ma_region", "n_z"), np.nan),
         (("coverage", "k_x"), 1.5),
         (("distribution", "regular_ratio"), None),
+        (("rician_kappa_db",), None),
+        (("tx_power_dbm",), "high"),
+        (("tx_power_dbm",), None),
+        (("noise_power_dbm",), "low"),
+        (("m_h",), True),
+        (("m_h",), "4"),
+        (("d_h",), "half"),
     ])
     def test_bad_number_raises_naming_the_field(self, path, value):
         doc = desk_full_los()
@@ -451,6 +458,37 @@ class TestLoadScenario:
         target[key] = value
         with pytest.raises(ConfigurationError):
             load_scenario(doc)
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda o: o.update(center=[4.0, 0.0]), r"obstacles\[0\]\.center"),
+        (lambda o: o.update(dims=[1.0, 2.0, 3.0, 4.0]), r"obstacles\[0\]\.dims"),
+        (lambda o: o.update(center="middle"), r"obstacles\[0\]\.center"),
+        (lambda o: o["dims"].__setitem__(1, "x"), r"obstacles\[0\]\.dims\[1\]"),
+        (lambda o: o.pop("dims"), r"obstacles\[0\]\.dims"),
+    ])
+    def test_bad_obstacle_raises_naming_the_field(self, edit, field):
+        doc = PRESETS["desk_partial_los"]()
+        edit(doc["obstacles"][0])
+        with pytest.raises(ConfigurationError, match=field):
+            load_scenario(doc)
+
+    def test_obstacle_must_be_an_object(self):
+        doc = PRESETS["desk_partial_los"]()
+        doc["obstacles"][1] = [1, 2, 3]
+        with pytest.raises(ConfigurationError, match=r"obstacles\[1\]"):
+            load_scenario(doc)
+
+    def test_per_grid_tx_power_list(self):
+        doc = desk_full_los()
+        n_grids = load_scenario(doc).coverage.n_grids
+        doc["tx_power_dbm"] = [5.0 + (k % 3) for k in range(n_grids)]
+        sc = load_scenario(doc)
+        np.testing.assert_array_equal(sc.tx_power_mw, dbm_to_mw(np.array(doc["tx_power_dbm"])))
+        for bad, field in (([5.0] * (n_grids - 1), "tx_power_dbm"),
+                           ([5.0, "x"] + [5.0] * (n_grids - 2), r"tx_power_dbm\[1\]")):
+            doc["tx_power_dbm"] = bad
+            with pytest.raises(ConfigurationError, match=field):
+                load_scenario(doc)
 
     def test_spacing_defaults_to_half_wavelength_when_absent_or_null(self):
         doc = desk_full_los()
