@@ -63,21 +63,30 @@ def los_path_gain(distance, wavelength: float):
 
 @dataclass
 class GainTables:
-    """Per (grid, candidate) large-scale channel statistics.
+    """Per (grid, column) large-scale channel statistics.
 
     Row r of every table belongs to user grid ``grid_rows[r]``; the pipeline
     tabulates only the grids with positive activation probability. Columns
     are candidate positions, or the subarrays of a layout (``LayoutStats``).
-    ``beta_total = xi * beta_los + beta_nlos`` elementwise, and ``u`` holds
-    the unit wave vectors, shape (rows, columns, 3).
+    Stored: ``beta_los``, the 0/1 visibility ``xi`` (uint8), the unit wave
+    vectors ``u`` (rows, columns, 3) and the scalar Rician factor ``kappa``
+    (``np.inf``: pure LoS). ``beta_nlos = beta_los / kappa`` (0.0 in pure
+    LoS) and ``beta_total = xi * beta_los + beta_nlos`` are derived on read.
     """
 
     beta_los: np.ndarray
-    beta_nlos: np.ndarray
-    beta_total: np.ndarray
     xi: np.ndarray
     u: np.ndarray
     grid_rows: np.ndarray
+    kappa: float
+
+    @property
+    def beta_nlos(self) -> np.ndarray:
+        return self.beta_los / self.kappa
+
+    @property
+    def beta_total(self) -> np.ndarray:
+        return self.xi * self.beta_los + self.beta_nlos
 
 
 def build_gain_tables(
@@ -87,7 +96,7 @@ def build_gain_tables(
     xi: np.ndarray,
     grid_rows=None,
 ) -> GainTables:
-    """LoS/NLoS gain tables for every (grid, candidate) pair.
+    """Gain tables for every (grid, candidate) pair.
 
     ``candidates`` are the column positions, ``grids`` the centers of the
     tabulated grids and ``grid_rows`` their absolute indices (default: all
@@ -102,19 +111,12 @@ def build_gain_tables(
     if grid_rows.shape != (len(grids),):
         raise ConfigurationError("grid_rows must hold one index per tabulated grid")
     u, dist = wave_vectors(grids, candidates)
-    beta_los = los_path_gain(dist, scenario.wavelength)
-    if scenario.pure_los:
-        beta_nlos = np.zeros_like(beta_los)
-    else:
-        beta_nlos = beta_los / scenario.rician_kappa
-    beta_total = xi * beta_los + beta_nlos
     return GainTables(
-        beta_los=beta_los,
-        beta_nlos=beta_nlos,
-        beta_total=beta_total,
+        beta_los=los_path_gain(dist, scenario.wavelength),
         xi=xi.astype(np.uint8),
         u=u,
         grid_rows=grid_rows,
+        kappa=scenario.rician_kappa,
     )
 
 
@@ -157,10 +159,6 @@ class ArrayLayout:
         if not self.subarrays:
             raise ConfigurationError("layout must contain at least one subarray")
         object.__setattr__(self, "subarrays", tuple(self.subarrays))
-
-    @property
-    def total_antennas(self) -> int:
-        return sum(s.n_antennas for s in self.subarrays)
 
     def centers(self) -> np.ndarray:
         return np.array([s.center for s in self.subarrays], float)
@@ -218,7 +216,8 @@ class LayoutStats(GainTables):
     center, plus what channel draws need.
 
     ``los_blocks`` holds the stacked per-element LoS response
-    xi * sqrt(beta_los) * a(u) without the random phase, so channel draws
+    xi * sqrt(beta_los) * a(u) without the random phase, and ``nlos_std``
+    the per-element NLoS deviation sqrt(beta_nlos / 2), so channel draws
     only add phases and Gaussian noise.
     """
 

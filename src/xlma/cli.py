@@ -210,12 +210,31 @@ def _write_map_csv(path, x, y, values) -> None:
             writer.writerow([repr(float(xv))] + [repr(float(v)) for v in values[i]])
 
 
+def _map_fields(spec: dict) -> dict:
+    """The numeric fields of a map spec as ``MapRequest`` keywords, each
+    checked and named in its error."""
+    probe = spec.get("probe_point")
+    if probe is not None and (not isinstance(probe, list) or len(probe) not in (2, 3)):
+        raise ConfigurationError(f"'probe_point' must be a list of 2 or 3 numbers, got {probe!r}")
+    placeholder = spec.get("blocked_placeholder_dbm")
+    z_plane = spec.get("z_plane")
+    return {
+        "resolution": as_integer(spec.get("resolution", 50), "resolution"),
+        "probe_point": None if probe is None else tuple(
+            as_number(v, f"probe_point[{i}]", finite=True) for i, v in enumerate(probe)),
+        "blocked_placeholder_gain": None if placeholder is None else float(
+            dbm_to_mw(as_number(placeholder, "blocked_placeholder_dbm", finite=True))),
+        "z_plane": None if z_plane is None else as_number(z_plane, "z_plane", finite=True),
+    }
+
+
 def cmd_map(args) -> int:
     doc = _load_document(args)
     spec = json.loads(Path(args.map_spec).read_text())
     kind = spec.get("kind")
     if kind not in ("power", "correlation"):
         raise ConfigurationError("map kind must be 'power' or 'correlation'")
+    fields = _map_fields(spec)
     ctx = context_from_document(doc)
     scheme = spec.get("scheme", "proposed")
     if isinstance(scheme, dict) and "support" in scheme:
@@ -225,22 +244,12 @@ def cmd_map(args) -> int:
     if not isinstance(placement, ArrayLayout):
         placement = support_layout(ctx.scenario, placement)
 
-    probe = spec.get("probe_point")
+    probe = fields["probe_point"]
     cov = ctx.scenario.coverage
     if probe is not None:
-        px, py = float(probe[0]), float(probe[1])
-        if not (cov.x_min <= px <= cov.x_max and cov.y_min <= py <= cov.y_max):
+        if not (cov.x_min <= probe[0] <= cov.x_max and cov.y_min <= probe[1] <= cov.y_max):
             raise ConfigurationError("probe_point outside the coverage region")
-    placeholder_dbm = spec.get("blocked_placeholder_dbm")
-    request = MapRequest(
-        layout=placement,
-        resolution=int(spec.get("resolution", 50)),
-        probe_point=tuple(probe) if probe is not None else None,
-        blocked_placeholder_gain=(
-            None if placeholder_dbm is None else float(dbm_to_mw(placeholder_dbm))
-        ),
-        z_plane=spec.get("z_plane"),
-    )
+    request = MapRequest(layout=placement, **fields)
     if kind == "power":
         x, y, values = power_gain_map(ctx.scenario, request)
         values = mw_to_dbm(np.maximum(values, 1e-300))

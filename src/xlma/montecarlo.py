@@ -31,6 +31,7 @@ from .channel import (
     check_support,
     compute_layout_stats,
     draw_realization,
+    los_path_gain,
     support_layout,
 )
 from .errors import ConfigurationError, DomainError
@@ -207,8 +208,8 @@ def power_gain_map(scenario: ScenarioConfig, request: MapRequest):
     dist = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=-1)
     if np.any(dist == 0.0):
         raise DomainError("map point coincides with a subarray center")
-    beta_los = (scenario.wavelength / (4.0 * np.pi * dist)) ** 2
-    beta_nlos = np.zeros_like(beta_los) if scenario.pure_los else beta_los / scenario.rician_kappa
+    beta_los = los_path_gain(dist, scenario.wavelength)
+    beta_nlos = beta_los / scenario.rician_kappa  # 0.0 in pure LoS
     visible = _subarray_visibility(scenario, centers, points)
     placeholder = request.blocked_placeholder_gain
     los_term = np.where(visible, beta_los, 0.0 if placeholder is None else placeholder)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,14 +19,13 @@ from .scenario import ScenarioConfig, compute_los_visibility
 class ScenarioContext:
     """Scenario plus everything derived from it that evaluations share.
 
-    ``xi`` and ``gains`` cover only the grids with positive activation
-    probability, row r being grid ``gains.grid_rows[r]``: the others add
-    nothing to the expected weighted sum rate.
+    ``gains``, with the one visibility table ``gains.xi``, covers only the
+    grids with positive activation probability, row r being grid
+    ``gains.grid_rows[r]``: the others add nothing to the expected rate.
     """
 
     scenario: ScenarioConfig
     candidates: np.ndarray
-    xi: np.ndarray
     gains: GainTables
     model: RateModel
 
@@ -45,10 +44,10 @@ class ScenarioContext:
         grids = scenario.grid_centers()[rows]
         gains = build_gain_tables(scenario, candidates, grids, xi, grid_rows=rows)
         model = RateModel.from_candidate_tables(scenario, gains)
-        return cls(scenario, candidates, xi, gains, model)
+        return cls(scenario, candidates, gains, model)
 
     def plan(self) -> PlacementResult:
-        return successive_replacement(self.scenario, self.model, self.xi)
+        return successive_replacement(self.scenario, self.model, self.gains.xi)
 
     def exhaustive(self):
         return exhaustive_search(self.model, self.scenario.n_subarrays)
@@ -75,10 +74,11 @@ class ScenarioContext:
                 self.scenario, placement, grid_indices=self.model.grid_rows
             )
         support = check_support(placement, self.model.n_cols)
-        columns = {name: table if name == "grid_rows" else table[:, support]
-                   for name, table in vars(self.gains).items()}
+        gains = self.gains
+        columns = replace(gains, beta_los=gains.beta_los[:, support],
+                          xi=gains.xi[:, support], u=gains.u[:, support])
         return layout_stats_from_gains(
-            self.scenario, support_layout(self.scenario, support), GainTables(**columns)
+            self.scenario, support_layout(self.scenario, support), columns
         )
 
     def model_for(self, placement) -> tuple[RateModel, np.ndarray]:

@@ -14,9 +14,12 @@ moments of the per-position channels. The auxiliary factor f carries the
 per-column antenna count m_c, so the signal term adds it bare. All rates are
 log2, all powers linear.
 
-The pair moments factor over grids. With A = kappa*xi / (kappa*xi + 1) per
-(grid, column), g_ki = A_k*A_i and q_ki = m_c*(1 - A_k*A_i); in pure LoS,
-A = xi and q = 0. The Fejer product is a sum over antenna lags,
+The pair moments factor over grids. With the scalar Rician factor kappa and
+A = kappa*xi / (kappa*xi + 1) per (grid, column), g_ki = A_k*A_i and
+q_ki = m_c*(1 - A_k*A_i); in pure LoS (kappa infinite), A = xi and q = 0.
+beta = xi*beta_los + beta_los/kappa, A and f are formed per column block
+from the stored gain tables, never as whole tables. The Fejer product is a
+sum over antenna lags,
 
     phi_ki = sum_l (M_h - |l_h|)(M_v - |l_v|) * cos(theta . l * (u_k - u_i)),
 
@@ -126,19 +129,20 @@ class RateModel:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def _assemble(cls, scenario, grid_rows, beta, beta_los, beta_nlos, xi, u,
-                  m_col, mh_col, mv_col, dh_col, dv_col):
+    def _assemble(cls, scenario, tables: GainTables, geometry) -> "RateModel":
+        """Model over the columns of ``tables``, with (m_h, m_v, d_h, d_v) per
+        column, assembled block by block: only the three outputs are whole
+        tables."""
+        mh_col, mv_col, dh_col, dv_col = (np.array(axis) for axis in zip(*geometry))
+        m_col = mh_col * mv_col
+        grid_rows = tables.grid_rows
         rho = scenario.distribution.rho[grid_rows]
         pbar = scenario.snr_scale[grid_rows]
-        pure = scenario.pure_los
-        kap = None if pure else beta_los / beta_nlos
-        n_rows, n_cols = beta.shape
+        kappa = tables.kappa
+        pure = np.isinf(kappa)
+        n_rows, n_cols = tables.beta_los.shape
 
-        f = aux_f(m_col[None, :], xi, kap, pure)
-        sig_mean = m_col[None, :] * beta
-        sig_var = beta * beta * f
-
-        interf = np.empty((n_rows, n_cols))
+        sig_mean, sig_var, denom = np.empty((3, n_rows, n_cols))
         power = (pbar * rho)[:, None]
         theta_h = 2.0 * np.pi * dh_col / scenario.wavelength
         theta_v = 2.0 * np.pi * dv_col / scenario.wavelength
@@ -146,11 +150,12 @@ class RateModel:
         width = max(1, ASSEMBLY_BLOCK_BYTES // (8 * n_rows))
         for start in range(0, n_cols, width):
             c = slice(start, start + width)
-            w = power * beta[:, c]
-            a = xi[:, c]
-            if not pure:
-                kx = kap[:, c] * a
-                a = kx / (kx + 1.0)
+            xi, beta_los, u = tables.xi[:, c], tables.beta_los[:, c], tables.u[:, c]
+            beta = xi * beta_los + beta_los / kappa
+            sig_mean[:, c] = m_col[c] * beta
+            sig_var[:, c] = beta * beta * aux_f(m_col[c], xi, kappa, pure)
+            w = power * beta
+            a = xi if pure else kappa * xi / (kappa * xi + 1.0)
             wa = w * a
             lag_sum = (mh_col[c] * mv_col[c]) * _others(wa)  # lag 0
             # Lag -l adds the same real term as lag l, so run the half plane
@@ -158,8 +163,8 @@ class RateModel:
             # antennas than the largest gives the lags beyond its span weight 0.
             # cos/sin per axis lag, joined by angle addition for each lag pair:
             # (2*M_h + 2*M_v) transcendentals per entry instead of ~L.
-            phase_h = theta_h[c] * u[:, c, 1]
-            phase_v = theta_v[c] * u[:, c, 2]
+            phase_h = theta_h[c] * u[:, :, 1]
+            phase_v = theta_v[c] * u[:, :, 2]
             cos_v = [np.cos(lv * phase_v) for lv in range(mv_max)]
             sin_v = [np.sin(lv * phase_v) for lv in range(mv_max)]
             for lh in range(mh_max):
@@ -172,10 +177,10 @@ class RateModel:
                     cos = cos_h * cv - sin_h * sv
                     sin = sin_h * cv + cos_h * sv
                     lag_sum += weight * (cos * _others(wa * cos) + sin * _others(wa * sin))
-            interf[:, c] = a * lag_sum
+            interf = a * lag_sum
             if not pure:
-                interf[:, c] += m_col[c] * (_others(w) - a * _others(wa))
-        denom = beta * interf + sig_mean
+                interf += m_col[c] * (_others(w) - a * _others(wa))
+            denom[:, c] = beta * interf + sig_mean[:, c]
         return cls(grid_rows, rho, pbar, m_col, sig_mean, sig_var, denom)
 
     @classmethod
@@ -187,33 +192,14 @@ class RateModel:
         """
         if not np.any(scenario.distribution.rho[gains.grid_rows] > 0.0):
             raise ConfigurationError("no grids with positive activation probability")
-        n_cols = gains.beta_total.shape[1]
+        n_cols = gains.beta_los.shape[1]
         geometry = ((scenario.m_h, scenario.m_v, scenario.d_h, scenario.d_v),) * n_cols
-        return cls._from_tables(scenario, gains, geometry)
+        return cls._assemble(scenario, gains, geometry)
 
     @classmethod
     def from_layout_stats(cls, scenario: ScenarioConfig, stats: LayoutStats) -> "RateModel":
         """Model whose columns are the subarrays of one concrete layout."""
-        return cls._from_tables(scenario, stats, stats.geometry)
-
-    @classmethod
-    def _from_tables(cls, scenario, tables: GainTables, geometry) -> "RateModel":
-        """Model over the columns of ``tables``, with (m_h, m_v, d_h, d_v) per column."""
-        mh, mv, dh, dv = (np.array(axis) for axis in zip(*geometry))
-        return cls._assemble(
-            scenario,
-            tables.grid_rows,
-            tables.beta_total,
-            tables.beta_los,
-            tables.beta_nlos,
-            tables.xi.astype(float),
-            tables.u,
-            m_col=mh * mv,
-            mh_col=mh,
-            mv_col=mv,
-            dh_col=dh.astype(float),
-            dv_col=dv.astype(float),
-        )
+        return cls._assemble(scenario, stats, stats.geometry)
 
     # -- evaluation --------------------------------------------------------
 

@@ -583,11 +583,13 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
-def as_number(value, field: str) -> float:
+def as_number(value, field: str, finite: bool = False) -> float:
     """``value`` as a float; anything but a JSON number (a string, a bool,
-    null, a list) raises ``ConfigurationError`` naming ``field``."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigurationError(f"'{field}' must be a number, got {value!r}")
+    null, a list), or with ``finite`` a NaN or infinity, raises
+    ``ConfigurationError`` naming ``field``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or finite and not np.isfinite(value)):
+        raise ConfigurationError(f"'{field}' must be a {'finite ' * finite}number, got {value!r}")
     return float(value)
 
 
@@ -616,6 +618,13 @@ def _numbers(value, field: str, length: int) -> list:
     if not isinstance(value, list) or len(value) != length:
         raise ConfigurationError(f"'{field}' must be a list of {length} numbers, got {value!r}")
     return [as_number(v, f"{field}[{i}]") for i, v in enumerate(value)]
+
+
+def _integers(value, field: str) -> list:
+    """``value`` as a list of ints, each entry named in its error."""
+    if not isinstance(value, list):
+        raise ConfigurationError(f"'{field}' must be a list of integers, got {value!r}")
+    return [as_integer(v, f"{field}[{i}]") for i, v in enumerate(value)]
 
 
 def load_scenario(source) -> ScenarioConfig:
@@ -666,8 +675,8 @@ def load_scenario(source) -> ScenarioConfig:
         n_grids=cov.n_grids,
         expected_users=_number(dist_doc, "expected_users", "distribution."),
         regular_ratio=_number(dist_doc, "regular_ratio", "distribution.", default=0.0),
-        hotspot_k1=dist_doc.get("hotspot_k1", []),
-        hotspot_k2=dist_doc.get("hotspot_k2", []),
+        **{key: _integers(dist_doc.get(key, []), "distribution." + key)
+           for key in ("hotspot_k1", "hotspot_k2")},
     )
 
     obstacles = []

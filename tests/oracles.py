@@ -122,9 +122,13 @@ def build_kernel_tables(scenario, beta_los, beta_nlos, xi, u,
     return KernelTables(phi=phi, f=np.asarray(f, float), g=g, q=q)
 
 
-def assemble_row_loop(cls, scenario, grid_rows, beta, beta_los, beta_nlos, xi, u,
-                      m_col, mh_col, mv_col, dh_col, dv_col):
+def assemble_row_loop(cls, scenario, tables, geometry):
     """``RateModel._assemble`` summed pair by pair over interfering grids."""
+    mh_col, mv_col, dh_col, dv_col = (np.array(axis) for axis in zip(*geometry))
+    m_col = mh_col * mv_col
+    grid_rows = tables.grid_rows
+    beta, beta_los, beta_nlos = tables.beta_total, tables.beta_los, tables.beta_nlos
+    xi, u = tables.xi.astype(float), tables.u
     rho = scenario.distribution.rho[grid_rows]
     pbar = scenario.snr_scale[grid_rows]
     pure = scenario.pure_los

@@ -110,13 +110,14 @@ class TestDenseLayouts:
         layout = fpa_layout("dense_upa", sc)
         sub = layout.subarrays[0]
         assert sub.m_h == 16 and sub.m_v == 8  # 4*M_H x 2*M_V
-        assert layout.total_antennas == 8 * sc.antennas_per_subarray
+        assert sum(s.n_antennas for s in layout.subarrays) == 8 * sc.antennas_per_subarray
 
     def test_dense_counts_equal_nm(self):
         sc = paper_2d_scenario()
         for kind in ("dense_ula", "dense_upa"):
             layout = fpa_layout(kind, sc)
-            assert layout.total_antennas == sc.n_subarrays * sc.antennas_per_subarray
+            total = sum(s.n_antennas for s in layout.subarrays)
+            assert total == sc.n_subarrays * sc.antennas_per_subarray
 
 
 class TestLayoutInvariants:

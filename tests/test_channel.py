@@ -121,7 +121,7 @@ class TestLayouts:
         sc = make_scenario(n_y=10)
         layout = support_layout(sc, [0, 5])
         np.testing.assert_allclose(layout.centers(), sc.candidates()[[0, 5]])
-        assert layout.total_antennas == 2 * sc.antennas_per_subarray
+        assert sum(s.n_antennas for s in layout.subarrays) == 2 * sc.antennas_per_subarray
 
     def test_empty_layout_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -158,7 +158,6 @@ def _one_grid_stats(kappa, xi_override=None):
     if xi_override is not None:
         stats.xi[:] = xi_override
         stats.los_blocks *= xi_override
-        stats.beta_total[:] = stats.xi * stats.beta_los + stats.beta_nlos
     return sc, stats
 
 

@@ -284,6 +284,44 @@ class TestMap:
         assert "integers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, field", [
+        ("resolution", 2.7, "resolution"),
+        ("resolution", "abc", "resolution"),
+        ("resolution", None, "resolution"),
+        ("z_plane", "top", "z_plane"),
+        ("z_plane", math.nan, "z_plane"),
+        ("probe_point", [30.0], "probe_point"),
+        ("probe_point", [30.0, 0.0, 0.0, 1.0], "probe_point"),
+        ("probe_point", 30.0, "probe_point"),
+        ("probe_point", [30.0, "a"], "probe_point[1]"),
+        ("blocked_placeholder_dbm", "low", "blocked_placeholder_dbm"),
+        ("blocked_placeholder_dbm", math.inf, "blocked_placeholder_dbm"),
+    ])
+    def test_bad_spec_field_names_the_field(self, tmp_path, capsys, key, value, field):
+        cfg = write_config(tmp_path, desk_single_grid())
+        spec = {"kind": "correlation", "scheme": {"support": [5]}, "resolution": 4,
+                "probe_point": [30.0, 0.0], key: value}
+        spath = tmp_path / "map.json"
+        spath.write_text(json.dumps(spec))
+        out = tmp_path / "m.csv"
+        assert main(["map", "--config", str(cfg), "--map-spec", str(spath),
+                     "--out", str(out)]) == 1
+        assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_three_coordinate_probe_point(self, tmp_path):
+        cfg = write_config(tmp_path, desk_single_grid())
+        outs = []
+        for probe in ([30.0, 0.0], [30.0, 0.0, 0.0]):
+            spec = {"kind": "correlation", "scheme": {"support": [5, 25]}, "resolution": 5,
+                    "probe_point": probe, "z_plane": 0.0}
+            spath = tmp_path / "map.json"
+            spath.write_text(json.dumps(spec))
+            outs.append(tmp_path / f"m{len(probe)}.csv")
+            assert main(["map", "--config", str(cfg), "--map-spec", str(spath),
+                         "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
 
 def test_import_leaves_scipy_unloaded():
     """The package and its CLI run on numpy alone; scipy is a test dependency."""

@@ -1,16 +1,20 @@
 """ScenarioContext tabulates only the active grids; that must change nothing."""
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from xlma import pipeline
-from xlma.channel import GainTables, build_gain_tables, compute_layout_stats, support_layout
+from conftest import make_scenario
+from xlma import pipeline, rate
+from xlma.channel import build_gain_tables, compute_layout_stats, support_layout
 from xlma.cli import _sweep_cell
 from xlma.optimizer import successive_replacement
 from xlma.pipeline import context_from_document
 from xlma.presets import paper_partial_los_1d
 from xlma.rate import RateModel
-from xlma.scenario import compute_los_visibility
+from xlma.scenario import Obstacle, compute_los_visibility
 
 TABLES = ("xi", "beta_los", "beta_nlos", "beta_total", "u")
 
@@ -32,7 +36,6 @@ def test_active_row_tables_equal_rows_of_full_tables():
     assert full.xi.min() == 0  # the obstacles block some pairs
     np.testing.assert_array_equal(ctx.gains.grid_rows, rows)
     np.testing.assert_array_equal(ctx.model.grid_rows, rows)
-    assert np.array_equal(ctx.xi, full.xi[rows])
     for name in TABLES:
         assert np.array_equal(getattr(ctx.gains, name), getattr(full, name)[rows]), name
 
@@ -41,8 +44,8 @@ def test_plan_matches_model_from_pruned_full_tables():
     ctx, full = _context_and_full_tables()
     sc = ctx.scenario
     rows = np.flatnonzero(sc.distribution.rho > 0)
-    pruned = GainTables(**{name: getattr(full, name)[rows] for name in TABLES},
-                        grid_rows=rows)
+    pruned = dataclasses.replace(full, beta_los=full.beta_los[rows], xi=full.xi[rows],
+                                 u=full.u[rows], grid_rows=rows)
     old = successive_replacement(sc, RateModel.from_candidate_tables(sc, pruned),
                                  full.xi[rows])
     new = ctx.plan()
@@ -81,3 +84,26 @@ def test_baseline_sweep_cell_builds_one_layout_model(desk_context, monkeypatch):
     model, columns = desk_context.model_for(calls[0])
     assert [row[2] for row in rows] == [model.weighted_sum(columns),
                                         model.weighted_upper_bound(columns)]
+
+
+@pytest.mark.parametrize("kappa", [np.inf, 10.0])
+def test_context_build_peak_memory_in_whole_tables(monkeypatch, kappa):
+    # The context holds beta_los (1 table), u (3), xi (1/8) and the model's
+    # three outputs; the peak, in the wave-vector step, is about 8.4
+    # (K' x C) float64 tables. Blocks of 4 columns keep the assembly's
+    # per-block temporaries small against a table, so the peak counts
+    # whole-table arrays: one more held through the build breaks the bound.
+    # An untraced build first keeps one-time allocations out of the peak.
+    sc = make_scenario(n_y=40, n_z=3, k_x=6, k_y=10, kappa=kappa, rho=np.full(60, 0.1),
+                       obstacles=[Obstacle(center=(20.0, 0.0, 3.0), dims=(4.0, 6.0, 6.0))])
+    monkeypatch.setattr(rate, "ASSEMBLY_BLOCK_BYTES", 8 * 60 * 4)
+    pipeline.ScenarioContext.build(sc)
+    tracemalloc.start()
+    try:
+        ctx = pipeline.ScenarioContext.build(sc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ctx.model.sig_mean.shape == (60, 120)
+    assert ctx.gains.xi.min() == 0  # the obstacle blocks some pairs
+    assert peak < 9 * ctx.model.sig_mean.nbytes

@@ -231,8 +231,8 @@ def random_visibility_tables(sc, seed):
 
 
 def with_visibility(stats, xi):
-    """Layout statistics with ``xi`` as the visibility and beta_total to match."""
-    return dataclasses.replace(stats, xi=xi, beta_total=xi * stats.beta_los + stats.beta_nlos)
+    """Layout statistics with ``xi`` as the visibility."""
+    return dataclasses.replace(stats, xi=xi)
 
 
 def random_unit_vectors(rng, shape):

@@ -419,6 +419,12 @@ class TestLoadScenario:
         (("m_h",), True),
         (("m_h",), "4"),
         (("d_h",), "half"),
+        (("distribution", "hotspot_k1"), ["a"]),
+        (("distribution", "hotspot_k1"), 5),
+        (("distribution", "hotspot_k1"), [None]),
+        (("distribution", "hotspot_k2"), [1.5]),
+        (("distribution", "hotspot_k2"), [True]),
+        (("distribution", "hotspot_k2"), "0, 1"),
     ])
     def test_bad_number_raises_naming_the_field(self, path, value):
         doc = desk_full_los()
@@ -428,6 +434,12 @@ class TestLoadScenario:
             target = target[step]
         target[key] = value
         with pytest.raises(ConfigurationError, match=key):
+            load_scenario(doc)
+
+    def test_bad_hotspot_entry_is_named(self):
+        doc = desk_full_los()
+        doc["distribution"]["hotspot_k1"] = [35, 40.0, 41.5]
+        with pytest.raises(ConfigurationError, match=r"distribution\.hotspot_k1\[2\]"):
             load_scenario(doc)
 
     @pytest.mark.parametrize("path, value", [
