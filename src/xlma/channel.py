@@ -19,14 +19,24 @@ from .scenario import ScenarioConfig, check_indices, visibility_from_points
 
 
 def wave_vectors(targets: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pairwise unit vectors and distances, shapes (T, S, 3) and (T, S)."""
+    """Pairwise unit vectors and distances, shapes (T, S, 3) and (T, S).
+
+    The differences are written straight into the unit-vector array and
+    normalized in place. The distance adds the squared components left to
+    right, (dx^2 + dy^2) + dz^2, the order of ``np.linalg.norm(axis=-1)``,
+    with one (T, S) temporary instead of a (T, S, 3) one.
+    """
     targets = np.atleast_2d(np.asarray(targets, float))
     sources = np.atleast_2d(np.asarray(sources, float))
-    diff = targets[:, None, :] - sources[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
+    u = np.subtract(targets[:, None, :], sources[None, :, :])
+    dist = np.square(u[..., 0])
+    for axis in (1, 2):
+        dist += np.square(u[..., axis])
+    np.sqrt(dist, out=dist)
     if np.any(dist == 0.0):
         raise DomainError("coincident target/source positions")
-    return diff / dist[..., None], dist
+    u /= dist[..., None]
+    return u, dist
 
 
 def steering_vector(

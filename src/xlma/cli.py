@@ -137,26 +137,37 @@ def _sweep_cell(ctx: ScenarioContext, scheme: str, evaluators, trials: int):
     return rows
 
 
+def _spec_names(spec: dict, key: str, allowed, default=None) -> list:
+    """``spec[key]`` as a nonempty list of distinct names from ``allowed``."""
+    names = spec.get(key, default)
+    if not isinstance(names, list) or not names:
+        raise ConfigurationError(f"'{key}' must be a nonempty list, got {names!r}")
+    for i, name in enumerate(names):
+        if name not in allowed:
+            raise ConfigurationError(f"'{key}[{i}]': unknown name {name!r}; one of {allowed}")
+        if name in names[:i]:
+            raise ConfigurationError(f"'{key}[{i}]': {name!r} is listed twice")
+    return names
+
+
 def cmd_sweep(args) -> int:
+    if args.threads < 0:
+        raise ConfigurationError(f"'--threads' must be at least 0, got {args.threads}")
     doc = _load_document(args)
     spec = json.loads(Path(args.sweep).read_text())
+    if not isinstance(spec, dict):
+        raise ConfigurationError(f"sweep spec must be a JSON object, got {spec!r}")
     parameter = spec.get("parameter")
     values = spec.get("values", [])
-    schemes = spec.get("schemes", [])
-    evaluators = spec.get("evaluators", ["approx_mrc"])
+    schemes = _spec_names(spec, "schemes", SWEEP_SCHEMES)
+    evaluators = _spec_names(spec, "evaluators", SWEEP_EVALUATORS, default=["approx_mrc"])
     trials = as_integer(spec.get("trials", 500), "trials")
+    if trials < 1:
+        raise ConfigurationError(f"'trials' must be at least 1, got {trials}")
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigurationError(f"sweep parameter must be one of {SWEEP_PARAMETERS}")
     if not isinstance(values, list) or not values:
         raise ConfigurationError("sweep values must be a nonempty list")
-    if not schemes:
-        raise ConfigurationError("sweep schemes must be nonempty")
-    for s in schemes:
-        if s not in SWEEP_SCHEMES:
-            raise ConfigurationError(f"unknown scheme {s!r}; one of {SWEEP_SCHEMES}")
-    for e in evaluators:
-        if e not in SWEEP_EVALUATORS:
-            raise ConfigurationError(f"unknown evaluator {e!r}; one of {SWEEP_EVALUATORS}")
 
     contexts = [context_from_document(_apply_parameter(doc, parameter, v, f"values[{i}]"))
                 for i, v in enumerate(values)]
@@ -169,7 +180,7 @@ def cmd_sweep(args) -> int:
         vi, si = cells[ci]
         return _sweep_cell(contexts[vi], schemes[si], evaluators, trials)
 
-    if args.threads and args.threads > 1:
+    if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             for ci, rows in enumerate(pool.map(run_cell, range(len(cells)))):
                 results[ci] = rows
@@ -268,6 +279,8 @@ def cmd_map(args) -> int:
 def cmd_validate(args) -> int:
     from .validation import validate_scenario
 
+    if args.draws < 1:
+        raise ConfigurationError(f"'--draws' must be at least 1, got {args.draws}")
     doc = _load_document(args)
     scenario = load_scenario(doc)
     checks = validate_scenario(scenario, draws=args.draws)

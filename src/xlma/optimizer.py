@@ -170,16 +170,14 @@ def best_replacement(
 ) -> tuple[int, float]:
     """Best candidate for the vacated slot (the old position is admissible).
 
-    Vectorized over all admissible candidates; ties resolve to the lowest
-    candidate index.
+    Every candidate is scored at once by ``model.marginal_objective`` on the
+    selection's sums without the vacated column. Its rates are formed column
+    block by column block into one whole (K', C) table, weighted by one
+    product so each score rounds alike whatever the blocking. Ties resolve
+    to the lowest candidate index.
     """
     old = state.n_mu[victim_slot]
-    keep_mean, keep_var, keep_den = state.without(old)
-    objectives = model.objective(
-        keep_mean[:, None] + model.sig_mean,
-        keep_var[:, None] + model.sig_var,
-        keep_den[:, None] + model.denom,
-    )
+    objectives = model.marginal_objective(state.without(old))
     blocked = [c for c in state.n_mu if c != old]
     objectives[blocked] = -np.inf
     best = int(np.argmax(objectives))  # first maximum = lowest index

@@ -229,13 +229,13 @@ class RateModel:
             gamma = pbar * (s_mean**2 + s_var) / s_den
         return np.where(s_den > 0.0, gamma, 0.0)
 
-    def objective(self, s_mean, s_var, s_den):
-        """Weighted sum rate from per-grid sums, grids on axis 0.
+    def objective(self, s_mean, s_var, s_den) -> float:
+        """Weighted sum rate from per-grid sums, each of shape (K',).
 
-        Sums of shape (K',) give a scalar; (K', C) give one value per column.
+        ``marginal_objective`` scores every column added to such sums, with
+        temporaries no larger than a column block.
         """
-        pbar = self.pbar.reshape(self.pbar.shape + (1,) * (np.ndim(s_mean) - 1))
-        return self.rho @ np.log2(1.0 + self._sinr_from_sums(pbar, s_mean, s_var, s_den))
+        return self.rho @ np.log2(1.0 + self._sinr_from_sums(self.pbar, s_mean, s_var, s_den))
 
     def sinr(self, chi, grid_index: int) -> float:
         s_mean, s_var, s_den = self.sums(chi)
@@ -252,6 +252,27 @@ class RateModel:
         s_mean, _, _ = self.sums(chi)
         return float(self.rho @ np.log2(1.0 + self.pbar * s_mean))
 
-    def marginal_objective(self) -> np.ndarray:
-        """c[n] = sum_k rho_k * rate_k(e_n) for every column, vectorized."""
-        return self.objective(self.sig_mean, self.sig_var, self.denom)
+    def marginal_objective(self, kept=None) -> np.ndarray:
+        """c[n]: the weighted sum rate of the per-grid sums ``kept`` plus
+        column n, for every column n.
+
+        ``kept`` is an (s_mean, s_var, s_den) triple of (K',) sums, such as
+        ``SelectionState.without``; None scores each column alone. The rates
+        are formed over column blocks of ``ASSEMBLY_BLOCK_BYTES`` into one
+        (K', C) table, so the sums, the SINR and their temporaries are never
+        whole tables. Each rate is elementwise and has the same bits whatever
+        the blocking; the weighted sum over grids is one product with the
+        whole table, because a matrix-vector product can round a column
+        differently by its position in the call.
+        """
+        n_rows, n_cols = self.sig_mean.shape
+        rates = np.empty((n_rows, n_cols))
+        pbar = self.pbar[:, None]
+        width = max(1, ASSEMBLY_BLOCK_BYTES // (8 * n_rows))
+        for start in range(0, n_cols, width):
+            c = slice(start, start + width)
+            sums = [table[:, c] for table in (self.sig_mean, self.sig_var, self.denom)]
+            if kept is not None:
+                sums = [total[:, None] + block for total, block in zip(kept, sums)]
+            rates[:, c] = np.log2(1.0 + self._sinr_from_sums(pbar, *sums))
+        return self.rho @ rates

@@ -142,6 +142,7 @@ class TestSweep:
         ("m_h", [2], True, "trials"),
         ("m_h", [2], "abc", "trials"),
         ("m_h", [2], None, "trials"),
+        ("m_h", [2], 0, "trials"),
         ("m_h", 2, 10, "values"),
     ])
     def test_bad_spec_number_names_the_field(self, tmp_path, capsys, parameter, values,
@@ -155,6 +156,39 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--sweep", str(spath),
                      "--out-dir", str(out_dir)]) == 1
         assert field in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("spec, field", [
+        ([1, 2], "sweep spec"),
+        ({"evaluators": []}, "evaluators"),
+        ({"evaluators": "approx_mrc"}, "evaluators"),
+        ({"evaluators": ["approx_mrc", "mmse"]}, "evaluators[1]"),
+        ({"evaluators": ["approx_mrc", "upper_bound", "approx_mrc"]}, "evaluators[2]"),
+        ({"schemes": "proposed"}, "schemes"),
+        ({"schemes": ["proposed", "proposed"]}, "schemes[1]"),
+        ({"schemes": ["dense_ula", "best"]}, "schemes[1]"),
+    ])
+    def test_bad_spec_shape_names_the_field(self, tmp_path, capsys, spec, field):
+        cfg = write_config(tmp_path, desk_full_los())
+        if isinstance(spec, dict):
+            spec = {"parameter": "m_h", "values": [2], "schemes": ["proposed"], **spec}
+        spath = tmp_path / "sweep.json"
+        spath.write_text(json.dumps(spec))
+        out_dir = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(spath),
+                     "--out-dir", str(out_dir)]) == 1
+        assert field in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_negative_threads_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, desk_full_los())
+        spath = tmp_path / "sweep.json"
+        spath.write_text(json.dumps({"parameter": "m_h", "values": [2],
+                                     "schemes": ["proposed"], "evaluators": ["approx_mrc"]}))
+        out_dir = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(spath),
+                     "--out-dir", str(out_dir), "--threads", "-3"]) == 1
+        assert "--threads" in capsys.readouterr().err
         assert not out_dir.exists()
 
     def test_ma_width_sweep_checks_the_region_it_rescales(self, tmp_path, capsys):
@@ -341,6 +375,13 @@ class TestValidate:
                      "--draws", "4000"]) == 0
         out = capsys.readouterr().out
         assert "[PASS]" in out and "[FAIL]" not in out
+
+    @pytest.mark.parametrize("draws", ["0", "-5"])
+    def test_draws_below_one_rejected(self, capsys, draws):
+        assert main(["validate", "--preset", "desk_single_grid", "--draws", draws]) == 1
+        captured = capsys.readouterr()
+        assert "--draws" in captured.err
+        assert "[PASS]" not in captured.out and "[FAIL]" not in captured.out
 
     def test_corrupted_kernels_fail_moment_check(self):
         sc = load_scenario(desk_single_grid())

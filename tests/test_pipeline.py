@@ -10,7 +10,7 @@ from conftest import make_scenario
 from xlma import pipeline, rate
 from xlma.channel import build_gain_tables, compute_layout_stats, support_layout
 from xlma.cli import _sweep_cell
-from xlma.optimizer import successive_replacement
+from xlma.optimizer import build_init_lp, successive_replacement
 from xlma.pipeline import context_from_document
 from xlma.presets import paper_partial_los_1d
 from xlma.rate import RateModel
@@ -86,24 +86,65 @@ def test_baseline_sweep_cell_builds_one_layout_model(desk_context, monkeypatch):
                                         model.weighted_upper_bound(columns)]
 
 
-@pytest.mark.parametrize("kappa", [np.inf, 10.0])
-def test_context_build_peak_memory_in_whole_tables(monkeypatch, kappa):
-    # The context holds beta_los (1 table), u (3), xi (1/8) and the model's
-    # three outputs; the peak, in the wave-vector step, is about 8.4
-    # (K' x C) float64 tables. Blocks of 4 columns keep the assembly's
-    # per-block temporaries small against a table, so the peak counts
-    # whole-table arrays: one more held through the build breaks the bound.
-    # An untraced build first keeps one-time allocations out of the peak.
-    sc = make_scenario(n_y=40, n_z=3, k_x=6, k_y=10, kappa=kappa, rho=np.full(60, 0.1),
-                       obstacles=[Obstacle(center=(20.0, 0.0, 3.0), dims=(4.0, 6.0, 6.0))])
-    monkeypatch.setattr(rate, "ASSEMBLY_BLOCK_BYTES", 8 * 60 * 4)
-    pipeline.ScenarioContext.build(sc)
+def _traced_peak(fn):
+    """``fn()`` and its tracemalloc peak in bytes, after one untraced call
+    that keeps one-time allocations out of the peak."""
+    fn()
     tracemalloc.start()
     try:
-        ctx = pipeline.ScenarioContext.build(sc)
+        value = fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return value, peak
+
+
+def _memory_scenario(monkeypatch, kappa):
+    """60 active grids x 120 candidates, assembled and scored in blocks of 4
+    columns, so per-block temporaries are small against a whole table and a
+    peak counts whole (K' x C) float64 tables."""
+    monkeypatch.setattr(rate, "ASSEMBLY_BLOCK_BYTES", 8 * 60 * 4)
+    return make_scenario(n_y=40, n_z=3, k_x=6, k_y=10, kappa=kappa, rho=np.full(60, 0.1),
+                         obstacles=[Obstacle(center=(20.0, 0.0, 3.0), dims=(4.0, 6.0, 6.0))])
+
+
+@pytest.mark.parametrize("kappa", [np.inf, 10.0])
+def test_context_build_peak_memory_in_whole_tables(monkeypatch, kappa):
+    # The context holds beta_los (1 table), u (3), xi (1/8) and the model's
+    # three outputs; the peak, in the assembly, is about 8.3 (K' x C)
+    # float64 tables: one more held through the build breaks the bound.
+    sc = _memory_scenario(monkeypatch, kappa)
+    ctx, peak = _traced_peak(lambda: pipeline.ScenarioContext.build(sc))
     assert ctx.model.sig_mean.shape == (60, 120)
     assert ctx.gains.xi.min() == 0  # the obstacle blocks some pairs
     assert peak < 9 * ctx.model.sig_mean.nbytes
+
+
+@pytest.mark.parametrize("kappa", [np.inf, 10.0])
+def test_gain_tables_peak_memory_in_whole_tables(monkeypatch, kappa):
+    # beta_los (1 table) and u (3) are returned; the distances and one
+    # squared component are the only other whole tables, about 6.0 in all.
+    # A (K', C, 3) temporary, as np.linalg.norm makes, reads about 8.2.
+    sc = _memory_scenario(monkeypatch, kappa)
+    ctx = pipeline.ScenarioContext.build(sc)
+    rows = ctx.gains.grid_rows
+    _, peak = _traced_peak(lambda: build_gain_tables(
+        sc, ctx.candidates, sc.grid_centers()[rows], ctx.gains.xi, grid_rows=rows))
+    assert peak < 6.5 * ctx.model.sig_mean.nbytes
+
+
+@pytest.mark.parametrize("stage, bound", [("plan", 2.0), ("init_lp", 1.5)])
+@pytest.mark.parametrize("kappa", [np.inf, 10.0])
+def test_optimizer_peak_memory_in_whole_tables(monkeypatch, kappa, stage, bound):
+    # The LP seed and every replacement step score all candidates into one
+    # (K' x C) rate table, column block by column block. Above the tables
+    # the context holds, the plan peaks at about 1.4 tables and the LP seed
+    # at 1.1; whole-table sums and SINRs read 6.2 and 3.0.
+    sc = _memory_scenario(monkeypatch, kappa)
+    ctx = pipeline.ScenarioContext.build(sc)
+    run = {"plan": ctx.plan,
+           "init_lp": lambda: build_init_lp(sc, ctx.model, ctx.gains.xi)}[stage]
+    result, peak = _traced_peak(run)
+    if stage == "plan":
+        assert len(result.trace) > 1  # at least one replacement step ran
+    assert peak < bound * ctx.model.sig_mean.nbytes

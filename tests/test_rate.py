@@ -498,3 +498,43 @@ class TestRateModel:
         assert model.objective(*state.without(9)) == pytest.approx(
             model.weighted_sum(np.array([0, 8])), rel=1e-12
         )
+
+
+class TestMarginalObjective:
+    """Block-by-block column scores against the whole-table formula."""
+
+    @pytest.fixture(scope="class", params=[np.inf, 7.0], ids=["los", "rician"])
+    def model(self, request):
+        # 60 grids x 120 candidates; random visibility leaves pure-LoS
+        # columns that some grids do not see (zero sums, SINR 0).
+        sc = make_scenario(n_y=40, n_z=3, k_x=6, k_y=10, kappa=request.param,
+                           rho=np.linspace(0.05, 0.9, 60), seed=4)
+        return RateModel.from_candidate_tables(sc, random_visibility_tables(sc, 4))
+
+    @staticmethod
+    def whole_table(model, kept):
+        tables = (model.sig_mean, model.sig_var, model.denom)
+        if kept is not None:
+            tables = [total[:, None] + table for total, table in zip(kept, tables)]
+        gamma = RateModel._sinr_from_sums(model.pbar[:, None], *tables)
+        return model.rho @ np.log2(1.0 + gamma)
+
+    @pytest.mark.parametrize("width", [1, 3, None], ids=["w1", "w3", "default"])
+    @pytest.mark.parametrize("selection", [None, [3, 50, 119]], ids=["alone", "kept"])
+    def test_equals_whole_table_formula_bit_for_bit(self, monkeypatch, model, width,
+                                                    selection):
+        if width is not None:
+            monkeypatch.setattr(rate_module, "ASSEMBLY_BLOCK_BYTES", 8 * 60 * width)
+        kept = None
+        if selection is not None:
+            kept = SelectionState(model, selection).without(50)
+        expected = self.whole_table(model, kept)
+        if model.sig_var.max() == 0.0 and kept is None:  # pure LoS
+            assert (model.denom == 0.0).any()
+        assert np.array_equal(model.marginal_objective(kept), expected)
+
+    def test_each_score_is_the_weighted_sum_of_its_selection(self, model):
+        state = SelectionState(model, [3, 50, 119])
+        scores = model.marginal_objective(state.without(50))
+        for n in (0, 50, 77):
+            assert scores[n] == pytest.approx(model.weighted_sum([3, 119, n]), rel=1e-12)
