@@ -40,8 +40,22 @@ def _load_document(args) -> dict:
             )
         return PRESETS[args.preset]()
     if args.config:
-        return json.loads(Path(args.config).read_text())
+        return _json_object(args.config, "scenario")
     raise ConfigurationError("either --config or --preset is required")
+
+
+def _json_object(path, what: str) -> dict:
+    """The JSON object in the file at ``path``; any other JSON value raises
+    naming ``what``."""
+    doc = json.loads(Path(path).read_text())
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _csv_cell(value):
+    """A CSV cell, floats written by repr so that they read back exactly."""
+    return repr(value) if isinstance(value, float) else value
 
 
 def _write_json(path, payload) -> None:
@@ -154,9 +168,7 @@ def cmd_sweep(args) -> int:
     if args.threads < 0:
         raise ConfigurationError(f"'--threads' must be at least 0, got {args.threads}")
     doc = _load_document(args)
-    spec = json.loads(Path(args.sweep).read_text())
-    if not isinstance(spec, dict):
-        raise ConfigurationError(f"sweep spec must be a JSON object, got {spec!r}")
+    spec = _json_object(args.sweep, "sweep spec")
     parameter = spec.get("parameter")
     values = spec.get("values", [])
     schemes = _spec_names(spec, "schemes", SWEEP_SCHEMES)
@@ -198,12 +210,7 @@ def cmd_sweep(args) -> int:
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["value", "scheme", "evaluator", "rate", "stderr", "note"])
-            for row in rows:
-                writer.writerow([repr(row[0]) if isinstance(row[0], float) else row[0],
-                                 row[1], row[2],
-                                 repr(row[3]) if isinstance(row[3], float) else row[3],
-                                 repr(row[4]) if isinstance(row[4], float) else row[4],
-                                 row[5]])
+            writer.writerows([_csv_cell(v) for v in row] for row in rows)
         print(f"wrote {path}")
     return 0
 
@@ -241,7 +248,7 @@ def _map_fields(spec: dict) -> dict:
 
 def cmd_map(args) -> int:
     doc = _load_document(args)
-    spec = json.loads(Path(args.map_spec).read_text())
+    spec = _json_object(args.map_spec, "map spec")
     kind = spec.get("kind")
     if kind not in ("power", "correlation"):
         raise ConfigurationError("map kind must be 'power' or 'correlation'")
@@ -330,11 +337,7 @@ def cmd_benchmark(args) -> int:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["scheme", "approx_mrc", "upper_bound", "note"])
-        for scheme, rate, bound, note in rows:
-            writer.writerow([scheme,
-                             repr(rate) if isinstance(rate, float) else rate,
-                             repr(bound) if isinstance(bound, float) else bound,
-                             note])
+        writer.writerows([_csv_cell(v) for v in row] for row in rows)
     print(f"wrote {path}")
     return 0
 

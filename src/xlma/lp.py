@@ -1,10 +1,16 @@
-"""Dense two-phase simplex for small-row, box-constrained linear programs.
+"""Dense two-phase simplex for the placement LP.
+
+It solves one problem shape, the LP relaxation that seeds successive
+replacement:
+
+    max c^T x  s.t.  sum(x) = N,  coverage @ x >= 1,  0 <= x <= 1.
 
 Upper bounds are handled inside the ratio test (bounded-variable simplex)
 rather than as explicit rows, so a placement LP with thousands of variables
-still has only a handful of tableau rows. Entering and leaving choices use
-Bland's rule (lowest eligible index), which is anti-cycling and makes every
-solve deterministic.
+still has only 1 + (coverage rows) tableau rows. Entering and leaving
+choices use Bland's rule (lowest eligible index), which is anti-cycling and
+makes every solve deterministic. The entering choice is one vectorized scan
+of the reduced costs; the ratio test walks the few rows.
 """
 
 from __future__ import annotations
@@ -33,15 +39,19 @@ class SimplexResult:
 
 
 class _Tableau:
-    """Working state: T = B^-1 A maintained by pivoting, x_B explicit."""
+    """Working state: T = B^-1 A maintained by pivoting, x_B explicit.
+
+    The last m columns of ``a`` are the artificials, the starting basis.
+    """
 
     def __init__(self, a, b, upper):
-        self.t = np.asarray(a, float).copy()
-        self.m, self.n = self.t.shape
-        self.upper = np.asarray(upper, float).copy()
-        self.status = np.full(self.n, AT_LOWER, dtype=np.int8)
-        self.basis = np.full(self.m, -1, dtype=int)
-        self.x_basic = np.asarray(b, float).copy()
+        self.t = a.copy()
+        self.m, n = a.shape
+        self.upper = upper
+        self.status = np.full(n, AT_LOWER, dtype=np.int8)
+        self.basis = np.arange(n - self.m, n)
+        self.status[self.basis] = BASIC
+        self.x_basic = b
         self.iterations = 0
 
     def set_basic(self, row: int, col: int):
@@ -60,24 +70,25 @@ class _Tableau:
         factors[row] = 0.0
         self.t -= np.outer(factors, self.t[row])
 
-    def run(self, c, allowed, max_iterations) -> str:
+    def entering(self, rc) -> tuple[int, int]:
+        """Bland's entering column for reduced costs ``rc`` and its direction
+        (1 up from the lower bound, -1 down from the upper), or (-1, 0) at
+        optimality: the lowest-index nonbasic column with room to move
+        whose reduced cost improves the objective."""
+        at_lower = self.status == AT_LOWER
+        eligible = (self.upper > 0.0) & np.where(
+            at_lower, rc > RC_TOL, (self.status == AT_UPPER) & (rc < -RC_TOL))
+        j = int(np.argmax(eligible))
+        if not eligible[j]:
+            return -1, 0
+        return j, 1 if at_lower[j] else -1
+
+    def run(self, c, max_iterations) -> str:
         """Bland-rule bounded simplex, maximizing c^T x. Mutates in place."""
-        c = np.asarray(c, float)
         while True:
             if self.iterations >= max_iterations:
                 return "iteration_limit"
-            rc = c - c[self.basis] @ self.t
-            entering = -1
-            direction = 0
-            for j in range(self.n):
-                if not allowed[j] or self.status[j] == BASIC or self.upper[j] <= 0.0:
-                    continue
-                if self.status[j] == AT_LOWER and rc[j] > RC_TOL:
-                    entering, direction = j, 1
-                    break
-                if self.status[j] == AT_UPPER and rc[j] < -RC_TOL:
-                    entering, direction = j, -1
-                    break
+            entering, direction = self.entering(c - c[self.basis] @ self.t)
             if entering < 0:
                 return "optimal"
 
@@ -127,143 +138,69 @@ class _Tableau:
             np.clip(self.x_basic, 0.0, None, out=self.x_basic)
 
 
-def solve_simplex(
-    c,
-    a,
-    relations,
-    b,
-    upper=None,
-    max_iterations: int | None = None,
-) -> SimplexResult:
-    """Solve max c^T x s.t. A x (<=, >=, =) b, 0 <= x <= upper.
+def solve_simplex(c, coverage, n_select: int) -> SimplexResult:
+    """Solve max c^T x s.t. sum(x) = n_select, coverage @ x >= 1, 0 <= x <= 1.
 
-    Returns the primal residual and the dual residual (reduced-cost sign
-    violation) of the final basis, so callers can assert an optimality
-    certificate. Complementary slackness holds by construction: every
-    nonbasic variable sits exactly at one of its bounds.
+    Tableau columns are the structural variables, then one surplus per
+    coverage row, then one artificial per row (the sum row first). Returns
+    the primal residual and the dual residual (reduced-cost sign violation)
+    of the final basis, so callers can assert an optimality certificate.
+    Complementary slackness holds by construction: every nonbasic variable
+    sits exactly at one of its bounds.
     """
     c = np.asarray(c, float)
-    a = np.atleast_2d(np.asarray(a, float))
-    b = np.asarray(b, float).copy()
-    relations = list(relations)
     n = len(c)
-    m = len(b)
-    if upper is None:
-        upper = np.full(n, np.inf)
-    upper = np.asarray(upper, float)
-    a = a.copy()
-    rel = []
-    for i, r in enumerate(relations):
-        if b[i] < 0:
-            a[i] *= -1
-            b[i] *= -1
-            r = {"<=": ">=", ">=": "<=", "=": "="}[r]
-        rel.append(r)
+    coverage = np.asarray(coverage, float).reshape(-1, n)
+    g = len(coverage)
+    m = 1 + g
+    cols = n + g
+    a = np.zeros((m, cols + m))
+    a[0, :n] = 1.0
+    a[1:, :n] = coverage
+    a[1 + np.arange(g), n + np.arange(g)] = -1.0
+    a[np.arange(m), cols + np.arange(m)] = 1.0
+    b = np.concatenate([[float(n_select)], np.ones(g)])
+    upper = np.concatenate([np.ones(n), np.full(g + m, np.inf)])
+    max_iterations = 1000 + 200 * (m + a.shape[1])
 
-    # Columns: structural | slack/surplus | artificial.
-    n_slack = sum(1 for r in rel if r != "=")
-    slack_of = {}
-    art_rows = []
-    cols = n + n_slack
-    slack_idx = n
-    ext_a = np.zeros((m, cols))
-    ext_a[:, :n] = a
-    ext_upper = np.concatenate([upper, np.full(n_slack, np.inf)])
-    for i, r in enumerate(rel):
-        if r == "<=":
-            ext_a[i, slack_idx] = 1.0
-            slack_of[i] = slack_idx
-            slack_idx += 1
-        elif r == ">=":
-            ext_a[i, slack_idx] = -1.0
-            slack_of[i] = slack_idx
-            slack_idx += 1
-            art_rows.append(i)
-        else:
-            art_rows.append(i)
-    n_art = len(art_rows)
-    full_a = np.hstack([ext_a, np.zeros((m, n_art))])
-    full_upper = np.concatenate([ext_upper, np.full(n_art, np.inf)])
-    for j, i in enumerate(art_rows):
-        full_a[i, cols + j] = 1.0
+    tab = _Tableau(a, b, upper)
+    c1 = np.zeros(a.shape[1])
+    c1[cols:] = -1.0
+    status = tab.run(c1, max_iterations)
+    if status != "optimal":
+        return SimplexResult(status, None, None, tab.iterations)
+    if tab.x_basic[tab.basis >= cols].sum() > FEAS_TOL:
+        return SimplexResult("infeasible", None, None, tab.iterations)
+    # Pivot any lingering zero-level artificials out where possible
+    # (degenerate pivots on at-lower columns keep the point unchanged).
+    for row in range(m):
+        if tab.basis[row] >= cols:
+            movable = (tab.status[:cols] == AT_LOWER) & (np.abs(tab.t[row, :cols]) > 1e-7)
+            if movable.any():
+                j = int(np.argmax(movable))
+                old = tab.basis[row]
+                tab.pivot(row, j)
+                tab.set_basic(row, j)
+                tab.status[old] = AT_LOWER
+                tab.x_basic[row] = max(tab.x_basic[row], 0.0)
+    # Phase 2 holds the artificials at zero: a zero upper bound keeps them
+    # out of the entering scan and stops any step that would lift one still
+    # basic (as when every candidate must be selected).
+    tab.upper[cols:] = 0.0
 
-    if max_iterations is None:
-        max_iterations = 1000 + 200 * (m + full_a.shape[1])
-
-    tab = _Tableau(full_a, b, full_upper)
-    for i, r in enumerate(rel):
-        if r == "<=":
-            tab.set_basic(i, slack_of[i])
-    for j, i in enumerate(art_rows):
-        tab.set_basic(i, cols + j)
-
-    allowed = np.ones(full_a.shape[1], dtype=bool)
-    if n_art:
-        c1 = np.zeros(full_a.shape[1])
-        c1[cols:] = -1.0
-        status = tab.run(c1, allowed, max_iterations)
-        if status != "optimal":
-            return SimplexResult(status, None, None, tab.iterations)
-        art_mask = np.zeros(full_a.shape[1], dtype=bool)
-        art_mask[cols:] = True
-        infeas = tab.x_basic[art_mask[tab.basis]].sum() if art_mask[tab.basis].any() else 0.0
-        if infeas > FEAS_TOL:
-            return SimplexResult("infeasible", None, None, tab.iterations)
-        # Pivot any lingering zero-level artificials out where possible
-        # (degenerate pivots on at-lower columns keep the point unchanged).
-        for row in range(m):
-            if art_mask[tab.basis[row]]:
-                for j in range(cols):
-                    if (tab.status[j] == AT_LOWER
-                            and abs(tab.t[row, j]) > 1e-7):
-                        old = tab.basis[row]
-                        tab.pivot(row, j)
-                        tab.set_basic(row, j)
-                        tab.status[old] = AT_LOWER
-                        tab.x_basic[row] = max(tab.x_basic[row], 0.0)
-                        break
-        allowed[cols:] = False
-
-    c2 = np.zeros(full_a.shape[1])
+    c2 = np.zeros(a.shape[1])
     c2[:n] = c
-    status = tab.run(c2, allowed, max_iterations)
+    status = tab.run(c2, max_iterations)
     if status != "optimal":
         return SimplexResult(status, None, None, tab.iterations)
 
-    x_full = tab.solution()
-    x = x_full[:n]
-    objective = float(c @ x)
-
-    # Optimality certificate pieces from the final basis.
-    lhs = a @ x
-    primal = 0.0
-    for i, r in enumerate(rel):
-        if r == "<=":
-            primal = max(primal, lhs[i] - b[i])
-        elif r == ">=":
-            primal = max(primal, b[i] - lhs[i])
-        else:
-            primal = max(primal, abs(lhs[i] - b[i]))
-    primal = max(primal, float(np.max(-x, initial=0.0)))
-    finite = np.isfinite(upper)
-    if finite.any():
-        primal = max(primal, float(np.max((x - upper)[finite], initial=0.0)))
-
-    rc = c2 - c2[tab.basis] @ tab.t
-    dual = 0.0
-    for j in range(cols):
-        if tab.status[j] == BASIC:
-            continue  # reduced cost is zeroed by pivoting
-        if tab.status[j] == AT_LOWER:
-            dual = max(dual, rc[j])           # must be <= 0 at optimum
-        else:
-            dual = max(dual, -rc[j])          # must be >= 0 at optimum
-
-    return SimplexResult(
-        "optimal",
-        x,
-        objective,
-        tab.iterations,
-        primal_residual=float(primal),
-        dual_residual=float(max(dual, 0.0)),
-    )
+    x = tab.solution()[:n]
+    lhs = a[:, :n] @ x  # [sum(x), coverage @ x]
+    primal = max(0.0, abs(lhs[0] - n_select), np.max(1.0 - lhs[1:], initial=0.0),
+                 np.max(-x, initial=0.0), np.max(x - 1.0, initial=0.0))
+    rc = (c2 - c2[tab.basis] @ tab.t)[:cols]
+    nonbasic = tab.status[:cols]
+    dual = max(0.0, np.max(rc[nonbasic == AT_LOWER], initial=0.0),
+               np.max(-rc[nonbasic == AT_UPPER], initial=0.0))
+    return SimplexResult("optimal", x, float(c @ x), tab.iterations,
+                         primal_residual=float(primal), dual_residual=float(dual))

@@ -131,11 +131,7 @@ def solve_lp(problem: LpProblem) -> LpSolution:
     padding with other candidates up to N gives a 0/1 point meeting every
     constraint. An infeasible LP can only come from a hand-built problem.
     """
-    n = len(problem.c)
-    rows = np.vstack([np.ones((1, n)), problem.coverage_rows])
-    rels = ["="] + [">="] * len(problem.coverage_rows)
-    rhs = np.concatenate([[float(problem.n_select)], np.ones(len(problem.coverage_rows))])
-    res = solve_simplex(problem.c, rows, rels, rhs, np.ones(n))
+    res = solve_simplex(problem.c, problem.coverage_rows, problem.n_select)
     if res.status != "optimal":
         raise ConfigurationError(f"initialization LP failed with status {res.status}")
     _check_certificate(res)

@@ -10,10 +10,9 @@ from .benchmarks import fpa_layout
 from .channel import (ArrayLayout, GainTables, LayoutStats, build_gain_tables,
                       check_support, compute_layout_stats, layout_stats_from_gains,
                       support_layout)
-from .errors import ConfigurationError
 from .optimizer import PlacementResult, exhaustive_search, successive_replacement
 from .rate import RateModel
-from .scenario import ScenarioConfig, compute_los_visibility
+from .scenario import ScenarioConfig, compute_los_visibility, load_scenario
 
 @dataclass
 class ScenarioContext:
@@ -95,9 +94,4 @@ class ScenarioContext:
 
 
 def context_from_document(doc) -> ScenarioContext:
-    from .scenario import load_scenario
-
-    scenario = load_scenario(doc)
-    if scenario.distribution is None:
-        raise ConfigurationError("scenario requires a user distribution")
-    return ScenarioContext.build(scenario)
+    return ScenarioContext.build(load_scenario(doc))

@@ -620,6 +620,20 @@ def _numbers(value, field: str, length: int) -> list:
     return [as_number(v, f"{field}[{i}]") for i, v in enumerate(value)]
 
 
+def _power_mw(dbm, field: str):
+    """A power in dBm (a number or a per-grid list) in mW. One that is not
+    positive and finite in mW, say NaN or past a float's range, raises
+    naming ``field`` and the entry."""
+    with np.errstate(over="ignore"):
+        mw = dbm_to_mw(dbm)
+    bad = np.flatnonzero(~((0 < mw) & (mw < np.inf)))
+    if bad.size:
+        where, value = ((f"{field}[{bad[0]}]", dbm[bad[0]]) if isinstance(dbm, list)
+                        else (field, dbm))
+        raise ConfigurationError(f"'{where}' must be a positive, finite power, got {value!r} dBm")
+    return mw
+
+
 def _integers(value, field: str) -> list:
     """``value`` as a list of ints, each entry named in its error."""
     if not isinstance(value, list):
@@ -638,7 +652,9 @@ def load_scenario(source) -> ScenarioConfig:
     elif isinstance(source, str):
         doc = json.loads(source)
     else:
-        doc = dict(source)
+        doc = source
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"a scenario must be a JSON object, got {type(doc).__name__}")
 
     ma_doc = _require(doc, "ma_region", "")
     ma = MaRegionSpec(
@@ -668,7 +684,12 @@ def load_scenario(source) -> ScenarioConfig:
             )
         kappa = np.inf
     else:
-        kappa = float(10.0 ** (as_number(kappa_db, "rician_kappa_db") / 10.0))
+        try:
+            kappa = 10.0 ** (as_number(kappa_db, "rician_kappa_db") / 10.0)
+        except OverflowError:
+            raise ConfigurationError(
+                f"'rician_kappa_db' {kappa_db!r} is past a float's range; "
+                "write 'infinite' for pure LoS") from None
 
     dist_doc = _require(doc, "distribution", "")
     distribution = UserDistribution.from_sets(
@@ -679,8 +700,11 @@ def load_scenario(source) -> ScenarioConfig:
            for key in ("hotspot_k1", "hotspot_k2")},
     )
 
+    obstacle_docs = doc.get("obstacles", [])
+    if not isinstance(obstacle_docs, list):
+        raise ConfigurationError(f"'obstacles' must be a list, got {obstacle_docs!r}")
     obstacles = []
-    for i, o in enumerate(doc.get("obstacles", [])):
+    for i, o in enumerate(obstacle_docs):
         where = f"obstacles[{i}]."
         center, dims = (tuple(_numbers(_require(o, key, where), where + key, 3))
                         for key in ("center", "dims"))
@@ -699,8 +723,8 @@ def load_scenario(source) -> ScenarioConfig:
         d_h=d_h,
         d_v=d_v,
         n_subarrays=_integer(doc, "n_subarrays", ""),
-        tx_power_mw=dbm_to_mw(np.asarray(tx_power_dbm)),
-        noise_power_mw=float(dbm_to_mw(_number(doc, "noise_power_dbm", ""))),
+        tx_power_mw=_power_mw(tx_power_dbm, "tx_power_dbm"),
+        noise_power_mw=float(_power_mw(_number(doc, "noise_power_dbm", ""), "noise_power_dbm")),
         rician_kappa=kappa,
         rng_seed=_integer(doc, "rng_seed", "", default=0),
         ma_region=ma,

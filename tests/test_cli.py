@@ -59,6 +59,10 @@ class TestPlan:
         (("rician_kappa_db",), None, "rician_kappa_db"),
         (("tx_power_dbm",), "high", "tx_power_dbm"),
         (("obstacles", 0, "center"), [4.0, 0.0], "obstacles[0].center"),
+        (("obstacles",), 5, "obstacles"),
+        (("obstacles",), None, "obstacles"),
+        (("rician_kappa_db",), 4000, "rician_kappa_db"),
+        (("tx_power_dbm",), 1e6, "tx_power_dbm"),
     ])
     def test_plan_rejects_non_finite_or_zero_value(self, tmp_path, capsys, path, value,
                                                    field):
@@ -74,6 +78,20 @@ class TestPlan:
         assert main(["plan", "--config", str(cfg), "--out", str(out)]) == 1
         assert field in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["plan", "--out", "x.json"],
+        ["sweep", "--sweep", "sweep.json", "--out-dir", "o"],
+        ["benchmark", "--out-dir", "o"],
+    ])
+    def test_config_must_be_an_object(self, tmp_path, capsys, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        cfg = write_config(tmp_path, [desk_full_los()])
+        (tmp_path / "sweep.json").write_text(json.dumps(
+            {"parameter": "m_h", "values": [2], "schemes": ["proposed"]}))
+        assert main([command[0], "--config", str(cfg), *command[1:]]) == 1
+        assert "scenario must be a JSON object" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists() and not (tmp_path / "o").exists()
 
     def test_plan_trace_jsonl(self, tmp_path):
         cfg = write_config(tmp_path, desk_full_los())
@@ -138,6 +156,7 @@ class TestSweep:
         ("expected_users", [None], 10, "values[0]"),
         ("rician_db", [10, None], 10, "values[1]"),
         ("rician_db", ["loud"], 10, "rician_kappa_db"),
+        ("rician_db", [10, 4000], 10, "rician_kappa_db"),
         ("m_h", [2], 2.7, "trials"),
         ("m_h", [2], True, "trials"),
         ("m_h", [2], "abc", "trials"),
@@ -341,6 +360,16 @@ class TestMap:
         assert main(["map", "--config", str(cfg), "--map-spec", str(spath),
                      "--out", str(out)]) == 1
         assert field in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_spec_must_be_an_object(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, desk_single_grid())
+        spath = tmp_path / "map.json"
+        spath.write_text(json.dumps([{"kind": "power", "scheme": {"support": [5]}}]))
+        out = tmp_path / "m.csv"
+        assert main(["map", "--config", str(cfg), "--map-spec", str(spath),
+                     "--out", str(out)]) == 1
+        assert "map spec must be a JSON object" in capsys.readouterr().err
         assert not out.exists()
 
     def test_three_coordinate_probe_point(self, tmp_path):

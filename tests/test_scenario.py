@@ -425,6 +425,13 @@ class TestLoadScenario:
         (("distribution", "hotspot_k2"), [1.5]),
         (("distribution", "hotspot_k2"), [True]),
         (("distribution", "hotspot_k2"), "0, 1"),
+        (("obstacles",), 5),
+        (("obstacles",), None),
+        # Past a float's range in linear units: no OverflowError, and (with
+        # warnings as errors) no numpy overflow warning either.
+        (("rician_kappa_db",), 4000),
+        (("tx_power_dbm",), 1e6),
+        (("noise_power_dbm",), 1e6),
     ])
     def test_bad_number_raises_naming_the_field(self, path, value):
         doc = desk_full_los()
@@ -434,6 +441,18 @@ class TestLoadScenario:
             target = target[step]
         target[key] = value
         with pytest.raises(ConfigurationError, match=key):
+            load_scenario(doc)
+
+    @pytest.mark.parametrize("doc", [[1, 2], "[1, 2]", 5])
+    def test_document_must_be_an_object(self, doc):
+        with pytest.raises(ConfigurationError, match="JSON object"):
+            load_scenario(doc)
+
+    def test_huge_per_grid_tx_power_is_named(self):
+        doc = desk_full_los()
+        doc["tx_power_dbm"] = [5.0] * load_scenario(doc).coverage.n_grids
+        doc["tx_power_dbm"][3] = 1e6
+        with pytest.raises(ConfigurationError, match=r"tx_power_dbm\[3\]"):
             load_scenario(doc)
 
     def test_bad_hotspot_entry_is_named(self):
