@@ -25,7 +25,8 @@ from .montecarlo import MapRequest, SimOptions, correlation_map, power_gain_map,
     simulate_weighted_sum_rate
 from .pipeline import ScenarioContext, context_from_document
 from .presets import PRESETS
-from .scenario import as_integer, as_number, dbm_to_mw, load_scenario, mw_to_dbm
+from .scenario import (as_integer, as_number, dbm_to_mw, load_scenario, mw_to_dbm,
+                       rician_kappa)
 
 SWEEP_PARAMETERS = ("m_h", "ma_width", "expected_users", "rician_db")
 SWEEP_SCHEMES = ("proposed", "optimal") + BENCHMARK_KINDS
@@ -115,8 +116,11 @@ def _apply_parameter(doc: dict, parameter: str, value, field: str) -> dict:
     elif parameter == "expected_users":
         out["distribution"]["expected_users"] = as_number(value, field)
     elif parameter == "rician_db":
-        # "infinite" is checked by load_scenario, as in a scenario document.
-        out["rician_kappa_db"] = value if isinstance(value, str) else as_number(value, field)
+        try:
+            rician_kappa(value)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"'{field}': {exc}") from None
+        out["rician_kappa_db"] = value
     else:
         raise ConfigurationError(
             f"unknown sweep parameter {parameter!r}; one of {SWEEP_PARAMETERS}"

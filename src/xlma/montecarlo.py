@@ -35,7 +35,7 @@ from .channel import (
     support_layout,
 )
 from .errors import ConfigurationError, DomainError
-from .rng import substream
+from .rng import substreams
 from .scenario import ScenarioConfig, segments_blocked
 
 
@@ -95,10 +95,10 @@ def simulate_trials(
 
     ``placement`` is a support, a layout, or a layout's ``LayoutStats`` over
     the grids with positive activation probability, in grid order. Trial t
-    draws from its own ``substream(seed, "mc", t)``. The draws are staged by
-    their number of active users J, all groups together under
-    ``rate.ASSEMBLY_BLOCK_BYTES``; then each group's channels and SINRs are
-    computed in one stacked call. Trial t's value is the sum of its own J
+    draws from its own ``substream(seed, "mc", t)``, all seeded in one pass
+    by ``substreams``. The draws are staged by their number of active users
+    J, all groups together under ``rate.ASSEMBLY_BLOCK_BYTES``; then each
+    group's channels and SINRs are computed in one stacked call. Trial t's value is the sum of its own J
     rates, as one trial at a time would give.
     """
     if not isinstance(placement, (ArrayLayout, LayoutStats)):
@@ -127,8 +127,9 @@ def simulate_trials(
 
     groups = {}
     staged_bytes = 0
-    for t in range(opts.trials):
-        draw = draw_realization(stats, rho_rows, substream(scenario.rng_seed, "mc", t))
+    streams = substreams(scenario.rng_seed, "mc", indices=np.arange(opts.trials))
+    for t, rng in enumerate(streams):
+        draw = draw_realization(stats, rho_rows, rng)
         if len(draw.columns) == 0:
             continue
         size = draw.psi.nbytes + draw.re.nbytes + draw.im.nbytes

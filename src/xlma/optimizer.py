@@ -231,16 +231,73 @@ def successive_replacement(
     )
 
 
+def _prefix_blocks(n_cols: int, n_select: int, width: int, max_heads: int):
+    """Every n_select-subset of range(n_cols) once, in blocks
+    ``(heads, x, tails)`` of at most ``width`` subsets and ``max_heads``
+    heads: head + (x, d) for each row of ``heads`` and each d in the range
+    ``tails``.
+
+    x is the second-largest element, each head an (n_select - 2)-subset of
+    range(x) and each tail d > x; for n_select == 1, x is None and heads
+    has one empty row. A block runs head-major, in lexicographic order.
+    """
+    if n_select == 1:
+        for d in range(0, n_cols, width):
+            yield np.empty((1, 0), np.intp), None, range(d, min(n_cols, d + width))
+        return
+    for x in range(n_select - 2, n_cols - 1):
+        for d in range(x + 1, n_cols, width):
+            tails = range(d, min(n_cols, d + width))
+            heads = itertools.combinations(range(x), n_select - 2)
+            rows = min(max_heads, width // len(tails))
+            while chunk := list(itertools.islice(heads, rows)):
+                yield np.array(chunk, np.intp).reshape(len(chunk), n_select - 2), x, tails
+
+
+def _block_sums(columns, heads, x, tails, out, prefix) -> np.ndarray:
+    """Sums of the rows of ``columns`` (a (C, K') table) over a
+    ``_prefix_blocks`` block's subsets, into ``out`` (subsets, K').
+
+    Each head's sum plus row x is formed once, into ``prefix``, and one
+    broadcast add appends every tail: the left fold ((a + b) + c) + d.
+    """
+    block = out.reshape(len(heads), len(tails), -1)
+    tail = columns[tails.start : tails.stop]
+    if x is None:
+        block[0] = tail
+        return out
+    if heads.shape[1] == 0:
+        prefix[...] = columns[x]
+    else:
+        scratch = out[: len(heads)]  # free until the broadcast add fills ``out``
+        # mode="clip" writes straight into the given buffer, where the
+        # default mode would write a copy; no head index reaches x.
+        np.take(columns, heads[:, 0], axis=0, out=prefix, mode="clip")
+        for col in heads.T[1:]:
+            np.take(columns, col, axis=0, out=scratch, mode="clip")
+            prefix += scratch
+        prefix += columns[x]
+    np.add(prefix[:, None, :], tail[None, :, :], out=block)
+    return out
+
+
 def exhaustive_search(
     model: RateModel, n_select: int, limit: int = EXHAUSTIVE_LIMIT
 ) -> tuple[np.ndarray, float]:
     """Global optimum over all N-subsets (lexicographically first among ties).
 
-    Subsets are scored in lexicographic order, in blocks whose float64
-    temporaries stay under ``rate.ASSEMBLY_BLOCK_BYTES``. Each score is summed
-    over grids on its own, not by a matvec that may round by position in the
-    block, so exact ties stay exact. The winner is re-scored by
-    ``model.weighted_sum``.
+    Subsets are scored in ``_prefix_blocks``, their column sums formed by
+    ``_block_sums``. That is the left fold which ``table[:, idx].sum(axis=2)``
+    applies to N gathered columns when K' >= 2. Each block is scored one
+    table at a time in ``RateModel._sinr_from_sums``' order, in buffers
+    allocated once per call: a block of ``rate.ASSEMBLY_BLOCK_BYTES`` for
+    the table's sums and one for the SINR, and a quarter block for the head
+    sums. A block holds one row of K' grids per subset, and each row's
+    weighted sum is numpy's pairwise sum over its own contiguous grids,
+    never a matvec that may round by position in the block, so exact ties
+    stay exact. Blocks are not in lexicographic order, so a block's best
+    that ties the best so far is compared with it as a support. The winner
+    is re-scored by ``model.weighted_sum``.
     """
     n_cols = model.n_cols
     if not 1 <= n_select <= n_cols:
@@ -250,24 +307,47 @@ def exhaustive_search(
         raise ConfigurationError(
             f"exhaustive search over {count} combinations exceeds limit {limit}"
         )
-    width = max(1, rate.ASSEMBLY_BLOCK_BYTES // (8 * len(model.rho) * n_select))
-    combos = itertools.combinations(range(n_cols), n_select)
+    n_rows = len(model.rho)
+    width = max(1, rate.ASSEMBLY_BLOCK_BYTES // (8 * n_rows))
+    max_heads = max(1, width // 4)
+    # (C, K') views: each subset's K' grids lie contiguous in every block.
+    sig_mean, sig_var, denom = model.sig_mean.T, model.sig_var.T, model.denom.T
+    sums = np.empty(width * n_rows)
+    work = np.empty(width * n_rows)
+    zero = np.empty(width * n_rows, dtype=bool)
+    prefix_sums = np.empty(max_heads * n_rows)
+    scores = np.empty(width)
     best_support = None
     best_value = -np.inf
-    for _ in range(0, count, width):
-        block = itertools.chain.from_iterable(itertools.islice(combos, width))
-        idx = np.fromiter(block, dtype=np.intp).reshape(-1, n_select)
-        gamma = model._sinr_from_sums(
-            model.pbar[:, None],
-            model.sig_mean[:, idx].sum(axis=2),
-            model.sig_var[:, idx].sum(axis=2),
-            model.denom[:, idx].sum(axis=2),
-        )
-        values = (model.rho[:, None] * np.log2(1.0 + gamma)).sum(axis=0)
-        j = int(np.argmax(values))  # first maximum = lexicographically first
-        if values[j] > best_value:
-            best_value = values[j]
-            best_support = idx[j]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for heads, x, tails in _prefix_blocks(n_cols, n_select, width, max_heads):
+            n = len(heads) * len(tails)
+            out = sums[: n * n_rows].reshape(n, n_rows)
+            prefix = prefix_sums[: len(heads) * n_rows].reshape(len(heads), n_rows)
+            gamma = work[: n * n_rows].reshape(n, n_rows)
+            unusable = zero[: n * n_rows].reshape(n, n_rows)
+            s_mean = _block_sums(sig_mean, heads, x, tails, out, prefix)
+            np.multiply(s_mean, s_mean, out=gamma)
+            gamma += _block_sums(sig_var, heads, x, tails, out, prefix)
+            gamma *= model.pbar
+            s_den = _block_sums(denom, heads, x, tails, out, prefix)
+            gamma /= s_den
+            np.greater(s_den, 0.0, out=unusable)  # gamma = 0 unless s_den > 0
+            np.logical_not(unusable, out=unusable)
+            np.copyto(gamma, 0.0, where=unusable)
+            gamma += 1.0
+            np.log2(gamma, out=gamma)
+            gamma *= model.rho
+            values = gamma.sum(axis=1, out=scores[:n])
+            j = int(np.argmax(values))  # first maximum: first in the block's order
+            value = values[j]
+            if not value >= best_value:
+                continue
+            head, d = divmod(j, len(tails))
+            support = (*heads[head].tolist(), *(() if x is None else (x,)), tails[d])
+            if best_support is None or value > best_value or support < best_support:
+                best_value = value
+                best_support = support
     chi = np.zeros(n_cols, dtype=np.uint8)
-    chi[best_support] = 1
-    return chi, model.weighted_sum(best_support)
+    chi[list(best_support)] = 1
+    return chi, model.weighted_sum(np.array(best_support))

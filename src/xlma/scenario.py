@@ -583,6 +583,29 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def rician_kappa(kappa_db) -> float:
+    """The linear Rician factor of ``rician_kappa_db``, a number in dB or the
+    string "infinite" (pure LoS); errors name the field and the value."""
+    if isinstance(kappa_db, str):
+        if kappa_db.lower() not in ("infinite", "inf"):
+            raise ConfigurationError(
+                f"'rician_kappa_db' must be a number in dB or 'infinite', got {kappa_db!r}"
+            )
+        return np.inf
+    db = as_number(kappa_db, "rician_kappa_db")
+    try:
+        kappa = 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ConfigurationError(
+            f"'rician_kappa_db' {kappa_db!r} is past a float's range; "
+            "write 'infinite' for pure LoS") from None
+    if not kappa > 0.0:  # underflow below about -3240 dB, or NaN
+        raise ConfigurationError(
+            f"'rician_kappa_db' {kappa_db!r} gives a linear Rician factor of {kappa!r}; "
+            "it must be > 0")
+    return kappa
+
+
 def as_number(value, field: str, finite: bool = False) -> float:
     """``value`` as a float; anything but a JSON number (a string, a bool,
     null, a list), or with ``finite`` a NaN or infinity, raises
@@ -642,15 +665,19 @@ def _integers(value, field: str) -> list:
 
 
 def load_scenario(source) -> ScenarioConfig:
-    """Build a ScenarioConfig from a JSON document (path, JSON text, or dict).
+    """Build a ScenarioConfig from a JSON document: a dict, JSON text (a str
+    whose first non-blank character is '{' or '['), or a path (any other
+    str, or a Path) to a file holding one.
 
     Powers are given in dBm (``tx_power_dbm``, ``noise_power_dbm``) and the
     Rician factor in dB (``rician_kappa_db``) or the string "infinite".
     """
-    if isinstance(source, (str, Path)) and Path(source).exists():
-        doc = json.loads(Path(source).read_text())
-    elif isinstance(source, str):
+    if isinstance(source, str) and source.lstrip().startswith(("{", "[")):
         doc = json.loads(source)
+    elif isinstance(source, (str, Path)):
+        if not Path(source).is_file():
+            raise ConfigurationError(f"no scenario file at {str(source)!r}")
+        doc = json.loads(Path(source).read_text())
     else:
         doc = source
     if not isinstance(doc, dict):
@@ -676,20 +703,7 @@ def load_scenario(source) -> ScenarioConfig:
     d_h = wavelength / 2.0 if doc.get("d_h") is None else _number(doc, "d_h", "")
     d_v = wavelength / 2.0 if doc.get("d_v") is None else _number(doc, "d_v", "")
 
-    kappa_db = doc.get("rician_kappa_db", "infinite")
-    if isinstance(kappa_db, str):
-        if kappa_db.lower() not in ("infinite", "inf"):
-            raise ConfigurationError(
-                f"rician_kappa_db must be a number in dB or 'infinite', got {kappa_db!r}"
-            )
-        kappa = np.inf
-    else:
-        try:
-            kappa = 10.0 ** (as_number(kappa_db, "rician_kappa_db") / 10.0)
-        except OverflowError:
-            raise ConfigurationError(
-                f"'rician_kappa_db' {kappa_db!r} is past a float's range; "
-                "write 'infinite' for pure LoS") from None
+    kappa = rician_kappa(doc.get("rician_kappa_db", "infinite"))
 
     dist_doc = _require(doc, "distribution", "")
     distribution = UserDistribution.from_sets(

@@ -12,11 +12,16 @@ a time, with every temporary at the segments' full shape. ``mrc_sinr`` and
 activation vector; ``wave_vector`` is one pair's unit direction, and
 ``element_positions`` lists every antenna element of a layout.
 ``simulate_trials_reference`` is the Monte Carlo loop one trial at a time:
-each trial's channel, SINRs and rate sum computed alone, with no staging.
+each trial's channel, SINRs and rate sum computed alone, with no staging,
+each seeded by numpy's own ``SeedSequence``. ``exhaustive_search_reference``
+scores every N-subset in lexicographic order, gathering and summing its N
+columns block by block.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +30,7 @@ from xlma.channel import channel_from_draws, draw_realization
 from xlma.errors import ConfigurationError, DomainError
 from xlma.montecarlo import _sinr_all_active
 from xlma.rate import RateModel, _fejer_axis, aux_f, fejer_correlation
-from xlma.rng import substream
+from xlma.rng import _key
 from xlma.scenario import grid_sample_points, segments_blocked
 
 
@@ -301,10 +306,39 @@ def simulate_trials_reference(scenario, stats, opts) -> np.ndarray:
     pbar_rows = scenario.snr_scale[stats.grid_rows]
     values = np.zeros(opts.trials)
     for t in range(opts.trials):
-        draw = draw_realization(stats, rho_rows, substream(scenario.rng_seed, "mc", t))
+        rng = np.random.default_rng(np.random.SeedSequence([scenario.rng_seed, _key("mc"), t]))
+        draw = draw_realization(stats, rho_rows, rng)
         if len(draw.columns) == 0:
             continue
         h = channel_from_draws(stats, draw.columns, draw.psi, draw.re, draw.im)
         gammas = _sinr_all_active(h, pbar_rows[draw.columns], opts.combiner)
         values[t] = np.log2(1.0 + gammas).sum()
     return values
+
+
+def exhaustive_search_reference(model: RateModel, n_select: int, block_bytes: int = 120_000):
+    """(support tuple, value) of the best N-subset, lexicographically first
+    among ties: subsets in lexicographic order, in blocks of
+    ``block_bytes // (8 * K' * N)``, each gathering its N columns and summing
+    them along the gathered axis; the value is ``model.weighted_sum``."""
+    n_cols = model.n_cols
+    count = math.comb(n_cols, n_select)
+    width = max(1, block_bytes // (8 * len(model.rho) * n_select))
+    combos = itertools.combinations(range(n_cols), n_select)
+    best_support = None
+    best_value = -np.inf
+    for _ in range(0, count, width):
+        block = itertools.chain.from_iterable(itertools.islice(combos, width))
+        idx = np.fromiter(block, dtype=np.intp).reshape(-1, n_select)
+        gamma = model._sinr_from_sums(
+            model.pbar[:, None],
+            model.sig_mean[:, idx].sum(axis=2),
+            model.sig_var[:, idx].sum(axis=2),
+            model.denom[:, idx].sum(axis=2),
+        )
+        values = (model.rho[:, None] * np.log2(1.0 + gamma)).sum(axis=0)
+        j = int(np.argmax(values))  # first maximum = lexicographically first
+        if values[j] > best_value:
+            best_value = values[j]
+            best_support = tuple(int(c) for c in idx[j])
+    return best_support, model.weighted_sum(np.array(best_support))

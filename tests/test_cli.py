@@ -157,6 +157,9 @@ class TestSweep:
         ("rician_db", [10, None], 10, "values[1]"),
         ("rician_db", ["loud"], 10, "rician_kappa_db"),
         ("rician_db", [10, 4000], 10, "rician_kappa_db"),
+        ("rician_db", ["loud"], 10, "values[0]"),
+        ("rician_db", [10, 4000], 10, "values[1]"),
+        ("rician_db", [10, -4000], 10, "'values[1]': 'rician_kappa_db' -4000"),
         ("m_h", [2], 2.7, "trials"),
         ("m_h", [2], True, "trials"),
         ("m_h", [2], "abc", "trials"),

@@ -1,13 +1,17 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import make_scenario
+from oracles import exhaustive_search_reference
 from xlma.channel import build_gain_tables
 from xlma.errors import ConfigurationError
 from xlma.optimizer import (
     SelectionState,
+    _prefix_blocks,
     best_replacement,
     exhaustive_search,
     round_top_n,
@@ -193,9 +197,35 @@ class TestExhaustive:
             exhaustive_search(model, 10, limit=1000)
 
 
-def set_block_width(monkeypatch, model, n_select, width):
-    """Make exhaustive_search score ``width`` combinations per block."""
-    monkeypatch.setattr(rate, "ASSEMBLY_BLOCK_BYTES", 8 * len(model.rho) * n_select * width)
+def set_block_width(monkeypatch, model, width):
+    """Make exhaustive_search score at most ``width`` combinations per block."""
+    monkeypatch.setattr(rate, "ASSEMBLY_BLOCK_BYTES", 8 * len(model.rho) * width)
+
+
+def block_of(model, n_select, width):
+    """{support: index of the block that scores it} for ``width``."""
+    blocks = {}
+    blocks_in_order = _prefix_blocks(model.n_cols, n_select, width, max(1, width // 4))
+    for b, (heads, x, tails) in enumerate(blocks_in_order):
+        for head in heads.tolist():
+            for d in tails:
+                blocks[(*head, *(() if x is None else (x,)), d)] = b
+    return blocks
+
+
+def random_model(seed, n_rows=12, n_cols=10, zero_den_row=None):
+    """Tables spread over many magnitudes, so sums round in every position."""
+    rng = np.random.default_rng(seed)
+
+    def table():
+        return rng.uniform(0.1, 1.0, (n_rows, n_cols)) * 10.0 ** rng.uniform(-8, 8, (n_rows, 1))
+
+    sig_mean, sig_var, denom = table(), table(), table()
+    if zero_den_row is not None:
+        denom[zero_den_row] = 0.0
+    return RateModel(np.arange(n_rows), rng.uniform(0.1, 1.0, n_rows),
+                     10.0 ** rng.uniform(2, 9, n_rows), np.full(n_cols, 4),
+                     sig_mean, sig_var, denom)
 
 
 class TestExhaustiveBlocks:
@@ -219,11 +249,37 @@ class TestExhaustiveBlocks:
                            rho=[0.3, 0.8, 0.5, 0.6], seed=4)
         model, _ = build_ctx(sc)
         for n_select in (1, 2, 3, 5):
-            set_block_width(monkeypatch, model, n_select, width)
+            set_block_width(monkeypatch, model, width)
             chi, val = exhaustive_search(model, n_select)
             supp, best = brute_force(model, n_select)
             assert tuple(np.flatnonzero(chi)) == supp
             assert val == best
+
+    @pytest.mark.parametrize("seed, zero_den_row", [(0, None), (1, 5), (2, None)])
+    @pytest.mark.parametrize("width", [None, 1, 4, 7])
+    def test_matches_reference_for_every_n(self, monkeypatch, seed, zero_den_row, width):
+        """Same support and value as the lexicographic block oracle, with
+        default, one-subset and tail-splitting block widths; one model has a
+        grid whose denominator is zero, so its SINR is 0."""
+        model = random_model(seed, zero_den_row=zero_den_row)
+        if width is not None:
+            set_block_width(monkeypatch, model, width)
+        for n_select in range(1, model.n_cols + 1):
+            chi, val = exhaustive_search(model, n_select)
+            supp, best = exhaustive_search_reference(model, n_select)
+            assert tuple(np.flatnonzero(chi)) == supp
+            assert val == best
+
+    def test_memory_bounded(self):
+        """K' = 50, C = 40, N = 4: every temporary stays block-sized."""
+        model = random_model(3, n_rows=50, n_cols=40)
+        tracemalloc.start()
+        try:
+            exhaustive_search(model, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
 
     def test_rejects_impossible_selection(self):
         sc = make_scenario(n_y=5, k_x=2, k_y=1, rho=[0.5, 0.5])
@@ -266,30 +322,57 @@ class TestExhaustiveTies:
                     return model, first, second
         pytest.fail("no adjacent column copy keeps the tied pair optimal")
 
-    def _ranks(self, model, first, second):
-        order = list(itertools.combinations(range(model.n_cols), self.N_SELECT))
-        return order.index(first), order.index(second)
+    def _blocks(self, model, first, second, width):
+        blocks = block_of(model, self.N_SELECT, width)
+        return blocks[first], blocks[second]
 
     def _check(self, monkeypatch, model, first, width):
-        set_block_width(monkeypatch, model, self.N_SELECT, width)
+        set_block_width(monkeypatch, model, width)
         chi, val = exhaustive_search(model, self.N_SELECT)
         assert tuple(np.flatnonzero(chi)) == first
         assert val == model.weighted_sum(np.array(first))
 
+    def _shared_width(self, model, first, second):
+        """The smallest block width that scores the pair in one block."""
+        for width in range(1, math.comb(model.n_cols, self.N_SELECT) + 1):
+            b1, b2 = self._blocks(model, first, second, width)
+            if b1 == b2:
+                return width
+        pytest.fail("the tied pair never shares a block")
+
     def test_tie_within_one_block(self, monkeypatch, tie):
         model, first, second = tie
-        r1, r2 = self._ranks(model, first, second)
-        width = r2 + 1  # block 0 holds ranks 0..r2
-        assert r1 // width == r2 // width
-        self._check(monkeypatch, model, first, width)
+        self._check(monkeypatch, model, first, self._shared_width(model, first, second))
 
     def test_tie_across_block_boundary(self, monkeypatch, tie):
         model, first, second = tie
-        r1, r2 = self._ranks(model, first, second)
-        width = r2  # r1 ends block 0, r2 starts block 1
-        assert r1 // width < r2 // width
+        width = self._shared_width(model, first, second) - 1
+        b1, b2 = self._blocks(model, first, second, width)
+        assert b1 != b2
         self._check(monkeypatch, model, first, width)
 
     def test_tie_one_combination_per_block(self, monkeypatch, tie):
         model, first, _ = tie
         self._check(monkeypatch, model, first, 1)
+
+    @pytest.mark.parametrize("width", [1, 5, 64])
+    def test_lexicographically_later_scored_first(self, monkeypatch, width):
+        """(1, 2, 3) is scored before (0, 5, 6), which is lexicographically
+        first. Each grid's signal sums to 2 over either support, in integers,
+        so the two tie exactly; every other support sums unevenly or lower."""
+        unit = {0: (2, 0, 0), 5: (0, 2, 0), 6: (0, 0, 2),
+                1: (1, 1, 0), 2: (0, 1, 1), 3: (1, 0, 1)}
+        sig_mean = np.zeros((3, 8))
+        for col, signal in unit.items():
+            sig_mean[:, col] = signal
+        model = RateModel(np.arange(3), np.ones(3), np.full(3, 1e3), np.full(8, 4),
+                          sig_mean, np.zeros((3, 8)), np.ones((3, 8)))
+        first, second = (0, 5, 6), (1, 2, 3)
+        set_block_width(monkeypatch, model, width)
+        blocks = block_of(model, self.N_SELECT, width)
+        assert blocks[second] < blocks[first]
+        assert exhaustive_search_reference(model, self.N_SELECT)[0] == first
+        assert model.weighted_sum(np.array(second)) == model.weighted_sum(np.array(first))
+        chi, val = exhaustive_search(model, self.N_SELECT)
+        assert tuple(np.flatnonzero(chi)) == first
+        assert val == model.weighted_sum(np.array(first))
