@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .rng import substream
+from .rng import substreams
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -128,10 +128,11 @@ class CoverageSpec:
             ]
         )
 
-    def cell_bounds(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(lower, upper) corners of grid cell ``k``; degenerate axes collapse."""
-        ix, iy, iz = grid_multi_index(k, self.k_x, self.k_y)
-        lo = np.array([self.x_min, self.y_min, self.z_min]) + np.array([ix, iy, iz]) * self.deltas
+    def cell_bounds(self, k) -> tuple[np.ndarray, np.ndarray]:
+        """(lower, upper) corners of grid cell ``k``, each (3,), or of every
+        cell of an index array, each (len(k), 3); degenerate axes collapse."""
+        index = np.stack(grid_multi_index(np.asarray(k), self.k_x, self.k_y), axis=-1)
+        lo = np.array([self.x_min, self.y_min, self.z_min]) + index * self.deltas
         return lo, lo + self.deltas
 
 
@@ -364,11 +365,23 @@ class _SlabTest:
     obstacle, so results are the same bit for bit.
     """
 
+    # float64 d (3 components) and five t temporaries, bool hit and blocked.
+    BYTES_PER_SEGMENT = 8 * 8 + 2
+
     def __init__(self, shape):
         self.d = np.empty((3,) + shape)
         self.t_lo, self.t_hi, self.t0, self.t1, self.tmin = np.empty((5,) + shape)
         self.hit = np.empty(shape, dtype=bool)
         self.blocked = np.empty(shape, dtype=bool)
+
+    def head(self, n: int) -> "_SlabTest":
+        """This test on the first ``n`` entries of its shape's axis 0, in
+        views of its buffers."""
+        view = object.__new__(_SlabTest)
+        view.d = self.d[:, :n]
+        for name in ("t_lo", "t_hi", "t0", "t1", "tmin", "hit", "blocked"):
+            setattr(view, name, getattr(self, name)[:n])
+        return view
 
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
     def __call__(self, starts: np.ndarray, ends: np.ndarray, obstacles) -> np.ndarray:
@@ -415,13 +428,61 @@ def segments_blocked(starts: np.ndarray, ends: np.ndarray, obstacles) -> np.ndar
     return _SlabTest(shape)(starts, ends, obstacles)
 
 
-def grid_sample_points(
-    cov: CoverageSpec, k: int, samples: int, rng_seed: int, purpose: str = "visibility"
-) -> np.ndarray:
-    """Uniform sample points inside grid cell ``k``, deterministic per (seed, k)."""
-    lo, hi = cov.cell_bounds(k)
-    rng = substream(rng_seed, purpose, k)
-    return lo + rng.random((samples, 3)) * (hi - lo)
+def cell_samples(cov: CoverageSpec, grid_indices, samples: int, rng_seed: int,
+                 purpose: str = "visibility") -> np.ndarray:
+    """Sample points of the cells ``grid_indices``, (cells, samples, 3).
+
+    Cell k's points are ``lo + r * (hi - lo)`` for its corners lo, hi and
+    r = ``substream(rng_seed, purpose, k).random((samples, 3))``: uniform in
+    the cell and fixed by (seed, purpose, k) alone. Every cell's substream
+    is seeded in one ``substreams`` pass.
+    """
+    lo, hi = cov.cell_bounds(grid_indices)
+    points = np.empty((len(lo), samples, 3))
+    for row, rng in zip(points, substreams(rng_seed, purpose, indices=grid_indices)):
+        rng.random(out=row)
+    points *= (hi - lo)[:, None, :]
+    points += lo[:, None, :]
+    return points
+
+
+# The cone prune widens each obstacle by this share of (the scene's largest
+# |coordinate| + 1); see ``visibility_from_points``.
+CONE_PAD = 1e-9
+
+
+def _window(slope, bound):
+    """(lower, upper): the t with slope * t <= bound are those in [lower,
+    upper], and none when ``upper`` is -inf. ``slope`` is (rows,
+    coordinates), ``bound`` (coordinates,). A quotient that is NaN (inf/inf
+    after an overflow) bounds nothing in ``_cone_mask``."""
+    ratio = bound / slope
+    lower = np.where(slope < 0, ratio, -np.inf)
+    upper = np.where(slope > 0, ratio, np.inf)
+    upper[(slope == 0) & (bound < 0)] = -np.inf
+    return lower, upper
+
+
+def _cone_mask(lower, upper, gathered, box_lo, box_hi, sample_lo, sample_hi, axes):
+    """Where the segments from a point to a row's sample box [sample_lo,
+    sample_hi] may meet the box [box_lo, box_hi]: a (rows, points) mask.
+
+    ``axes`` holds, per axis, the points' unique coordinates and the index
+    that gathers them back; ``lower``, ``upper`` and ``gathered`` are
+    (rows, points) buffers. fmax and fmin drop NaN bounds, which only
+    widens the windows.
+    """
+    lower.fill(0.0)
+    upper.fill(1.0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for a, (coords, inverse) in enumerate(axes):
+            lo1, up1 = _window(sample_lo[:, a, None] - coords, box_hi[a] - coords)
+            lo2, up2 = _window(coords - sample_hi[:, a, None], coords - box_lo[a])
+            np.take(np.fmax(lo1, lo2, out=lo1), inverse, axis=1, out=gathered, mode="clip")
+            np.fmax(lower, gathered, out=lower)
+            np.take(np.fmin(up1, up2, out=up1), inverse, axis=1, out=gathered, mode="clip")
+            np.fmin(upper, gathered, out=upper)
+    return lower <= upper
 
 
 def visibility_from_points(
@@ -438,24 +499,87 @@ def visibility_from_points(
     Entry (k, s) is 1 iff none of the ``samples_per_grid`` points drawn inside
     grid k is blocked from points[s]. Sample points use a per-grid RNG
     substream keyed by the absolute grid index, so results are independent of
-    evaluation order and of which grid subset is requested. ``grid_indices``
-    must be distinct grid indices (``check_indices``).
+    evaluation order and of which grid subset is requested. ``points`` must
+    be a finite (P, 3) array (else ``DomainError``), ``samples_per_grid`` a
+    positive integer (else ``ConfigurationError``) and ``grid_indices``
+    distinct grid indices (``check_indices``).
+
+    A cone prune decides which (grid, point) pairs each obstacle can shadow.
+    Every segment from point p to a sample of a row lies in the hull of p
+    and the samples' own bounding box [s_lo, s_hi] (not the cell's, which a
+    sample can round past). The hull's slice at t in [0, 1],
+    p + t * ([s_lo, s_hi] - p), is a box; it meets the obstacle [lo, hi] on
+    axis a iff t * (s_lo_a - p_a) <= hi_a - p_a and
+    t * (p_a - s_hi_a) <= p_a - lo_a. Where the six windows and [0, 1] have
+    no common t, no segment of the pair can touch the obstacle. The windows'
+    ends are the slab kernel's own quotients, up to sign, with a sample-box
+    corner in place of the sample, and rounding is monotone, so they hold
+    every t the kernel finds for the row's samples, rounding included: an
+    endpoint an ulp outside a face whose t rounds to 1.0 in the kernel gets
+    1.0 here too. On top of that the obstacle is widened by ``CONE_PAD``
+    times (the scene's largest |coordinate| + 1), a margin far past any
+    rounding. The pairs left run through the kernel with their segments'
+    exact operations, so the table is bit for bit that of testing every
+    pair.
+
+    Every row's samples are drawn first. Then rows go through the prune in
+    blocks and surviving pairs through the kernel in chunks, together within
+    the buffers of one (samples, points) slab test, which is what testing a
+    whole row at once held: a block takes at most half, a chunk the rest.
+    Both reuse one buffer set per call, the last partial ones through views.
     """
-    if samples_per_grid < 1:
+    samples = as_integer(samples_per_grid, "samples_per_grid")
+    if samples < 1:
         raise ConfigurationError("samples_per_grid must be >= 1")
-    points = np.atleast_2d(np.asarray(points, float))
+    points = np.asarray(points, float)
+    if points.ndim != 2 or points.shape[1] != 3:
+        raise DomainError(f"points must be a (P, 3) array, got shape {points.shape}")
+    if not np.all(np.isfinite(points)):
+        raise DomainError("points must be finite")
     if grid_indices is None:
         grid_indices = np.arange(cov.n_grids)
     grid_indices = check_indices(grid_indices, cov.n_grids, "grid_indices")
-    xi = np.ones((len(grid_indices), len(points)), dtype=np.uint8)
-    if not obstacles:
+    boxes = np.array([(box.lo, box.hi) for box in obstacles], float).reshape(-1, 2, 3)
+    if not np.all(np.isfinite(boxes)):
+        raise DomainError("obstacles must have finite bounds")
+    n_rows, n_points = len(grid_indices), len(points)
+    xi = np.ones((n_rows, n_points), dtype=np.uint8)
+    if not (len(boxes) and xi.size):
         return xi
-    # Segments laid out (samples, points): the long points axis is innermost.
-    slab_test = _SlabTest((samples_per_grid, len(points)))
-    for row, k in enumerate(grid_indices):
-        targets = grid_sample_points(cov, int(k), samples_per_grid, rng_seed, purpose)
-        blocked = slab_test(points[None, :, :], targets[:, None, :], obstacles)
-        xi[row] = ~blocked.any(axis=0)
+
+    axes = [np.unique(points[:, a], return_inverse=True) for a in range(3)]
+    corners = [cov.x_min, cov.x_max, cov.y_min, cov.y_max, cov.z_min, cov.z_max]
+    pad = CONE_PAD * (max(np.abs(points).max(), np.abs(boxes).max(), np.abs(corners).max()) + 1)
+    # Bytes per row of a block: (rows, points) masks and index, (rows,
+    # coordinates) windows. Per pair of a chunk: per segment the slab test,
+    # its parallel masks and the gathered sample, then the pair's indices,
+    # start point and hit.
+    budget = samples * n_points * _SlabTest.BYTES_PER_SEGMENT
+    row_bytes = 33 * n_points + 64 * max(len(coords) for coords, _ in axes)
+    pair_bytes = (_SlabTest.BYTES_PER_SEGMENT + 3 + 24) * samples + 49
+    block_rows = min(max(budget // 2 // row_bytes, 1), n_rows)
+    chunk = min(max((budget - block_rows * row_bytes) // pair_bytes, 1), block_rows * n_points)
+
+    slab_test = _SlabTest((chunk, samples))
+    ends = np.empty((chunk, samples, 3))
+    lower, upper, gathered = np.empty((3, block_rows, n_points))
+    targets = cell_samples(cov, grid_indices, samples, rng_seed, purpose)
+    sample_lo, sample_hi = targets.min(axis=1), targets.max(axis=1)
+    for first in range(0, n_rows, block_rows):
+        block = slice(first, first + block_rows)
+        rows = min(block_rows, n_rows - first)
+        for box, (box_lo, box_hi) in zip(obstacles, boxes):
+            near = _cone_mask(lower[:rows], upper[:rows], gathered[:rows], box_lo - pad,
+                              box_hi + pad, sample_lo[block], sample_hi[block], axes)
+            pairs = np.flatnonzero(near)
+            for start in range(0, len(pairs), chunk):
+                row, col = np.divmod(pairs[start:start + chunk], n_points)
+                count = len(row)
+                np.take(targets[block], row, axis=0, out=ends[:count], mode="clip")
+                test = slab_test if count == chunk else slab_test.head(count)
+                blocked = test(points[col][:, None, :], ends[:count], [box])
+                hit = blocked.any(axis=1)
+                xi[first + row[hit], col[hit]] = 0
     return xi
 
 

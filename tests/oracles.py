@@ -7,10 +7,13 @@ terms for every other grid, at O(K'^2 * C) cost. ``row_loop_model`` builds a
 ``RateModel`` through its public constructors with that assembly in place of
 the lag-domain one. ``build_kernel_tables`` materializes every pair's kernels.
 ``slab_hits_reference`` is the segment-box slab test written one obstacle at
-a time, with every temporary at the segments' full shape. ``mrc_sinr`` and
-``mmse_sinr`` give one user's SINR from a full channel matrix and an
-activation vector; ``wave_vector`` is one pair's unit direction, and
-``element_positions`` lists every antenna element of a layout.
+a time, with every temporary at the segments' full shape;
+``visibility_reference`` tests every segment of every (grid, point) pair
+with it, drawing each cell's samples alone (``grid_sample_points``).
+``mrc_sinr`` and ``mmse_sinr`` give one user's SINR from a full channel
+matrix and an activation vector; ``wave_vector`` is one pair's unit
+direction, and ``element_positions`` lists every antenna element of a
+layout.
 ``simulate_trials_reference`` is the Monte Carlo loop one trial at a time:
 each trial's channel, SINRs and rate sum computed alone, with no staging,
 each seeded by numpy's own ``SeedSequence``. ``exhaustive_search_reference``
@@ -30,8 +33,8 @@ from xlma.channel import channel_from_draws, draw_realization
 from xlma.errors import ConfigurationError, DomainError
 from xlma.montecarlo import _sinr_all_active
 from xlma.rate import RateModel, _fejer_axis, aux_f, fejer_correlation
-from xlma.rng import _key
-from xlma.scenario import grid_sample_points, segments_blocked
+from xlma.rng import _key, substream
+from xlma.scenario import segments_blocked
 
 
 def aux_g(xi_k, xi_i, kap_k, kap_i, pure_los: bool):
@@ -204,8 +207,17 @@ def blocked_reference(starts, ends, obstacles) -> np.ndarray:
     return blocked
 
 
+def grid_sample_points(cov, k: int, samples: int, rng_seed: int, purpose: str = "visibility"):
+    """Uniform sample points inside grid cell ``k``, from its own
+    ``substream(rng_seed, purpose, k)``: one row of ``cell_samples``."""
+    lo, hi = cov.cell_bounds(k)
+    rng = substream(rng_seed, purpose, k)
+    return lo + rng.random((samples, 3)) * (hi - lo)
+
+
 def visibility_reference(points, cov, obstacles, samples_per_grid, rng_seed, grid_indices):
-    """``visibility_from_points`` over ``blocked_reference``."""
+    """``visibility_from_points`` over ``blocked_reference``: every segment
+    of every (grid, point) pair tested, with no prune."""
     points = np.asarray(points, float)
     xi = np.ones((len(grid_indices), len(points)), dtype=np.uint8)
     for row, k in enumerate(grid_indices):
