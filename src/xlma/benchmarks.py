@@ -18,6 +18,7 @@ from .scenario import (
     CoverageSpec,
     ScenarioConfig,
     candidate_linear_index,
+    distinct_sorted,
     grid_linear_index,
 )
 
@@ -161,7 +162,7 @@ def hotspot_type(type_id: int, cov: CoverageSpec) -> np.ndarray:
                 f"hotspot type {type_id} index {(kx1, ky1, kz1)} outside the grid"
             )
         linear.append(grid_linear_index(kx1 - 1, ky1 - 1, kz1 - 1, cov.k_x, ky_count))
-    out = np.unique(np.asarray(linear, int))
+    out = distinct_sorted(np.asarray(linear, int))
     if len(out) != 12:
         raise ConfigurationError(
             f"hotspot type {type_id} produced {len(out)} distinct grids, expected 12"

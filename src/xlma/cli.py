@@ -13,7 +13,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +33,8 @@ SWEEP_EVALUATORS = ("approx_mrc", "sim_mrc", "sim_mmse", "upper_bound")
 
 
 def _load_document(args) -> dict:
+    if args.config is not None and args.preset is not None:
+        raise ConfigurationError("give either --config or --preset, not both")
     if args.preset:
         if args.preset not in PRESETS:
             raise ConfigurationError(
@@ -197,6 +198,8 @@ def cmd_sweep(args) -> int:
         return _sweep_cell(contexts[vi], schemes[si], evaluators, trials)
 
     if args.threads > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
             for ci, rows in enumerate(pool.map(run_cell, range(len(cells)))):
                 results[ci] = rows

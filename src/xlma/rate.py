@@ -132,7 +132,15 @@ class RateModel:
     def _assemble(cls, scenario, tables: GainTables, geometry) -> "RateModel":
         """Model over the columns of ``tables``, with (m_h, m_v, d_h, d_v) per
         column, assembled block by block: only the three outputs are whole
-        tables."""
+        tables.
+
+        An axis lag of 0 has cos 1 and sin +-0 exactly, so no cos or sin is
+        taken of it: a lag on one axis only uses that axis's cos and sin as
+        they are, where angle addition with 1 and +-0 would give the same
+        values. (It could differ only in the sign of a zero sine, which no
+        output can show: every term it reaches is added to a lag sum that
+        starts at +0 or above.)
+        """
         mh_col, mv_col, dh_col, dv_col = (np.array(axis) for axis in zip(*geometry))
         m_col = mh_col * mv_col
         grid_rows = tables.grid_rows
@@ -157,29 +165,36 @@ class RateModel:
             w = power * beta
             a = xi if pure else kappa * xi / (kappa * xi + 1.0)
             wa = w * a
-            lag_sum = (mh_col[c] * mv_col[c]) * _others(wa)  # lag 0
+            others_wa = _others(wa)
+            lag_sum = m_col[c] * others_wa  # lag 0
             # Lag -l adds the same real term as lag l, so run the half plane
             # l_h > 0 or l_h = 0 < l_v at double weight. A column with fewer
             # antennas than the largest gives the lags beyond its span weight 0.
-            # cos/sin per axis lag, joined by angle addition for each lag pair:
-            # (2*M_h + 2*M_v) transcendentals per entry instead of ~L.
+            # cos/sin per nonzero axis lag, joined by angle addition for each
+            # lag pair: 2*(M_h + M_v - 2) transcendentals per entry instead of ~L.
             phase_h = theta_h[c] * u[:, :, 1]
             phase_v = theta_v[c] * u[:, :, 2]
-            cos_v = [np.cos(lv * phase_v) for lv in range(mv_max)]
-            sin_v = [np.sin(lv * phase_v) for lv in range(mv_max)]
+            cos_v = {lv: np.cos(lv * phase_v) for lv in range(1, mv_max)}
+            sin_v = {lv: np.sin(lv * phase_v) for lv in range(1, mv_max)}
             for lh in range(mh_max):
-                cos_h, sin_h = np.cos(lh * phase_h), np.sin(lh * phase_h)
+                if lh:
+                    cos_h, sin_h = np.cos(lh * phase_h), np.sin(lh * phase_h)
                 for lv in range(1 - mv_max if lh else 1, mv_max):
                     weight = 2.0 * (np.maximum(mh_col[c] - lh, 0)
                                     * np.maximum(mv_col[c] - abs(lv), 0))
-                    cv = cos_v[abs(lv)]
-                    sv = sin_v[lv] if lv >= 0 else -sin_v[-lv]
-                    cos = cos_h * cv - sin_h * sv
-                    sin = sin_h * cv + cos_h * sv
+                    if lv == 0:
+                        cos, sin = cos_h, sin_h
+                    elif lh == 0:
+                        cos, sin = cos_v[lv], sin_v[lv]
+                    else:
+                        cv = cos_v[abs(lv)]
+                        sv = sin_v[lv] if lv > 0 else -sin_v[-lv]
+                        cos = cos_h * cv - sin_h * sv
+                        sin = sin_h * cv + cos_h * sv
                     lag_sum += weight * (cos * _others(wa * cos) + sin * _others(wa * sin))
             interf = a * lag_sum
             if not pure:
-                interf += m_col[c] * (_others(w) - a * _others(wa))
+                interf += m_col[c] * (_others(w) - a * others_wa)
             denom[:, c] = beta * interf + sig_mean[:, c]
         return cls(grid_rows, rho, pbar, m_col, sig_mean, sig_var, denom)
 

@@ -32,6 +32,19 @@ def mw_to_dbm(mw: float) -> float:
     return 10.0 * np.log10(mw)
 
 
+def distinct_sorted(values) -> np.ndarray:
+    """The distinct entries of the index list ``values``, ascending.
+
+    Equal to plain ``np.unique`` on integer input, which on numpy 2.x
+    imports ``numpy.ma`` (and ``ast`` and ``tokenize`` with it) on its first
+    call in a process.
+    """
+    out = np.sort(np.asarray(values).ravel())
+    keep = np.ones(out.size, bool)
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
 def _check_finite(what: str, *values) -> None:
     """Reject NaN and infinite entries (JSON parsing accepts both)."""
     if not np.all(np.isfinite(np.asarray(values, float))):
@@ -231,7 +244,7 @@ def assign_probabilities(
     n0, n1, n2 = len(k0), len(k1), len(k2)
     total = n0 + n1 + n2
     combined = np.concatenate([k0, k1, k2])
-    if len(np.unique(combined)) != total or combined.min(initial=0) < 0 or (
+    if len(distinct_sorted(combined)) != total or combined.min(initial=0) < 0 or (
         total and combined.max() != total - 1
     ):
         raise ConfigurationError("k0/k1/k2 must partition the grid index range")
@@ -340,7 +353,7 @@ def check_indices(indices, size: int, what: str) -> np.ndarray:
         raise DomainError(f"{what} must be one-dimensional")
     if out.size and (out.min() < 0 or out.max() >= size):
         raise DomainError(f"{what} indices must lie in [0, {size})")
-    if np.unique(out).size != out.size:
+    if distinct_sorted(out).size != out.size:
         raise DomainError(f"{what} indices must be distinct")
     return out
 

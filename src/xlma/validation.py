@@ -27,6 +27,7 @@ from .scenario import (
     UserDistribution,
     candidate_linear_index,
     candidate_multi_index,
+    distinct_sorted,
     grid_linear_index,
     grid_multi_index,
 )
@@ -109,7 +110,7 @@ def _check_moments(scenario, draws, corrupt, rng) -> CheckResult:
         return CheckResult("moment-identities", False, "no active grids")
     n0 = scenario.ma_region.n_candidates
     support = np.linspace(0, n0 - 1, min(3, n0)).astype(int)
-    layout = support_layout(scenario, np.unique(support))
+    layout = support_layout(scenario, distinct_sorted(support))
     stats = compute_layout_stats(scenario, layout, grid_indices=rows)
     m = scenario.antennas_per_subarray
     f = aux_f(m, stats.xi, scenario.rician_kappa, scenario.pure_los)
@@ -162,7 +163,7 @@ def _check_pure_los_exactness(scenario) -> CheckResult:
     ctx = ScenarioContext.build(single)
     n0 = single.ma_region.n_candidates
     support = np.linspace(0, n0 - 1, single.n_subarrays).astype(int)
-    support = np.unique(support)
+    support = distinct_sorted(support)
     closed = ctx.model.weighted_sum(support)
     values = simulate_trials(single, support, SimOptions(trials=16, combiner="mrc"))
     err = float(np.max(np.abs(values - closed)))

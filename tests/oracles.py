@@ -3,9 +3,11 @@ test-only helpers over its public API.
 
 ``assemble_row_loop`` is the interference assembly written pair by pair:
 one pass over the interfering grids, each adding its Fejer-kernel, g and q
-terms for every other grid, at O(K'^2 * C) cost. ``row_loop_model`` builds a
-``RateModel`` through its public constructors with that assembly in place of
-the lag-domain one. ``build_kernel_tables`` materializes every pair's kernels.
+terms for every other grid, at O(K'^2 * C) cost. ``assemble_angle_addition``
+is the lag-domain assembly that forms every lag's cos and sin by angle
+addition, axis lag 0 included. ``model_with_assembly`` builds a
+``RateModel`` through its public constructors with either in place of the
+library's one. ``build_kernel_tables`` materializes every pair's kernels.
 ``slab_hits_reference`` is the segment-box slab test written one obstacle at
 a time, with every temporary at the segments' full shape;
 ``visibility_reference`` tests every segment of every (grid, point) pair
@@ -32,7 +34,8 @@ import numpy as np
 from xlma.channel import channel_from_draws, draw_realization
 from xlma.errors import ConfigurationError, DomainError
 from xlma.montecarlo import _sinr_all_active
-from xlma.rate import RateModel, _fejer_axis, aux_f, fejer_correlation
+from xlma.rate import ASSEMBLY_BLOCK_BYTES, RateModel, _fejer_axis, _others, aux_f, \
+    fejer_correlation
 from xlma.rng import _key, substream
 from xlma.scenario import segments_blocked
 
@@ -160,15 +163,64 @@ def assemble_row_loop(cls, scenario, tables, geometry):
     return cls(grid_rows, rho, pbar, m_col, sig_mean, sig_var, denom)
 
 
-def row_loop_model(constructor, scenario, data) -> RateModel:
-    """``constructor(scenario, data)`` (a ``RateModel`` constructor) with the
-    row-loop assembly in place of the lag-domain one."""
-    lag_domain = RateModel.__dict__["_assemble"]
-    RateModel._assemble = classmethod(assemble_row_loop)
+def assemble_angle_addition(cls, scenario, tables, geometry):
+    """``RateModel._assemble`` with cos and sin taken of every axis lag, 0
+    included, and every lag pair joined by angle addition."""
+    mh_col, mv_col, dh_col, dv_col = (np.array(axis) for axis in zip(*geometry))
+    m_col = mh_col * mv_col
+    grid_rows = tables.grid_rows
+    rho = scenario.distribution.rho[grid_rows]
+    pbar = scenario.snr_scale[grid_rows]
+    kappa = tables.kappa
+    pure = np.isinf(kappa)
+    n_rows, n_cols = tables.beta_los.shape
+
+    sig_mean, sig_var, denom = np.empty((3, n_rows, n_cols))
+    power = (pbar * rho)[:, None]
+    theta_h = 2.0 * np.pi * dh_col / scenario.wavelength
+    theta_v = 2.0 * np.pi * dv_col / scenario.wavelength
+    mh_max, mv_max = int(mh_col.max()), int(mv_col.max())
+    width = max(1, ASSEMBLY_BLOCK_BYTES // (8 * n_rows))
+    for start in range(0, n_cols, width):
+        c = slice(start, start + width)
+        xi, beta_los, u = tables.xi[:, c], tables.beta_los[:, c], tables.u[:, c]
+        beta = xi * beta_los + beta_los / kappa
+        sig_mean[:, c] = m_col[c] * beta
+        sig_var[:, c] = beta * beta * aux_f(m_col[c], xi, kappa, pure)
+        w = power * beta
+        a = xi if pure else kappa * xi / (kappa * xi + 1.0)
+        wa = w * a
+        lag_sum = (mh_col[c] * mv_col[c]) * _others(wa)
+        phase_h = theta_h[c] * u[:, :, 1]
+        phase_v = theta_v[c] * u[:, :, 2]
+        cos_v = [np.cos(lv * phase_v) for lv in range(mv_max)]
+        sin_v = [np.sin(lv * phase_v) for lv in range(mv_max)]
+        for lh in range(mh_max):
+            cos_h, sin_h = np.cos(lh * phase_h), np.sin(lh * phase_h)
+            for lv in range(1 - mv_max if lh else 1, mv_max):
+                weight = 2.0 * (np.maximum(mh_col[c] - lh, 0)
+                                * np.maximum(mv_col[c] - abs(lv), 0))
+                cv = cos_v[abs(lv)]
+                sv = sin_v[lv] if lv >= 0 else -sin_v[-lv]
+                cos = cos_h * cv - sin_h * sv
+                sin = sin_h * cv + cos_h * sv
+                lag_sum += weight * (cos * _others(wa * cos) + sin * _others(wa * sin))
+        interf = a * lag_sum
+        if not pure:
+            interf += m_col[c] * (_others(w) - a * _others(wa))
+        denom[:, c] = beta * interf + sig_mean[:, c]
+    return cls(grid_rows, rho, pbar, m_col, sig_mean, sig_var, denom)
+
+
+def model_with_assembly(assemble, constructor, scenario, data) -> RateModel:
+    """``constructor(scenario, data)`` (a ``RateModel`` constructor) with
+    ``assemble`` in place of ``RateModel._assemble``."""
+    library = RateModel.__dict__["_assemble"]
+    RateModel._assemble = classmethod(assemble)
     try:
         return constructor(scenario, data)
     finally:
-        RateModel._assemble = lag_domain
+        RateModel._assemble = library
 
 
 def slab_hits_reference(starts, ends, lo, hi) -> np.ndarray:

@@ -389,16 +389,76 @@ class TestMap:
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
+def fresh_interpreter_env():
+    """The environment for a fresh interpreter that imports this xlma."""
+    src = str(Path(xlma.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def test_import_leaves_scipy_unloaded():
     """The package and its CLI run on numpy alone; scipy is a test dependency."""
-    src = str(Path(xlma.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import sys, xlma, xlma.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    done = subprocess.run([sys.executable, "-c", code], env=env,
+    done = subprocess.run([sys.executable, "-c", code], env=fresh_interpreter_env(),
                           capture_output=True, text=True, check=True)
     assert done.stdout.strip() == "[]"
+
+
+# The other arguments each command needs, with its inputs from write_specs.
+COMMAND_ARGS = {
+    "plan": ["--out", "plan.json"],
+    "sweep": ["--sweep", "sweep.json", "--out-dir", "o"],
+    "map": ["--map-spec", "map.json", "--out", "map.csv"],
+    "validate": ["--draws", "1000"],
+    "benchmark": ["--out-dir", "o"],
+}
+
+
+def write_specs(directory):
+    (directory / "sweep.json").write_text(json.dumps(
+        {"parameter": "m_h", "values": [2, 4], "schemes": ["proposed", "dense_ula"],
+         "evaluators": ["approx_mrc", "sim_mrc"], "trials": 20}))
+    (directory / "map.json").write_text(json.dumps({"kind": "power", "resolution": 6}))
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
+def test_config_and_preset_together_rejected(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    write_specs(tmp_path)
+    cfg = write_config(tmp_path, desk_full_los())
+    assert main([command, "--preset", "desk_single_grid", "--config", str(cfg),
+                 *COMMAND_ARGS[command]]) == 1
+    captured = capsys.readouterr()
+    assert "--config" in captured.err and "--preset" in captured.err
+    assert captured.out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "map.json",
+                                                          "sweep.json"]
+
+
+@pytest.mark.parametrize("command, extra, loaded", [
+    ("plan", [], []),
+    ("sweep", ["--threads", "1"], []),
+    ("sweep", ["--threads", "2"], ["concurrent.futures"]),
+    ("benchmark", [], []),
+    ("validate", [], []),
+    ("map", [], []),
+])
+def test_commands_load_only_modules_they_use(tmp_path, command, extra, loaded):
+    """numpy.ma (which plain np.unique imports on numpy 2.x) is never
+    loaded, and the thread pool only for a sweep on more than one thread."""
+    write_specs(tmp_path)
+    code = ("import contextlib, io, json, sys\n"
+            "from xlma.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:])\n"
+            "lazy = ('numpy.ma', 'concurrent.futures')\n"
+            "print(json.dumps([code, [m for m in lazy if m in sys.modules]]))")
+    argv = [command, "--preset", "desk_partial_los", *COMMAND_ARGS[command], *extra]
+    done = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path,
+                          env=fresh_interpreter_env(), capture_output=True, text=True,
+                          check=True)
+    assert json.loads(done.stdout) == [0, loaded]
 
 
 class TestValidate:

@@ -15,12 +15,16 @@ from xlma.channel import (
     steering_vector,
     support_layout,
 )
+from xlma.benchmarks import BENCHMARK_KINDS, fpa_layout
 from xlma.errors import ConfigurationError, DomainError
 from xlma.optimizer import SelectionState
+from xlma.pipeline import context_from_document
+from xlma.presets import PRESETS
 from xlma.rate import RateModel, aux_f, fejer_correlation
 from xlma import rate as rate_module
-from oracles import (aux_g, aux_kernels, aux_q, build_kernel_tables, marginal_rate,
-                     row_loop_model, upper_bound_rate)
+from oracles import (assemble_angle_addition, assemble_row_loop, aux_g, aux_kernels, aux_q,
+                     build_kernel_tables, marginal_rate, model_with_assembly,
+                     upper_bound_rate)
 from xlma.rng import substream
 
 LAMBDA = 299792458.0 / 30e9
@@ -216,7 +220,7 @@ class TestSinrRatioOfMeansOracle:
 def assert_matches_row_loop(constructor, sc, data):
     """``constructor(sc, data)`` against the same model from the row loop."""
     fast = constructor(sc, data)
-    slow = row_loop_model(constructor, sc, data)
+    slow = model_with_assembly(assemble_row_loop, constructor, sc, data)
     for name in ("sig_mean", "sig_var", "denom"):
         np.testing.assert_allclose(getattr(fast, name), getattr(slow, name),
                                    rtol=1e-12, atol=0, err_msg=name)
@@ -317,7 +321,8 @@ class TestLagDomainAssembly:
         gains = build_gain_tables(sc, sc.candidates(), sc.grid_centers(),
                                   np.ones((20, 16), np.uint8))
         fast = RateModel.from_candidate_tables(sc, gains)
-        slow = row_loop_model(RateModel.from_candidate_tables, sc, gains)
+        slow = model_with_assembly(assemble_row_loop, RateModel.from_candidate_tables,
+                                   sc, gains)
         w_sum = (sc.snr_scale[:20] * rho) @ gains.beta_total
         bound = 8 * np.finfo(float).eps * (64 * gains.beta_total * w_sum + slow.denom)
         assert np.all(np.abs(fast.denom - slow.denom) <= bound)
@@ -345,6 +350,90 @@ class TestLagDomainAssembly:
             blocked = RateModel.from_candidate_tables(sc, gains)
             for name in ("sig_mean", "sig_var", "denom"):
                 assert np.array_equal(getattr(blocked, name), getattr(whole, name)), (width, name)
+
+
+def assert_same_bits(constructor, sc, data):
+    """``constructor(sc, data)`` equals, sign bits included, the same model
+    assembled with angle addition at every axis lag."""
+    fast = constructor(sc, data)
+    slow = model_with_assembly(assemble_angle_addition, constructor, sc, data)
+    for name in ("sig_mean", "sig_var", "denom"):
+        mine, theirs = getattr(fast, name), getattr(slow, name)
+        assert mine.dtype == theirs.dtype == np.float64, name
+        assert np.array_equal(mine.view(np.int64), theirs.view(np.int64)), name
+
+
+def with_zero_wave_components(data, seed):
+    """``data`` with about a third of its wave vectors' y and z components
+    set to +0 or -0 exactly, where a sine of the phase is a signed zero."""
+    rng = np.random.default_rng(seed)
+    u = data.u.copy()
+    for axis in (1, 2):
+        hit = rng.random(u.shape[:2]) < 1 / 3
+        u[..., axis][hit] = np.where(rng.random(hit.sum()) < 0.5, 0.0, -0.0)
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    return dataclasses.replace(data, u=u)
+
+
+class TestAxisLagZero:
+    """The assembly takes no cos or sin of an axis lag of 0 and joins no
+    angles with it; the outputs keep every bit of full angle addition."""
+
+    @pytest.mark.parametrize("kappa", [np.inf, 7.0])
+    @pytest.mark.parametrize("m_h, m_v", [(1, 1), (4, 1), (1, 4), (4, 4), (3, 2)])
+    def test_candidate_tables(self, kappa, m_h, m_v):
+        rho = np.random.default_rng(m_h).uniform(0.05, 1.0, 12)
+        sc = make_scenario(n_y=9, n_z=3, k_x=3, k_y=4, m_h=m_h, m_v=m_v,
+                           kappa=kappa, rho=rho, seed=m_v)
+        gains = random_visibility_tables(sc, seed=m_h)
+        assert_same_bits(RateModel.from_candidate_tables, sc, gains)
+        zeros = with_zero_wave_components(gains, seed=m_v)
+        assert np.any(np.signbit(zeros.u[..., 1][zeros.u[..., 1] == 0.0]))
+        assert_same_bits(RateModel.from_candidate_tables, sc, zeros)
+
+    @pytest.mark.parametrize("kappa", [np.inf, 7.0])
+    def test_mixed_layout(self, kappa):
+        rho = np.random.default_rng(3).uniform(0.05, 1.0, 12)
+        sc = make_scenario(k_x=3, k_y=4, kappa=kappa, rho=rho)
+        lam = sc.wavelength
+        layout = ArrayLayout((
+            Subarray((0.0, -15.0, 15.0), 4, 1, lam / 2, lam / 2),
+            Subarray((0.0, -5.0, 15.0), 2, 3, lam, lam / 2),
+            Subarray((0.0, 0.0, 15.0), 1, 4, lam / 2, lam),
+            Subarray((0.0, 5.0, 15.0), 16, 1, lam / 2, lam / 2),
+            Subarray((0.0, 15.0, 15.0), 1, 1, lam / 2, lam / 2),
+            Subarray((0.0, 15.0, 25.0), 3, 5, 0.7 * lam, 1.3 * lam),
+        ))
+        stats = compute_layout_stats(sc, layout, grid_indices=np.arange(12))
+        xi = np.random.default_rng(4).integers(0, 2, stats.xi.shape).astype(np.uint8)
+        stats = with_visibility(stats, xi)
+        assert_same_bits(RateModel.from_layout_stats, sc, stats)
+        assert_same_bits(RateModel.from_layout_stats, sc,
+                         with_zero_wave_components(stats, seed=5))
+
+    def test_grids_level_with_the_candidates(self):
+        # Grid centers at y = 0 and z = 15 face candidates at y = 0 and z = 15
+        # head on, so their wave vectors have y and z components of exactly 0.
+        sc = make_scenario(n_y=5, n_z=1, k_x=3, k_y=3, m_h=3, m_v=3, kappa=7.0,
+                           y_half=20.0)
+        cands = sc.candidates()
+        grids = sc.grid_centers()
+        grids[:, 2] = 15.0
+        gains = build_gain_tables(sc, cands, grids, np.ones((9, 5), np.uint8))
+        assert np.sum((gains.u[..., 1] == 0.0) & (gains.u[..., 2] == 0.0)) >= 3
+        assert_same_bits(RateModel.from_candidate_tables, sc, gains)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_presets(self, preset):
+        ctx = context_from_document(PRESETS[preset]())
+        assert_same_bits(RateModel.from_candidate_tables, ctx.scenario, ctx.gains)
+        for kind in BENCHMARK_KINDS:
+            try:
+                layout = fpa_layout(kind, ctx.scenario)
+            except ConfigurationError:
+                continue
+            assert_same_bits(RateModel.from_layout_stats, ctx.scenario,
+                             ctx.layout_stats(layout))
 
 
 class TestRateModel:

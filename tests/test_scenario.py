@@ -24,6 +24,7 @@ from xlma.scenario import (
     cell_samples,
     compute_los_visibility,
     dbm_to_mw,
+    distinct_sorted,
     grid_linear_index,
     grid_multi_index,
     load_scenario,
@@ -102,6 +103,13 @@ class TestIndexing:
         idx = data.draw(st.integers(0, k_x * k_y * k_z - 1))
         ix, iy, iz = grid_multi_index(idx, k_x, k_y)
         assert grid_linear_index(ix, iy, iz, k_x, k_y) == idx
+
+    @given(st.lists(st.integers(-2**62, 2**62) | st.integers(0, 5), max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_distinct_sorted_is_plain_unique(self, values):
+        got = distinct_sorted(np.asarray(values, dtype=np.int64))
+        want = np.unique(np.asarray(values, dtype=np.int64))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 class TestProbabilities:
