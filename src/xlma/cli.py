@@ -24,12 +24,15 @@ from .montecarlo import MapRequest, SimOptions, correlation_map, power_gain_map,
     simulate_weighted_sum_rate
 from .pipeline import ScenarioContext, context_from_document
 from .presets import PRESETS
-from .scenario import (as_integer, as_number, dbm_to_mw, load_scenario, mw_to_dbm,
-                       rician_kappa)
+from .scenario import (as_integer, as_number, check_fields, dbm_to_mw, load_scenario,
+                       mw_to_dbm, rician_kappa)
 
 SWEEP_PARAMETERS = ("m_h", "ma_width", "expected_users", "rician_db")
 SWEEP_SCHEMES = ("proposed", "optimal") + BENCHMARK_KINDS
 SWEEP_EVALUATORS = ("approx_mrc", "sim_mrc", "sim_mmse", "upper_bound")
+SWEEP_FIELDS = ("parameter", "values", "schemes", "evaluators", "trials")
+MAP_FIELDS = ("kind", "scheme", "resolution", "probe_point", "blocked_placeholder_dbm",
+              "z_plane")
 
 
 def _load_document(args) -> dict:
@@ -173,7 +176,7 @@ def cmd_sweep(args) -> int:
     if args.threads < 0:
         raise ConfigurationError(f"'--threads' must be at least 0, got {args.threads}")
     doc = _load_document(args)
-    spec = _json_object(args.sweep, "sweep spec")
+    spec = check_fields(_json_object(args.sweep, "sweep spec"), SWEEP_FIELDS)
     parameter = spec.get("parameter")
     values = spec.get("values", [])
     schemes = _spec_names(spec, "schemes", SWEEP_SCHEMES)
@@ -255,7 +258,7 @@ def _map_fields(spec: dict) -> dict:
 
 def cmd_map(args) -> int:
     doc = _load_document(args)
-    spec = _json_object(args.map_spec, "map spec")
+    spec = check_fields(_json_object(args.map_spec, "map spec"), MAP_FIELDS)
     kind = spec.get("kind")
     if kind not in ("power", "correlation"):
         raise ConfigurationError("map kind must be 'power' or 'correlation'")

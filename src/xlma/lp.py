@@ -15,6 +15,7 @@ of the reduced costs; the ratio test walks the few rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,25 +95,28 @@ class _Tableau:
 
             # Ratio test: smallest step among basic-variable limits and the
             # entering variable's own bound span; ties leave the basic
-            # variable with the lowest index (Bland).
+            # variable with the lowest index (Bland). It walks Python floats,
+            # which round every operation as float64 does.
             col = self.t[:, entering]
-            row_step = np.inf
+            basis = self.basis.tolist()
+            x_basic = self.x_basic.tolist()
+            upper = self.upper[self.basis].tolist()
+            row_step = math.inf
             leave_row = -1
             leave_at_upper = False
-            for i in range(self.m):
-                delta = direction * col[i]
+            for i, entry in enumerate(col.tolist()):
+                delta = direction * entry
                 if delta > PIVOT_TOL:
-                    limit = max(self.x_basic[i], 0.0) / delta
+                    limit = max(x_basic[i], 0.0) / delta
                     hits_upper = False
-                elif delta < -PIVOT_TOL and np.isfinite(self.upper[self.basis[i]]):
-                    limit = (self.upper[self.basis[i]] - self.x_basic[i]) / (-delta)
+                elif delta < -PIVOT_TOL and math.isfinite(upper[i]):
+                    limit = (upper[i] - x_basic[i]) / (-delta)
                     hits_upper = True
                 else:
                     continue
                 if (limit < row_step - PIVOT_TOL
                         or (limit <= row_step + PIVOT_TOL
-                            and (leave_row < 0
-                                 or self.basis[i] < self.basis[leave_row]))):
+                            and (leave_row < 0 or basis[i] < basis[leave_row]))):
                     row_step = min(row_step, limit)
                     leave_row = i
                     leave_at_upper = hits_upper

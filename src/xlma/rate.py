@@ -83,16 +83,29 @@ def fejer_correlation(u_k, u_i, m_h, m_v, d_h, d_v, wavelength) -> float:
 
 
 def _others(x):
-    """Sums over the other rows: out[k] = sum_{i != k} x[i], per column.
+    """Sums over the other rows: out[k] = sum_{i != k} x[i], per column of a
+    C-contiguous (rows, columns) array.
 
     Exclusive prefix plus exclusive suffix sums, so no row's own entry is
     added and then subtracted again: a dominant x[k] cannot swamp row k. The
     cumulative sums run row by row in a fixed order, whatever the width.
+    With an even number of columns they run on a complex128 view, each
+    number a pair of neighbouring columns: a complex add is the two IEEE
+    adds of the same real operands in the same order, so every bit is kept,
+    and each step advances two columns' chains. An odd width would misalign
+    the view's rows, which numpy adds more slowly than plain floats, so it
+    keeps the float sums.
     """
     out = np.zeros_like(x)
+    if x.shape[1] % 2 == 0:
+        x, out = x.view(np.complex128), out.view(np.complex128)
     np.cumsum(x[:-1], axis=0, out=out[1:])
-    out[:-1] += np.cumsum(x[:0:-1], axis=0)[::-1]
-    return out
+    # The suffix sums are written back to front, so that the add reads them
+    # in order: an operand of negative stride would be copied to a buffer.
+    suffix = np.empty_like(out[1:])
+    np.cumsum(x[:0:-1], axis=0, out=suffix[::-1])
+    out[:-1] += suffix
+    return out.view(np.float64)
 
 
 def aux_f(m, xi, kappa_bar, pure_los: bool):
@@ -155,9 +168,10 @@ class RateModel:
         theta_h = 2.0 * np.pi * dh_col / scenario.wavelength
         theta_v = 2.0 * np.pi * dv_col / scenario.wavelength
         mh_max, mv_max = int(mh_col.max()), int(mv_col.max())
-        width = max(1, ASSEMBLY_BLOCK_BYTES // (8 * n_rows))
-        for start in range(0, n_cols, width):
-            c = slice(start, start + width)
+
+        def assemble_block(c):
+            """Fill the columns ``c`` of the three tables; its temporaries are
+            freed on return, before the next block allocates its own."""
             xi, beta_los, u = tables.xi[:, c], tables.beta_los[:, c], tables.u[:, c]
             beta = xi * beta_los + beta_los / kappa
             sig_mean[:, c] = m_col[c] * beta
@@ -176,6 +190,7 @@ class RateModel:
             phase_v = theta_v[c] * u[:, :, 2]
             cos_v = {lv: np.cos(lv * phase_v) for lv in range(1, mv_max)}
             sin_v = {lv: np.sin(lv * phase_v) for lv in range(1, mv_max)}
+            del phase_v
             for lh in range(mh_max):
                 if lh:
                     cos_h, sin_h = np.cos(lh * phase_h), np.sin(lh * phase_h)
@@ -186,16 +201,24 @@ class RateModel:
                         cos, sin = cos_h, sin_h
                     elif lh == 0:
                         cos, sin = cos_v[lv], sin_v[lv]
-                    else:
-                        cv = cos_v[abs(lv)]
-                        sv = sin_v[lv] if lv > 0 else -sin_v[-lv]
+                    elif lv > 0:
+                        cv, sv = cos_v[lv], sin_v[lv]
                         cos = cos_h * cv - sin_h * sv
                         sin = sin_h * cv + cos_h * sv
+                    else:  # a - b * -c is a + b * c bit for bit: no negated copy
+                        cv, sv = cos_v[-lv], sin_v[-lv]
+                        cos = cos_h * cv + sin_h * sv
+                        sin = sin_h * cv - cos_h * sv
                     lag_sum += weight * (cos * _others(wa * cos) + sin * _others(wa * sin))
             interf = a * lag_sum
             if not pure:
                 interf += m_col[c] * (_others(w) - a * others_wa)
             denom[:, c] = beta * interf + sig_mean[:, c]
+
+        # Blocks of even width, so that ``_others`` adds two columns a step.
+        width = 2 * max(1, ASSEMBLY_BLOCK_BYTES // (16 * n_rows))
+        for start in range(0, n_cols, width):
+            assemble_block(slice(start, start + width))
         return cls(grid_rows, rho, pbar, m_col, sig_mean, sig_var, denom)
 
     @classmethod

@@ -12,6 +12,7 @@ Index conventions (all 0-based in code):
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
@@ -359,14 +360,15 @@ def check_indices(indices, size: int, what: str) -> np.ndarray:
 
 
 class _SlabTest:
-    """Slab test of segments of one broadcast shape against box obstacles.
+    """Slab test of segments against box obstacles, in buffers for up to
+    ``size`` segments that every call reuses.
 
     Segment p + t*d, t in [0, 1], touches box [lo, hi] (boundary contact
     counts) iff [0, 1] and the intervals between (lo_a - p_a)/d_a and
     (hi_a - p_a)/d_a of the three axes a intersect. The differences
     d = end - start are formed once per call and shared by every obstacle,
     the numerators on the shape of the start points, and the temporaries of
-    the segments' shape live in buffers reused across calls and obstacles.
+    the segments' shape are views of the buffers' leading entries.
     A component d_a == 0 makes the segment parallel to slab a: it lies
     inside the slab for every t or for none. Inside, its bounds become
     (-inf, inf); outside (or not provably inside, as with NaN), (inf, -inf).
@@ -375,48 +377,38 @@ class _SlabTest:
     with NaN are false, so no mask is needed, for infinite or NaN
     coordinates too. That branch runs only on axes where some component is
     exactly 0. Each segment gets the operations of a separate test per
-    obstacle, so results are the same bit for bit.
+    obstacle, so results are the same bit for bit in any batch.
     """
 
     # float64 d (3 components) and five t temporaries, bool hit and blocked.
     BYTES_PER_SEGMENT = 8 * 8 + 2
 
-    def __init__(self, shape):
-        self.d = np.empty((3,) + shape)
-        self.t_lo, self.t_hi, self.t0, self.t1, self.tmin = np.empty((5,) + shape)
-        self.hit = np.empty(shape, dtype=bool)
-        self.blocked = np.empty(shape, dtype=bool)
-
-    def head(self, n: int) -> "_SlabTest":
-        """This test on the first ``n`` entries of its shape's axis 0, in
-        views of its buffers."""
-        view = object.__new__(_SlabTest)
-        view.d = self.d[:, :n]
-        for name in ("t_lo", "t_hi", "t0", "t1", "tmin", "hit", "blocked"):
-            setattr(view, name, getattr(self, name)[:n])
-        return view
+    def __init__(self, size: int):
+        self.floats = np.empty((8, size))
+        self.flags = np.empty((2, size), dtype=bool)
 
     @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-    def __call__(self, starts: np.ndarray, ends: np.ndarray, obstacles) -> np.ndarray:
-        """Whether each segment [starts, ends] touches any obstacle.
+    def __call__(self, starts: np.ndarray, ends: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+        """Whether each segment [starts, ends] (their broadcast shape) touches
+        any of ``boxes``, an (obstacles, 2, 3) array of (lo, hi) corners.
 
         The result is a buffer of this test, overwritten by the next call.
         """
-        d, t_lo, t_hi, t0, t1, hit, blocked = (
-            self.d, self.t_lo, self.t_hi, self.t0, self.t1, self.hit, self.blocked
-        )
+        shape = np.broadcast_shapes(starts.shape[:-1], ends.shape[:-1])
+        size = math.prod(shape)
+        *d, t_lo, t_hi, t0, t1, t2 = self.floats[:, :size].reshape((8,) + shape)
+        hit, blocked = self.flags[:, :size].reshape((2,) + shape)
         for a in range(3):
             np.subtract(ends[..., a], starts[..., a], out=d[a])
         parallel = [d[a] == 0.0 for a in range(3)]
         parallel = [mask if mask.any() else None for mask in parallel]
         blocked.fill(False)
-        for box in obstacles:
-            lo, hi = box.lo, box.hi
+        for lo, hi in boxes:
             for a in range(3):
                 oa = starts[..., a]
                 np.divide(lo[a] - oa, d[a], out=t0)
                 np.divide(hi[a] - oa, d[a], out=t1)
-                tmin = np.minimum(t0, t1, out=self.tmin)
+                tmin = np.minimum(t0, t1, out=t2)
                 tmax = np.maximum(t0, t1, out=t1)
                 if parallel[a] is not None:
                     inside = (oa >= lo[a]) & (oa <= hi[a])
@@ -430,6 +422,11 @@ class _SlabTest:
         return blocked
 
 
+def _corners(obstacles) -> np.ndarray:
+    """The (lo, hi) corners of ``obstacles``, an (obstacles, 2, 3) array."""
+    return np.array([(box.lo, box.hi) for box in obstacles], float).reshape(-1, 2, 3)
+
+
 def segments_blocked(starts: np.ndarray, ends: np.ndarray, obstacles) -> np.ndarray:
     """Boolean array (broadcast of starts/ends): any obstacle hit per segment.
 
@@ -438,7 +435,7 @@ def segments_blocked(starts: np.ndarray, ends: np.ndarray, obstacles) -> np.ndar
     starts = np.asarray(starts, float)
     ends = np.asarray(ends, float)
     shape = np.broadcast_shapes(starts.shape[:-1], ends.shape[:-1])
-    return _SlabTest(shape)(starts, ends, obstacles)
+    return _SlabTest(math.prod(shape))(starts, ends, _corners(obstacles))
 
 
 def cell_samples(cov: CoverageSpec, grid_indices, samples: int, rng_seed: int,
@@ -535,11 +532,22 @@ def visibility_from_points(
     exact operations, so the table is bit for bit that of testing every
     pair.
 
-    Every row's samples are drawn first. Then rows go through the prune in
-    blocks and surviving pairs through the kernel in chunks, together within
-    the buffers of one (samples, points) slab test, which is what testing a
-    whole row at once held: a block takes at most half, a chunk the rest.
-    Both reuse one buffer set per call, the last partial ones through views.
+    A pair left is tested in rounds of growing width, samples [0, 1), [1, 2),
+    [2, 4), [4, 8), ... up to ``samples_per_grid``, and only while none of
+    its samples so far is blocked; a pair already blocked by an earlier
+    obstacle is not tested against the later ones. The entry is an OR over
+    samples and obstacles, and the kernel gives each segment the same bits
+    in any batch, so stopping at a pair's first blocked sample leaves the
+    table as it is. Most blocked pairs are blocked by their first sample.
+
+    Every row's samples are drawn first. Then, one obstacle at a time, rows
+    go through the prune in blocks; the pairs found queue up across blocks
+    until they fill a batch, and the queue goes through the rounds in
+    batches of at most as many pairs as segments, each round's undecided
+    pairs kept in its front. Blocks and batches share the memory of one
+    (samples, points) slab test, which is what testing a whole row at once
+    held: a block takes at most half, a batch the rest. Both reuse one
+    buffer set per call, each batch through views.
     """
     samples = as_integer(samples_per_grid, "samples_per_grid")
     if samples < 1:
@@ -552,7 +560,7 @@ def visibility_from_points(
     if grid_indices is None:
         grid_indices = np.arange(cov.n_grids)
     grid_indices = check_indices(grid_indices, cov.n_grids, "grid_indices")
-    boxes = np.array([(box.lo, box.hi) for box in obstacles], float).reshape(-1, 2, 3)
+    boxes = _corners(obstacles)
     if not np.all(np.isfinite(boxes)):
         raise DomainError("obstacles must have finite bounds")
     n_rows, n_points = len(grid_indices), len(points)
@@ -563,36 +571,58 @@ def visibility_from_points(
     axes = [np.unique(points[:, a], return_inverse=True) for a in range(3)]
     corners = [cov.x_min, cov.x_max, cov.y_min, cov.y_max, cov.z_min, cov.z_max]
     pad = CONE_PAD * (max(np.abs(points).max(), np.abs(boxes).max(), np.abs(corners).max()) + 1)
-    # Bytes per row of a block: (rows, points) masks and index, (rows,
-    # coordinates) windows. Per pair of a chunk: per segment the slab test,
-    # its parallel masks and the gathered sample, then the pair's indices,
-    # start point and hit.
+    bounds = [0, 1]
+    while bounds[-1] < samples:
+        bounds.append(min(2 * bounds[-1], samples))
+    rounds = list(zip(bounds, bounds[1:]))
+    widest = max(stop - start for start, stop in rounds)
+    # Bytes per row of a block: (rows, points) masks and the pair indices
+    # found and queued, (rows, coordinates) windows. Per segment of a batch:
+    # the slab test, its parallel masks and the gathered sample; per pair: its
+    # queue entries, row and column, start point, hit and the index kept for
+    # the next round.
     budget = samples * n_points * _SlabTest.BYTES_PER_SEGMENT
-    row_bytes = 33 * n_points + 64 * max(len(coords) for coords, _ in axes)
-    pair_bytes = (_SlabTest.BYTES_PER_SEGMENT + 3 + 24) * samples + 49
+    row_bytes = 49 * n_points + 64 * max(len(coords) for coords, _ in axes)
+    pair_bytes = _SlabTest.BYTES_PER_SEGMENT + 3 + 24 + 66
     block_rows = min(max(budget // 2 // row_bytes, 1), n_rows)
-    chunk = min(max((budget - block_rows * row_bytes) // pair_bytes, 1), block_rows * n_points)
+    capacity = max(min((budget - block_rows * row_bytes) // pair_bytes,
+                       n_rows * n_points * samples), widest)
 
-    slab_test = _SlabTest((chunk, samples))
-    ends = np.empty((chunk, samples, 3))
+    slab_test = _SlabTest(capacity)
     lower, upper, gathered = np.empty((3, block_rows, n_points))
     targets = cell_samples(cov, grid_indices, samples, rng_seed, purpose)
     sample_lo, sample_hi = targets.min(axis=1), targets.max(axis=1)
-    for first in range(0, n_rows, block_rows):
-        block = slice(first, first + block_rows)
-        rows = min(block_rows, n_rows - first)
-        for box, (box_lo, box_hi) in zip(obstacles, boxes):
-            near = _cone_mask(lower[:rows], upper[:rows], gathered[:rows], box_lo - pad,
-                              box_hi + pad, sample_lo[block], sample_hi[block], axes)
-            pairs = np.flatnonzero(near)
-            for start in range(0, len(pairs), chunk):
-                row, col = np.divmod(pairs[start:start + chunk], n_points)
-                count = len(row)
-                np.take(targets[block], row, axis=0, out=ends[:count], mode="clip")
-                test = slab_test if count == chunk else slab_test.head(count)
-                blocked = test(points[col][:, None, :], ends[:count], [box])
-                hit = blocked.any(axis=1)
-                xi[first + row[hit], col[hit]] = 0
+    flat_xi = xi.reshape(-1)
+
+    def test_in_rounds(pairs, box):
+        """Clear flat_xi at the pairs (flat indices) whose segments touch
+        ``box``, testing in each round only those still undecided."""
+        for start, stop in rounds:
+            width, kept = stop - start, 0
+            step = capacity // width
+            for batch in (pairs[i:i + step] for i in range(0, len(pairs), step)):
+                row, col = np.divmod(batch, n_points)
+                hit = slab_test(points[col][:, None, :], targets[row, start:stop],
+                                box[None]).any(axis=1)
+                flat_xi[batch[hit]] = 0
+                undecided = batch[~hit]
+                pairs[kept:kept + len(undecided)] = undecided
+                kept += len(undecided)
+            pairs = pairs[:kept]
+
+    for box in boxes:
+        queued = []
+        for first in range(0, n_rows, block_rows):
+            block = slice(first, first + block_rows)
+            rows = min(block_rows, n_rows - first)
+            near = _cone_mask(lower[:rows], upper[:rows], gathered[:rows], box[0] - pad,
+                              box[1] + pad, sample_lo[block], sample_hi[block], axes)
+            found = np.flatnonzero(np.logical_and(near, xi[block], out=near))
+            found += first * n_points
+            queued.append(found)
+            if sum(map(len, queued)) >= capacity or first + rows == n_rows:
+                test_in_rounds(np.concatenate(queued), box)
+                queued = []
     return xi
 
 
@@ -712,6 +742,33 @@ class ScenarioConfig:
         return build_user_grid(self.coverage)
 
 
+# The fields each object of a scenario document accepts.
+SCENARIO_FIELDS = ("carrier_freq", "m_h", "m_v", "d_h", "d_v", "n_subarrays", "tx_power_dbm",
+                   "noise_power_dbm", "rician_kappa_db", "rng_seed", "visibility_samples",
+                   "ma_region", "coverage", "distribution", "obstacles")
+MA_REGION_FIELDS = ("y_min", "y_max", "z_min", "z_max", "n_y", "n_z")
+COVERAGE_FIELDS = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max", "k_x", "k_y", "k_z")
+DISTRIBUTION_FIELDS = ("expected_users", "regular_ratio", "hotspot_k1", "hotspot_k2")
+OBSTACLE_FIELDS = ("center", "dims")
+
+
+def check_fields(mapping, accepted, context: str = "") -> dict:
+    """``mapping``, an object (dict) whose keys all lie in ``accepted``. Else
+    ``ConfigurationError`` names the object, or the first other key by its
+    path (``context`` + key) and the accepted key closest to it."""
+    if not isinstance(mapping, dict):
+        raise ConfigurationError(f"'{context.rstrip('.')}' must be an object, got {mapping!r}")
+    for key in mapping:
+        if key not in accepted:
+            import difflib  # only on the error path: no run loads it
+
+            close = difflib.get_close_matches(str(key), accepted, n=1)
+            hint = f"; did you mean '{context}{close[0]}'?" if close else ""
+            raise ConfigurationError(
+                f"unknown field '{context}{key}'{hint} (accepted: {', '.join(accepted)})")
+    return mapping
+
+
 def _require(mapping: dict, key: str, context: str):
     if not isinstance(mapping, dict):
         raise ConfigurationError(f"'{context.rstrip('.')}' must be an object, got {mapping!r}")
@@ -819,14 +876,15 @@ def load_scenario(source) -> ScenarioConfig:
         doc = source
     if not isinstance(doc, dict):
         raise ConfigurationError(f"a scenario must be a JSON object, got {type(doc).__name__}")
+    check_fields(doc, SCENARIO_FIELDS)
 
-    ma_doc = _require(doc, "ma_region", "")
+    ma_doc = check_fields(_require(doc, "ma_region", ""), MA_REGION_FIELDS, "ma_region.")
     ma = MaRegionSpec(
         **{key: _number(ma_doc, key, "ma_region.")
            for key in ("y_min", "y_max", "z_min", "z_max")},
         **{key: _integer(ma_doc, key, "ma_region.") for key in ("n_y", "n_z")},
     )
-    cov_doc = _require(doc, "coverage", "")
+    cov_doc = check_fields(_require(doc, "coverage", ""), COVERAGE_FIELDS, "coverage.")
     cov = CoverageSpec(
         **{key: _number(cov_doc, key, "coverage.")
            for key in ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")},
@@ -842,7 +900,8 @@ def load_scenario(source) -> ScenarioConfig:
 
     kappa = rician_kappa(doc.get("rician_kappa_db", "infinite"))
 
-    dist_doc = _require(doc, "distribution", "")
+    dist_doc = check_fields(_require(doc, "distribution", ""), DISTRIBUTION_FIELDS,
+                            "distribution.")
     distribution = UserDistribution.from_sets(
         n_grids=cov.n_grids,
         expected_users=_number(dist_doc, "expected_users", "distribution."),
@@ -857,6 +916,7 @@ def load_scenario(source) -> ScenarioConfig:
     obstacles = []
     for i, o in enumerate(obstacle_docs):
         where = f"obstacles[{i}]."
+        check_fields(o, OBSTACLE_FIELDS, where)
         center, dims = (tuple(_numbers(_require(o, key, where), where + key, 3))
                         for key in ("center", "dims"))
         obstacles.append(Obstacle(center=center, dims=dims))

@@ -5,7 +5,9 @@ test-only helpers over its public API.
 one pass over the interfering grids, each adding its Fejer-kernel, g and q
 terms for every other grid, at O(K'^2 * C) cost. ``assemble_angle_addition``
 is the lag-domain assembly that forms every lag's cos and sin by angle
-addition, axis lag 0 included. ``model_with_assembly`` builds a
+addition, axis lag 0 included, with ``others_reference``: the leave-one-out
+sums over float columns, one add chain per column. ``model_with_assembly``
+builds a
 ``RateModel`` through its public constructors with either in place of the
 library's one. ``build_kernel_tables`` materializes every pair's kernels.
 ``slab_hits_reference`` is the segment-box slab test written one obstacle at
@@ -34,8 +36,7 @@ import numpy as np
 from xlma.channel import channel_from_draws, draw_realization
 from xlma.errors import ConfigurationError, DomainError
 from xlma.montecarlo import _sinr_all_active
-from xlma.rate import ASSEMBLY_BLOCK_BYTES, RateModel, _fejer_axis, _others, aux_f, \
-    fejer_correlation
+from xlma.rate import ASSEMBLY_BLOCK_BYTES, RateModel, _fejer_axis, aux_f, fejer_correlation
 from xlma.rng import _key, substream
 from xlma.scenario import segments_blocked
 
@@ -163,6 +164,15 @@ def assemble_row_loop(cls, scenario, tables, geometry):
     return cls(grid_rows, rho, pbar, m_col, sig_mean, sig_var, denom)
 
 
+def others_reference(x):
+    """out[k] = sum_{i != k} x[i] per column: exclusive prefix plus exclusive
+    suffix sums over float64 columns."""
+    out = np.zeros_like(x)
+    np.cumsum(x[:-1], axis=0, out=out[1:])
+    out[:-1] += np.cumsum(x[:0:-1], axis=0)[::-1]
+    return out
+
+
 def assemble_angle_addition(cls, scenario, tables, geometry):
     """``RateModel._assemble`` with cos and sin taken of every axis lag, 0
     included, and every lag pair joined by angle addition."""
@@ -190,7 +200,7 @@ def assemble_angle_addition(cls, scenario, tables, geometry):
         w = power * beta
         a = xi if pure else kappa * xi / (kappa * xi + 1.0)
         wa = w * a
-        lag_sum = (mh_col[c] * mv_col[c]) * _others(wa)
+        lag_sum = (mh_col[c] * mv_col[c]) * others_reference(wa)
         phase_h = theta_h[c] * u[:, :, 1]
         phase_v = theta_v[c] * u[:, :, 2]
         cos_v = [np.cos(lv * phase_v) for lv in range(mv_max)]
@@ -204,10 +214,11 @@ def assemble_angle_addition(cls, scenario, tables, geometry):
                 sv = sin_v[lv] if lv >= 0 else -sin_v[-lv]
                 cos = cos_h * cv - sin_h * sv
                 sin = sin_h * cv + cos_h * sv
-                lag_sum += weight * (cos * _others(wa * cos) + sin * _others(wa * sin))
+                lag_sum += weight * (cos * others_reference(wa * cos)
+                                     + sin * others_reference(wa * sin))
         interf = a * lag_sum
         if not pure:
-            interf += m_col[c] * (_others(w) - a * _others(wa))
+            interf += m_col[c] * (others_reference(w) - a * others_reference(wa))
         denom[:, c] = beta * interf + sig_mean[:, c]
     return cls(grid_rows, rho, pbar, m_col, sig_mean, sig_var, denom)
 

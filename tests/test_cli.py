@@ -244,6 +244,28 @@ class TestSweep:
                      "--out-dir", str(tmp_path / "o")]) == 1
         assert "schemes" in capsys.readouterr().err
 
+    def test_unknown_spec_field_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, desk_full_los())
+        spath = tmp_path / "sweep.json"
+        spath.write_text(json.dumps({"parameter": "m_h", "values": [2], "trails": 3,
+                                     "schemes": ["proposed"], "evaluators": ["sim_mrc"]}))
+        out_dir = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(spath),
+                     "--out-dir", str(out_dir)]) == 1
+        assert "unknown field 'trails'; did you mean 'trials'?" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_unknown_scenario_field_rejected(self, tmp_path, capsys):
+        doc = desk_full_los()
+        doc["rician_kapa_db"] = 20
+        cfg = write_config(tmp_path, doc)
+        spath = tmp_path / "sweep.json"
+        spath.write_text(json.dumps({"parameter": "m_h", "values": [2],
+                                     "schemes": ["proposed"]}))
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(spath),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+        assert "unknown field 'rician_kapa_db'" in capsys.readouterr().err
+
     def test_exhaustive_over_limit_marked_skipped(self, tmp_path):
         cfg = write_config(tmp_path, desk_full_los_2d())  # C(100, 8) >> limit
         spath = tmp_path / "sweep.json"
@@ -365,6 +387,17 @@ class TestMap:
         assert field in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_spec_field_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, desk_single_grid())
+        spath = tmp_path / "map.json"
+        spath.write_text(json.dumps({"kind": "power", "scheme": {"support": [5]},
+                                     "resoluton": 4}))
+        out = tmp_path / "m.csv"
+        assert main(["map", "--config", str(cfg), "--map-spec", str(spath),
+                     "--out", str(out)]) == 1
+        assert "unknown field 'resoluton'; did you mean 'resolution'?" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_spec_must_be_an_object(self, tmp_path, capsys):
         cfg = write_config(tmp_path, desk_single_grid())
         spath = tmp_path / "map.json"
@@ -394,6 +427,19 @@ def fresh_interpreter_env():
     src = str(Path(xlma.__file__).resolve().parents[1])
     return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_perfbench_documents_load(monkeypatch):
+    """The benchmark's scenario and sweep documents hold only accepted fields."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    from xlma.cli import SWEEP_FIELDS
+
+    for seed in (7, 11):
+        load_scenario(workloads.dense_scenario(seed))
+        load_scenario(workloads.sweep_scenario(seed))
+    assert set(workloads.SWEEP_SPEC) <= set(SWEEP_FIELDS)
 
 
 def test_import_leaves_scipy_unloaded():

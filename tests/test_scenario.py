@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -472,6 +473,83 @@ class TestConePrune:
         assert peak < 1_659_130
 
 
+def _counting_kernel(monkeypatch):
+    """A list that gains the number of segments of every slab-kernel call."""
+    tested = []
+    kernel = scenario._SlabTest.__call__
+
+    def counted(self, starts, ends, boxes):
+        tested.append(math.prod(np.broadcast_shapes(starts.shape[:-1], ends.shape[:-1]))
+                      * len(boxes))
+        return kernel(self, starts, ends, boxes)
+
+    monkeypatch.setattr(scenario._SlabTest, "__call__", counted)
+    return tested
+
+
+class TestEarlyStop:
+    """A pair's samples are tested in rounds and only until one is blocked."""
+
+    @pytest.mark.parametrize("boxes", [["wall"], ["behind", "wall"], ["wall", "wall"]])
+    def test_a_wall_costs_one_sample_per_pair(self, monkeypatch, boxes):
+        """A wall between panel and cells blocks every pair at its first
+        sample; a box behind the panel is pruned whole, and pairs a first
+        wall blocked are not tested against a second."""
+        obstacles = {"wall": Obstacle(center=(4.0, 0.0, 10.0), dims=(0.5, 500.0, 500.0)),
+                     "behind": Obstacle(center=(-5.0, 0.0, 10.0), dims=(2.0, 500.0, 500.0))}
+        tested = _counting_kernel(monkeypatch)
+        sc = load_scenario(PRESETS["desk_partial_los"]())
+        xi = visibility_from_points(sc.candidates(), sc.coverage,
+                                    [obstacles[name] for name in boxes], 20, 0)
+        assert xi.max() == 0 and sum(tested) == xi.size
+
+    @given(_scenes(), st.integers(1, 40), st.integers(0, 2**16))
+    @settings(max_examples=100, deadline=None)
+    def test_never_more_segments_than_every_sample_of_every_pruned_pair(
+            self, scene, samples, seed):
+        """Testing every sample of every pair the cone prune leaves, as the
+        table did before the rounds, is the most the kernel may run."""
+        points, cov, boxes = scene
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            tested = _counting_kernel(monkeypatch)
+            near = []
+            cone_mask = scenario._cone_mask
+
+            def counted_mask(*args):
+                mask = cone_mask(*args)
+                near.append(np.count_nonzero(mask))
+                return mask
+
+            monkeypatch.setattr(scenario, "_cone_mask", counted_mask)
+            xi = visibility_from_points(points, cov, boxes, samples, seed)
+        assert sum(tested) <= samples * sum(near)
+        np.testing.assert_array_equal(
+            xi, visibility_reference(points, cov, boxes, samples, seed, range(cov.n_grids)))
+
+    def test_peak_memory_at_full_scale(self):
+        """The 12 active rows of paper_full_scale_3d_type1 by its 3030
+        candidates, 20 samples: the tracemalloc peak stays under that of
+        testing every sample of every pruned pair: 3,855,480 bytes, the least
+        of four runs with numpy 2.4.6."""
+        sc = load_scenario(PRESETS["paper_full_scale_3d_type1"]())
+        grids = np.flatnonzero(sc.distribution.rho > 0)
+        points = sc.candidates()
+
+        def run():
+            return visibility_from_points(points, sc.coverage, sc.obstacles, 20,
+                                          sc.rng_seed, grid_indices=grids)
+
+        run()
+        tracemalloc.start()
+        try:
+            xi = run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert xi.shape == (12, 3030) and 0 < xi.mean() < 1
+        assert peak < 3_855_480
+
+
 class TestCellSamples:
     @given(st.sampled_from(["paper_partial_los_1d", "desk_partial_los_3d_type1"]),
            st.sampled_from(["visibility", "visibility-oracle"]),
@@ -702,6 +780,63 @@ class TestLoadScenario:
         doc["obstacles"][1] = [1, 2, 3]
         with pytest.raises(ConfigurationError, match=r"obstacles\[1\]"):
             load_scenario(doc)
+
+    @pytest.mark.parametrize("parents, key, path, hint", [
+        ((), "rician_kapa_db", "'rician_kapa_db'", "'rician_kappa_db'"),
+        ((), "visibilty_samples", "'visibilty_samples'", "'visibility_samples'"),
+        (("ma_region",), "n_yy", "'ma_region.n_yy'", "'ma_region.n_y'"),
+        (("coverage",), "kx", "'coverage.kx'", "'coverage.k_x'"),
+        (("distribution",), "hotspot_k3", "'distribution.hotspot_k3'",
+         "'distribution.hotspot_k[12]'"),
+        (("obstacles", 1), "centre", r"'obstacles\[1\].centre'", r"'obstacles\[1\].center'"),
+        ((), "comment", "'comment'", None),
+    ])
+    def test_unknown_field_named_by_its_path(self, parents, key, path, hint):
+        doc = PRESETS["desk_partial_los"]()
+        target = doc
+        for step in parents:
+            target = target[step]
+        target[key] = 20
+        with pytest.raises(ConfigurationError, match="unknown field " + path) as err:
+            load_scenario(doc)
+        if hint is None:
+            assert "did you mean" not in str(err.value)
+        else:
+            assert re.search("did you mean " + hint, str(err.value))
+
+    def test_readme_example_lists_every_accepted_field(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Scenario JSON", 1)[1].split("```jsonc\n", 1)[1]
+        text = re.sub(r"//.*", "", block.split("```", 1)[0])
+        doc = json.loads(text)
+        load_scenario(doc)
+        assert set(doc) == set(scenario.SCENARIO_FIELDS)
+        for key, fields in (("ma_region", scenario.MA_REGION_FIELDS),
+                            ("coverage", scenario.COVERAGE_FIELDS),
+                            ("distribution", scenario.DISTRIBUTION_FIELDS)):
+            assert set(doc[key]) == set(fields), key
+        assert set(doc["obstacles"][0]) == set(scenario.OBSTACLE_FIELDS)
+
+    @pytest.mark.parametrize("fields, doc", [
+        (scenario.SCENARIO_FIELDS, lambda d: d),
+        (scenario.MA_REGION_FIELDS, lambda d: d["ma_region"]),
+        (scenario.COVERAGE_FIELDS, lambda d: d["coverage"]),
+        (scenario.DISTRIBUTION_FIELDS, lambda d: d["distribution"]),
+        (scenario.OBSTACLE_FIELDS, lambda d: d["obstacles"][0]),
+    ])
+    def test_every_accepted_field_is_read(self, fields, doc):
+        """Each accepted field of a document holding all of them is read:
+        a bad value in it is named."""
+        full = PRESETS["desk_partial_los"]()
+        full.update(d_h=None, d_v=None)
+        full["distribution"].setdefault("regular_ratio", 0.0)
+        assert set(doc(full)) == set(fields)
+        load_scenario(full)
+        for key in fields:
+            bad = copy.deepcopy(full)
+            doc(bad)[key] = "bad"
+            with pytest.raises(ConfigurationError, match=key):
+                load_scenario(bad)
 
     def test_per_grid_tx_power_list(self):
         doc = desk_full_los()
