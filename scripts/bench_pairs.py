@@ -1,16 +1,17 @@
 """Order-alternated parent/change pairs of the benchmark, with the claim verdict.
 
-    python3 scripts/bench_pairs.py --parent REV [--pairs 10] [--seconds 20]
-                                   [--seed 7] [--workload NAME ...]
+    python3 scripts/bench_pairs.py --parent REV [--pairs 10] [--seed 7]
+                                   [--workload NAME ...]
 
 Run from anywhere inside a source checkout. REV is checked out as a
-temporary ``git worktree`` in a fresh directory under the system's temporary
-directory (``TMPDIR``), outside the repository tree, and removed at the end;
-``--parent-dir`` names an existing checkout to use instead. Each pair runs
-``perfbench/run.py --trace 0`` once in the parent checkout and once in this
-working tree, the parent first in even pairs and the change first in odd
-ones, so that a drift of the machine falls on both sides alike. Nothing
-under ``perfbench/`` is edited.
+temporary ``git worktree`` beside the repository, outside its tree, at a
+path exactly as long as the repository's own (the peak RSS a pass reports
+moves with the length of its checkout's path), and removed at the end. Each
+pair runs ``perfbench/run.py --trace 0`` for BENCHMARK.json's
+``run_seconds`` once in the parent checkout and once in this working tree,
+the parent first in even pairs and the change first in odd ones, so that a
+drift of the machine falls on both sides alike. Nothing under
+``perfbench/`` is edited.
 
 For every workload and end-to-end metric of ``BENCHMARK.json`` it prints
 both sides' median [q1, q3], the relative change of the median, the pairs
@@ -24,11 +25,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import secrets
 import shutil
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -61,6 +62,17 @@ def claim_verdict(parent, change, better: str) -> tuple[int, bool]:
     return wins, wins >= WIN_SHARE * len(parent) and gap > q3 - q1
 
 
+def sibling_directory() -> Path:
+    """A new empty directory beside ROOT whose path is as long as ROOT's."""
+    while True:
+        path = ROOT.parent / secrets.token_hex(len(ROOT.name))[:len(ROOT.name)]
+        try:
+            path.mkdir()
+            return path
+        except FileExistsError:
+            continue
+
+
 def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """The metrics of one untraced ``perfbench/run.py`` run in ``checkout``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -87,11 +99,8 @@ def report(workload, metrics, parent_runs, change_runs) -> None:
 
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    side = parser.add_mutually_exclusive_group(required=True)
-    side.add_argument("--parent", help="git revision of the parent side")
-    side.add_argument("--parent-dir", type=Path, help="an existing checkout of the parent")
+    parser.add_argument("--parent", required=True, help="git revision of the parent side")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--workload", action="append",
                         help="a workload to run (repeatable; default: every one)")
@@ -102,25 +111,22 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
-    scratch = None if args.parent_dir else Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    parent_dir = args.parent_dir or scratch / "parent"
+    parent_dir = sibling_directory()
     try:
-        if scratch is not None:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach",
-                            str(parent_dir), args.parent], check=True, capture_output=True)
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach",
+                        str(parent_dir), args.parent], check=True, capture_output=True)
         for workload in workloads:
             runs = {parent_dir: [], ROOT: []}
             for i in range(args.pairs):
                 for checkout in ((parent_dir, ROOT) if i % 2 == 0 else (ROOT, parent_dir)):
                     runs[checkout].append(run_benchmark(checkout, workload, args.seed,
-                                                        args.seconds))
+                                                        benchmark["run_seconds"]))
             report(workload, benchmark["end_to_end"], runs[parent_dir], runs[ROOT])
     finally:
-        if scratch is not None:
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                            str(parent_dir)], capture_output=True)
-            shutil.rmtree(scratch, ignore_errors=True)
-            subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], capture_output=True)
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
+                        str(parent_dir)], capture_output=True)
+        shutil.rmtree(parent_dir, ignore_errors=True)  # if the worktree was never added
+        subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], capture_output=True)
     return 0
 
 

@@ -84,20 +84,20 @@ def fejer_correlation(u_k, u_i, m_h, m_v, d_h, d_v, wavelength) -> float:
 
 def _others(x):
     """Sums over the other rows: out[k] = sum_{i != k} x[i], per column of a
-    C-contiguous (rows, columns) array.
+    (rows, columns) float64 array.
 
     Exclusive prefix plus exclusive suffix sums, so no row's own entry is
     added and then subtracted again: a dominant x[k] cannot swamp row k. The
     cumulative sums run row by row in a fixed order, whatever the width.
-    With an even number of columns they run on a complex128 view, each
-    number a pair of neighbouring columns: a complex add is the two IEEE
-    adds of the same real operands in the same order, so every bit is kept,
-    and each step advances two columns' chains. An odd width would misalign
-    the view's rows, which numpy adds more slowly than plain floats, so it
+    Where the rows are C-contiguous and of even width, they run on a
+    complex128 view, each number a pair of neighbouring columns: a complex
+    add is the two IEEE adds of the same real operands in the same order, so
+    every bit is kept, and each step advances two columns' chains. numpy
+    forms that view only for an even, contiguous last axis; any other input
     keeps the float sums.
     """
     out = np.zeros_like(x)
-    if x.shape[1] % 2 == 0:
+    if x.shape[1] % 2 == 0 and x.flags.c_contiguous:
         x, out = x.view(np.complex128), out.view(np.complex128)
     np.cumsum(x[:-1], axis=0, out=out[1:])
     # The suffix sums are written back to front, so that the add reads them

@@ -770,8 +770,7 @@ def check_fields(mapping, accepted, context: str = "") -> dict:
 
 
 def _require(mapping: dict, key: str, context: str):
-    if not isinstance(mapping, dict):
-        raise ConfigurationError(f"'{context.rstrip('.')}' must be an object, got {mapping!r}")
+    """``mapping[key]``, of an object ``check_fields`` has passed."""
     if key not in mapping:
         raise ConfigurationError(f"missing required field '{context}{key}'")
     return mapping[key]

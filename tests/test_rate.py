@@ -470,6 +470,16 @@ class TestOthers:
             assert got.dtype == np.float64 and got.shape == x.shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), seed
 
+    @pytest.mark.parametrize("order", ["F", "strided"])
+    def test_rows_not_c_contiguous(self, order):
+        """Even-width input without C-contiguous rows, which numpy cannot
+        view as complex, takes the float sums."""
+        x = _others_inputs(12, 8, 0)
+        x = np.asfortranarray(x) if order == "F" else x[:, ::2]
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = rate_module._others(x), others_reference(x)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     @pytest.mark.parametrize("width", [1, 4, 5])
     def test_dominant_row(self, width):
         x = np.random.default_rng(width).uniform(1e-12, 1e-11, (12, width))

@@ -804,6 +804,21 @@ class TestLoadScenario:
         else:
             assert re.search("did you mean " + hint, str(err.value))
 
+    @pytest.mark.parametrize("parents, key, path", [
+        ((), "ma_region", "'ma_region'"),
+        ((), "coverage", "'coverage'"),
+        ((), "distribution", "'distribution'"),
+        (("obstacles",), 0, r"'obstacles\[0\]'"),
+    ])
+    def test_non_object_named_by_its_path(self, parents, key, path):
+        doc = PRESETS["desk_partial_los"]()
+        target = doc
+        for step in parents:
+            target = target[step]
+        target[key] = [1, 2]
+        with pytest.raises(ConfigurationError, match=path + " must be an object"):
+            load_scenario(doc)
+
     def test_readme_example_lists_every_accepted_field(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("## Scenario JSON", 1)[1].split("```jsonc\n", 1)[1]
