@@ -21,21 +21,27 @@ from .scenario import ScenarioConfig, check_indices, visibility_from_points
 def wave_vectors(targets: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pairwise unit vectors and distances, shapes (T, S, 3) and (T, S).
 
-    The differences are written straight into the unit-vector array and
-    normalized in place. The distance adds the squared components left to
-    right, (dx^2 + dy^2) + dz^2, the order of ``np.linalg.norm(axis=-1)``,
-    with one (T, S) temporary instead of a (T, S, 3) one.
+    The differences are written straight into the unit-vector array, one
+    (T, S) coordinate plane at a time, and each plane is divided by the
+    distance in place, so no ufunc runs an inner loop of length 3. The
+    distance adds the squared components left to right,
+    (dx^2 + dy^2) + dz^2, the order of ``np.linalg.norm(axis=-1)``, with one
+    (T, S) temporary instead of a (T, S, 3) one.
     """
     targets = np.atleast_2d(np.asarray(targets, float))
     sources = np.atleast_2d(np.asarray(sources, float))
-    u = np.subtract(targets[:, None, :], sources[None, :, :])
-    dist = np.square(u[..., 0])
-    for axis in (1, 2):
-        dist += np.square(u[..., axis])
+    u = np.empty((len(targets), len(sources), 3))
+    planes = [u[..., axis] for axis in range(3)]
+    for axis, plane in enumerate(planes):
+        np.subtract(targets[:, axis, None], sources[:, axis], out=plane)
+    dist = np.square(planes[0])
+    for plane in planes[1:]:
+        dist += np.square(plane)
     np.sqrt(dist, out=dist)
     if np.any(dist == 0.0):
         raise DomainError("coincident target/source positions")
-    u /= dist[..., None]
+    for plane in planes:
+        plane /= dist
     return u, dist
 
 

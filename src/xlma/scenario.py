@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .rng import substreams
+from .rng import uniforms
 
 SPEED_OF_LIGHT = 299792458.0
 
@@ -444,13 +444,14 @@ def cell_samples(cov: CoverageSpec, grid_indices, samples: int, rng_seed: int,
 
     Cell k's points are ``lo + r * (hi - lo)`` for its corners lo, hi and
     r = ``substream(rng_seed, purpose, k).random((samples, 3))``: uniform in
-    the cell and fixed by (seed, purpose, k) alone. Every cell's substream
-    is seeded in one ``substreams`` pass.
+    the cell and fixed by (seed, purpose, k) alone. Every cell's r comes
+    from one ``rng.uniforms`` call, the rng module's own PCG64, bit for bit
+    those Generator draws, so drawing samples never imports
+    ``numpy.random``.
     """
     lo, hi = cov.cell_bounds(grid_indices)
-    points = np.empty((len(lo), samples, 3))
-    for row, rng in zip(points, substreams(rng_seed, purpose, indices=grid_indices)):
-        rng.random(out=row)
+    points = uniforms(rng_seed, purpose, indices=grid_indices, count=3 * samples)
+    points = points.reshape(len(lo), samples, 3)
     points *= (hi - lo)[:, None, :]
     points += lo[:, None, :]
     return points
@@ -540,14 +541,15 @@ def visibility_from_points(
     in any batch, so stopping at a pair's first blocked sample leaves the
     table as it is. Most blocked pairs are blocked by their first sample.
 
-    Every row's samples are drawn first. Then, one obstacle at a time, rows
-    go through the prune in blocks; the pairs found queue up across blocks
-    until they fill a batch, and the queue goes through the rounds in
-    batches of at most as many pairs as segments, each round's undecided
-    pairs kept in its front. Blocks and batches share the memory of one
-    (samples, points) slab test, which is what testing a whole row at once
-    held: a block takes at most half, a batch the rest. Both reuse one
-    buffer set per call, each batch through views.
+    Every row's samples are drawn first, before the kernel's buffers exist,
+    so the draw's temporaries never add to them. Then, one obstacle at a
+    time, rows go through the prune in blocks; the pairs found queue up
+    across blocks until they fill a batch, and the queue goes through the
+    rounds in batches of at most as many pairs as segments, each round's
+    undecided pairs kept in its front. Blocks and batches share the memory
+    of one (samples, points) slab test, which is what testing a whole row
+    at once held: a block takes at most half, a batch the rest. Both reuse
+    one buffer set per call, each batch through views.
     """
     samples = as_integer(samples_per_grid, "samples_per_grid")
     if samples < 1:
@@ -588,9 +590,9 @@ def visibility_from_points(
     capacity = max(min((budget - block_rows * row_bytes) // pair_bytes,
                        n_rows * n_points * samples), widest)
 
+    targets = cell_samples(cov, grid_indices, samples, rng_seed, purpose)
     slab_test = _SlabTest(capacity)
     lower, upper, gathered = np.empty((3, block_rows, n_points))
-    targets = cell_samples(cov, grid_indices, samples, rng_seed, purpose)
     sample_lo, sample_hi = targets.min(axis=1), targets.max(axis=1)
     flat_xi = xi.reshape(-1)
 

@@ -417,3 +417,17 @@ def exhaustive_search_reference(model: RateModel, n_select: int, block_bytes: in
             best_value = values[j]
             best_support = tuple(int(c) for c in idx[j])
     return best_support, model.weighted_sum(np.array(best_support))
+
+
+def wave_vectors_broadcast(targets, sources):
+    """``channel.wave_vectors`` in broadcast form: the (T, S, 3) difference
+    in one subtraction, normalized by ``dist[..., None]``."""
+    targets = np.atleast_2d(np.asarray(targets, float))
+    sources = np.atleast_2d(np.asarray(sources, float))
+    u = np.subtract(targets[:, None, :], sources[None, :, :])
+    dist = np.square(u[..., 0])
+    for axis in (1, 2):
+        dist += np.square(u[..., axis])
+    np.sqrt(dist, out=dist)
+    u /= dist[..., None]
+    return u, dist

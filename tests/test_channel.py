@@ -18,10 +18,11 @@ from xlma.channel import (
     sample_channel,
     steering_vector,
     support_layout,
+    wave_vectors,
 )
 from xlma.errors import ConfigurationError, DomainError
 from xlma.rng import substream
-from oracles import validate_gain_tables, wave_vector
+from oracles import validate_gain_tables, wave_vector, wave_vectors_broadcast
 
 LAMBDA = 299792458.0 / 30e9
 
@@ -38,6 +39,28 @@ class TestWaveVector:
     def test_coincident_points(self):
         with pytest.raises(DomainError):
             wave_vector((1.0, 2.0, 3.0), (1.0, 2.0, 3.0))
+
+    @pytest.mark.parametrize("case", ["scenario", "scattered", "one_target"])
+    def test_planes_equal_broadcast_form(self, case):
+        """``wave_vectors`` forms u plane by plane; every bit of u and the
+        distance is that of the broadcast (T, S, 3) form."""
+        if case == "scenario":
+            sc = make_scenario(n_y=10)
+            targets, sources = sc.grid_centers(), sc.candidates()
+        else:
+            rng = substream(3, "wave-vectors")
+            targets = rng.normal(size=(7, 3)) * np.logspace(-3, 3, 7)[:, None]
+            sources = rng.normal(size=(11, 3)) * 10.0
+            if case == "one_target":
+                targets = targets[2]
+        for got, want in zip(wave_vectors(targets, sources),
+                             wave_vectors_broadcast(targets, sources)):
+            assert got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_coincident_pair_rejected(self):
+        with pytest.raises(DomainError, match="coincident"):
+            wave_vectors([[0.0, 1.0, 2.0], [1.0, 2.0, 3.0]], [[5.0, 5.0, 5.0], [1.0, 2.0, 3.0]])
 
 
 class TestSteeringVector:

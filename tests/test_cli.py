@@ -484,21 +484,23 @@ def test_config_and_preset_together_rejected(tmp_path, capsys, monkeypatch, comm
 
 @pytest.mark.parametrize("command, extra, loaded", [
     ("plan", [], []),
-    ("sweep", ["--threads", "1"], []),
-    ("sweep", ["--threads", "2"], ["concurrent.futures"]),
+    ("sweep", ["--threads", "1"], ["numpy.random"]),
+    ("sweep", ["--threads", "2"], ["concurrent.futures", "numpy.random"]),
     ("benchmark", [], []),
-    ("validate", [], []),
+    ("validate", [], ["numpy.random"]),
     ("map", [], []),
 ])
 def test_commands_load_only_modules_they_use(tmp_path, command, extra, loaded):
     """numpy.ma (which plain np.unique imports on numpy 2.x) is never
-    loaded, and the thread pool only for a sweep on more than one thread."""
+    loaded, the thread pool only for a sweep on more than one thread, and
+    numpy.random only where Monte Carlo (the sweep's ``sim_mrc``) or
+    ``validate`` draws from numpy Generators."""
     write_specs(tmp_path)
     code = ("import contextlib, io, json, sys\n"
             "from xlma.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = main(sys.argv[1:])\n"
-            "lazy = ('numpy.ma', 'concurrent.futures')\n"
+            "lazy = ('numpy.ma', 'concurrent.futures', 'numpy.random')\n"
             "print(json.dumps([code, [m for m in lazy if m in sys.modules]]))")
     argv = [command, "--preset", "desk_partial_los", *COMMAND_ARGS[command], *extra]
     done = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path,

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from xlma.errors import ConfigurationError
-from xlma.rng import _key, substream, substreams
+from xlma.rng import DRAW_BLOCK_WORDS, _key, substream, substreams, uniforms
 
 SEEDS = [0, 7, 2**32 + 3, 2**64 - 1]
 INDICES = [0, 1, 2**32 - 1]
+# 3 and 60: one and twenty visibility samples of 3 coordinates; 3000: the
+# 1000 samples of the "visibility-oracle" purpose.
+COUNTS = [3, 60, 600, 3000]
 
 
 def reference(seed, *path):
@@ -52,3 +55,52 @@ def test_negative_seed_refused():
 
 def test_no_indices_no_streams():
     assert list(substreams(7, "mc", indices=[])) == []
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("count", COUNTS)
+@pytest.mark.parametrize("purpose", ["visibility", "visibility-oracle"])
+def test_uniforms_equal_generator_draws(seed, count, purpose):
+    got = uniforms(seed, purpose, indices=INDICES, count=count)
+    want = [substream(seed, purpose, t).random(count) for t in INDICES]
+    assert got.shape == (len(INDICES), count)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("count", [60, 3000])
+def test_uniforms_across_row_blocks(count):
+    indices = np.arange(3 * max(DRAW_BLOCK_WORDS // count, 1) + 1)
+    got = uniforms(11, "visibility", indices=indices, count=count)
+    for row, rng in zip(got, substreams(11, "visibility", indices=indices)):
+        assert np.array_equal(row, rng.random(count))
+
+
+def test_uniforms_no_indices_no_rows():
+    assert uniforms(7, "visibility", indices=[], count=60).shape == (0, 60)
+
+
+def first_substream(seed, *path, indices):
+    return next(substreams(seed, *path, indices=indices))
+
+
+def three_uniforms(seed, *path, indices):
+    return uniforms(seed, *path, indices=indices, count=3)
+
+
+@pytest.mark.parametrize("draw", [first_substream, three_uniforms])
+@pytest.mark.parametrize("indices, match", [
+    ([1.5, 2.0], "must be integers"),
+    ([[1, 2]], "one-dimensional"),
+    (3, "one-dimensional"),
+    ([True, False], "list of integers"),
+    (["1"], "list of integers"),
+    ([-1], r"\[0, 2\*\*32\)"),
+])
+def test_bad_indices_refused(draw, indices, match):
+    with pytest.raises(ConfigurationError, match=match):
+        draw(7, "x", indices=indices)
+
+
+def test_integral_float_indices_pass():
+    got = uniforms(7, "x", indices=[1.0, 2.0], count=3)
+    assert np.array_equal(got, uniforms(7, "x", indices=[1, 2], count=3))

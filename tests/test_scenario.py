@@ -563,6 +563,16 @@ class TestCellSamples:
         want = np.stack([grid_sample_points(cov, k, samples, seed, purpose) for k in grids])
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("purpose, samples", [("visibility", 20), ("visibility-oracle", 1000)])
+    def test_every_row_block_equals_per_cell_draws(self, purpose, samples):
+        """All 189 cells of a paper preset: several of ``rng.uniforms``'
+        row blocks at both purposes' sample counts."""
+        cov = load_scenario(PRESETS["paper_partial_los_1d"]()).coverage
+        grids = np.arange(cov.n_grids)[::-1]
+        got = cell_samples(cov, grids, samples, 7, purpose)
+        want = np.stack([grid_sample_points(cov, k, samples, 7, purpose) for k in grids])
+        assert np.array_equal(got, want)
+
 
 class TestVisibilityInputs:
     def _scenario(self):
