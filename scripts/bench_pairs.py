@@ -5,9 +5,9 @@
 
 Run from anywhere inside a source checkout. REV is checked out as a
 temporary ``git worktree`` beside the repository, outside its tree, at a
-path exactly as long as the repository's own (the peak RSS a pass reports
-moves with the length of its checkout's path), and removed at the end. Each
-pair runs ``perfbench/run.py --trace 0`` for BENCHMARK.json's
+path exactly as long as the repository's own (``worktree.py``: the peak RSS
+a pass reports moves with the length of its checkout's path), and removed at
+the end. Each pair runs ``perfbench/run.py --trace 0`` for BENCHMARK.json's
 ``run_seconds`` once in the parent checkout and once in this working tree,
 the parent first in even pairs and the change first in odd ones, so that a
 drift of the machine falls on both sides alike. Nothing under
@@ -25,14 +25,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import secrets
-import shutil
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from worktree import ROOT, revision_checkout
+
 WIN_SHARE = 0.9
 
 
@@ -60,17 +59,6 @@ def claim_verdict(parent, change, better: str) -> tuple[int, bool]:
     q1, parent_median, q3 = quartiles(parent)
     gap = sign * (parent_median - quartiles(change)[1])
     return wins, wins >= WIN_SHARE * len(parent) and gap > q3 - q1
-
-
-def sibling_directory() -> Path:
-    """A new empty directory beside ROOT whose path is as long as ROOT's."""
-    while True:
-        path = ROOT.parent / secrets.token_hex(len(ROOT.name))[:len(ROOT.name)]
-        try:
-            path.mkdir()
-            return path
-        except FileExistsError:
-            continue
 
 
 def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -111,10 +99,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
-    parent_dir = sibling_directory()
-    try:
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach",
-                        str(parent_dir), args.parent], check=True, capture_output=True)
+    with revision_checkout(args.parent) as parent_dir:
         for workload in workloads:
             runs = {parent_dir: [], ROOT: []}
             for i in range(args.pairs):
@@ -122,11 +107,6 @@ def main(argv=None) -> int:
                     runs[checkout].append(run_benchmark(checkout, workload, args.seed,
                                                         benchmark["run_seconds"]))
             report(workload, benchmark["end_to_end"], runs[parent_dir], runs[ROOT])
-    finally:
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                        str(parent_dir)], capture_output=True)
-        shutil.rmtree(parent_dir, ignore_errors=True)  # if the worktree was never added
-        subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], capture_output=True)
     return 0
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -140,23 +141,29 @@ def _sweep_cell(ctx: ScenarioContext, scheme: str, evaluators, trials: int):
     except ConfigurationError as exc:
         return [(scheme, ev, "", "", f"skipped: {exc}") for ev in evaluators]
 
-    if isinstance(placement, ArrayLayout):
-        placement = ctx.layout_stats(placement)  # one set of statistics for every evaluator
+    stats = ctx.layout_stats(placement)  # one set of statistics for every evaluator
+    closed = {}
     if {"approx_mrc", "upper_bound"} & set(evaluators):
-        model, columns = ctx.model_for(placement)
+        closed["approx_mrc"], closed["upper_bound"] = ctx.closed_forms(stats)
     for evaluator in evaluators:
-        if evaluator == "approx_mrc":
-            rows.append((scheme, evaluator, model.weighted_sum(columns), "", ""))
-        elif evaluator == "upper_bound":
-            rows.append((scheme, evaluator, model.weighted_upper_bound(columns), "", ""))
+        if evaluator in closed:
+            rows.append((scheme, evaluator, closed[evaluator], "", ""))
         else:
             combiner = "mrc" if evaluator == "sim_mrc" else "mmse"
             est, err = simulate_weighted_sum_rate(
-                ctx.scenario, ctx.layout_stats(placement),
-                SimOptions(trials=trials, combiner=combiner),
-            )
+                ctx.scenario, stats, SimOptions(trials=trials, combiner=combiner))
             rows.append((scheme, evaluator, est, err, ""))
     return rows
+
+
+def _sweep_value(doc: dict, schemes, evaluators, trials: int, map_cells) -> list:
+    """Every scheme's rows at one sweep value, in scheme order. The value's
+    context lives only in this call, so a sweep holds one at a time;
+    ``map_cells`` is ``map`` or a thread pool's."""
+    ctx = context_from_document(doc)
+    cells = map_cells(functools.partial(_sweep_cell, ctx, evaluators=evaluators, trials=trials),
+                      schemes)
+    return [row for rows in cells for row in rows]
 
 
 def _spec_names(spec: dict, key: str, allowed, default=None) -> list:
@@ -189,31 +196,23 @@ def cmd_sweep(args) -> int:
     if not isinstance(values, list) or not values:
         raise ConfigurationError("sweep values must be a nonempty list")
 
-    contexts = [context_from_document(_apply_parameter(doc, parameter, v, f"values[{i}]"))
-                for i, v in enumerate(values)]
+    docs = [_apply_parameter(doc, parameter, v, f"values[{i}]") for i, v in enumerate(values)]
+    for value_doc in docs:
+        load_scenario(value_doc)  # every value is checked before the first cell runs
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cells = [(vi, si) for vi in range(len(values)) for si in range(len(schemes))]
-    results = [None] * len(cells)
-
-    def run_cell(ci):
-        vi, si = cells[ci]
-        return _sweep_cell(contexts[vi], schemes[si], evaluators, trials)
-
     if args.threads > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            for ci, rows in enumerate(pool.map(run_cell, range(len(cells)))):
-                results[ci] = rows
+            results = [_sweep_value(d, schemes, evaluators, trials, pool.map) for d in docs]
     else:
-        for ci in range(len(cells)):
-            results[ci] = run_cell(ci)
+        results = [_sweep_value(d, schemes, evaluators, trials, map) for d in docs]
 
     tables = {ev: [] for ev in evaluators}
-    for ci, (vi, _si) in enumerate(cells):
-        for scheme, evaluator, rate, err, note in results[ci]:
-            tables[evaluator].append((values[vi], scheme, evaluator, rate, err, note))
+    for value, rows in zip(values, results):
+        for scheme, evaluator, rate, err, note in rows:
+            tables[evaluator].append((value, scheme, evaluator, rate, err, note))
 
     for evaluator, rows in tables.items():
         path = out_dir / f"sweep_{evaluator}.csv"
@@ -263,9 +262,16 @@ def cmd_map(args) -> int:
     if kind not in ("power", "correlation"):
         raise ConfigurationError("map kind must be 'power' or 'correlation'")
     fields = _map_fields(spec)
-    ctx = context_from_document(doc)
     scheme = spec.get("scheme", "proposed")
-    if isinstance(scheme, dict) and "support" in scheme:
+    if isinstance(scheme, dict):
+        if "support" not in check_fields(scheme, ("support",), "scheme."):
+            raise ConfigurationError("missing required field 'scheme.support'")
+    elif scheme not in SWEEP_SCHEMES:
+        raise ConfigurationError(
+            f"'scheme' must be one of {SWEEP_SCHEMES} or an object with 'support', "
+            f"got {scheme!r}")
+    ctx = context_from_document(doc)
+    if isinstance(scheme, dict):
         placement = check_support(scheme["support"], len(ctx.candidates))
     else:
         placement = ctx.placement_for_scheme(scheme)
@@ -326,8 +332,7 @@ def cmd_benchmark(args) -> int:
     rows = []
 
     def scored(scheme, placement):
-        model, columns = ctx.model_for(placement)
-        return (scheme, model.weighted_sum(columns), model.weighted_upper_bound(columns), "")
+        return (scheme, *ctx.closed_forms(ctx.layout_stats(placement)), "")
 
     support = np.asarray(ctx.plan().n_mu, int)
     rows.append(scored("proposed", support))

@@ -28,11 +28,9 @@ from .channel import (
     ArrayLayout,
     LayoutStats,
     channel_from_draws,
-    check_support,
-    compute_layout_stats,
+    compute_layout_stats,  # unused here; the benchmark tracer wraps this name
     draw_realization,
     los_path_gain,
-    support_layout,
 )
 from .errors import ConfigurationError, DomainError
 from .rng import substreams
@@ -89,31 +87,25 @@ def _sinr_all_active(h: np.ndarray, pbar: np.ndarray, combiner: str) -> np.ndarr
 
 
 def simulate_trials(
-    scenario: ScenarioConfig, placement, opts: SimOptions
+    scenario: ScenarioConfig, stats: LayoutStats, opts: SimOptions
 ) -> np.ndarray:
     """Per-trial weighted-sum samples.
 
-    ``placement`` is a support, a layout, or a layout's ``LayoutStats`` over
-    the grids with positive activation probability, in grid order. Trial t
-    draws from its own ``substream(seed, "mc", t)``, all seeded in one pass
-    by ``substreams``. The draws are staged by their number of active users
-    J, all groups together under ``rate.ASSEMBLY_BLOCK_BYTES``; then each
-    group's channels and SINRs are computed in one stacked call. Trial t's value is the sum of its own J
-    rates, as one trial at a time would give.
+    ``stats`` are a placement's statistics over the grids with positive
+    activation probability, in grid order (``ScenarioContext.layout_stats``).
+    Trial t draws from its own ``substream(seed, "mc", t)``, all seeded in
+    one pass by ``substreams``. The draws are staged by their number of
+    active users J, all groups together under ``rate.ASSEMBLY_BLOCK_BYTES``;
+    then each group's channels and SINRs are computed in one stacked call.
+    Trial t's value is the sum of its own J rates, as one trial at a time
+    would give.
     """
-    if not isinstance(placement, (ArrayLayout, LayoutStats)):
-        support = check_support(placement, scenario.ma_region.n_candidates)
-        placement = support_layout(scenario, support)
     rho_all = scenario.distribution.rho
     rows = np.flatnonzero(rho_all > 0.0)
     values = np.zeros(opts.trials)
     if len(rows) == 0:
         return values
-    if isinstance(placement, ArrayLayout):
-        stats = compute_layout_stats(scenario, placement, grid_indices=rows)
-    elif np.array_equal(placement.grid_rows, rows):
-        stats = placement
-    else:
+    if not np.array_equal(stats.grid_rows, rows):
         raise ConfigurationError("layout statistics must cover exactly the grids with rho > 0")
     rho_rows = rho_all[rows]
     pbar_rows = scenario.snr_scale[rows]
@@ -144,10 +136,10 @@ def simulate_trials(
 
 
 def simulate_weighted_sum_rate(
-    scenario: ScenarioConfig, placement, opts: SimOptions
+    scenario: ScenarioConfig, stats: LayoutStats, opts: SimOptions
 ) -> tuple[float, float]:
     """(estimate, standard error) of the expected weighted sum rate."""
-    values = simulate_trials(scenario, placement, opts)
+    values = simulate_trials(scenario, stats, opts)
     estimate = float(np.mean(values))
     if len(values) > 1:
         stderr = float(np.std(values, ddof=1) / np.sqrt(len(values)))

@@ -61,13 +61,12 @@ class ScenarioContext:
         return fpa_layout(scheme, self.scenario)
 
     def layout_stats(self, placement) -> LayoutStats:
-        """Statistics of a support, layout or ``LayoutStats`` over the active grids.
+        """Statistics of a support (index list) or a layout over the active
+        grids: the one placement form every evaluator takes.
 
         A support's come from its columns of the candidate tables, with no
         visibility pass of their own; a layout's are computed.
         """
-        if isinstance(placement, LayoutStats):
-            return placement
         if isinstance(placement, ArrayLayout):
             return compute_layout_stats(
                 self.scenario, placement, grid_indices=self.model.grid_rows
@@ -80,17 +79,12 @@ class ScenarioContext:
             self.scenario, support_layout(self.scenario, support), columns
         )
 
-    def model_for(self, placement) -> tuple[RateModel, np.ndarray]:
-        """(model, columns) that score a support (index list), a layout or a
-        layout's ``LayoutStats``.
-
-        A support is scored on the candidate model; a layout gets a model of
-        its own, whose columns are its subarrays.
-        """
-        if isinstance(placement, (ArrayLayout, LayoutStats)):
-            model = RateModel.from_layout_stats(self.scenario, self.layout_stats(placement))
-            return model, np.arange(model.n_cols)
-        return self.model, check_support(placement, self.model.n_cols)
+    def closed_forms(self, stats: LayoutStats) -> tuple[float, float]:
+        """(approx_mrc, upper_bound) of a placement's statistics, scored on a
+        model of its own columns."""
+        model = RateModel.from_layout_stats(self.scenario, stats)
+        columns = np.arange(model.n_cols)
+        return model.weighted_sum(columns), model.weighted_upper_bound(columns)
 
 
 def context_from_document(doc) -> ScenarioContext:

@@ -163,9 +163,9 @@ def _check_pure_los_exactness(scenario) -> CheckResult:
     ctx = ScenarioContext.build(single)
     n0 = single.ma_region.n_candidates
     support = np.linspace(0, n0 - 1, single.n_subarrays).astype(int)
-    support = distinct_sorted(support)
-    closed = ctx.model.weighted_sum(support)
-    values = simulate_trials(single, support, SimOptions(trials=16, combiner="mrc"))
+    stats = ctx.layout_stats(distinct_sorted(support))
+    closed, _ = ctx.closed_forms(stats)
+    values = simulate_trials(single, stats, SimOptions(trials=16, combiner="mrc"))
     err = float(np.max(np.abs(values - closed)))
     return CheckResult("pure-los-exactness", err < 1e-9, f"max |trial - closed| = {err:.2e}")
 

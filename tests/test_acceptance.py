@@ -151,12 +151,11 @@ def test_criterion_2_theorem_tightness(desk_1d):
     details = []
     for m_h, (ctx, plan) in desk_1d.items():
         for scheme in ("proposed", "horizontal_sparse", "dense_ula"):
-            placement = (np.asarray(plan.n_mu, int) if scheme == "proposed"
-                         else ctx.placement_for_scheme(scheme))
-            model, columns = ctx.model_for(placement)
-            closed = model.weighted_sum(columns)
+            stats = ctx.layout_stats(np.asarray(plan.n_mu, int) if scheme == "proposed"
+                                     else ctx.placement_for_scheme(scheme))
+            closed, _ = ctx.closed_forms(stats)
             est, _ = simulate_weighted_sum_rate(
-                ctx.scenario, placement, SimOptions(trials=2000, combiner="mrc")
+                ctx.scenario, stats, SimOptions(trials=2000, combiner="mrc")
             )
             rel = abs(closed - est) / est
             worst = max(worst, rel)
@@ -181,20 +180,18 @@ def test_criterion_3_near_optimality(random_instances):
 
 def test_criterion_4_benchmark_dominance(desk_2d):
     ctx, plan = desk_2d
-    support = np.asarray(plan.n_mu, int)
-    model, columns = ctx.model_for(support)
-    prop_closed = model.weighted_sum(columns)
+    stats = ctx.layout_stats(np.asarray(plan.n_mu, int))
+    prop_closed, _ = ctx.closed_forms(stats)
     prop_mmse, prop_se = simulate_weighted_sum_rate(
-        ctx.scenario, support, SimOptions(trials=2000, combiner="mmse")
+        ctx.scenario, stats, SimOptions(trials=2000, combiner="mmse")
     )
     closed_ok, mmse_ok = True, True
     margin = np.inf
     for kind in BENCHMARK_KINDS:
-        placement = ctx.placement_for_scheme(kind)
-        model, columns = ctx.model_for(placement)
-        closed = model.weighted_sum(columns)
+        stats = ctx.layout_stats(ctx.placement_for_scheme(kind))
+        closed, _ = ctx.closed_forms(stats)
         est, se = simulate_weighted_sum_rate(
-            ctx.scenario, placement, SimOptions(trials=2000, combiner="mmse")
+            ctx.scenario, stats, SimOptions(trials=2000, combiner="mmse")
         )
         closed_ok &= prop_closed >= closed - 1e-12
         tol = 2.0 * float(np.hypot(prop_se, se))
@@ -211,7 +208,8 @@ def test_criterion_5_pure_los_exactness():
     ctx = ScenarioContext.build(sc)
     support = np.array([5, 25, 45])
     closed = ctx.model.weighted_sum(support)
-    values = simulate_trials(sc, support, SimOptions(trials=200, combiner="mrc"))
+    values = simulate_trials(sc, ctx.layout_stats(support),
+                             SimOptions(trials=200, combiner="mrc"))
     err = float(np.max(np.abs(values - closed)))
     spread = float(values.std())
     report(5, "pure-LoS single-grid exactness",
@@ -233,12 +231,11 @@ def test_criterion_6_monotone_traces(desk_1d, desk_2d, random_instances):
 
 def test_criterion_7_mmse_dominance_and_upper_bound(desk_1d):
     ctx, plan = desk_1d[4]
-    support = np.asarray(plan.n_mu, int)
-    mrc = simulate_trials(ctx.scenario, support, SimOptions(trials=1000, combiner="mrc"))
-    mmse = simulate_trials(ctx.scenario, support, SimOptions(trials=1000, combiner="mmse"))
+    stats = ctx.layout_stats(np.asarray(plan.n_mu, int))
+    mrc = simulate_trials(ctx.scenario, stats, SimOptions(trials=1000, combiner="mrc"))
+    mmse = simulate_trials(ctx.scenario, stats, SimOptions(trials=1000, combiner="mmse"))
     per_real = bool(np.all(mmse >= mrc - 1e-9))
-    model, columns = ctx.model_for(support)
-    bound = model.weighted_upper_bound(columns)
+    _, bound = ctx.closed_forms(stats)
     est = float(mmse.mean())
     se = float(mmse.std(ddof=1) / np.sqrt(len(mmse)))
     bounded = est <= bound + 3 * se
@@ -315,12 +312,12 @@ def test_criterion_10_full_scale_preset():
     plan = ctx.plan()
     assert len(plan.n_mu) == 8 and len(set(plan.n_mu)) == 8
     assert np.isfinite(plan.objective) and plan.objective > 0
-    support = np.asarray(plan.n_mu, int)
+    stats = ctx.layout_stats(np.asarray(plan.n_mu, int))
     mrc, mrc_se = simulate_weighted_sum_rate(
-        ctx.scenario, support, SimOptions(trials=1000, combiner="mrc")
+        ctx.scenario, stats, SimOptions(trials=1000, combiner="mrc")
     )
     mmse, mmse_se = simulate_weighted_sum_rate(
-        ctx.scenario, support, SimOptions(trials=1000, combiner="mmse")
+        ctx.scenario, stats, SimOptions(trials=1000, combiner="mmse")
     )
     elapsed = time.time() - t0
     report(10, "full-scale preset",

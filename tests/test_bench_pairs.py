@@ -1,14 +1,14 @@
 """The claim rule of ``scripts/bench_pairs.py`` on fixed runs."""
 
-import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
-_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
-bench_pairs = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench_pairs)
+# The scripts import their shared worktree helper by module name.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
+import bench_pairs  # noqa: E402
+
 claim_verdict = bench_pairs.claim_verdict
 
 # Parent runs with median 1.0 and quartiles [0.95, 1.05], an IQR of 0.1.

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,32 @@ class TestSweep:
                      "--out-dir", str(d2), "--threads", "4"]) == 0
         assert (d1 / "sweep_sim_mrc.csv").read_bytes() == (d2 / "sweep_sim_mrc.csv").read_bytes()
 
+    @pytest.mark.parametrize("threads", ["0", "4"])
+    def test_sweep_holds_one_value_context_at_a_time(self, tmp_path, threads):
+        # Each value's context (100 candidates x 50 active grids) is dropped
+        # before the next one is built, so three values peak like one.
+        doc = desk_full_los()
+        doc["distribution"].update(regular_ratio=1.0, hotspot_k1=[], hotspot_k2=[])
+        cfg = write_config(tmp_path, doc)
+
+        def peak(values):
+            spath = tmp_path / "sweep.json"
+            spath.write_text(json.dumps({"parameter": "m_h", "values": values,
+                                         "schemes": ["proposed"],
+                                         "evaluators": ["approx_mrc"]}))
+            argv = ["sweep", "--config", str(cfg), "--sweep", str(spath),
+                    "--out-dir", str(tmp_path / "out"), "--threads", threads]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak([4])  # one-time allocations stay out of the measured peaks
+        one = peak([4])
+        assert peak([2, 3, 4]) < 1.05 * one
+
 
 class TestMap:
     def test_correlation_map_probe_cell(self, tmp_path):
@@ -349,6 +376,22 @@ class TestMap:
         assert main(["map", "--config", str(cfg), "--map-spec", str(spath),
                      "--out", str(out)]) == 1
         assert "support" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scheme, message", [
+        ({"support": [5, 25], "suport_typo": [1]}, "unknown field 'scheme.suport_typo'"),
+        ({}, "missing required field 'scheme.support'"),
+        (["proposed"], "'scheme' must be one of ('proposed', 'optimal', 'sparse_2x4'"),
+        ("best", "'scheme' must be one of ('proposed', 'optimal', 'sparse_2x4'"),
+    ])
+    def test_bad_scheme_names_the_field(self, tmp_path, capsys, scheme, message):
+        cfg = write_config(tmp_path, desk_full_los())
+        spath = tmp_path / "map.json"
+        spath.write_text(json.dumps({"kind": "power", "scheme": scheme}))
+        out = tmp_path / "m.csv"
+        assert main(["map", "--config", str(cfg), "--map-spec", str(spath),
+                     "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_non_integer_support_rejected(self, tmp_path, capsys):

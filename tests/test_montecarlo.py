@@ -123,6 +123,11 @@ class TestStackedSinr:
         np.testing.assert_array_equal(_sinr_all_active(h, np.full((3, 2), 5.0), combiner), 0.0)
 
 
+def support_stats(sc, support):
+    """The statistics ``simulate_trials`` takes for a support of ``sc``."""
+    return ScenarioContext.build(sc).layout_stats(support)
+
+
 def single_grid_scenario(n_subarrays=3):
     return make_scenario(n_y=20, k_x=1, k_y=1, kappa=np.inf, rho=[1.0],
                          n_subarrays=n_subarrays, seed=17)
@@ -131,8 +136,8 @@ def single_grid_scenario(n_subarrays=3):
 class TestSimulateWeightedSum:
     def test_zero_rho_zero_estimate(self):
         sc = make_scenario(n_y=6, k_x=2, k_y=1, rho=[0.0, 0.0])
-        est, err = simulate_weighted_sum_rate(sc, np.array([0, 3]),
-                                              SimOptions(trials=50))
+        stats = compute_layout_stats(sc, support_layout(sc, [0, 3]))
+        est, err = simulate_weighted_sum_rate(sc, stats, SimOptions(trials=50))
         assert est == 0.0 and err == 0.0
 
     def test_pure_los_single_grid_exact_zero_variance(self):
@@ -140,23 +145,24 @@ class TestSimulateWeightedSum:
         ctx = ScenarioContext.build(sc)
         support = np.array([2, 9, 14])
         closed = ctx.model.weighted_sum(support)
-        values = simulate_trials(sc, support, SimOptions(trials=64))
+        stats = ctx.layout_stats(support)
+        values = simulate_trials(sc, stats, SimOptions(trials=64))
         assert np.max(np.abs(values - closed)) < 1e-9
-        est, err = simulate_weighted_sum_rate(sc, support, SimOptions(trials=64))
+        est, err = simulate_weighted_sum_rate(sc, stats, SimOptions(trials=64))
         assert err < 1e-12  # variance at roundoff level only
 
     @pytest.mark.parametrize("support", [[-1], [2, 2, 2], [8], [0, 9], [True, True]])
     def test_bad_support_indices_rejected(self, support):
-        sc = make_scenario(n_y=8, n_subarrays=2)
+        ctx = ScenarioContext.build(make_scenario(n_y=8, n_subarrays=2))
         with pytest.raises(DomainError):
-            simulate_weighted_sum_rate(sc, support, SimOptions(trials=2))
+            ctx.layout_stats(support)
 
     def test_seed_determinism(self):
         sc = make_scenario(n_y=10, k_x=2, k_y=2, kappa=8.0,
                            rho=[0.5, 0.6, 0.4, 0.7], seed=23)
         opts = SimOptions(trials=40, combiner="mmse")
-        a = simulate_weighted_sum_rate(sc, np.array([1, 6]), opts)
-        b = simulate_weighted_sum_rate(sc, np.array([1, 6]), opts)
+        a = simulate_weighted_sum_rate(sc, support_stats(sc, [1, 6]), opts)
+        b = simulate_weighted_sum_rate(sc, support_stats(sc, [1, 6]), opts)
         assert a == b
 
     def test_two_grid_analytic_toy_unbiased(self):
@@ -178,38 +184,44 @@ class TestSimulateWeightedSum:
             + 0.4 * 0.3 * r2_alone
             + 0.6 * 0.3 * (np.log2(1 + g1_both) + np.log2(1 + g2_both))
         )
-        values = simulate_trials(sc, support, SimOptions(trials=100_000))
+        values = simulate_trials(sc, ctx.layout_stats(support), SimOptions(trials=100_000))
         se = values.std(ddof=1) / np.sqrt(len(values))
         assert abs(values.mean() - expected) <= 3 * se
 
     def test_mmse_at_least_mrc_per_trial(self):
         sc = make_scenario(n_y=10, k_x=2, k_y=2, kappa=6.0,
                            rho=[0.8, 0.7, 0.6, 0.5], seed=37)
-        support = np.array([0, 4, 9])
-        mrc = simulate_trials(sc, support, SimOptions(trials=300, combiner="mrc"))
-        mmse = simulate_trials(sc, support, SimOptions(trials=300, combiner="mmse"))
+        stats = support_stats(sc, [0, 4, 9])
+        mrc = simulate_trials(sc, stats, SimOptions(trials=300, combiner="mrc"))
+        mmse = simulate_trials(sc, stats, SimOptions(trials=300, combiner="mmse"))
         assert np.all(mmse >= mrc - 1e-9)
 
     def test_layout_and_support_agree(self):
+        # A support's statistics, sliced from the candidate tables, and its
+        # layout's, computed at the subarray centers, draw the same trials.
         sc = make_scenario(n_y=10, k_x=2, k_y=2, kappa=6.0,
                            rho=[0.8, 0.7, 0.6, 0.5], seed=41)
+        ctx = ScenarioContext.build(sc)
         support = np.array([0, 5])
-        a = simulate_trials(sc, support, SimOptions(trials=20))
-        b = simulate_trials(sc, support_layout(sc, support), SimOptions(trials=20))
-        np.testing.assert_allclose(a, b, rtol=0, atol=0)
+        a = simulate_trials(sc, ctx.layout_stats(support), SimOptions(trials=20))
+        b = simulate_trials(sc, ctx.layout_stats(support_layout(sc, support)),
+                            SimOptions(trials=20))
+        np.testing.assert_array_equal(a, b)
 
     def test_context_statistics_and_support_agree(self):
         # Statistics sliced from the candidate tables (rows with rho > 0 only)
-        # draw exactly the trials the support draws from its own statistics.
+        # draw exactly the trials of the support's own statistics over the
+        # same grids.
         sc = make_scenario(n_y=10, k_x=2, k_y=2, kappa=6.0,
                            rho=[0.8, 0.0, 0.6, 0.5], seed=43)
         support = np.array([7, 2])
-        stats = ScenarioContext.build(sc).layout_stats(support)
+        sliced = support_stats(sc, support)
+        computed = compute_layout_stats(sc, support_layout(sc, support),
+                                        grid_indices=[0, 2, 3])
         for combiner in ("mrc", "mmse"):
             opts = SimOptions(trials=20, combiner=combiner)
-            a = simulate_trials(sc, support, opts)
-            b = simulate_trials(sc, stats, opts)
-            np.testing.assert_array_equal(a, b)
+            np.testing.assert_array_equal(simulate_trials(sc, sliced, opts),
+                                          simulate_trials(sc, computed, opts))
 
     def test_statistics_over_other_grids_rejected(self):
         sc = make_scenario(n_y=10, k_x=2, k_y=2, kappa=6.0,
@@ -250,9 +262,9 @@ class TestStagedTrials:
         sc = self._varying_scenario(kappa)
         support = np.array([1, 6, 10])
         opts = SimOptions(trials=200, combiner=combiner)
+        stats = support_stats(sc, support)
         shapes = record_groups(monkeypatch)
-        values = simulate_trials(sc, support, opts)
-        stats = ScenarioContext.build(sc).layout_stats(support)
+        values = simulate_trials(sc, stats, opts)
         reference = simulate_trials_reference(sc, stats, opts)
         np.testing.assert_array_equal(values, reference)
         assert np.sum(reference == 0.0) >= 10  # zero-activation trials
@@ -266,7 +278,7 @@ class TestStagedTrials:
         sc = self._varying_scenario(4.0)
         support = np.array([0, 5, 11])
         opts = SimOptions(trials=150, combiner=combiner)
-        stats = ScenarioContext.build(sc).layout_stats(support)
+        stats = support_stats(sc, support)
         reference = simulate_trials_reference(sc, stats, opts)
         per_user = 8 * (len(stats.m_col) + 2 * stats.total_antennas)
         monkeypatch.setattr(rate, "ASSEMBLY_BLOCK_BYTES", 2 * per_user * trials_per_flush)
@@ -282,18 +294,18 @@ class TestStagedTrials:
                            n_subarrays=4, seed=59)
         support = np.array([0, 3, 7, 11])
         opts = SimOptions(trials=400, combiner=combiner)
-        stats = ScenarioContext.build(sc).layout_stats(support)
+        stats = support_stats(sc, support)
         shapes = record_groups(monkeypatch)
-        values = simulate_trials(sc, support, opts)
+        values = simulate_trials(sc, stats, opts)
         np.testing.assert_array_equal(values, simulate_trials_reference(sc, stats, opts))
         assert len(shapes) > 2 * len({j for _, j in shapes})
 
     @pytest.mark.parametrize("combiner", ["mrc", "mmse"])
     def test_prefix_of_longer_run(self, combiner):
         sc = self._varying_scenario(4.0)
-        support = np.array([2, 8])
-        short = simulate_trials(sc, support, SimOptions(trials=20, combiner=combiner))
-        long = simulate_trials(sc, support, SimOptions(trials=57, combiner=combiner))
+        stats = support_stats(sc, [2, 8])
+        short = simulate_trials(sc, stats, SimOptions(trials=20, combiner=combiner))
+        long = simulate_trials(sc, stats, SimOptions(trials=57, combiner=combiner))
         np.testing.assert_array_equal(short, long[:20])
 
 

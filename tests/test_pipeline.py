@@ -12,7 +12,7 @@ from xlma.channel import build_gain_tables, compute_layout_stats, support_layout
 from xlma.cli import _sweep_cell
 from xlma.optimizer import build_init_lp, successive_replacement
 from xlma.pipeline import context_from_document
-from xlma.presets import paper_partial_los_1d
+from xlma.presets import PRESETS, paper_partial_los_1d
 from xlma.rate import RateModel
 from xlma.scenario import Obstacle, compute_los_visibility
 
@@ -72,18 +72,38 @@ def test_layout_stats_of_a_support_are_its_candidate_columns():
 
 
 def test_baseline_sweep_cell_builds_one_layout_model(desk_context, monkeypatch):
-    calls = []
+    # One set of statistics per cell, handed to every evaluator: a layout's
+    # from one visibility pass, a support's from its candidate columns.
+    made = []
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return compute_layout_stats(*args, **kwargs)
+    def counting(maker):
+        original = getattr(pipeline, maker)
 
-    monkeypatch.setattr(pipeline, "compute_layout_stats", counted)
-    rows = _sweep_cell(desk_context, "horizontal_sparse", ["approx_mrc", "upper_bound"], 1)
-    assert len(calls) == 1
-    model, columns = desk_context.model_for(calls[0])
-    assert [row[2] for row in rows] == [model.weighted_sum(columns),
-                                        model.weighted_upper_bound(columns)]
+        def counted(*args, **kwargs):
+            made.append((maker, original(*args, **kwargs)))
+            return made[-1][1]
+        return counted
+
+    for maker in ("compute_layout_stats", "layout_stats_from_gains"):
+        monkeypatch.setattr(pipeline, maker, counting(maker))
+    evaluators = ["approx_mrc", "upper_bound", "sim_mrc", "sim_mmse"]
+    for scheme, maker in (("proposed", "layout_stats_from_gains"),
+                          ("horizontal_sparse", "compute_layout_stats")):
+        made.clear()
+        rows = _sweep_cell(desk_context, scheme, evaluators, 2)
+        assert [name for name, _ in made] == [maker], scheme
+        assert [row[2] for row in rows[:2]] == list(desk_context.closed_forms(made[0][1]))
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_support_scored_on_its_own_columns_equals_candidate_model(preset):
+    # A support's closed forms, on a model of its own columns, have the bits
+    # of the candidate model's, in any order of the support.
+    ctx = context_from_document(PRESETS[preset]())
+    support = np.asarray(ctx.plan().n_mu, int)
+    for order in (support, np.sort(support), support[::-1]):
+        assert ctx.closed_forms(ctx.layout_stats(order)) == (
+            ctx.model.weighted_sum(order), ctx.model.weighted_upper_bound(order))
 
 
 def _traced_peak(fn):
