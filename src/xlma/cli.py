@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .benchmarks import BENCHMARK_KINDS, fpa_layout
+from .benchmarks import BENCHMARK_KINDS
 from .channel import ArrayLayout, check_support, support_layout
 from .errors import ConfigurationError, DomainError
 from .montecarlo import MapRequest, SimOptions, correlation_map, power_gain_map, \
@@ -330,23 +330,16 @@ def cmd_benchmark(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = []
-
-    def scored(scheme, placement):
-        return (scheme, *ctx.closed_forms(ctx.layout_stats(placement)), "")
-
-    support = np.asarray(ctx.plan().n_mu, int)
-    rows.append(scored("proposed", support))
-    _write_json(out_dir / "layout_proposed.json",
-                support_layout(ctx.scenario, support).to_json_dict())
-
-    for kind in BENCHMARK_KINDS:
+    for scheme in ("proposed",) + BENCHMARK_KINDS:
         try:
-            layout = fpa_layout(kind, ctx.scenario)
+            placement = ctx.placement_for_scheme(scheme)
         except ConfigurationError as exc:
-            rows.append((kind, "", "", f"skipped: {exc}"))
+            rows.append((scheme, "", "", f"skipped: {exc}"))
             continue
-        _write_json(out_dir / f"layout_{kind}.json", layout.to_json_dict())
-        rows.append(scored(kind, layout))
+        layout = (placement if isinstance(placement, ArrayLayout)
+                  else support_layout(ctx.scenario, placement))
+        _write_json(out_dir / f"layout_{scheme}.json", layout.to_json_dict())
+        rows.append((scheme, *ctx.closed_forms(ctx.layout_stats(placement)), ""))
 
     path = out_dir / "benchmarks.csv"
     with path.open("w", newline="") as fh:

@@ -51,30 +51,24 @@ class LpSolution:
 
 class SelectionState:
     """Ordered selected candidates, the slots already replaced, and the
-    running per-grid sums of the selection (O(K') per replacement)."""
+    running (3, K') per-grid sums of the selection (O(K') per replacement)."""
 
     def __init__(self, model: RateModel, n_mu):
         self.model = model
-        self.s_mean, self.s_var, self.s_den = model.sums(n_mu)
+        self.sums = model.sums(n_mu)
         self.n_mu = [int(c) for c in n_mu]
         self.replaced_slots = set()
-        self.objective = float(model.objective(self.s_mean, self.s_var, self.s_den))
+        self.objective = float(model.objective(self.sums))
 
-    def without(self, col: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def without(self, col: int) -> np.ndarray:
         """Per-grid sums with the selected column ``col`` left out."""
-        m = self.model
-        return (self.s_mean - m.sig_mean[:, col],
-                self.s_var - m.sig_var[:, col],
-                self.s_den - m.denom[:, col])
+        return self.sums - self.model.terms[:, :, col]
 
     def replace(self, slot: int, col: int, objective: float) -> None:
         """Move ``slot`` to column ``col``, whose selection scores ``objective``."""
-        m = self.model
-        old = self.n_mu[slot]
-        for total, table in ((self.s_mean, m.sig_mean), (self.s_var, m.sig_var),
-                             (self.s_den, m.denom)):
-            total -= table[:, old]
-            total += table[:, col]
+        terms = self.model.terms
+        self.sums -= terms[:, :, self.n_mu[slot]]
+        self.sums += terms[:, :, col]
         self.n_mu[slot] = col
         self.replaced_slots.add(slot)
         self.objective = objective
@@ -95,17 +89,22 @@ def build_init_lp(scenario: ScenarioConfig, model: RateModel, xi: np.ndarray) ->
 
     Row r of ``xi`` is the visibility of grid ``model.grid_rows[r]``. Only
     grids that see at least one candidate get a coverage row, so there are
-    at most N rows, each with a visible candidate.
+    at most N rows, each with a visible candidate. A top grid the model does
+    not hold raises ``DomainError``.
     """
     c = model.marginal_objective()
     rho = scenario.distribution.rho
     n_select = scenario.n_subarrays
-    order = np.lexsort((np.arange(len(rho)), -rho))
-    top = [k for k in order[:n_select] if rho[k] > 0.0]
-    reachable = [k for k in top if xi[model.row_of(k)].sum() >= 1]
-    coverage = (xi[[model.row_of(k) for k in reachable]].astype(float)
-                if reachable else np.zeros((0, len(c))))
-    return LpProblem(c=c, coverage_rows=coverage, n_select=n_select)
+    top = np.lexsort((np.arange(len(rho)), -rho))[:n_select]
+    top = top[rho[top] > 0.0]
+    order = np.argsort(model.grid_rows)
+    at = np.searchsorted(model.grid_rows, top, sorter=order)  # any row order
+    rows = order[np.minimum(at, len(order) - 1)]
+    held = model.grid_rows[rows] == top
+    if not held.all():
+        raise DomainError(f"grid {top[~held][0]} is not modeled")
+    coverage = xi[rows].astype(float)
+    return LpProblem(c=c, coverage_rows=coverage[coverage.sum(axis=1) >= 1], n_select=n_select)
 
 
 def _check_certificate(res: SimplexResult) -> None:
@@ -152,7 +151,7 @@ def select_victim(state: SelectionState) -> int:
     for slot in range(len(state.n_mu)):
         if slot in state.replaced_slots:
             continue
-        value = state.model.objective(*state.without(state.n_mu[slot]))
+        value = state.model.objective(state.without(state.n_mu[slot]))
         if value > best_value:
             best_value = value
             best_slot = slot
@@ -254,22 +253,23 @@ def _prefix_blocks(n_cols: int, n_select: int, width: int, max_heads: int):
                 yield np.array(chunk, np.intp).reshape(len(chunk), n_select - 2), x, tails
 
 
-def _block_sums(columns, heads, x, tails, out, prefix) -> np.ndarray:
-    """Sums of the rows of ``columns`` (a (C, K') table) over a
-    ``_prefix_blocks`` block's subsets, into ``out`` (subsets, K').
+def _block_sums(columns, heads, x, tails, out, prefix, scratch) -> None:
+    """Sums of the rows of ``columns`` (a (C, ...) table) over a
+    ``_prefix_blocks`` block's subsets, into ``out`` (subsets, ...), which
+    may be strided.
 
-    Each head's sum plus row x is formed once, into ``prefix``, and one
+    Each head's sum plus row x is formed once, into ``prefix`` (heads, ...),
+    with ``scratch`` of the same shape for the gathered rows, and one
     broadcast add appends every tail: the left fold ((a + b) + c) + d.
     """
-    block = out.reshape(len(heads), len(tails), -1)
+    block = out.reshape(len(heads), len(tails), *out.shape[1:])
     tail = columns[tails.start : tails.stop]
     if x is None:
         block[0] = tail
-        return out
+        return
     if heads.shape[1] == 0:
         prefix[...] = columns[x]
     else:
-        scratch = out[: len(heads)]  # free until the broadcast add fills ``out``
         # mode="clip" writes straight into the given buffer, where the
         # default mode would write a copy; no head index reaches x.
         np.take(columns, heads[:, 0], axis=0, out=prefix, mode="clip")
@@ -277,8 +277,7 @@ def _block_sums(columns, heads, x, tails, out, prefix) -> np.ndarray:
             np.take(columns, col, axis=0, out=scratch, mode="clip")
             prefix += scratch
         prefix += columns[x]
-    np.add(prefix[:, None, :], tail[None, :, :], out=block)
-    return out
+    np.add(prefix[:, None], tail[None], out=block)
 
 
 def exhaustive_search(
@@ -286,13 +285,14 @@ def exhaustive_search(
 ) -> tuple[np.ndarray, float]:
     """Global optimum over all N-subsets (lexicographically first among ties).
 
-    Subsets are scored in ``_prefix_blocks``, their column sums formed by
-    ``_block_sums``. That is the left fold which ``table[:, idx].sum(axis=2)``
-    applies to N gathered columns when K' >= 2. Each block is scored one
-    table at a time in ``RateModel._sinr_from_sums``' order, in buffers
-    allocated once per call: a block of ``rate.ASSEMBLY_BLOCK_BYTES`` for
-    the table's sums and one for the SINR, and a quarter block for the head
-    sums. A block holds one row of K' grids per subset, and each row's
+    Subsets are scored in ``_prefix_blocks``. ``_block_sums`` forms a block's
+    column sums from a (C, 3, K') copy of ``model.terms``, whose row c holds
+    column c's three terms: the left fold which ``table[:, idx].sum(axis=2)``
+    applies to N gathered columns of each (K', C) table when K' >= 2.
+    ``RateModel.log_rates`` turns them into rates. The buffers are allocated
+    once per call: three blocks of ``rate.ASSEMBLY_BLOCK_BYTES`` for the
+    sums, one for the rates and six quarter blocks for the head sums. A
+    block's rates hold one row of K' grids per subset, and each row's
     weighted sum is numpy's pairwise sum over its own contiguous grids,
     never a matvec that may round by position in the block, so exact ties
     stay exact. Blocks are not in lexicographic order, so a block's best
@@ -310,44 +310,31 @@ def exhaustive_search(
     n_rows = len(model.rho)
     width = max(1, rate.ASSEMBLY_BLOCK_BYTES // (8 * n_rows))
     max_heads = max(1, width // 4)
-    # (C, K') views: each subset's K' grids lie contiguous in every block.
-    sig_mean, sig_var, denom = model.sig_mean.T, model.sig_var.T, model.denom.T
-    sums = np.empty(width * n_rows)
+    columns = np.ascontiguousarray(model.terms.transpose(2, 0, 1))  # (C, 3, K')
+    sums = np.empty(width * 3 * n_rows)
     work = np.empty(width * n_rows)
-    zero = np.empty(width * n_rows, dtype=bool)
-    prefix_sums = np.empty(max_heads * n_rows)
+    head_sums = np.empty((2, max_heads, 3, n_rows))  # prefix and scratch
     scores = np.empty(width)
     best_support = None
     best_value = -np.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for heads, x, tails in _prefix_blocks(n_cols, n_select, width, max_heads):
-            n = len(heads) * len(tails)
-            out = sums[: n * n_rows].reshape(n, n_rows)
-            prefix = prefix_sums[: len(heads) * n_rows].reshape(len(heads), n_rows)
-            gamma = work[: n * n_rows].reshape(n, n_rows)
-            unusable = zero[: n * n_rows].reshape(n, n_rows)
-            s_mean = _block_sums(sig_mean, heads, x, tails, out, prefix)
-            np.multiply(s_mean, s_mean, out=gamma)
-            gamma += _block_sums(sig_var, heads, x, tails, out, prefix)
-            gamma *= model.pbar
-            s_den = _block_sums(denom, heads, x, tails, out, prefix)
-            gamma /= s_den
-            np.greater(s_den, 0.0, out=unusable)  # gamma = 0 unless s_den > 0
-            np.logical_not(unusable, out=unusable)
-            np.copyto(gamma, 0.0, where=unusable)
-            gamma += 1.0
-            np.log2(gamma, out=gamma)
-            gamma *= model.rho
-            values = gamma.sum(axis=1, out=scores[:n])
-            j = int(np.argmax(values))  # first maximum: first in the block's order
-            value = values[j]
-            if not value >= best_value:
-                continue
-            head, d = divmod(j, len(tails))
-            support = (*heads[head].tolist(), *(() if x is None else (x,)), tails[d])
-            if best_support is None or value > best_value or support < best_support:
-                best_value = value
-                best_support = support
+    for heads, x, tails in _prefix_blocks(n_cols, n_select, width, max_heads):
+        n = len(heads) * len(tails)
+        # (3, n, K'): each term's sums contiguous, as ``log_rates`` reads them.
+        block = sums[: n * 3 * n_rows].reshape(3, n, n_rows)
+        prefix, scratch = head_sums[:, : len(heads)]
+        _block_sums(columns, heads, x, tails, block.transpose(1, 0, 2), prefix, scratch)
+        rates = model.log_rates(model.pbar, *block, out=work[: n * n_rows].reshape(n, n_rows))
+        rates *= model.rho
+        values = rates.sum(axis=1, out=scores[:n])
+        j = int(np.argmax(values))  # first maximum: first in the block's order
+        value = values[j]
+        if not value >= best_value:
+            continue
+        head, d = divmod(j, len(tails))
+        support = (*heads[head].tolist(), *(() if x is None else (x,)), tails[d])
+        if best_support is None or value > best_value or support < best_support:
+            best_value = value
+            best_support = support
     chi = np.zeros(n_cols, dtype=np.uint8)
     chi[list(best_support)] = 1
     return chi, model.weighted_sum(np.array(best_support))

@@ -11,11 +11,9 @@ Index conventions (all 0-based in code):
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import astuple, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -859,22 +857,13 @@ def _integers(value, field: str) -> list:
     return [as_integer(v, f"{field}[{i}]") for i, v in enumerate(value)]
 
 
-def load_scenario(source) -> ScenarioConfig:
-    """Build a ScenarioConfig from a JSON document: a dict, JSON text (a str
-    whose first non-blank character is '{' or '['), or a path (any other
-    str, or a Path) to a file holding one.
+def load_scenario(doc) -> ScenarioConfig:
+    """Build a ScenarioConfig from a parsed JSON document, which must be a
+    mapping.
 
     Powers are given in dBm (``tx_power_dbm``, ``noise_power_dbm``) and the
     Rician factor in dB (``rician_kappa_db``) or the string "infinite".
     """
-    if isinstance(source, str) and source.lstrip().startswith(("{", "[")):
-        doc = json.loads(source)
-    elif isinstance(source, (str, Path)):
-        if not Path(source).is_file():
-            raise ConfigurationError(f"no scenario file at {str(source)!r}")
-        doc = json.loads(Path(source).read_text())
-    else:
-        doc = source
     if not isinstance(doc, dict):
         raise ConfigurationError(f"a scenario must be a JSON object, got {type(doc).__name__}")
     check_fields(doc, SCENARIO_FIELDS)

@@ -22,7 +22,10 @@ layout.
 each trial's channel, SINRs and rate sum computed alone, with no staging,
 each seeded by numpy's own ``SeedSequence``. ``exhaustive_search_reference``
 scores every N-subset in lexicographic order, gathering and summing its N
-columns block by block.
+columns block by block. ``grid_sinr`` writes out the closed-form SINR of one
+grid, and ``grid_rate``, ``marginal_rate`` and ``upper_bound_rate`` the rates
+made of it, from the model's per-column terms and never through
+``RateModel.log_rates``.
 """
 
 from __future__ import annotations
@@ -161,7 +164,7 @@ def assemble_row_loop(cls, scenario, tables, geometry):
         contrib[i, :] = 0.0
         interf += contrib
     denom = beta * interf + sig_mean
-    return cls(grid_rows, rho, pbar, m_col, sig_mean, sig_var, denom)
+    return cls(grid_rows, rho, pbar, m_col, np.stack([sig_mean, sig_var, denom]))
 
 
 def others_reference(x):
@@ -185,7 +188,8 @@ def assemble_angle_addition(cls, scenario, tables, geometry):
     pure = np.isinf(kappa)
     n_rows, n_cols = tables.beta_los.shape
 
-    sig_mean, sig_var, denom = np.empty((3, n_rows, n_cols))
+    terms = np.empty((3, n_rows, n_cols))
+    sig_mean, sig_var, denom = terms
     power = (pbar * rho)[:, None]
     theta_h = 2.0 * np.pi * dh_col / scenario.wavelength
     theta_v = 2.0 * np.pi * dv_col / scenario.wavelength
@@ -220,7 +224,7 @@ def assemble_angle_addition(cls, scenario, tables, geometry):
         if not pure:
             interf += m_col[c] * (others_reference(w) - a * others_reference(wa))
         denom[:, c] = beta * interf + sig_mean[:, c]
-    return cls(grid_rows, rho, pbar, m_col, sig_mean, sig_var, denom)
+    return cls(grid_rows, rho, pbar, m_col, terms)
 
 
 def model_with_assembly(assemble, constructor, scenario, data) -> RateModel:
@@ -317,16 +321,34 @@ def validate_gain_tables(tables, atol: float = 1e-12):
         raise ConfigurationError("gains must be nonnegative")
 
 
+def _grid_sums(model: RateModel, support, grid_index: int):
+    """(row, (3,) sums of the model's terms over ``support``) of one grid."""
+    (row,) = np.flatnonzero(model.grid_rows == grid_index)
+    return row, model.terms[:, row, np.asarray(support)].sum(axis=1)
+
+
+def grid_sinr(model: RateModel, support, grid_index: int) -> float:
+    """Ratio-of-means SINR of one grid over ``support``, written out from the
+    formula of the ``xlma.rate`` docstring: Pbar_k * (S_mean^2 + S_var) /
+    S_den over the support's column sums, and 0 unless S_den > 0."""
+    row, (s_mean, s_var, s_den) = _grid_sums(model, support, grid_index)
+    return float(model.pbar[row] * (s_mean**2 + s_var) / s_den) if s_den > 0.0 else 0.0
+
+
+def grid_rate(model: RateModel, support, grid_index: int) -> float:
+    """log2(1 + ``grid_sinr``) of one grid."""
+    return float(np.log2(1.0 + grid_sinr(model, support, grid_index)))
+
+
 def upper_bound_rate(model: RateModel, chi, grid_index: int) -> float:
     """Interference-free rate bound log2(1 + Pbar_k * sum_c m_c*beta_k,c) of one grid."""
-    s_mean, _, _ = model.sums(chi)
-    r = model.row_of(grid_index)
-    return float(np.log2(1.0 + model.pbar[r] * s_mean[r]))
+    row, (s_mean, _, _) = _grid_sums(model, chi, grid_index)
+    return float(np.log2(1.0 + model.pbar[row] * s_mean))
 
 
 def marginal_rate(model: RateModel, column: int, grid_index: int) -> float:
     """Rate of one grid when the support is the single ``column``."""
-    return model.rate([column], grid_index)
+    return grid_rate(model, [column], grid_index)
 
 
 def wave_vector(t_k, r) -> np.ndarray:
@@ -405,12 +427,10 @@ def exhaustive_search_reference(model: RateModel, n_select: int, block_bytes: in
     for _ in range(0, count, width):
         block = itertools.chain.from_iterable(itertools.islice(combos, width))
         idx = np.fromiter(block, dtype=np.intp).reshape(-1, n_select)
-        gamma = model._sinr_from_sums(
-            model.pbar[:, None],
-            model.sig_mean[:, idx].sum(axis=2),
-            model.sig_var[:, idx].sum(axis=2),
-            model.denom[:, idx].sum(axis=2),
-        )
+        s_mean, s_var, s_den = (table[:, idx].sum(axis=2) for table in model.terms)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gamma = model.pbar[:, None] * (s_mean**2 + s_var) / s_den
+        gamma = np.where(s_den > 0.0, gamma, 0.0)
         values = (model.rho[:, None] * np.log2(1.0 + gamma)).sum(axis=0)
         j = int(np.argmax(values))  # first maximum = lexicographically first
         if values[j] > best_value:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,11 +9,12 @@ import pytest
 from conftest import make_scenario
 from oracles import exhaustive_search_reference
 from xlma.channel import build_gain_tables
-from xlma.errors import ConfigurationError
+from xlma.errors import ConfigurationError, DomainError
 from xlma.optimizer import (
     SelectionState,
     _prefix_blocks,
     best_replacement,
+    build_init_lp,
     exhaustive_search,
     round_top_n,
     select_victim,
@@ -66,7 +68,7 @@ class TestVictimAndReplacement:
     def test_victim_matches_brute_enumeration(self):
         model, state = self._setup()
         values = [
-            model.objective(*state.without(state.n_mu[slot]))
+            model.objective(state.without(state.n_mu[slot]))
             for slot in range(len(state.n_mu))
         ]
         assert select_victim(state) == int(np.argmax(values))
@@ -220,12 +222,64 @@ def random_model(seed, n_rows=12, n_cols=10, zero_den_row=None):
     def table():
         return rng.uniform(0.1, 1.0, (n_rows, n_cols)) * 10.0 ** rng.uniform(-8, 8, (n_rows, 1))
 
-    sig_mean, sig_var, denom = table(), table(), table()
+    terms = np.stack([table(), table(), table()])
     if zero_den_row is not None:
-        denom[zero_den_row] = 0.0
+        terms[2, zero_den_row] = 0.0
     return RateModel(np.arange(n_rows), rng.uniform(0.1, 1.0, n_rows),
-                     10.0 ** rng.uniform(2, 9, n_rows), np.full(n_cols, 4),
-                     sig_mean, sig_var, denom)
+                     10.0 ** rng.uniform(2, 9, n_rows), np.full(n_cols, 4), terms)
+
+
+class TestInitLp:
+    # rho ranks the grids 3, 0, 1, 2: with N = 3, grid 2 is not a top grid.
+    RHO = [0.6, 0.5, 0.4, 0.7]
+
+    def _model(self, rows):
+        sc = make_scenario(n_y=8, k_x=2, k_y=2, kappa=10.0, rho=self.RHO,
+                           n_subarrays=3, seed=1)
+        cands, grids = sc.candidates(), sc.grid_centers()
+        xi = np.random.default_rng(1).integers(0, 2, (len(rows), len(cands)), dtype=np.uint8)
+        gains = build_gain_tables(sc, cands, grids[rows], xi, grid_rows=rows)
+        return sc, RateModel.from_candidate_tables(sc, gains), xi
+
+    @pytest.mark.parametrize("left_out", [0, 1, 3])
+    def test_top_grid_the_model_leaves_out_raises(self, left_out):
+        rows = np.array([k for k in (3, 1, 0, 2) if k != left_out])
+        sc, model, xi = self._model(rows)
+        with pytest.raises(DomainError, match=f"grid {left_out} is not modeled"):
+            build_init_lp(sc, model, xi)
+
+    @pytest.mark.parametrize("rows", [[0, 1, 3], [0, 1, 2, 3], [3, 1, 0, 2]])
+    def test_coverage_rows_are_the_top_grids_in_rho_order(self, rows):
+        sc, model, xi = self._model(np.array(rows))
+        problem = build_init_lp(sc, model, xi)
+        top = [rows.index(k) for k in (3, 0, 1) if xi[rows.index(k)].any()]
+        assert np.array_equal(problem.coverage_rows, xi[top].astype(float))
+
+
+def test_every_scorer_rates_through_log_rates(monkeypatch):
+    """``objective``, ``marginal_objective`` and each block of
+    ``exhaustive_search`` call ``RateModel.log_rates``: no scorer keeps a
+    closed-form SINR of its own."""
+    library = RateModel.log_rates
+    callers = []
+
+    def spy(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return library(*args, **kwargs)
+
+    monkeypatch.setattr(RateModel, "log_rates", staticmethod(spy))
+    model = random_model(0)
+    model.objective(model.sums([0, 4]))
+    assert callers == ["objective"]
+    callers.clear()
+    model.marginal_objective()
+    assert callers and set(callers) == {"marginal_objective"}
+    callers.clear()
+    set_block_width(monkeypatch, model, 7)
+    exhaustive_search(model, 3)
+    n_blocks = len(set(block_of(model, 3, 7).values()))
+    assert n_blocks > 1
+    assert callers == ["exhaustive_search"] * n_blocks + ["objective"]
 
 
 class TestExhaustiveBlocks:
@@ -311,10 +365,9 @@ class TestExhaustiveTies:
             for b in (a - 1, a + 1):
                 if not 0 <= b < base.n_cols or b in best:
                     continue
-                tables = [t.copy() for t in (base.sig_mean, base.sig_var, base.denom)]
-                for t in tables:
-                    t[:, b] = t[:, a]
-                model = RateModel(base.grid_rows, base.rho, base.pbar, base.m_col, *tables)
+                terms = base.terms.copy()
+                terms[:, :, b] = terms[:, :, a]
+                model = RateModel(base.grid_rows, base.rho, base.pbar, base.m_col, terms)
                 first, second = sorted([best, tuple(sorted(set(best) - {a} | {b}))])
                 if brute_force(model, self.N_SELECT)[0] == first:
                     assert (model.weighted_sum(np.array(second))
@@ -362,11 +415,10 @@ class TestExhaustiveTies:
         so the two tie exactly; every other support sums unevenly or lower."""
         unit = {0: (2, 0, 0), 5: (0, 2, 0), 6: (0, 0, 2),
                 1: (1, 1, 0), 2: (0, 1, 1), 3: (1, 0, 1)}
-        sig_mean = np.zeros((3, 8))
+        terms = np.stack([np.zeros((3, 8)), np.zeros((3, 8)), np.ones((3, 8))])
         for col, signal in unit.items():
-            sig_mean[:, col] = signal
-        model = RateModel(np.arange(3), np.ones(3), np.full(3, 1e3), np.full(8, 4),
-                          sig_mean, np.zeros((3, 8)), np.ones((3, 8)))
+            terms[0, :, col] = signal
+        model = RateModel(np.arange(3), np.ones(3), np.full(3, 1e3), np.full(8, 4), terms)
         first, second = (0, 5, 6), (1, 2, 3)
         set_block_width(monkeypatch, model, width)
         blocks = block_of(model, self.N_SELECT, width)

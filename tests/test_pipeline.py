@@ -131,13 +131,13 @@ def _memory_scenario(monkeypatch, kappa):
 @pytest.mark.parametrize("kappa", [np.inf, 10.0])
 def test_context_build_peak_memory_in_whole_tables(monkeypatch, kappa):
     # The context holds beta_los (1 table), u (3), xi (1/8) and the model's
-    # three outputs; the peak, in the assembly, is about 8.3 (K' x C)
+    # terms (3); the peak, in the assembly, is about 8.3 (K' x C)
     # float64 tables: one more held through the build breaks the bound.
     sc = _memory_scenario(monkeypatch, kappa)
     ctx, peak = _traced_peak(lambda: pipeline.ScenarioContext.build(sc))
-    assert ctx.model.sig_mean.shape == (60, 120)
+    assert ctx.model.terms.shape == (3, 60, 120)
     assert ctx.gains.xi.min() == 0  # the obstacle blocks some pairs
-    assert peak < 9 * ctx.model.sig_mean.nbytes
+    assert peak < 9 * ctx.model.terms[0].nbytes
 
 
 @pytest.mark.parametrize("kappa", [np.inf, 10.0])
@@ -150,7 +150,7 @@ def test_gain_tables_peak_memory_in_whole_tables(monkeypatch, kappa):
     rows = ctx.gains.grid_rows
     _, peak = _traced_peak(lambda: build_gain_tables(
         sc, ctx.candidates, sc.grid_centers()[rows], ctx.gains.xi, grid_rows=rows))
-    assert peak < 6.5 * ctx.model.sig_mean.nbytes
+    assert peak < 6.5 * ctx.model.terms[0].nbytes
 
 
 @pytest.mark.parametrize("stage, bound", [("plan", 2.0), ("init_lp", 1.5)])
@@ -167,4 +167,4 @@ def test_optimizer_peak_memory_in_whole_tables(monkeypatch, kappa, stage, bound)
     result, peak = _traced_peak(run)
     if stage == "plan":
         assert len(result.trace) > 1  # at least one replacement step ran
-    assert peak < bound * ctx.model.sig_mean.nbytes
+    assert peak < bound * ctx.model.terms[0].nbytes

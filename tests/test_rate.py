@@ -24,8 +24,8 @@ from xlma.presets import PRESETS
 from xlma.rate import RateModel, aux_f, fejer_correlation
 from xlma import rate as rate_module
 from oracles import (assemble_angle_addition, assemble_row_loop, aux_g, aux_kernels, aux_q,
-                     build_kernel_tables, marginal_rate, model_with_assembly,
-                     others_reference, upper_bound_rate)
+                     build_kernel_tables, grid_rate, grid_sinr, marginal_rate,
+                     model_with_assembly, others_reference, upper_bound_rate)
 from xlma.rng import substream
 
 LAMBDA = 299792458.0 / 30e9
@@ -214,7 +214,7 @@ class TestSinrRatioOfMeansOracle:
                 cross = np.abs(np.sum(h[:, k, :].conj() * h[:, i, :], axis=1)) ** 2
                 interf += pbar[i] * rho[i] * cross.mean()
             gamma_mc = num / (interf + norm2.mean())
-            gamma_closed = model.sinr(support, k)
+            gamma_closed = grid_sinr(model, support, k)
             assert abs(gamma_closed - gamma_mc) / gamma_mc < 0.03
 
 
@@ -222,9 +222,8 @@ def assert_matches_row_loop(constructor, sc, data):
     """``constructor(sc, data)`` against the same model from the row loop."""
     fast = constructor(sc, data)
     slow = model_with_assembly(assemble_row_loop, constructor, sc, data)
-    for name in ("sig_mean", "sig_var", "denom"):
-        np.testing.assert_allclose(getattr(fast, name), getattr(slow, name),
-                                   rtol=1e-12, atol=0, err_msg=name)
+    for name, mine, theirs in zip(("sig_mean", "sig_var", "denom"), fast.terms, slow.terms):
+        np.testing.assert_allclose(mine, theirs, rtol=1e-12, atol=0, err_msg=name)
     return fast, slow
 
 
@@ -295,7 +294,7 @@ class TestLagDomainAssembly:
         u[3] = [[0.0, 1.0, 0.0], [np.sqrt(0.75), -0.5, 0.0], [r, -0.5, -0.5]]
         stats = dataclasses.replace(with_visibility(stats, np.ones((6, 3), np.uint8)), u=u)
         fast, slow = assert_matches_row_loop(RateModel.from_layout_stats, sc, stats)
-        assert np.all(fast.denom > fast.sig_mean)
+        assert np.all(fast.terms[2] > fast.terms[0])
 
     def test_dominant_grid_matches_row_loop(self):
         # Grid 7 carries 1e6 times the weight of any other grid, at a per-
@@ -325,8 +324,8 @@ class TestLagDomainAssembly:
         slow = model_with_assembly(assemble_row_loop, RateModel.from_candidate_tables,
                                    sc, gains)
         w_sum = (sc.snr_scale[:20] * rho) @ gains.beta_total
-        bound = 8 * np.finfo(float).eps * (64 * gains.beta_total * w_sum + slow.denom)
-        assert np.all(np.abs(fast.denom - slow.denom) <= bound)
+        bound = 8 * np.finfo(float).eps * (64 * gains.beta_total * w_sum + slow.terms[2])
+        assert np.all(np.abs(fast.terms[2] - slow.terms[2]) <= bound)
 
     def test_zero_gain_columns_give_exact_zero_denominators(self):
         # Pure LoS: a blocked entry has no gain at all (beta = 0), and columns
@@ -337,7 +336,7 @@ class TestLagDomainAssembly:
         gains = build_gain_tables(sc, sc.candidates(), sc.grid_centers(), xi)
         assert np.all(gains.beta_total[xi == 0] == 0.0)
         fast, slow = assert_matches_row_loop(RateModel.from_candidate_tables, sc, gains)
-        assert np.all(fast.denom[xi == 0] == 0.0) and np.all(slow.denom[xi == 0] == 0.0)
+        assert np.all(fast.terms[2][xi == 0] == 0.0) and np.all(slow.terms[2][xi == 0] == 0.0)
 
     @pytest.mark.parametrize("kappa", [np.inf, 7.0])
     def test_any_block_width_matches_one_block_exactly(self, monkeypatch, kappa):
@@ -349,8 +348,7 @@ class TestLagDomainAssembly:
         for width in (1, 2, 3):
             monkeypatch.setattr(rate_module, "ASSEMBLY_BLOCK_BYTES", 8 * 20 * width)
             blocked = RateModel.from_candidate_tables(sc, gains)
-            for name in ("sig_mean", "sig_var", "denom"):
-                assert np.array_equal(getattr(blocked, name), getattr(whole, name)), (width, name)
+            assert np.array_equal(blocked.terms, whole.terms), width
 
 
 def assert_same_bits(constructor, sc, data):
@@ -358,8 +356,7 @@ def assert_same_bits(constructor, sc, data):
     assembled with angle addition at every axis lag."""
     fast = constructor(sc, data)
     slow = model_with_assembly(assemble_angle_addition, constructor, sc, data)
-    for name in ("sig_mean", "sig_var", "denom"):
-        mine, theirs = getattr(fast, name), getattr(slow, name)
+    for name, mine, theirs in zip(("sig_mean", "sig_var", "denom"), fast.terms, slow.terms):
         assert mine.dtype == theirs.dtype == np.float64, name
         assert np.array_equal(mine.view(np.int64), theirs.view(np.int64)), name
 
@@ -499,9 +496,7 @@ class TestOthers:
         whole = RateModel.from_candidate_tables(sc, gains)
         monkeypatch.setattr(rate_module, "ASSEMBLY_BLOCK_BYTES", block_bytes)
         blocked = RateModel.from_candidate_tables(sc, gains)
-        for name in ("sig_mean", "sig_var", "denom"):
-            assert np.array_equal(getattr(blocked, name).view(np.uint64),
-                                  getattr(whole, name).view(np.uint64)), name
+        assert np.array_equal(blocked.terms.view(np.uint64), whole.terms.view(np.uint64))
 
 
 class TestAssemblyMemory:
@@ -519,7 +514,7 @@ class TestAssemblyMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert np.array_equal(model.denom, ctx.model.denom)
+        assert np.array_equal(model.terms, ctx.model.terms)
         assert peak < 4_014_412
 
 
@@ -529,13 +524,22 @@ class TestRateModel:
         model = build_model(sc)
         support = np.array([0, 3, 5])
         m = sc.antennas_per_subarray
-        gains_sum = model.sig_mean[0, support].sum()  # = M * sum(beta)
+        gains_sum = model.terms[0, 0, support].sum()  # = M * sum(beta)
         expected = sc.snr_scale[0] * gains_sum
-        assert model.sinr(support, 0) == pytest.approx(expected, rel=1e-12)
+        assert grid_sinr(model, support, 0) == pytest.approx(expected, rel=1e-12)
+        assert model.weighted_sum(support) == pytest.approx(0.9 * np.log2(1.0 + expected),
+                                                            rel=1e-12)
 
     def test_zero_power_gives_zero_sinr(self):
-        gamma = RateModel._sinr_from_sums(0.0, 1.0, 0.5, 2.0)
-        assert gamma == 0.0
+        rates = RateModel.log_rates(np.array([0.0, 2.0]), np.ones(2), np.full(2, 0.5),
+                                    np.full(2, 2.0), out=np.empty(2))
+        assert rates[0] == 0.0 and rates[1] == np.log2(2.5)
+
+    def test_log_rates_zero_unless_denominator_positive(self):
+        s_den = np.array([0.0, -0.0, -1.0, np.nan, 4.0])
+        rates = RateModel.log_rates(np.full(5, 3.0), np.ones(5), np.ones(5), s_den,
+                                    out=np.empty(5))
+        assert np.array_equal(rates, [0.0, 0.0, 0.0, 0.0, np.log2(2.5)])
 
     def test_empty_support_rejected(self):
         sc = make_scenario()
@@ -551,8 +555,11 @@ class TestRateModel:
         for _ in range(100):
             n = int(rng.integers(0, model.n_cols))
             k = int(model.grid_rows[rng.integers(0, len(model.grid_rows))])
+            # Weight 1 on grid k and 0 elsewhere: the weighted sum is grid k's rate.
+            one_hot = RateModel(model.grid_rows, model.grid_rows == k, model.pbar,
+                                model.m_col, model.terms)
             assert marginal_rate(model, n, k) == pytest.approx(
-                model.rate([n], k), rel=1e-14
+                one_hot.weighted_sum([n]), rel=1e-14
             )
 
     def test_marginal_objective_is_vectorized_sum(self):
@@ -573,12 +580,15 @@ class TestRateModel:
         model = build_model(sc)
         support = np.array([0, 4])
         for k in model.grid_rows:
-            assert upper_bound_rate(model, support, int(k)) >= model.rate(support, int(k))
+            assert upper_bound_rate(model, support, int(k)) >= grid_rate(model, support, int(k))
         # Pure LoS, no interferers: bound is exact.
         sc2 = make_scenario(n_y=8, k_x=1, k_y=1, kappa=np.inf, rho=[1.0])
         model2 = build_model(sc2)
         assert upper_bound_rate(model2, support, 0) == pytest.approx(
-            model2.rate(support, 0), rel=1e-12
+            model2.weighted_sum(support), rel=1e-12
+        )
+        assert model2.weighted_upper_bound(support) == pytest.approx(
+            model2.weighted_sum(support), rel=1e-12
         )
 
     def test_upper_bound_monotone_in_support(self):
@@ -596,9 +606,10 @@ class TestRateModel:
         m1, m2 = build_model(base), build_model(scaled)
         support = np.array([0, 2, 7])
         for k in m1.grid_rows:
-            assert m1.sinr(support, int(k)) == pytest.approx(
-                m2.sinr(support, int(k)), rel=1e-12
+            assert grid_sinr(m1, support, int(k)) == pytest.approx(
+                grid_sinr(m2, support, int(k)), rel=1e-12
             )
+        assert m1.weighted_sum(support) == pytest.approx(m2.weighted_sum(support), rel=1e-12)
 
     def test_rate_depends_on_support_only(self):
         sc = make_scenario(n_y=10, k_x=2, k_y=2, kappa=9.0, rho=[0.5] * 4)
@@ -614,7 +625,7 @@ class TestRateModel:
         model = build_model(sc)
         support = np.array([1, 6])
         total = model.weighted_sum(support)
-        manual = sum(0.5 * model.rate(support, int(k)) for k in model.grid_rows)
+        manual = sum(0.5 * grid_rate(model, support, int(k)) for k in model.grid_rows)
         assert total == pytest.approx(manual, rel=1e-12)
 
     def test_zero_rho_grids_pruned_exactly(self):
@@ -626,8 +637,7 @@ class TestRateModel:
         assert pruned.weighted_sum(support) == pytest.approx(
             full.weighted_sum(support), rel=1e-12
         )
-        with pytest.raises(DomainError):
-            pruned.rate(support, 1)
+        assert 1 not in pruned.grid_rows and 1 in full.grid_rows
 
     @pytest.mark.parametrize("support", [[-1], [2, 2, 2], [8], [0, 9], [5.7], [1.5, 3.0],
                                          [True, True]])
@@ -658,8 +668,7 @@ class TestRateModel:
         whole = RateModel.from_candidate_tables(sc, gains)
         monkeypatch.setattr(rate_module, "ASSEMBLY_BLOCK_BYTES", 8 * 4 * 3)
         blocked = RateModel.from_candidate_tables(sc, gains)  # blocks 3, 3, 3, 2
-        for name in ("sig_mean", "sig_var", "denom"):
-            assert np.array_equal(getattr(blocked, name), getattr(whole, name))
+        assert np.array_equal(blocked.terms, whole.terms)
 
     def test_support_state_incremental_matches_direct(self):
         sc = make_scenario(n_y=12, k_x=2, k_y=2, kappa=10.0,
@@ -669,9 +678,8 @@ class TestRateModel:
         direct = model.weighted_sum(np.array([0, 9, 8]))
         state.replace(1, 9, direct)
         assert state.n_mu == [0, 9, 8] and state.replaced_slots == {1}
-        sums = (state.s_mean, state.s_var, state.s_den)
-        assert model.objective(*sums) == pytest.approx(direct, rel=1e-12)
-        assert model.objective(*state.without(9)) == pytest.approx(
+        assert model.objective(state.sums) == pytest.approx(direct, rel=1e-12)
+        assert model.objective(state.without(9)) == pytest.approx(
             model.weighted_sum(np.array([0, 8])), rel=1e-12
         )
 
@@ -689,11 +697,10 @@ class TestMarginalObjective:
 
     @staticmethod
     def whole_table(model, kept):
-        tables = (model.sig_mean, model.sig_var, model.denom)
-        if kept is not None:
-            tables = [total[:, None] + table for total, table in zip(kept, tables)]
-        gamma = RateModel._sinr_from_sums(model.pbar[:, None], *tables)
-        return model.rho @ np.log2(1.0 + gamma)
+        s_mean, s_var, s_den = model.terms if kept is None else kept[:, :, None] + model.terms
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gamma = model.pbar[:, None] * (s_mean**2 + s_var) / s_den
+        return model.rho @ np.log2(1.0 + np.where(s_den > 0.0, gamma, 0.0))
 
     @pytest.mark.parametrize("width", [1, 3, None], ids=["w1", "w3", "default"])
     @pytest.mark.parametrize("selection", [None, [3, 50, 119]], ids=["alone", "kept"])
@@ -705,8 +712,8 @@ class TestMarginalObjective:
         if selection is not None:
             kept = SelectionState(model, selection).without(50)
         expected = self.whole_table(model, kept)
-        if model.sig_var.max() == 0.0 and kept is None:  # pure LoS
-            assert (model.denom == 0.0).any()
+        if model.terms[1].max() == 0.0 and kept is None:  # pure LoS
+            assert (model.terms[2] == 0.0).any()
         assert np.array_equal(model.marginal_objective(kept), expected)
 
     def test_each_score_is_the_weighted_sum_of_its_selection(self, model):

@@ -708,21 +708,6 @@ class TestLoadScenario:
         with pytest.raises(ConfigurationError, match="JSON object"):
             load_scenario(doc)
 
-    @pytest.mark.parametrize("as_path", [str, Path])
-    def test_missing_file_is_named(self, tmp_path, as_path):
-        missing = tmp_path / "absent.json"
-        with pytest.raises(ConfigurationError, match="no scenario file at .*absent.json"):
-            load_scenario(as_path(missing))
-
-    @pytest.mark.parametrize("as_path", [str, Path])
-    def test_file_and_json_text_load_alike(self, tmp_path, as_path):
-        text = json.dumps(desk_full_los())  # longer than a file name may be
-        path = tmp_path / "scenario.json"
-        path.write_text(text)
-        loaded = [load_scenario(source) for source in (as_path(path), text, desk_full_los())]
-        keys = [(sc.ma_region, sc.coverage, sc.m_h, sc.rician_kappa) for sc in loaded]
-        assert keys[0] == keys[1] == keys[2]
-
     @pytest.mark.parametrize("db", [-4000, -1e6, -math.inf, math.nan])
     def test_kappa_db_without_a_positive_factor_is_named(self, db):
         doc = desk_full_los()
