@@ -13,7 +13,9 @@ its own checkout's ``src/``, with one BLAS/OpenMP thread:
 - ``sweep`` on the ``sweep_oracle`` benchmark documents at seeds 7 and 11,
   under ``--threads`` 1 and 4;
 - ``validate``, ``benchmark`` and ``map`` (power and correlation) on three
-  presets.
+  presets;
+- ``map`` (power and correlation) of the baseline layouts ``MAP_SCHEMES``,
+  whose element grids differ from the scenario's subarray.
 
 The documents come from this working tree: the presets of ``xlma.presets``
 and the benchmark documents of ``perfbench/workloads.py``. Each command runs
@@ -40,6 +42,8 @@ SWEEP_SEEDS = (7, 11)
 SWEEP_THREADS = ("1", "4")
 COMMAND_PRESETS = ("desk_full_los_2d", "desk_partial_los", "paper_partial_los_1d")
 MAP_RESOLUTION = 20
+MAP_SCHEMES = (("desk_full_los_2d", "dense_upa"), ("desk_full_los_2d", "sparse_2x4"),
+               ("paper_partial_los_1d", "dense_ula"))
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 RUN_MAIN = "import sys; from xlma.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -71,17 +75,19 @@ def commands(inputs: Path) -> dict:
                 "sweep", "--config", config, "--sweep", spec, "--out-dir", ".",
                 "--threads", threads]
     for preset in COMMAND_PRESETS:
-        cov = PRESETS[preset]()["coverage"]
-        probe = [(cov["x_min"] + cov["x_max"]) / 2, (cov["y_min"] + cov["y_max"]) / 2]
-        maps = {"power": {"kind": "power", "resolution": MAP_RESOLUTION},
-                "correlation": {"kind": "correlation", "resolution": MAP_RESOLUTION,
-                                "probe_point": probe}}
         out[f"validate_{preset}"] = ["validate", "--preset", preset]
         out[f"benchmark_{preset}"] = ["benchmark", "--preset", preset, "--out-dir", "."]
+    for preset, scheme in [(preset, None) for preset in COMMAND_PRESETS] + list(MAP_SCHEMES):
+        cov = PRESETS[preset]()["coverage"]
+        probe = [(cov["x_min"] + cov["x_max"]) / 2, (cov["y_min"] + cov["y_max"]) / 2]
+        fields = {"resolution": MAP_RESOLUTION, **({} if scheme is None else {"scheme": scheme})}
+        maps = {"power": {"kind": "power", **fields},
+                "correlation": {"kind": "correlation", "probe_point": probe, **fields}}
+        name = preset if scheme is None else f"{preset}_{scheme}"
         for kind, map_spec in maps.items():
-            path = _write_json(inputs / f"map_{kind}_{preset}.json", map_spec)
-            out[f"map_{kind}_{preset}"] = ["map", "--preset", preset, "--map-spec", path,
-                                           "--out", "map.csv"]
+            path = _write_json(inputs / f"map_{kind}_{name}.json", map_spec)
+            out[f"map_{kind}_{name}"] = ["map", "--preset", preset, "--map-spec", path,
+                                         "--out", "map.csv"]
     return out
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channel import ArrayLayout, Subarray
+from .channel import ArrayLayout, support_layout
 from .errors import ConfigurationError
 from .scenario import (
     CoverageSpec,
@@ -37,16 +37,6 @@ def round_half_away(x):
     return (np.sign(x) * np.floor(np.abs(x) + 0.5)).astype(int)
 
 
-def _movable_subarray(scenario: ScenarioConfig, center) -> Subarray:
-    return Subarray(
-        center=tuple(center),
-        m_h=scenario.m_h,
-        m_v=scenario.m_v,
-        d_h=scenario.d_h,
-        d_v=scenario.d_v,
-    )
-
-
 def _check_distinct(indices, kind: str):
     if len(set(int(i) for i in indices)) != len(indices):
         raise ConfigurationError(
@@ -59,7 +49,6 @@ def fpa_layout(kind: str, scenario: ScenarioConfig) -> ArrayLayout:
     """Deterministic baseline layout of the requested kind."""
     ma = scenario.ma_region
     n = scenario.n_subarrays
-    candidates = scenario.candidates()
     lam = scenario.wavelength
 
     if kind == "horizontal_sparse":
@@ -68,7 +57,7 @@ def fpa_layout(kind: str, scenario: ScenarioConfig) -> ArrayLayout:
         iy = round_half_away((ma.n_y - 1) / (n - 1) * np.arange(n))
         mu = [candidate_linear_index(int(i), 0, ma.n_y) for i in iy]
         _check_distinct(mu, kind)
-        return ArrayLayout(tuple(_movable_subarray(scenario, candidates[m]) for m in mu))
+        return support_layout(scenario, mu)
 
     if kind == "vertical_sparse":
         if n < 2:
@@ -77,7 +66,7 @@ def fpa_layout(kind: str, scenario: ScenarioConfig) -> ArrayLayout:
         iz = round_half_away((ma.n_z - 1) / (n - 1) * np.arange(n))
         mu = [candidate_linear_index(center_col, int(i), ma.n_y) for i in iz]
         _check_distinct(mu, kind)
-        return ArrayLayout(tuple(_movable_subarray(scenario, candidates[m]) for m in mu))
+        return support_layout(scenario, mu)
 
     if kind == "sparse_2x4":
         if n != 8:
@@ -92,10 +81,10 @@ def fpa_layout(kind: str, scenario: ScenarioConfig) -> ArrayLayout:
             for col in iy
         ]
         _check_distinct(mu, kind)
-        return ArrayLayout(tuple(_movable_subarray(scenario, candidates[m]) for m in mu))
+        return support_layout(scenario, mu)
 
     center_idx = (ma.n_candidates + 1) // 2 - 1  # candidate ceil(N0/2), 0-based
-    anchor = candidates[center_idx]
+    anchor = scenario.candidates()[center_idx : center_idx + 1]
     m_total = n * scenario.antennas_per_subarray
 
     # Dense arrays are one contiguous coherent aperture at the center
@@ -103,32 +92,12 @@ def fpa_layout(kind: str, scenario: ScenarioConfig) -> ArrayLayout:
     # phase, the direct embedding of a conventional array in the
     # per-position channel model.
     if kind == "dense_ula":
-        return ArrayLayout(
-            (
-                Subarray(
-                    center=tuple(anchor),
-                    m_h=m_total,
-                    m_v=1,
-                    d_h=lam / 2.0,
-                    d_v=lam / 2.0,
-                ),
-            )
-        )
+        return ArrayLayout(anchor, m_total, 1, lam / 2.0, lam / 2.0)
 
     if kind == "dense_upa":
         if n != 8:
             raise ConfigurationError("dense_upa requires N = 8 (2 M_V x 4 M_H elements)")
-        return ArrayLayout(
-            (
-                Subarray(
-                    center=tuple(anchor),
-                    m_h=4 * scenario.m_h,
-                    m_v=2 * scenario.m_v,
-                    d_h=lam / 2.0,
-                    d_v=lam / 2.0,
-                ),
-            )
-        )
+        return ArrayLayout(anchor, 4 * scenario.m_h, 2 * scenario.m_v, lam / 2.0, lam / 2.0)
 
     raise ConfigurationError(f"unknown benchmark kind {kind!r}")
 

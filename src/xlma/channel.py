@@ -83,7 +83,8 @@ class GainTables:
 
     Row r of every table belongs to user grid ``grid_rows[r]``; the pipeline
     tabulates only the grids with positive activation probability. Columns
-    are candidate positions, or the subarrays of a layout (``LayoutStats``).
+    are candidate positions, or the subarray centers of a layout
+    (``LayoutStats``); either way every column carries one element grid.
     Stored: ``beta_los``, the 0/1 visibility ``xi`` (uint8), the unit wave
     vectors ``u`` (rows, columns, 3) and the scalar Rician factor ``kappa``
     (``np.inf``: pure LoS). ``beta_nlos = beta_los / kappa`` (0.0 in pure
@@ -141,57 +142,42 @@ def build_gain_tables(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Subarray:
-    """One uniform planar subarray moved as a unit; center in meters."""
+@dataclass(frozen=True, eq=False)
+class ArrayLayout:
+    """S subarrays with one element grid: ``centers`` (S, 3) in meters, each
+    carrying m_h x m_v elements at spacings d_h, d_v. Movable placements put
+    S = N scenario subarrays on candidates; a dense baseline is one center."""
 
-    center: tuple[float, float, float]
+    centers: np.ndarray
     m_h: int
     m_v: int
     d_h: float
     d_v: float
 
+    def __post_init__(self):
+        centers = np.array(self.centers, float)
+        if centers.ndim != 2 or centers.shape[1] != 3 or len(centers) == 0:
+            raise ConfigurationError("layout needs a nonempty (S, 3) array of centers")
+        centers.flags.writeable = False
+        object.__setattr__(self, "centers", centers)
+
     @property
     def n_antennas(self) -> int:
+        """Elements per subarray, M = m_h * m_v."""
         return self.m_h * self.m_v
 
     def element_positions(self) -> np.ndarray:
-        """Element coordinates, grid centered on the subarray center."""
+        """(S, M, 3) element coordinates, each grid centered on its subarray."""
         off_h = (np.arange(self.m_h) - (self.m_h - 1) / 2.0) * self.d_h
         off_v = (np.arange(self.m_v) - (self.m_v - 1) / 2.0) * self.d_v
         pos = np.zeros((self.m_v, self.m_h, 3))
         pos[..., 1] = off_h[None, :]
         pos[..., 2] = off_v[:, None]
-        return np.asarray(self.center, float) + pos.reshape(-1, 3)
-
-
-@dataclass(frozen=True)
-class ArrayLayout:
-    """A set of subarrays; generalizes candidate placements and FPA baselines."""
-
-    subarrays: tuple
-
-    def __post_init__(self):
-        if not self.subarrays:
-            raise ConfigurationError("layout must contain at least one subarray")
-        object.__setattr__(self, "subarrays", tuple(self.subarrays))
-
-    def centers(self) -> np.ndarray:
-        return np.array([s.center for s in self.subarrays], float)
+        return self.centers[:, None, :] + pos.reshape(-1, 3)
 
     def to_json_dict(self) -> dict:
-        return {
-            "subarrays": [
-                {
-                    "center": list(map(float, s.center)),
-                    "m_h": s.m_h,
-                    "m_v": s.m_v,
-                    "d_h": s.d_h,
-                    "d_v": s.d_v,
-                }
-                for s in self.subarrays
-            ]
-        }
+        grid = {"m_h": self.m_h, "m_v": self.m_v, "d_h": self.d_h, "d_v": self.d_v}
+        return {"subarrays": [{"center": list(map(float, c)), **grid} for c in self.centers]}
 
 
 def check_support(indices, n_cols: int) -> np.ndarray:
@@ -206,19 +192,11 @@ def check_support(indices, n_cols: int) -> np.ndarray:
 
 
 def support_layout(scenario: ScenarioConfig, support) -> ArrayLayout:
-    """Layout of scenario subarrays placed at the given candidate indices."""
+    """Layout of scenario subarrays at the candidate indices ``support``,
+    checked by ``check_support``."""
     candidates = scenario.candidates()
-    subs = [
-        Subarray(
-            center=tuple(candidates[idx]),
-            m_h=scenario.m_h,
-            m_v=scenario.m_v,
-            d_h=scenario.d_h,
-            d_v=scenario.d_v,
-        )
-        for idx in support
-    ]
-    return ArrayLayout(tuple(subs))
+    return ArrayLayout(candidates[check_support(support, len(candidates))],
+                       scenario.m_h, scenario.m_v, scenario.d_h, scenario.d_v)
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +215,20 @@ class LayoutStats(GainTables):
     only add phases and Gaussian noise.
     """
 
-    m_col: np.ndarray          # antennas per subarray, shape (S,)
-    geometry: tuple            # (m_h, m_v, d_h, d_v) per subarray
-    los_blocks: np.ndarray     # (G, M_total) complex
-    nlos_std: np.ndarray       # (G, M_total)
-    slices: tuple              # per-subarray (start, stop) into the antenna axis
+    layout: ArrayLayout
+    los_blocks: np.ndarray     # (G, S * M) complex
+    nlos_std: np.ndarray       # (G, S * M)
 
     @property
     def total_antennas(self) -> int:
-        """Length of the antenna axis, m_col.sum()."""
+        """Length of the antenna axis, S * M."""
         return self.los_blocks.shape[1]
+
+    @property
+    def slices(self) -> tuple:
+        """Per-subarray (start, stop) into the antenna axis."""
+        m = self.layout.n_antennas
+        return tuple((s * m, (s + 1) * m) for s in range(len(self.layout.centers)))
 
 
 def compute_layout_stats(
@@ -259,7 +241,7 @@ def compute_layout_stats(
     if grid_indices is None:
         grid_indices = np.arange(scenario.coverage.n_grids)
     grid_indices = check_indices(grid_indices, scenario.coverage.n_grids, "grid_indices")
-    centers = layout.centers()
+    centers = layout.centers
     xi = visibility_from_points(
         centers,
         scenario.coverage,
@@ -279,21 +261,14 @@ def layout_stats_from_gains(
 ) -> LayoutStats:
     """``gains``, whose column s is subarray s of ``layout``, plus the
     per-element LoS steering blocks and NLoS deviations channel draws need."""
-    geometry = tuple((s.m_h, s.m_v, s.d_h, s.d_v) for s in layout.subarrays)
-    m_col = np.array([s.n_antennas for s in layout.subarrays], int)
-    stops = np.cumsum(m_col)
+    steering = steering_vector(gains.u, layout.m_h, layout.m_v, layout.d_h, layout.d_v,
+                               scenario.wavelength)
     amplitude = gains.xi * np.sqrt(gains.beta_los)
-    los_blocks = np.concatenate([
-        amplitude[:, s_idx, None] * steering_vector(gains.u[:, s_idx], *geom, scenario.wavelength)
-        for s_idx, geom in enumerate(geometry)
-    ], axis=1)
     return LayoutStats(
         **vars(gains),
-        m_col=m_col,
-        geometry=geometry,
-        los_blocks=los_blocks,
-        nlos_std=np.repeat(np.sqrt(gains.beta_nlos / 2.0), m_col, axis=1),
-        slices=tuple((int(stop - m), int(stop)) for m, stop in zip(m_col, stops)),
+        layout=layout,
+        los_blocks=(amplitude[..., None] * steering).reshape(len(amplitude), -1),
+        nlos_std=np.repeat(np.sqrt(gains.beta_nlos / 2.0), layout.n_antennas, axis=1),
     )
 
 
@@ -325,7 +300,7 @@ def _channel_draws(stats: LayoutStats, n_rows: int, rng: np.random.Generator):
     beyond the generator's, so this is the stream of a real-part call
     followed by an imaginary-part call.
     """
-    psi = rng.uniform(0.0, 2.0 * np.pi, (n_rows, len(stats.m_col)))
+    psi = rng.uniform(0.0, 2.0 * np.pi, (n_rows, len(stats.layout.centers)))
     re, im = rng.standard_normal((2, n_rows, stats.total_antennas))
     return psi, re, im
 
@@ -353,7 +328,7 @@ def channel_from_draws(stats: LayoutStats, rows, psi, re, im) -> np.ndarray:
     entry is los_blocks * exp(-j psi) + (re + j im) * nlos_std, computed
     elementwise, so a batch holds the same bits as its members one by one.
     """
-    phase = np.repeat(np.exp(-1j * psi), stats.m_col, axis=-1)
+    phase = np.repeat(np.exp(-1j * psi), stats.layout.n_antennas, axis=-1)
     h = stats.los_blocks[rows] * phase + (re + 1j * im) * stats.nlos_std[rows]
     return np.swapaxes(h, -1, -2)
 

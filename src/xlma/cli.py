@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .benchmarks import BENCHMARK_KINDS
-from .channel import ArrayLayout, check_support, support_layout
+from .channel import ArrayLayout, support_layout
 from .errors import ConfigurationError, DomainError
 from .montecarlo import MapRequest, SimOptions, correlation_map, power_gain_map, \
     simulate_weighted_sum_rate
@@ -271,10 +271,7 @@ def cmd_map(args) -> int:
             f"'scheme' must be one of {SWEEP_SCHEMES} or an object with 'support', "
             f"got {scheme!r}")
     ctx = context_from_document(doc)
-    if isinstance(scheme, dict):
-        placement = check_support(scheme["support"], len(ctx.candidates))
-    else:
-        placement = ctx.placement_for_scheme(scheme)
+    placement = scheme["support"] if isinstance(scheme, dict) else ctx.placement_for_scheme(scheme)
     if not isinstance(placement, ArrayLayout):
         placement = support_layout(ctx.scenario, placement)
 

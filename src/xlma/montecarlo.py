@@ -189,15 +189,14 @@ def _subarray_visibility(scenario, centers, points) -> np.ndarray:
 
 
 def power_gain_map(scenario: ScenarioConfig, request: MapRequest):
-    """Expected channel power gain sum_s M_s * beta_total over a z-slice.
+    """Expected channel power gain sum_s M * beta_total over a z-slice.
 
     Blocked LoS contributions are replaced by the placeholder gain (map
     rendering convention); the placeholder never enters rate computations.
     Returns (x_axis, y_axis, values[len(x), len(y)]) in linear power units.
     """
     x, y, points = _map_points(scenario, request)
-    centers = request.layout.centers()
-    m_col = np.array([s.n_antennas for s in request.layout.subarrays])
+    centers = request.layout.centers
     dist = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=-1)
     if np.any(dist == 0.0):
         raise DomainError("map point coincides with a subarray center")
@@ -206,7 +205,7 @@ def power_gain_map(scenario: ScenarioConfig, request: MapRequest):
     visible = _subarray_visibility(scenario, centers, points)
     placeholder = request.blocked_placeholder_gain
     los_term = np.where(visible, beta_los, 0.0 if placeholder is None else placeholder)
-    values = (m_col[None, :] * (los_term + beta_nlos)).sum(axis=1)
+    values = (request.layout.n_antennas * (los_term + beta_nlos)).sum(axis=1)
     return x, y, values.reshape(len(x), len(y))
 
 
@@ -214,14 +213,14 @@ def _los_channel_matrix(scenario, layout, points, visible):
     """Deterministic near-field pure-LoS channel rows (one per map point)."""
     lam = scenario.wavelength
     blocks = []
-    for s_idx, sub in enumerate(layout.subarrays):
-        elems = sub.element_positions()
+    # One subarray's (P, M, 3) differences at a time: the whole element grid
+    # at once would hold S times as much.
+    for elems, seen in zip(layout.element_positions(), visible.T):
         dist = np.linalg.norm(points[:, None, :] - elems[None, :, :], axis=-1)
         if np.any(dist == 0.0):
             raise DomainError("map point coincides with an antenna element")
-        amp = np.sqrt((lam / (4.0 * np.pi * dist)) ** 2)
         phase = np.exp(-2j * np.pi * dist / lam)
-        blocks.append(visible[:, s_idx : s_idx + 1] * amp * phase)
+        blocks.append(seen[:, None] * np.sqrt(los_path_gain(dist, lam)) * phase)
     return np.concatenate(blocks, axis=1)
 
 
@@ -242,7 +241,7 @@ def correlation_map(scenario: ScenarioConfig, request: MapRequest):
         probe = np.array([probe[0], probe[1], z])
     probe_idx = int(np.argmin(np.linalg.norm(points - probe[None, :], axis=1)))
 
-    centers = request.layout.centers()
+    centers = request.layout.centers
     visible = _subarray_visibility(scenario, centers, points)
     h = _los_channel_matrix(scenario, request.layout, points, visible)
     norms = np.linalg.norm(h, axis=1)

@@ -3,20 +3,21 @@
 The expected rate of grid k for a placement support T is approximated by the
 ratio-of-means SINR
 
-    gamma_k = Pbar_k * ((sum_c m_c*beta_k,c)^2 + sum_c beta_k,c^2*f_k,c)
+    gamma_k = Pbar_k * ((sum_c M*beta_k,c)^2 + sum_c beta_k,c^2*f_k,c)
               / sum_c [ beta_k,c * sum_{i != k} Pbar_i*rho_i*beta_i,c*
-                        (phi_ki,c*g_ki,c + q_ki,c) + m_c*beta_k,c ]
+                        (phi_ki,c*g_ki,c + q_ki,c) + M*beta_k,c ]
 
-summed over the selected columns c (candidate positions or layout
-subarrays), where beta is the total per-element gain, phi the squared
-steering-vector correlation (Fejer product), and f, g, q Rician-mixture
-moments of the per-position channels. The auxiliary factor f carries the
-per-column antenna count m_c, so the signal term adds it bare. All rates are
-log2, all powers linear.
+summed over the selected columns c (candidate positions or the subarray
+centers of a layout), where beta is the total per-element gain, phi the
+squared steering-vector correlation (Fejer product), and f, g, q
+Rician-mixture moments of the per-position channels. Every column is one
+M_h x M_v element grid at spacings (d_h, d_v), M = M_h*M_v elements: the
+scenario's subarray, or a layout's one grid. The auxiliary factor f carries
+M, so the signal term adds it bare. All rates are log2, all powers linear.
 
 The pair moments factor over grids. With the scalar Rician factor kappa and
 A = kappa*xi / (kappa*xi + 1) per (grid, column), g_ki = A_k*A_i and
-q_ki = m_c*(1 - A_k*A_i); in pure LoS (kappa infinite), A = xi and q = 0.
+q_ki = M*(1 - A_k*A_i); in pure LoS (kappa infinite), A = xi and q = 0.
 beta = xi*beta_los + beta_los/kappa, A and f are formed per column block
 from the stored gain tables, never as whole tables. The Fejer product is a
 sum over antenna lags,
@@ -28,7 +29,7 @@ components, and cos(a - b) = cos a cos b + sin a sin b splits each lag into
 sums over grids. So with w_i = Pbar_i*rho_i*beta_i,c, the interference of
 column c is, for every k at once,
 
-    A_k * sum_l c_l*(cos_lk*C_lk + sin_lk*S_lk) + m_c*(W_k - A_k*WA_k),
+    A_k * sum_l c_l*(cos_lk*C_lk + sin_lk*S_lk) + M*(W_k - A_k*WA_k),
 
 where (cos, sin)_lk are taken of theta . l * u_k, c_l is the lag weight
 above, (C_lk, S_lk) = sum_{i != k} w_i*A_i*(cos, sin)_li, W_k = sum_{i != k}
@@ -37,12 +38,12 @@ prefix plus an exclusive suffix sum, so no grid's own term is added and then
 subtracted, which would cancel a weak interference sum away under a
 dominant grid. The cost is O(K'*C*L) for K' grids, C columns and
 L = (2*M_h - 1)(2*M_v - 1) lags, instead of O(K'^2*C) for the pairs. The
-lag sums round to a few ulps of beta_k*M_c^2*sum_i w_i per column; relative
+lag sums round to a few ulps of beta_k*M^2*sum_i w_i per column; relative
 to the denominator that is ~1e-15 unless the per-element SNR is very high,
 there is no NLoS term, and interferers sit near a kernel null.
 
 The model holds the three per-column terms as one (3, K', C) array
-``terms``: m_c*beta_k,c, beta_k,c^2*f_k,c and the bracketed denominator term.
+``terms``: M*beta_k,c, beta_k,c^2*f_k,c and the bracketed denominator term.
 A selection's per-grid sums are one (3, K') array, and
 ``RateModel.log_rates`` is the one place they become log2(1 + gamma_k).
 
@@ -129,26 +130,27 @@ def aux_f(m, xi, kappa_bar, pure_los: bool):
 class RateModel:
     """Closed-form rate evaluator over a fixed set of columns.
 
-    Columns are candidate positions (optimizer use) or the subarrays of an
-    arbitrary layout (benchmark evaluation); both reduce to the same per-
-    column sums. Row r covers user grid ``grid_rows[r]``.
+    Columns are candidate positions (optimizer use) or the subarrays of one
+    layout (benchmark evaluation), each carrying one element grid; both
+    reduce to the same per-column sums. Row r covers user grid
+    ``grid_rows[r]``.
     """
 
-    def __init__(self, grid_rows, rho, pbar, m_col, terms):
+    def __init__(self, grid_rows, rho, pbar, terms):
         self.grid_rows = np.asarray(grid_rows, int)
         self.rho = np.asarray(rho, float)
         self.pbar = np.asarray(pbar, float)
-        self.m_col = np.asarray(m_col)
-        # (3, K', C): m_c*beta_k,c, beta_k,c^2*f_k,c and the SINR denominator
+        # (3, K', C): M*beta_k,c, beta_k,c^2*f_k,c and the SINR denominator
         # term of each column, so a selection's sums are one (3, K') array.
         self.terms = terms
 
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def _assemble(cls, scenario, tables: GainTables, geometry) -> "RateModel":
-        """Model over the columns of ``tables``, with (m_h, m_v, d_h, d_v) per
-        column, assembled block by block: only ``terms`` is a whole table.
+    def _assemble(cls, scenario, tables: GainTables, m_h, m_v, d_h, d_v) -> "RateModel":
+        """Model over the columns of ``tables``, each an m_h x m_v element grid
+        at spacings d_h, d_v, assembled block by block: only ``terms`` is a
+        whole table.
 
         An axis lag of 0 has cos 1 and sin +-0 exactly, so no cos or sin is
         taken of it: a lag on one axis only uses that axis's cos and sin as
@@ -157,8 +159,7 @@ class RateModel:
         output can show: every term it reaches is added to a lag sum that
         starts at +0 or above.)
         """
-        mh_col, mv_col, dh_col, dv_col = (np.array(axis) for axis in zip(*geometry))
-        m_col = mh_col * mv_col
+        m = m_h * m_v
         grid_rows = tables.grid_rows
         rho = scenario.distribution.rho[grid_rows]
         pbar = scenario.snr_scale[grid_rows]
@@ -169,38 +170,35 @@ class RateModel:
         terms = np.empty((3, n_rows, n_cols))
         sig_mean, sig_var, denom = terms
         power = (pbar * rho)[:, None]
-        theta_h = 2.0 * np.pi * dh_col / scenario.wavelength
-        theta_v = 2.0 * np.pi * dv_col / scenario.wavelength
-        mh_max, mv_max = int(mh_col.max()), int(mv_col.max())
+        theta_h = 2.0 * np.pi * d_h / scenario.wavelength
+        theta_v = 2.0 * np.pi * d_v / scenario.wavelength
 
         def assemble_block(c):
             """Fill the columns ``c`` of the three tables; its temporaries are
             freed on return, before the next block allocates its own."""
             xi, beta_los, u = tables.xi[:, c], tables.beta_los[:, c], tables.u[:, c]
             beta = xi * beta_los + beta_los / kappa
-            sig_mean[:, c] = m_col[c] * beta
-            sig_var[:, c] = beta * beta * aux_f(m_col[c], xi, kappa, pure)
+            sig_mean[:, c] = m * beta
+            sig_var[:, c] = beta * beta * aux_f(m, xi, kappa, pure)
             w = power * beta
             a = xi if pure else kappa * xi / (kappa * xi + 1.0)
             wa = w * a
             others_wa = _others(wa)
-            lag_sum = m_col[c] * others_wa  # lag 0
+            lag_sum = m * others_wa  # lag 0
             # Lag -l adds the same real term as lag l, so run the half plane
-            # l_h > 0 or l_h = 0 < l_v at double weight. A column with fewer
-            # antennas than the largest gives the lags beyond its span weight 0.
+            # l_h > 0 or l_h = 0 < l_v at double weight.
             # cos/sin per nonzero axis lag, joined by angle addition for each
             # lag pair: 2*(M_h + M_v - 2) transcendentals per entry instead of ~L.
-            phase_h = theta_h[c] * u[:, :, 1]
-            phase_v = theta_v[c] * u[:, :, 2]
-            cos_v = {lv: np.cos(lv * phase_v) for lv in range(1, mv_max)}
-            sin_v = {lv: np.sin(lv * phase_v) for lv in range(1, mv_max)}
+            phase_h = theta_h * u[:, :, 1]
+            phase_v = theta_v * u[:, :, 2]
+            cos_v = {lv: np.cos(lv * phase_v) for lv in range(1, m_v)}
+            sin_v = {lv: np.sin(lv * phase_v) for lv in range(1, m_v)}
             del phase_v
-            for lh in range(mh_max):
+            for lh in range(m_h):
                 if lh:
                     cos_h, sin_h = np.cos(lh * phase_h), np.sin(lh * phase_h)
-                for lv in range(1 - mv_max if lh else 1, mv_max):
-                    weight = 2.0 * (np.maximum(mh_col[c] - lh, 0)
-                                    * np.maximum(mv_col[c] - abs(lv), 0))
+                for lv in range(1 - m_v if lh else 1, m_v):
+                    weight = 2.0 * ((m_h - lh) * (m_v - abs(lv)))
                     if lv == 0:
                         cos, sin = cos_h, sin_h
                     elif lh == 0:
@@ -216,14 +214,14 @@ class RateModel:
                     lag_sum += weight * (cos * _others(wa * cos) + sin * _others(wa * sin))
             interf = a * lag_sum
             if not pure:
-                interf += m_col[c] * (_others(w) - a * others_wa)
+                interf += m * (_others(w) - a * others_wa)
             denom[:, c] = beta * interf + sig_mean[:, c]
 
         # Blocks of even width, so that ``_others`` adds two columns a step.
         width = 2 * max(1, ASSEMBLY_BLOCK_BYTES // (16 * n_rows))
         for start in range(0, n_cols, width):
             assemble_block(slice(start, start + width))
-        return cls(grid_rows, rho, pbar, m_col, terms)
+        return cls(grid_rows, rho, pbar, terms)
 
     @classmethod
     def from_candidate_tables(cls, scenario: ScenarioConfig, gains: GainTables) -> "RateModel":
@@ -234,14 +232,14 @@ class RateModel:
         """
         if not np.any(scenario.distribution.rho[gains.grid_rows] > 0.0):
             raise ConfigurationError("no grids with positive activation probability")
-        n_cols = gains.beta_los.shape[1]
-        geometry = ((scenario.m_h, scenario.m_v, scenario.d_h, scenario.d_v),) * n_cols
-        return cls._assemble(scenario, gains, geometry)
+        return cls._assemble(scenario, gains, scenario.m_h, scenario.m_v,
+                             scenario.d_h, scenario.d_v)
 
     @classmethod
     def from_layout_stats(cls, scenario: ScenarioConfig, stats: LayoutStats) -> "RateModel":
         """Model whose columns are the subarrays of one concrete layout."""
-        return cls._assemble(scenario, stats, stats.geometry)
+        layout = stats.layout
+        return cls._assemble(scenario, stats, layout.m_h, layout.m_v, layout.d_h, layout.d_v)
 
     # -- evaluation --------------------------------------------------------
 

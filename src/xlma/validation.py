@@ -120,7 +120,7 @@ def _check_moments(scenario, draws, corrupt, rng) -> CheckResult:
     var2 = stats.beta_total**2 * f        # Var ||h_s||^2 per subarray
 
     g = len(rows)
-    n_sub = len(layout.subarrays)
+    n_sub = len(layout.centers)
     sums = np.zeros((3, g, n_sub))  # n2, n2^2, n2^4 running sums
     chunk = 2000
     done = 0

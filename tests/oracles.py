@@ -137,10 +137,9 @@ def build_kernel_tables(scenario, beta_los, beta_nlos, xi, u,
     return KernelTables(phi=phi, f=np.asarray(f, float), g=g, q=q)
 
 
-def assemble_row_loop(cls, scenario, tables, geometry):
+def assemble_row_loop(cls, scenario, tables, m_h, m_v, d_h, d_v):
     """``RateModel._assemble`` summed pair by pair over interfering grids."""
-    mh_col, mv_col, dh_col, dv_col = (np.array(axis) for axis in zip(*geometry))
-    m_col = mh_col * mv_col
+    m = m_h * m_v
     grid_rows = tables.grid_rows
     beta, beta_los, beta_nlos = tables.beta_total, tables.beta_los, tables.beta_nlos
     xi, u = tables.xi.astype(float), tables.u
@@ -148,23 +147,23 @@ def assemble_row_loop(cls, scenario, tables, geometry):
     pbar = scenario.snr_scale[grid_rows]
     pure = scenario.pure_los
     kap = None if pure else beta_los / beta_nlos
-    f = aux_f(m_col[None, :], xi, kap, pure)
-    sig_mean = m_col[None, :] * beta
+    f = aux_f(m, xi, kap, pure)
+    sig_mean = m * beta
     sig_var = beta * beta * f
 
     interf = np.zeros(beta.shape)
     lam = scenario.wavelength
     for i in range(beta.shape[0]):
-        phi = (_fejer_axis(u[:, :, 1] - u[i, None, :, 1], mh_col[None, :], dh_col[None, :] / lam)
-               * _fejer_axis(u[:, :, 2] - u[i, None, :, 2], mv_col[None, :], dv_col[None, :] / lam))
+        phi = (_fejer_axis(u[:, :, 1] - u[i, None, :, 1], m_h, d_h / lam)
+               * _fejer_axis(u[:, :, 2] - u[i, None, :, 2], m_v, d_v / lam))
         kap_i = None if pure else kap[i][None, :]
         g = aux_g(xi, xi[i][None, :], kap, kap_i, pure)
-        q = aux_q(m_col[None, :], xi, xi[i][None, :], kap, kap_i, pure)
+        q = aux_q(m, xi, xi[i][None, :], kap, kap_i, pure)
         contrib = (pbar[i] * rho[i]) * beta[i][None, :] * (phi * g + q)
         contrib[i, :] = 0.0
         interf += contrib
     denom = beta * interf + sig_mean
-    return cls(grid_rows, rho, pbar, m_col, np.stack([sig_mean, sig_var, denom]))
+    return cls(grid_rows, rho, pbar, np.stack([sig_mean, sig_var, denom]))
 
 
 def others_reference(x):
@@ -176,11 +175,10 @@ def others_reference(x):
     return out
 
 
-def assemble_angle_addition(cls, scenario, tables, geometry):
+def assemble_angle_addition(cls, scenario, tables, m_h, m_v, d_h, d_v):
     """``RateModel._assemble`` with cos and sin taken of every axis lag, 0
     included, and every lag pair joined by angle addition."""
-    mh_col, mv_col, dh_col, dv_col = (np.array(axis) for axis in zip(*geometry))
-    m_col = mh_col * mv_col
+    m = m_h * m_v
     grid_rows = tables.grid_rows
     rho = scenario.distribution.rho[grid_rows]
     pbar = scenario.snr_scale[grid_rows]
@@ -191,29 +189,27 @@ def assemble_angle_addition(cls, scenario, tables, geometry):
     terms = np.empty((3, n_rows, n_cols))
     sig_mean, sig_var, denom = terms
     power = (pbar * rho)[:, None]
-    theta_h = 2.0 * np.pi * dh_col / scenario.wavelength
-    theta_v = 2.0 * np.pi * dv_col / scenario.wavelength
-    mh_max, mv_max = int(mh_col.max()), int(mv_col.max())
+    theta_h = 2.0 * np.pi * d_h / scenario.wavelength
+    theta_v = 2.0 * np.pi * d_v / scenario.wavelength
     width = max(1, ASSEMBLY_BLOCK_BYTES // (8 * n_rows))
     for start in range(0, n_cols, width):
         c = slice(start, start + width)
         xi, beta_los, u = tables.xi[:, c], tables.beta_los[:, c], tables.u[:, c]
         beta = xi * beta_los + beta_los / kappa
-        sig_mean[:, c] = m_col[c] * beta
-        sig_var[:, c] = beta * beta * aux_f(m_col[c], xi, kappa, pure)
+        sig_mean[:, c] = m * beta
+        sig_var[:, c] = beta * beta * aux_f(m, xi, kappa, pure)
         w = power * beta
         a = xi if pure else kappa * xi / (kappa * xi + 1.0)
         wa = w * a
-        lag_sum = (mh_col[c] * mv_col[c]) * others_reference(wa)
-        phase_h = theta_h[c] * u[:, :, 1]
-        phase_v = theta_v[c] * u[:, :, 2]
-        cos_v = [np.cos(lv * phase_v) for lv in range(mv_max)]
-        sin_v = [np.sin(lv * phase_v) for lv in range(mv_max)]
-        for lh in range(mh_max):
+        lag_sum = m * others_reference(wa)
+        phase_h = theta_h * u[:, :, 1]
+        phase_v = theta_v * u[:, :, 2]
+        cos_v = [np.cos(lv * phase_v) for lv in range(m_v)]
+        sin_v = [np.sin(lv * phase_v) for lv in range(m_v)]
+        for lh in range(m_h):
             cos_h, sin_h = np.cos(lh * phase_h), np.sin(lh * phase_h)
-            for lv in range(1 - mv_max if lh else 1, mv_max):
-                weight = 2.0 * (np.maximum(mh_col[c] - lh, 0)
-                                * np.maximum(mv_col[c] - abs(lv), 0))
+            for lv in range(1 - m_v if lh else 1, m_v):
+                weight = 2.0 * (m_h - lh) * (m_v - abs(lv))
                 cv = cos_v[abs(lv)]
                 sv = sin_v[lv] if lv >= 0 else -sin_v[-lv]
                 cos = cos_h * cv - sin_h * sv
@@ -222,9 +218,9 @@ def assemble_angle_addition(cls, scenario, tables, geometry):
                                      + sin * others_reference(wa * sin))
         interf = a * lag_sum
         if not pure:
-            interf += m_col[c] * (others_reference(w) - a * others_reference(wa))
+            interf += m * (others_reference(w) - a * others_reference(wa))
         denom[:, c] = beta * interf + sig_mean[:, c]
-    return cls(grid_rows, rho, pbar, m_col, terms)
+    return cls(grid_rows, rho, pbar, terms)
 
 
 def model_with_assembly(assemble, constructor, scenario, data) -> RateModel:
@@ -384,8 +380,8 @@ def _combiner_sinr(h, alpha, k, tx_power_mw, noise_power_mw, combiner):
 
 
 def element_positions(layout) -> np.ndarray:
-    """Every element of an ``ArrayLayout``, subarray by subarray, shape (M, 3)."""
-    return np.concatenate([s.element_positions() for s in layout.subarrays], axis=0)
+    """Every element of an ``ArrayLayout``, subarray by subarray, shape (S * M, 3)."""
+    return layout.element_positions().reshape(-1, 3)
 
 
 def min_element_spacing(layout) -> float:

@@ -43,14 +43,13 @@ class TestSparseLayouts:
         layout = fpa_layout("horizontal_sparse", sc)
         cands = sc.candidates()
         expected = [0, 14, 29, 43, 57, 71, 86, 100]
-        got = [int(np.argmin(np.linalg.norm(cands - c.center, axis=1)))
-               for c in layout.subarrays]
+        got = [int(np.argmin(np.linalg.norm(cands - c, axis=1))) for c in layout.centers]
         assert got == expected
 
     def test_horizontal_sparse_symmetric(self):
         sc = paper_1d_scenario()
         layout = fpa_layout("horizontal_sparse", sc)
-        ys = np.array([s.center[1] for s in layout.subarrays])
+        ys = layout.centers[:, 1]
         np.testing.assert_allclose(ys + ys[::-1], 0.0, atol=sc.ma_region.dy)
 
     def test_horizontal_sparse_needs_two(self):
@@ -61,8 +60,7 @@ class TestSparseLayouts:
         sc = paper_2d_scenario()
         layout = fpa_layout("vertical_sparse", sc)
         cands = sc.candidates()
-        idx = [int(np.argmin(np.linalg.norm(cands - c.center, axis=1)))
-               for c in layout.subarrays]
+        idx = [int(np.argmin(np.linalg.norm(cands - c, axis=1))) for c in layout.centers]
         cols_rows = [candidate_multi_index(i, 101) for i in idx]
         assert all(col == 50 for col, _row in cols_rows)  # center column
         rows = [r for _c, r in cols_rows]
@@ -78,8 +76,7 @@ class TestSparseLayouts:
         sc = paper_2d_scenario()
         layout = fpa_layout("sparse_2x4", sc)
         cands = sc.candidates()
-        idx = [int(np.argmin(np.linalg.norm(cands - c.center, axis=1)))
-               for c in layout.subarrays]
+        idx = [int(np.argmin(np.linalg.norm(cands - c, axis=1))) for c in layout.centers]
         cols_rows = [candidate_multi_index(i, 101) for i in idx]
         assert [c for c, _r in cols_rows] == [0, 33, 67, 100, 0, 33, 67, 100]
         assert [r for _c, r in cols_rows] == [0, 0, 0, 0, 29, 29, 29, 29]
@@ -95,28 +92,27 @@ class TestDenseLayouts:
     def test_dense_ula_span_and_center(self):
         sc = paper_1d_scenario(m_h=8, n=8)
         layout = fpa_layout("dense_ula", sc)
-        assert len(layout.subarrays) == 1
-        sub = layout.subarrays[0]
-        assert sub.m_h == 64 and sub.m_v == 1
+        assert len(layout.centers) == 1
+        assert layout.m_h == 64 and layout.m_v == 1
         pos = element_positions(layout)
         span = pos[:, 1].max() - pos[:, 1].min()
         assert span == pytest.approx(63 * sc.wavelength / 2, rel=1e-12)
         assert span == pytest.approx(0.3148, abs=5e-4)  # 63 * lambda/2 at 30 GHz
         center_idx = (sc.ma_region.n_candidates + 1) // 2 - 1
-        np.testing.assert_allclose(sub.center, sc.candidates()[center_idx])
+        np.testing.assert_allclose(layout.centers[0], sc.candidates()[center_idx])
 
     def test_dense_upa_element_grid(self):
         sc = paper_2d_scenario()
         layout = fpa_layout("dense_upa", sc)
-        sub = layout.subarrays[0]
-        assert sub.m_h == 16 and sub.m_v == 8  # 4*M_H x 2*M_V
-        assert sum(s.n_antennas for s in layout.subarrays) == 8 * sc.antennas_per_subarray
+        assert len(layout.centers) == 1
+        assert layout.m_h == 16 and layout.m_v == 8  # 4*M_H x 2*M_V
+        assert layout.n_antennas == 8 * sc.antennas_per_subarray
 
     def test_dense_counts_equal_nm(self):
         sc = paper_2d_scenario()
         for kind in ("dense_ula", "dense_upa"):
             layout = fpa_layout(kind, sc)
-            total = sum(s.n_antennas for s in layout.subarrays)
+            total = len(layout.centers) * layout.n_antennas
             assert total == sc.n_subarrays * sc.antennas_per_subarray
 
 

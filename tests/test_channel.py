@@ -7,7 +7,6 @@ from scipy import stats as sps
 from conftest import make_scenario
 from xlma.channel import (
     ArrayLayout,
-    Subarray,
     build_gain_tables,
     channel_from_draws,
     check_support,
@@ -135,20 +134,31 @@ class TestGainTables:
 
 class TestLayouts:
     def test_element_positions_centered(self):
-        sub = Subarray(center=(0.0, 1.0, 2.0), m_h=2, m_v=2, d_h=0.4, d_v=0.6)
-        pos = sub.element_positions()
-        np.testing.assert_allclose(pos.mean(axis=0), [0.0, 1.0, 2.0])
-        assert pos.shape == (4, 3)
+        centers = [(0.0, 1.0, 2.0), (0.0, -3.0, 5.0)]
+        pos = ArrayLayout(centers, m_h=2, m_v=2, d_h=0.4, d_v=0.6).element_positions()
+        assert pos.shape == (2, 4, 3)
+        np.testing.assert_allclose(pos.mean(axis=1), centers)
+        np.testing.assert_allclose(pos[1] - pos[0], [(0.0, -4.0, 3.0)] * 4)
 
     def test_support_layout_matches_candidates(self):
         sc = make_scenario(n_y=10)
         layout = support_layout(sc, [0, 5])
-        np.testing.assert_allclose(layout.centers(), sc.candidates()[[0, 5]])
-        assert sum(s.n_antennas for s in layout.subarrays) == 2 * sc.antennas_per_subarray
+        np.testing.assert_allclose(layout.centers, sc.candidates()[[0, 5]])
+        assert (layout.m_h, layout.m_v, layout.d_h, layout.d_v) == (sc.m_h, sc.m_v,
+                                                                    sc.d_h, sc.d_v)
+        assert layout.n_antennas == sc.antennas_per_subarray
 
-    def test_empty_layout_rejected(self):
+    @pytest.mark.parametrize("support", [[-1], [2, 2], [True, False], [], [10], [[0, 1]]])
+    def test_support_layout_checks_indices(self, support):
+        # Unchecked, -1 would wrap to the last candidate and [2, 2] would
+        # stack two subarrays on one candidate.
+        with pytest.raises(DomainError):
+            support_layout(make_scenario(n_y=10), support)
+
+    @pytest.mark.parametrize("centers", [np.empty((0, 3)), [0.0, 1.0, 2.0], [(0.0, 1.0)]])
+    def test_malformed_centers_rejected(self, centers):
         with pytest.raises(ConfigurationError):
-            ArrayLayout(())
+            ArrayLayout(centers, 1, 1, 0.5, 0.5)
 
 
 class TestCheckSupport:

@@ -172,7 +172,7 @@ class TestSolveLp:
         gains = data.draw(hnp.arrays(float, (3, n_grids, n_cols),
                                      elements=st.floats(0.1, 10.0)))
         gains[2] += gains[0]  # a denominator term holds its column's signal term
-        model = RateModel(np.arange(n_grids), rho, np.ones(n_grids), np.ones(n_cols), gains)
+        model = RateModel(np.arange(n_grids), rho, np.ones(n_grids), gains)
         scenario = SimpleNamespace(distribution=SimpleNamespace(rho=rho),
                                    n_subarrays=n_select)
         problem = build_init_lp(scenario, model, xi)

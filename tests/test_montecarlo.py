@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import make_scenario
 from xlma import montecarlo, rate
-from xlma.channel import Subarray, ArrayLayout, compute_layout_stats, support_layout
+from xlma.channel import ArrayLayout, compute_layout_stats, support_layout
 from xlma.errors import ConfigurationError, DomainError
 from xlma.montecarlo import (
     MapRequest,
@@ -280,7 +282,7 @@ class TestStagedTrials:
         opts = SimOptions(trials=150, combiner=combiner)
         stats = support_stats(sc, support)
         reference = simulate_trials_reference(sc, stats, opts)
-        per_user = 8 * (len(stats.m_col) + 2 * stats.total_antennas)
+        per_user = 8 * (len(stats.layout.centers) + 2 * stats.total_antennas)
         monkeypatch.setattr(rate, "ASSEMBLY_BLOCK_BYTES", 2 * per_user * trials_per_flush)
         shapes = record_groups(monkeypatch)
         np.testing.assert_array_equal(simulate_trials(sc, stats, opts), reference)
@@ -315,8 +317,7 @@ class TestMaps:
 
     def test_power_map_boresight_value(self):
         sc = single_grid_scenario()
-        layout = ArrayLayout((Subarray((0.0, 0.0, 20.0), sc.m_h, sc.m_v,
-                                       sc.d_h, sc.d_v),))
+        layout = ArrayLayout([(0.0, 0.0, 20.0)], sc.m_h, sc.m_v, sc.d_h, sc.d_v)
         req = MapRequest(layout=layout, resolution=5, z_plane=20.0)
         x, y, values = power_gain_map(sc, req)
         # Point on boresight at distance d: M * (lambda / 4 pi d)^2.
@@ -329,7 +330,7 @@ class TestMaps:
     def test_power_map_additive_in_subarrays(self):
         sc = single_grid_scenario()
         one = support_layout(sc, [4])
-        two = ArrayLayout(one.subarrays + one.subarrays)
+        two = dataclasses.replace(one, centers=np.concatenate([one.centers, one.centers]))
         req1 = MapRequest(layout=one, resolution=4)
         req2 = MapRequest(layout=two, resolution=4)
         _, _, v1 = power_gain_map(sc, req1)
@@ -339,7 +340,7 @@ class TestMaps:
     def test_power_map_symmetric_layout(self):
         sc = single_grid_scenario()
         layout = support_layout(sc, [4, 15])  # symmetric about y = 0
-        ys = [s.center[1] for s in layout.subarrays]
+        ys = layout.centers[:, 1]
         assert ys[0] == pytest.approx(-ys[1])
         _, y, values = power_gain_map(sc, MapRequest(layout=layout, resolution=7))
         np.testing.assert_allclose(values, values[:, ::-1], rtol=1e-9)

@@ -226,7 +226,7 @@ def random_model(seed, n_rows=12, n_cols=10, zero_den_row=None):
     if zero_den_row is not None:
         terms[2, zero_den_row] = 0.0
     return RateModel(np.arange(n_rows), rng.uniform(0.1, 1.0, n_rows),
-                     10.0 ** rng.uniform(2, 9, n_rows), np.full(n_cols, 4), terms)
+                     10.0 ** rng.uniform(2, 9, n_rows), terms)
 
 
 class TestInitLp:
@@ -367,7 +367,7 @@ class TestExhaustiveTies:
                     continue
                 terms = base.terms.copy()
                 terms[:, :, b] = terms[:, :, a]
-                model = RateModel(base.grid_rows, base.rho, base.pbar, base.m_col, terms)
+                model = RateModel(base.grid_rows, base.rho, base.pbar, terms)
                 first, second = sorted([best, tuple(sorted(set(best) - {a} | {b}))])
                 if brute_force(model, self.N_SELECT)[0] == first:
                     assert (model.weighted_sum(np.array(second))
@@ -418,7 +418,7 @@ class TestExhaustiveTies:
         terms = np.stack([np.zeros((3, 8)), np.zeros((3, 8)), np.ones((3, 8))])
         for col, signal in unit.items():
             terms[0, :, col] = signal
-        model = RateModel(np.arange(3), np.ones(3), np.full(3, 1e3), np.full(8, 4), terms)
+        model = RateModel(np.arange(3), np.ones(3), np.full(3, 1e3), terms)
         first, second = (0, 5, 6), (1, 2, 3)
         set_block_width(monkeypatch, model, width)
         blocks = block_of(model, self.N_SELECT, width)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import make_scenario
 from xlma.channel import (
     ArrayLayout,
-    Subarray,
     build_gain_tables,
     compute_layout_stats,
     sample_channel,
@@ -239,6 +238,28 @@ def with_visibility(stats, xi):
     return dataclasses.replace(stats, xi=xi)
 
 
+# Element grids (m_h, m_v, d_h / lambda, d_v / lambda), each checked as the
+# one grid of a uniform layout.
+ELEMENT_GRIDS = {
+    "4x1": (4, 1, 0.5, 0.5),
+    "2x3": (2, 3, 1.0, 0.5),
+    "64x1": (64, 1, 0.5, 0.5),
+    "1x1": (1, 1, 0.5, 0.5),
+    "1x4": (1, 4, 0.5, 1.0),
+    "16x1": (16, 1, 0.5, 0.5),
+    "3x5": (3, 5, 0.7, 1.3),
+}
+element_grids = pytest.mark.parametrize(
+    "grid", ELEMENT_GRIDS.values(), ids=ELEMENT_GRIDS.keys())
+
+
+def grid_layout(sc, centers, grid):
+    """Layout of ``centers``, each carrying the element grid ``grid`` of
+    ``ELEMENT_GRIDS``."""
+    m_h, m_v, d_h, d_v = grid
+    return ArrayLayout(centers, m_h, m_v, d_h * sc.wavelength, d_v * sc.wavelength)
+
+
 def random_unit_vectors(rng, shape):
     u = rng.normal(size=shape + (3,))
     return u / np.linalg.norm(u, axis=-1, keepdims=True)
@@ -257,35 +278,30 @@ class TestLagDomainAssembly:
                                 random_visibility_tables(sc, seed=m_h))
 
     @pytest.mark.parametrize("kappa", [np.inf, 7.0])
-    def test_mixed_layout_subarrays_match_row_loop(self, kappa):
+    @element_grids
+    def test_layout_element_grid_matches_row_loop(self, kappa, grid):
         rho = np.random.default_rng(3).uniform(0.05, 1.0, 12)
         sc = make_scenario(k_x=3, k_y=4, kappa=kappa, rho=rho)
-        lam = sc.wavelength
-        layout = ArrayLayout((
-            Subarray((0.0, -15.0, 15.0), 4, 1, lam / 2, lam / 2),
-            Subarray((0.0, -5.0, 15.0), 2, 3, lam, lam / 2),
-            Subarray((0.0, 5.0, 15.0), 64, 1, lam / 2, lam / 2),
-            Subarray((0.0, 15.0, 15.0), 1, 1, lam / 2, lam / 2),
-            Subarray((0.0, 15.0, 25.0), 3, 5, 0.7 * lam, 1.3 * lam),
-        ))
-        stats = compute_layout_stats(sc, layout, grid_indices=np.arange(12))
+        centers = [(0.0, -15.0, 15.0), (0.0, -5.0, 15.0), (0.0, 5.0, 15.0),
+                   (0.0, 15.0, 15.0), (0.0, 15.0, 25.0)]
+        stats = compute_layout_stats(sc, grid_layout(sc, centers, grid),
+                                     grid_indices=np.arange(12))
         xi = np.random.default_rng(4).integers(0, 2, stats.xi.shape).astype(np.uint8)
-        xi[:, 2] = 1  # every grid sees the 64-element subarray
+        xi[:, 2] = 1  # every grid sees subarray 2
         assert_matches_row_loop(RateModel.from_layout_stats, sc, with_visibility(stats, xi))
 
     @pytest.mark.parametrize("kappa", [np.inf, 7.0])
-    def test_fejer_singular_points_match_row_loop(self, kappa):
+    @pytest.mark.parametrize("grid", [(4, 2, 0.5, 0.5), (5, 1, 1.0, 0.5), (3, 3, 1.0, 1.0)],
+                             ids=["4x2", "5x1", "3x3"])
+    def test_fejer_singular_points_match_row_loop(self, kappa, grid):
         # Grids 0 and 1 share every wave vector; grid 2 (horizontally) and
-        # grid 3 (in both axes) sit lambda/d or 2*lambda/d away from grid 0,
-        # where sin(x) in the kernel's closed form is 0 to rounding.
+        # grid 3 (in both axes) sit lambda/d or 2*lambda/d away from grid 0
+        # in some columns, where sin(x) in the kernel's closed form is 0 to
+        # rounding: column 0 for d = lambda/2, every column for d = lambda.
         sc = make_scenario(k_x=3, k_y=2, kappa=kappa, rho=[0.5, 0.4, 0.7, 0.3, 0.6, 0.2])
-        lam = sc.wavelength
-        layout = ArrayLayout((
-            Subarray((0.0, -10.0, 15.0), 4, 2, lam / 2, lam / 2),
-            Subarray((0.0, 0.0, 15.0), 5, 1, lam, lam / 2),
-            Subarray((0.0, 10.0, 15.0), 3, 3, lam, lam),
-        ))
-        stats = compute_layout_stats(sc, layout, grid_indices=np.arange(6))
+        centers = [(0.0, -10.0, 15.0), (0.0, 0.0, 15.0), (0.0, 10.0, 15.0)]
+        stats = compute_layout_stats(sc, grid_layout(sc, centers, grid),
+                                     grid_indices=np.arange(6))
         u = random_unit_vectors(np.random.default_rng(8), (6, 3))
         r = np.sqrt(0.5)
         u[0] = [[0.0, 1.0, 0.0], [np.sqrt(0.75), 0.5, 0.0], [r, 0.5, 0.5]]
@@ -390,19 +406,14 @@ class TestAxisLagZero:
         assert_same_bits(RateModel.from_candidate_tables, sc, zeros)
 
     @pytest.mark.parametrize("kappa", [np.inf, 7.0])
-    def test_mixed_layout(self, kappa):
+    @element_grids
+    def test_layout_element_grid(self, kappa, grid):
         rho = np.random.default_rng(3).uniform(0.05, 1.0, 12)
         sc = make_scenario(k_x=3, k_y=4, kappa=kappa, rho=rho)
-        lam = sc.wavelength
-        layout = ArrayLayout((
-            Subarray((0.0, -15.0, 15.0), 4, 1, lam / 2, lam / 2),
-            Subarray((0.0, -5.0, 15.0), 2, 3, lam, lam / 2),
-            Subarray((0.0, 0.0, 15.0), 1, 4, lam / 2, lam),
-            Subarray((0.0, 5.0, 15.0), 16, 1, lam / 2, lam / 2),
-            Subarray((0.0, 15.0, 15.0), 1, 1, lam / 2, lam / 2),
-            Subarray((0.0, 15.0, 25.0), 3, 5, 0.7 * lam, 1.3 * lam),
-        ))
-        stats = compute_layout_stats(sc, layout, grid_indices=np.arange(12))
+        centers = [(0.0, -15.0, 15.0), (0.0, -5.0, 15.0), (0.0, 0.0, 15.0),
+                   (0.0, 5.0, 15.0), (0.0, 15.0, 15.0), (0.0, 15.0, 25.0)]
+        stats = compute_layout_stats(sc, grid_layout(sc, centers, grid),
+                                     grid_indices=np.arange(12))
         xi = np.random.default_rng(4).integers(0, 2, stats.xi.shape).astype(np.uint8)
         stats = with_visibility(stats, xi)
         assert_same_bits(RateModel.from_layout_stats, sc, stats)
@@ -557,7 +568,7 @@ class TestRateModel:
             k = int(model.grid_rows[rng.integers(0, len(model.grid_rows))])
             # Weight 1 on grid k and 0 elsewhere: the weighted sum is grid k's rate.
             one_hot = RateModel(model.grid_rows, model.grid_rows == k, model.pbar,
-                                model.m_col, model.terms)
+                                model.terms)
             assert marginal_rate(model, n, k) == pytest.approx(
                 one_hot.weighted_sum([n]), rel=1e-14
             )

@@ -1,5 +1,6 @@
 """The byte comparison and the command set of ``scripts/same_outputs.py``."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -47,8 +48,19 @@ def test_commands_cover_the_gated_outputs(tmp_path, monkeypatch):
     assert {f"dense_plan_{seed}" for seed in (7, 11, 23)} <= set(argvs)
     sweeps = [argv for name, argv in argvs.items() if name.startswith("sweep_oracle_")]
     assert sorted(argv[-1] for argv in sweeps) == ["1", "1", "4", "4"]
-    for command in ("validate", "benchmark", "map_power", "map_correlation"):
+    for command in ("validate", "benchmark"):
         assert len([name for name in argvs if name.startswith(command + "_")]) == 3
+    maps = []
+    for name, argv in argvs.items():
+        if name.startswith("map_"):
+            spec = json.loads(Path(argv[argv.index("--map-spec") + 1]).read_text())
+            maps.append((spec["kind"], argv[argv.index("--preset") + 1],
+                         spec.get("scheme", "proposed")))
+    layouts = [(preset, "proposed") for preset in same_outputs.COMMAND_PRESETS] + [
+        ("desk_full_los_2d", "dense_upa"), ("desk_full_los_2d", "sparse_2x4"),
+        ("paper_partial_los_1d", "dense_ula")]
+    assert sorted(maps) == sorted((kind, *layout) for kind in ("power", "correlation")
+                                  for layout in layouts)
     for argv in argvs.values():  # every input document was written
         for arg in argv:
             if arg.endswith(".json") and arg.startswith(str(tmp_path)):
