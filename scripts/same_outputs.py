@@ -10,6 +10,9 @@ its own checkout's ``src/``, with one BLAS/OpenMP thread:
 
 - ``plan`` with ``--trace-jsonl`` on every preset;
 - ``plan`` on the ``dense_plan`` benchmark document at seeds 7, 11 and 23;
+- ``plan`` at the paper's scale with every grid active:
+  ``paper_full_scale_3d_type1`` with ``regular_ratio`` 0.2 (1890 active
+  grids by 3030 candidates, several seconds and about 400 MB);
 - ``sweep`` on the ``sweep_oracle`` benchmark documents at seeds 7 and 11,
   under ``--threads`` 1 and 4;
 - ``validate``, ``benchmark`` and ``map`` (power and correlation) on three
@@ -39,6 +42,7 @@ from worktree import ROOT, revision_checkout
 
 DENSE_SEEDS = (7, 11, 23)
 SWEEP_SEEDS = (7, 11)
+ALL_ACTIVE_REGULAR_RATIO = 0.2
 SWEEP_THREADS = ("1", "4")
 COMMAND_PRESETS = ("desk_full_los_2d", "desk_partial_los", "paper_partial_los_1d")
 MAP_RESOLUTION = 20
@@ -67,6 +71,10 @@ def commands(inputs: Path) -> dict:
     for seed in DENSE_SEEDS:
         config = _write_json(inputs / f"dense_{seed}.json", workloads.dense_scenario(seed))
         out[f"dense_plan_{seed}"] = ["plan", "--config", config, "--out", "plan.json"]
+    all_active = PRESETS["paper_full_scale_3d_type1"]()
+    all_active["distribution"]["regular_ratio"] = ALL_ACTIVE_REGULAR_RATIO
+    config = _write_json(inputs / "full_scale_all_active.json", all_active)
+    out["plan_full_scale_all_active"] = ["plan", "--config", config, "--out", "plan.json"]
     spec = _write_json(inputs / "sweep_spec.json", workloads.SWEEP_SPEC)
     for seed in SWEEP_SEEDS:
         config = _write_json(inputs / f"sweep_{seed}.json", workloads.sweep_scenario(seed))

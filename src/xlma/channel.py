@@ -232,35 +232,32 @@ class LayoutStats(GainTables):
 
 
 def compute_layout_stats(
-    scenario: ScenarioConfig, layout: ArrayLayout, grid_indices=None
+    scenario: ScenarioConfig, layout: ArrayLayout, grid_indices=None, xi=None
 ) -> LayoutStats:
-    """Gains, visibility and steering blocks for ``layout`` at exact centers.
+    """Gains, visibility and steering blocks for ``layout`` at exact centers:
+    the one maker of ``LayoutStats``.
 
     Rows cover the user grids ``grid_indices`` (default: all), in that order.
+    ``xi``, one row per grid and one column per center, is the visibility
+    to use; without it a visibility pass over the centers computes it.
+    ``los_blocks`` and ``nlos_std`` are what channel draws need.
     """
     if grid_indices is None:
         grid_indices = np.arange(scenario.coverage.n_grids)
     grid_indices = check_indices(grid_indices, scenario.coverage.n_grids, "grid_indices")
     centers = layout.centers
-    xi = visibility_from_points(
-        centers,
-        scenario.coverage,
-        scenario.obstacles,
-        scenario.visibility_samples,
-        scenario.rng_seed,
-        grid_indices=grid_indices,
-    )
+    if xi is None:
+        xi = visibility_from_points(
+            centers,
+            scenario.coverage,
+            scenario.obstacles,
+            scenario.visibility_samples,
+            scenario.rng_seed,
+            grid_indices=grid_indices,
+        )
     gains = build_gain_tables(
         scenario, centers, scenario.grid_centers()[grid_indices], xi, grid_rows=grid_indices
     )
-    return layout_stats_from_gains(scenario, layout, gains)
-
-
-def layout_stats_from_gains(
-    scenario: ScenarioConfig, layout: ArrayLayout, gains: GainTables
-) -> LayoutStats:
-    """``gains``, whose column s is subarray s of ``layout``, plus the
-    per-element LoS steering blocks and NLoS deviations channel draws need."""
     steering = steering_vector(gains.u, layout.m_h, layout.m_v, layout.d_h, layout.d_v,
                                scenario.wavelength)
     amplitude = gains.xi * np.sqrt(gains.beta_los)

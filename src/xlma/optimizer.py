@@ -76,7 +76,6 @@ class SelectionState:
 
 @dataclass
 class PlacementResult:
-    phi: np.ndarray
     chi: np.ndarray
     n_mu: list
     objective: float
@@ -217,11 +216,7 @@ def successive_replacement(
 
     chi = np.zeros(model.n_cols, dtype=np.uint8)
     chi[state.n_mu] = 1
-    phi = np.zeros((scenario.n_subarrays, model.n_cols), dtype=np.uint8)
-    for slot, cand in enumerate(state.n_mu):
-        phi[slot, cand] = 1
     return PlacementResult(
-        phi=phi,
         chi=chi,
         n_mu=list(state.n_mu),
         objective=state.objective,

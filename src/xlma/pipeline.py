@@ -2,30 +2,30 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .benchmarks import fpa_layout
-from .channel import (ArrayLayout, GainTables, LayoutStats, build_gain_tables,
-                      check_support, compute_layout_stats, layout_stats_from_gains,
-                      support_layout)
+from .channel import (ArrayLayout, LayoutStats, build_gain_tables, check_support,
+                      compute_layout_stats, support_layout)
 from .optimizer import PlacementResult, exhaustive_search, successive_replacement
 from .rate import RateModel
 from .scenario import ScenarioConfig, compute_los_visibility, load_scenario
 
 @dataclass
 class ScenarioContext:
-    """Scenario plus everything derived from it that evaluations share.
+    """Scenario plus what evaluations share: the visibility table ``xi``
+    (uint8) and the closed-form ``model`` over every candidate column.
 
-    ``gains``, with the one visibility table ``gains.xi``, covers only the
-    grids with positive activation probability, row r being grid
-    ``gains.grid_rows[r]``: the others add nothing to the expected rate.
+    Both cover only the grids with positive activation probability, row r
+    being grid ``model.grid_rows[r]``: the others add nothing to the
+    expected rate. The gain tables the model is assembled from are dropped
+    once it is built.
     """
 
     scenario: ScenarioConfig
-    candidates: np.ndarray
-    gains: GainTables
+    xi: np.ndarray
     model: RateModel
 
     @classmethod
@@ -42,11 +42,10 @@ class ScenarioContext:
         )
         grids = scenario.grid_centers()[rows]
         gains = build_gain_tables(scenario, candidates, grids, xi, grid_rows=rows)
-        model = RateModel.from_candidate_tables(scenario, gains)
-        return cls(scenario, candidates, gains, model)
+        return cls(scenario, gains.xi, RateModel.from_candidate_tables(scenario, gains))
 
     def plan(self) -> PlacementResult:
-        return successive_replacement(self.scenario, self.model, self.gains.xi)
+        return successive_replacement(self.scenario, self.model, self.xi)
 
     def exhaustive(self):
         return exhaustive_search(self.model, self.scenario.n_subarrays)
@@ -64,20 +63,15 @@ class ScenarioContext:
         """Statistics of a support (index list) or a layout over the active
         grids: the one placement form every evaluator takes.
 
-        A support's come from its columns of the candidate tables, with no
-        visibility pass of their own; a layout's are computed.
+        Both are computed from their own centers; a support's visibility
+        rows are its columns of ``xi``, so it skips the visibility pass.
         """
-        if isinstance(placement, ArrayLayout):
-            return compute_layout_stats(
-                self.scenario, placement, grid_indices=self.model.grid_rows
-            )
-        support = check_support(placement, self.model.n_cols)
-        gains = self.gains
-        columns = replace(gains, beta_los=gains.beta_los[:, support],
-                          xi=gains.xi[:, support], u=gains.u[:, support])
-        return layout_stats_from_gains(
-            self.scenario, support_layout(self.scenario, support), columns
-        )
+        xi = None
+        if not isinstance(placement, ArrayLayout):
+            support = check_support(placement, self.model.n_cols)
+            xi = self.xi[:, support]
+            placement = support_layout(self.scenario, support)
+        return compute_layout_stats(self.scenario, placement, self.model.grid_rows, xi)
 
     def closed_forms(self, stats: LayoutStats) -> tuple[float, float]:
         """(approx_mrc, upper_bound) of a placement's statistics, scored on a

@@ -69,6 +69,22 @@ def make_scenario(
     )
 
 
+def active_gain_tables(scenario):
+    """The gain tables ``ScenarioContext.build`` assembles its model from,
+    which the context does not keep: the build's visibility and gain-table
+    calls over the grids with positive activation probability."""
+    from xlma.channel import build_gain_tables
+    from xlma.scenario import compute_los_visibility
+
+    rows = np.flatnonzero(scenario.distribution.rho > 0.0)
+    candidates = scenario.candidates()
+    xi = compute_los_visibility(candidates, scenario.coverage, scenario.obstacles,
+                                scenario.visibility_samples, scenario.rng_seed,
+                                grid_indices=rows)
+    return build_gain_tables(scenario, candidates, scenario.grid_centers()[rows], xi,
+                             grid_rows=rows)
+
+
 @pytest.fixture(scope="session")
 def desk_context():
     from xlma.pipeline import context_from_document

@@ -173,8 +173,8 @@ class TestSimulateWeightedSum:
         sc = make_scenario(n_y=6, k_x=2, k_y=1, m_h=1, m_v=1, kappa=np.inf,
                            rho=[0.6, 0.3], n_subarrays=1, seed=29)
         support = np.array([2])
-        ctx = ScenarioContext.build(sc)
-        beta = ctx.gains.beta_los[:, 2]
+        stats = ScenarioContext.build(sc).layout_stats(support)
+        beta = stats.beta_los[:, 0]
         pbar = sc.snr_scale
         # One antenna: |h_k|^2 = beta_k and |h_k^H h_i|^2 = beta_k beta_i.
         r1_alone = np.log2(1 + pbar[0] * beta[0])
@@ -186,7 +186,7 @@ class TestSimulateWeightedSum:
             + 0.4 * 0.3 * r2_alone
             + 0.6 * 0.3 * (np.log2(1 + g1_both) + np.log2(1 + g2_both))
         )
-        values = simulate_trials(sc, ctx.layout_stats(support), SimOptions(trials=100_000))
+        values = simulate_trials(sc, stats, SimOptions(trials=100_000))
         se = values.std(ddof=1) / np.sqrt(len(values))
         assert abs(values.mean() - expected) <= 3 * se
 

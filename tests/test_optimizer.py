@@ -142,11 +142,13 @@ class TestSuccessiveReplacement:
                            n_subarrays=4, seed=6)
         model, xi = build_ctx(sc)
         result = successive_replacement(sc, model, xi)
-        phi = result.phi
-        assert phi.shape == (4, model.n_cols)
-        np.testing.assert_array_equal(phi.sum(axis=1), 1)  # one position per subarray
-        assert phi.sum(axis=0).max() <= 1  # at most one subarray per position
-        np.testing.assert_array_equal(phi.T @ phi, np.diag(result.chi))
+        # Phi has one 1 per row (slot) at n_mu[slot]: one position per
+        # subarray, at most one subarray per position, Phi^T Phi = diag(chi).
+        n_mu = np.asarray(result.n_mu)
+        assert n_mu.shape == (4,) and len(set(result.n_mu)) == 4
+        assert result.chi.shape == (model.n_cols,)
+        np.testing.assert_array_equal(np.flatnonzero(result.chi), np.sort(n_mu))
+        assert set(np.unique(result.chi)) == {0, 1}
 
     def test_deterministic(self):
         sc = make_scenario(n_y=14, k_x=2, k_y=3, kappa=12.0,

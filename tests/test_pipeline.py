@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import make_scenario
+from conftest import active_gain_tables, make_scenario
 from xlma import pipeline, rate
 from xlma.channel import build_gain_tables, compute_layout_stats, support_layout
 from xlma.cli import _sweep_cell
@@ -22,9 +22,10 @@ TABLES = ("xi", "beta_los", "beta_nlos", "beta_total", "u")
 def _context_and_full_tables():
     ctx = context_from_document(paper_partial_los_1d())
     sc = ctx.scenario
-    xi = compute_los_visibility(ctx.candidates, sc.coverage, sc.obstacles,
+    candidates = sc.candidates()
+    xi = compute_los_visibility(candidates, sc.coverage, sc.obstacles,
                                 sc.visibility_samples, sc.rng_seed)
-    full = build_gain_tables(sc, ctx.candidates, sc.grid_centers(), xi)
+    full = build_gain_tables(sc, candidates, sc.grid_centers(), xi)
     return ctx, full
 
 
@@ -34,10 +35,12 @@ def test_active_row_tables_equal_rows_of_full_tables():
     rows = np.flatnonzero(sc.distribution.rho > 0)
     assert (len(rows), sc.coverage.n_grids) == (12, 189) and sc.obstacles
     assert full.xi.min() == 0  # the obstacles block some pairs
-    np.testing.assert_array_equal(ctx.gains.grid_rows, rows)
     np.testing.assert_array_equal(ctx.model.grid_rows, rows)
+    assert ctx.xi.dtype == np.uint8 and np.array_equal(ctx.xi, full.xi[rows])
+    gains = active_gain_tables(sc)
+    np.testing.assert_array_equal(gains.grid_rows, rows)
     for name in TABLES:
-        assert np.array_equal(getattr(ctx.gains, name), getattr(full, name)[rows]), name
+        assert np.array_equal(getattr(gains, name), getattr(full, name)[rows]), name
 
 
 def test_plan_matches_model_from_pruned_full_tables():
@@ -61,37 +64,43 @@ def test_plan_matches_model_from_pruned_full_tables():
     assert unpruned.objective == pytest.approx(new.objective, rel=1e-12)
 
 
-def test_layout_stats_of_a_support_are_its_candidate_columns():
-    ctx = context_from_document(paper_partial_los_1d())
-    support = ctx.plan().n_mu
-    stats = compute_layout_stats(ctx.scenario, support_layout(ctx.scenario, support),
-                                 grid_indices=ctx.gains.grid_rows)
-    np.testing.assert_array_equal(stats.grid_rows, ctx.gains.grid_rows)
-    for name in TABLES:
-        assert np.array_equal(getattr(stats, name), getattr(ctx.gains, name)[:, support]), name
+STATS = ("xi", "beta_los", "u", "grid_rows", "los_blocks", "nlos_std")
+
+
+@pytest.mark.parametrize("order", ["slot", "sorted", "reversed"])
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_layout_stats_of_a_support_are_its_candidate_columns(preset, order):
+    # A support's statistics take its columns of the context's xi instead of
+    # a visibility pass over its centers; the pass gives the same bits.
+    ctx = context_from_document(PRESETS[preset]())
+    support = np.asarray(ctx.plan().n_mu, int)
+    support = {"slot": support, "sorted": np.sort(support), "reversed": support[::-1]}[order]
+    stats = ctx.layout_stats(support)
+    own = compute_layout_stats(ctx.scenario, support_layout(ctx.scenario, support),
+                               grid_indices=ctx.model.grid_rows)
+    np.testing.assert_array_equal(own.layout.centers, ctx.scenario.candidates()[support])
+    for name in STATS:
+        got, want = getattr(stats, name), getattr(own, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
 def test_baseline_sweep_cell_builds_one_layout_model(desk_context, monkeypatch):
-    # One set of statistics per cell, handed to every evaluator: a layout's
-    # from one visibility pass, a support's from its candidate columns.
+    # One set of statistics per cell, handed to every evaluator; only a
+    # support's call is handed its columns of the context's xi.
     made = []
+    original = pipeline.compute_layout_stats
 
-    def counting(maker):
-        original = getattr(pipeline, maker)
+    def counted(*args, **kwargs):
+        made.append((args, original(*args, **kwargs)))
+        return made[-1][1]
 
-        def counted(*args, **kwargs):
-            made.append((maker, original(*args, **kwargs)))
-            return made[-1][1]
-        return counted
-
-    for maker in ("compute_layout_stats", "layout_stats_from_gains"):
-        monkeypatch.setattr(pipeline, maker, counting(maker))
+    monkeypatch.setattr(pipeline, "compute_layout_stats", counted)
     evaluators = ["approx_mrc", "upper_bound", "sim_mrc", "sim_mmse"]
-    for scheme, maker in (("proposed", "layout_stats_from_gains"),
-                          ("horizontal_sparse", "compute_layout_stats")):
+    for scheme, given_xi in (("proposed", True), ("horizontal_sparse", False)):
         made.clear()
         rows = _sweep_cell(desk_context, scheme, evaluators, 2)
-        assert [name for name, _ in made] == [maker], scheme
+        assert len(made) == 1, scheme
+        assert (made[0][0][3] is not None) == given_xi, scheme
         assert [row[2] for row in rows[:2]] == list(desk_context.closed_forms(made[0][1]))
 
 
@@ -130,14 +139,31 @@ def _memory_scenario(monkeypatch, kappa):
 
 @pytest.mark.parametrize("kappa", [np.inf, 10.0])
 def test_context_build_peak_memory_in_whole_tables(monkeypatch, kappa):
-    # The context holds beta_los (1 table), u (3), xi (1/8) and the model's
+    # The build holds beta_los (1 table), u (3), xi (1/8) and the model's
     # terms (3); the peak, in the assembly, is about 8.3 (K' x C)
     # float64 tables: one more held through the build breaks the bound.
     sc = _memory_scenario(monkeypatch, kappa)
     ctx, peak = _traced_peak(lambda: pipeline.ScenarioContext.build(sc))
     assert ctx.model.terms.shape == (3, 60, 120)
-    assert ctx.gains.xi.min() == 0  # the obstacle blocks some pairs
+    assert ctx.xi.min() == 0  # the obstacle blocks some pairs
     assert peak < 9 * ctx.model.terms[0].nbytes
+
+
+@pytest.mark.parametrize("kappa", [np.inf, 10.0])
+def test_context_holds_xi_and_terms_in_whole_tables(monkeypatch, kappa):
+    # Once built, the context holds the model's terms (3 (K' x C) float64
+    # tables) and xi (1/8); keeping beta_los (1) and u (3) as well reads
+    # about 7.3.
+    sc = _memory_scenario(monkeypatch, kappa)
+    pipeline.ScenarioContext.build(sc)
+    tracemalloc.start()
+    try:
+        ctx = pipeline.ScenarioContext.build(sc)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ctx.model.terms.shape == (3, 60, 120)
+    assert held < 3.5 * ctx.model.terms[0].nbytes
 
 
 @pytest.mark.parametrize("kappa", [np.inf, 10.0])
@@ -147,9 +173,9 @@ def test_gain_tables_peak_memory_in_whole_tables(monkeypatch, kappa):
     # A (K', C, 3) temporary, as np.linalg.norm makes, reads about 8.2.
     sc = _memory_scenario(monkeypatch, kappa)
     ctx = pipeline.ScenarioContext.build(sc)
-    rows = ctx.gains.grid_rows
+    rows = ctx.model.grid_rows
     _, peak = _traced_peak(lambda: build_gain_tables(
-        sc, ctx.candidates, sc.grid_centers()[rows], ctx.gains.xi, grid_rows=rows))
+        sc, sc.candidates(), sc.grid_centers()[rows], ctx.xi, grid_rows=rows))
     assert peak < 6.5 * ctx.model.terms[0].nbytes
 
 
@@ -163,7 +189,7 @@ def test_optimizer_peak_memory_in_whole_tables(monkeypatch, kappa, stage, bound)
     sc = _memory_scenario(monkeypatch, kappa)
     ctx = pipeline.ScenarioContext.build(sc)
     run = {"plan": ctx.plan,
-           "init_lp": lambda: build_init_lp(sc, ctx.model, ctx.gains.xi)}[stage]
+           "init_lp": lambda: build_init_lp(sc, ctx.model, ctx.xi)}[stage]
     result, peak = _traced_peak(run)
     if stage == "plan":
         assert len(result.trace) > 1  # at least one replacement step ran

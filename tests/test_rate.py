@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_scenario
+from conftest import active_gain_tables, make_scenario
 from xlma.channel import (
     ArrayLayout,
     build_gain_tables,
@@ -435,7 +435,8 @@ class TestAxisLagZero:
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_presets(self, preset):
         ctx = context_from_document(PRESETS[preset]())
-        assert_same_bits(RateModel.from_candidate_tables, ctx.scenario, ctx.gains)
+        assert_same_bits(RateModel.from_candidate_tables, ctx.scenario,
+                         active_gain_tables(ctx.scenario))
         for kind in BENCHMARK_KINDS:
             try:
                 layout = fpa_layout(kind, ctx.scenario)
@@ -518,10 +519,11 @@ class TestAssemblyMemory:
         into the next: 4,014,412 bytes, the least of four runs with numpy
         2.4.6."""
         ctx = context_from_document(PRESETS["paper_full_scale_3d_type1"]())
-        RateModel.from_candidate_tables(ctx.scenario, ctx.gains)
+        gains = active_gain_tables(ctx.scenario)
+        RateModel.from_candidate_tables(ctx.scenario, gains)
         tracemalloc.start()
         try:
-            model = RateModel.from_candidate_tables(ctx.scenario, ctx.gains)
+            model = RateModel.from_candidate_tables(ctx.scenario, gains)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

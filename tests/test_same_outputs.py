@@ -46,6 +46,10 @@ def test_commands_cover_the_gated_outputs(tmp_path, monkeypatch):
     for preset in PRESETS:
         assert "--trace-jsonl" in argvs[f"plan_{preset}"]
     assert {f"dense_plan_{seed}" for seed in (7, 11, 23)} <= set(argvs)
+    all_active = argvs["plan_full_scale_all_active"]  # every grid of the paper's scale
+    expected = PRESETS["paper_full_scale_3d_type1"]()
+    expected["distribution"]["regular_ratio"] = 0.2
+    assert json.loads(Path(all_active[all_active.index("--config") + 1]).read_text()) == expected
     sweeps = [argv for name, argv in argvs.items() if name.startswith("sweep_oracle_")]
     assert sorted(argv[-1] for argv in sweeps) == ["1", "1", "4", "4"]
     for command in ("validate", "benchmark"):
