@@ -18,7 +18,9 @@ its own checkout's ``src/``, with one BLAS/OpenMP thread:
 - ``validate``, ``benchmark`` and ``map`` (power and correlation) on three
   presets;
 - ``map`` (power and correlation) of the baseline layouts ``MAP_SCHEMES``,
-  whose element grids differ from the scenario's subarray.
+  whose element grids differ from the scenario's subarray;
+- ``map`` (power and correlation) of the candidate support ``MAP_SUPPORT``,
+  given in the map spec as a ``{"support": [...]}`` scheme.
 
 The documents come from this working tree: the presets of ``xlma.presets``
 and the benchmark documents of ``perfbench/workloads.py``. Each command runs
@@ -48,6 +50,7 @@ COMMAND_PRESETS = ("desk_full_los_2d", "desk_partial_los", "paper_partial_los_1d
 MAP_RESOLUTION = 20
 MAP_SCHEMES = (("desk_full_los_2d", "dense_upa"), ("desk_full_los_2d", "sparse_2x4"),
                ("paper_partial_los_1d", "dense_ula"))
+MAP_SUPPORT = ("desk_partial_los", [58, 3, 96, 41])
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 RUN_MAIN = "import sys; from xlma.cli import main; sys.exit(main(sys.argv[1:]))"
 
@@ -85,13 +88,16 @@ def commands(inputs: Path) -> dict:
     for preset in COMMAND_PRESETS:
         out[f"validate_{preset}"] = ["validate", "--preset", preset]
         out[f"benchmark_{preset}"] = ["benchmark", "--preset", preset, "--out-dir", "."]
-    for preset, scheme in [(preset, None) for preset in COMMAND_PRESETS] + list(MAP_SCHEMES):
+    layouts = [(preset, None, preset) for preset in COMMAND_PRESETS]
+    layouts += [(preset, scheme, f"{preset}_{scheme}") for preset, scheme in MAP_SCHEMES]
+    support_preset, support = MAP_SUPPORT
+    layouts.append((support_preset, {"support": support}, f"{support_preset}_support"))
+    for preset, scheme, name in layouts:
         cov = PRESETS[preset]()["coverage"]
         probe = [(cov["x_min"] + cov["x_max"]) / 2, (cov["y_min"] + cov["y_max"]) / 2]
         fields = {"resolution": MAP_RESOLUTION, **({} if scheme is None else {"scheme": scheme})}
         maps = {"power": {"kind": "power", **fields},
                 "correlation": {"kind": "correlation", "probe_point": probe, **fields}}
-        name = preset if scheme is None else f"{preset}_{scheme}"
         for kind, map_spec in maps.items():
             path = _write_json(inputs / f"map_{kind}_{name}.json", map_spec)
             out[f"map_{kind}_{name}"] = ["map", "--preset", preset, "--map-spec", path,

@@ -19,10 +19,9 @@ from pathlib import Path
 import numpy as np
 
 from .benchmarks import BENCHMARK_KINDS
-from .channel import ArrayLayout, support_layout
+from .channel import support_layout
 from .errors import ConfigurationError, DomainError
-from .montecarlo import MapRequest, SimOptions, correlation_map, power_gain_map, \
-    simulate_weighted_sum_rate
+from .montecarlo import SimOptions, correlation_map, power_gain_map, simulate_weighted_sum_rate
 from .pipeline import ScenarioContext, context_from_document
 from .presets import PRESETS
 from .scenario import (as_integer, as_number, check_fields, dbm_to_mw, load_scenario,
@@ -137,11 +136,11 @@ def _sweep_cell(ctx: ScenarioContext, scheme: str, evaluators, trials: int):
     """Rows (scheme, evaluator, rate, stderr, note) for one sweep cell."""
     rows = []
     try:
-        placement = ctx.placement_for_scheme(scheme)
+        layout = ctx.placement_for_scheme(scheme)
     except ConfigurationError as exc:
         return [(scheme, ev, "", "", f"skipped: {exc}") for ev in evaluators]
 
-    stats = ctx.layout_stats(placement)  # one set of statistics for every evaluator
+    stats = ctx.layout_stats(layout)  # one set of statistics for every evaluator
     closed = {}
     if {"approx_mrc", "upper_bound"} & set(evaluators):
         closed["approx_mrc"], closed["upper_bound"] = ctx.closed_forms(stats)
@@ -238,8 +237,8 @@ def _write_map_csv(path, x, y, values) -> None:
 
 
 def _map_fields(spec: dict) -> dict:
-    """The numeric fields of a map spec as ``MapRequest`` keywords, each
-    checked and named in its error."""
+    """The numeric fields of a map spec by name, each checked and named in
+    its error."""
     probe = spec.get("probe_point")
     if probe is not None and (not isinstance(probe, list) or len(probe) not in (2, 3)):
         raise ConfigurationError(f"'probe_point' must be a list of 2 or 3 numbers, got {probe!r}")
@@ -271,21 +270,21 @@ def cmd_map(args) -> int:
             f"'scheme' must be one of {SWEEP_SCHEMES} or an object with 'support', "
             f"got {scheme!r}")
     ctx = context_from_document(doc)
-    placement = scheme["support"] if isinstance(scheme, dict) else ctx.placement_for_scheme(scheme)
-    if not isinstance(placement, ArrayLayout):
-        placement = support_layout(ctx.scenario, placement)
+    layout = (support_layout(ctx.scenario, scheme["support"]) if isinstance(scheme, dict)
+              else ctx.placement_for_scheme(scheme))
 
     probe = fields["probe_point"]
     cov = ctx.scenario.coverage
     if probe is not None:
         if not (cov.x_min <= probe[0] <= cov.x_max and cov.y_min <= probe[1] <= cov.y_max):
             raise ConfigurationError("probe_point outside the coverage region")
-    request = MapRequest(layout=placement, **fields)
     if kind == "power":
-        x, y, values = power_gain_map(ctx.scenario, request)
+        x, y, values = power_gain_map(ctx.scenario, layout, fields["resolution"],
+                                      fields["z_plane"], fields["blocked_placeholder_gain"])
         values = mw_to_dbm(np.maximum(values, 1e-300))
     else:
-        x, y, values = correlation_map(ctx.scenario, request)
+        x, y, values = correlation_map(ctx.scenario, layout, probe, fields["resolution"],
+                                       fields["z_plane"])
     _write_map_csv(args.out, x, y, values)
     print(f"wrote {args.out}")
     return 0
@@ -329,14 +328,12 @@ def cmd_benchmark(args) -> int:
     rows = []
     for scheme in ("proposed",) + BENCHMARK_KINDS:
         try:
-            placement = ctx.placement_for_scheme(scheme)
+            layout = ctx.placement_for_scheme(scheme)
         except ConfigurationError as exc:
             rows.append((scheme, "", "", f"skipped: {exc}"))
             continue
-        layout = (placement if isinstance(placement, ArrayLayout)
-                  else support_layout(ctx.scenario, placement))
         _write_json(out_dir / f"layout_{scheme}.json", layout.to_json_dict())
-        rows.append((scheme, *ctx.closed_forms(ctx.layout_stats(placement)), ""))
+        rows.append((scheme, *ctx.closed_forms(ctx.layout_stats(layout)), ""))
 
     path = out_dir / "benchmarks.csv"
     with path.open("w", newline="") as fh:

@@ -153,26 +153,15 @@ def simulate_weighted_sum_rate(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MapRequest:
-    layout: ArrayLayout
-    resolution: int = 50
-    probe_point: tuple | None = None
-    blocked_placeholder_gain: float | None = None
-    z_plane: float | None = None
-
-    def __post_init__(self):
-        if self.resolution < 2:
-            raise ConfigurationError("map resolution must be >= 2")
-
-
-def _map_points(scenario: ScenarioConfig, request: MapRequest):
+def _map_points(scenario: ScenarioConfig, resolution: int, z_plane: float | None):
+    """Axes and (resolution^2, 3) points of a map lattice at height
+    ``z_plane`` (default: mid-height of the coverage region)."""
+    if resolution < 2:
+        raise ConfigurationError("map resolution must be >= 2")
     cov = scenario.coverage
-    x = np.linspace(cov.x_min, cov.x_max, request.resolution)
-    y = np.linspace(cov.y_min, cov.y_max, request.resolution)
-    z = request.z_plane
-    if z is None:
-        z = 0.5 * (cov.z_min + cov.z_max)
+    x = np.linspace(cov.x_min, cov.x_max, resolution)
+    y = np.linspace(cov.y_min, cov.y_max, resolution)
+    z = 0.5 * (cov.z_min + cov.z_max) if z_plane is None else z_plane
     xx, yy = np.meshgrid(x, y, indexing="ij")
     points = np.stack([xx.ravel(), yy.ravel(), np.full(xx.size, z)], axis=1)
     return x, y, points
@@ -188,24 +177,26 @@ def _subarray_visibility(scenario, centers, points) -> np.ndarray:
     return ~blocked
 
 
-def power_gain_map(scenario: ScenarioConfig, request: MapRequest):
+def power_gain_map(scenario: ScenarioConfig, layout: ArrayLayout, resolution: int,
+                   z_plane: float | None, blocked_placeholder_gain: float | None):
     """Expected channel power gain sum_s M * beta_total over a z-slice.
 
-    Blocked LoS contributions are replaced by the placeholder gain (map
-    rendering convention); the placeholder never enters rate computations.
-    Returns (x_axis, y_axis, values[len(x), len(y)]) in linear power units.
+    Blocked LoS contributions are replaced by ``blocked_placeholder_gain``
+    (map rendering convention; None: 0); the placeholder never enters rate
+    computations. Returns (x_axis, y_axis, values[len(x), len(y)]) in
+    linear power units.
     """
-    x, y, points = _map_points(scenario, request)
-    centers = request.layout.centers
+    x, y, points = _map_points(scenario, resolution, z_plane)
+    centers = layout.centers
     dist = np.linalg.norm(points[:, None, :] - centers[None, :, :], axis=-1)
     if np.any(dist == 0.0):
         raise DomainError("map point coincides with a subarray center")
     beta_los = los_path_gain(dist, scenario.wavelength)
     beta_nlos = beta_los / scenario.rician_kappa  # 0.0 in pure LoS
     visible = _subarray_visibility(scenario, centers, points)
-    placeholder = request.blocked_placeholder_gain
-    los_term = np.where(visible, beta_los, 0.0 if placeholder is None else placeholder)
-    values = (request.layout.n_antennas * (los_term + beta_nlos)).sum(axis=1)
+    placeholder = 0.0 if blocked_placeholder_gain is None else blocked_placeholder_gain
+    los_term = np.where(visible, beta_los, placeholder)
+    values = (layout.n_antennas * (los_term + beta_nlos)).sum(axis=1)
     return x, y, values.reshape(len(x), len(y))
 
 
@@ -224,26 +215,24 @@ def _los_channel_matrix(scenario, layout, points, visible):
     return np.concatenate(blocks, axis=1)
 
 
-def correlation_map(scenario: ScenarioConfig, request: MapRequest):
+def correlation_map(scenario: ScenarioConfig, layout: ArrayLayout, probe_point,
+                    resolution: int, z_plane: float | None):
     """|h_hat(p)^H h_hat(p0)|^2 between unit-normalized pure-LoS channels.
 
-    The probe snaps to the nearest map lattice point, so the probe cell's
-    value is exactly 1. Returns (x_axis, y_axis, values[len(x), len(y)]).
+    ``probe_point`` is (x, y, z), or (x, y) on the map's plane. The probe
+    snaps to the nearest map lattice point, so the probe cell's value is
+    exactly 1. Returns (x_axis, y_axis, values[len(x), len(y)]).
     """
-    if request.probe_point is None:
+    x, y, points = _map_points(scenario, resolution, z_plane)
+    if probe_point is None:
         raise ConfigurationError("correlation map requires a probe_point")
-    x, y, points = _map_points(scenario, request)
-    probe = np.asarray(request.probe_point, float)
+    probe = np.asarray(probe_point, float)
     if probe.size == 2:
-        z = request.z_plane
-        if z is None:
-            z = 0.5 * (scenario.coverage.z_min + scenario.coverage.z_max)
-        probe = np.array([probe[0], probe[1], z])
+        probe = np.array([probe[0], probe[1], points[0, 2]])
     probe_idx = int(np.argmin(np.linalg.norm(points - probe[None, :], axis=1)))
 
-    centers = request.layout.centers
-    visible = _subarray_visibility(scenario, centers, points)
-    h = _los_channel_matrix(scenario, request.layout, points, visible)
+    visible = _subarray_visibility(scenario, layout.centers, points)
+    h = _los_channel_matrix(scenario, layout, points, visible)
     norms = np.linalg.norm(h, axis=1)
     h_probe = h[probe_idx]
     probe_norm = norms[probe_idx]

@@ -275,9 +275,7 @@ def _block_sums(columns, heads, x, tails, out, prefix, scratch) -> None:
     np.add(prefix[:, None], tail[None], out=block)
 
 
-def exhaustive_search(
-    model: RateModel, n_select: int, limit: int = EXHAUSTIVE_LIMIT
-) -> tuple[np.ndarray, float]:
+def exhaustive_search(model: RateModel, n_select: int) -> tuple[np.ndarray, float]:
     """Global optimum over all N-subsets (lexicographically first among ties).
 
     Subsets are scored in ``_prefix_blocks``. ``_block_sums`` forms a block's
@@ -298,9 +296,9 @@ def exhaustive_search(
     if not 1 <= n_select <= n_cols:
         raise ConfigurationError(f"cannot select {n_select} of {n_cols} candidates")
     count = math.comb(n_cols, n_select)
-    if count > limit:
+    if count > EXHAUSTIVE_LIMIT:
         raise ConfigurationError(
-            f"exhaustive search over {count} combinations exceeds limit {limit}"
+            f"exhaustive search over {count} combinations exceeds limit {EXHAUSTIVE_LIMIT}"
         )
     n_rows = len(model.rho)
     width = max(1, rate.ASSEMBLY_BLOCK_BYTES // (8 * n_rows))

@@ -9,9 +9,13 @@ import numpy as np
 from .benchmarks import fpa_layout
 from .channel import (ArrayLayout, LayoutStats, build_gain_tables, check_support,
                       compute_layout_stats, support_layout)
+from .errors import DomainError
 from .optimizer import PlacementResult, exhaustive_search, successive_replacement
 from .rate import RateModel
-from .scenario import ScenarioConfig, compute_los_visibility, load_scenario
+from .scenario import ScenarioConfig, load_scenario
+# Imported under this name because the benchmark tracer wraps it here.
+from .scenario import visibility_from_points as compute_los_visibility
+
 
 @dataclass
 class ScenarioContext:
@@ -47,31 +51,32 @@ class ScenarioContext:
     def plan(self) -> PlacementResult:
         return successive_replacement(self.scenario, self.model, self.xi)
 
-    def exhaustive(self):
-        return exhaustive_search(self.model, self.scenario.n_subarrays)
-
-    def placement_for_scheme(self, scheme: str):
-        """Support indices (proposed/optimal) or an ArrayLayout (baselines)."""
+    def placement_for_scheme(self, scheme: str) -> ArrayLayout:
+        """The layout of a scheme, on the candidates: the plan's support
+        (``proposed``), the exhaustive optimum (``optimal``) or a baseline."""
         if scheme == "proposed":
-            return np.asarray(self.plan().n_mu, int)
+            return support_layout(self.scenario, self.plan().n_mu)
         if scheme == "optimal":
-            chi, _ = self.exhaustive()
-            return np.flatnonzero(chi)
+            chi, _ = exhaustive_search(self.model, self.scenario.n_subarrays)
+            return support_layout(self.scenario, np.flatnonzero(chi))
         return fpa_layout(scheme, self.scenario)
 
-    def layout_stats(self, placement) -> LayoutStats:
-        """Statistics of a support (index list) or a layout over the active
-        grids: the one placement form every evaluator takes.
+    def layout_stats(self, layout: ArrayLayout) -> LayoutStats:
+        """Statistics of a layout over the active grids: the one placement
+        form every evaluator takes.
 
-        Both are computed from their own centers; a support's visibility
-        rows are its columns of ``xi``, so it skips the visibility pass.
+        A layout with a ``support`` takes its visibility rows from those
+        columns of ``xi``, once the support is checked to index the layout's
+        own centers among the candidates; any other layout runs a
+        visibility pass over its centers.
         """
         xi = None
-        if not isinstance(placement, ArrayLayout):
-            support = check_support(placement, self.model.n_cols)
+        if layout.support is not None:
+            support = check_support(layout.support, self.model.n_cols)
+            if not np.array_equal(self.scenario.candidates()[support], layout.centers):
+                raise DomainError("layout support must index its own centers among the candidates")
             xi = self.xi[:, support]
-            placement = support_layout(self.scenario, support)
-        return compute_layout_stats(self.scenario, placement, self.model.grid_rows, xi)
+        return compute_layout_stats(self.scenario, layout, self.model.grid_rows, xi)
 
     def closed_forms(self, stats: LayoutStats) -> tuple[float, float]:
         """(approx_mrc, upper_bound) of a placement's statistics, scored on a

@@ -626,25 +626,6 @@ def visibility_from_points(
     return xi
 
 
-def compute_los_visibility(
-    candidates: np.ndarray,
-    cov: CoverageSpec,
-    obstacles,
-    samples_per_grid: int = 20,
-    rng_seed: int = 0,
-    grid_indices=None,
-) -> np.ndarray:
-    """Binary LoS table xi[K, N0] between user grids and candidate positions.
-
-    ``grid_indices`` restricts the rows to those distinct grids, in the given
-    order (default: all K); each row equals the corresponding row of the full
-    table.
-    """
-    return visibility_from_points(
-        candidates, cov, obstacles, samples_per_grid, rng_seed, grid_indices=grid_indices
-    )
-
-
 # ---------------------------------------------------------------------------
 # Scenario configuration
 # ---------------------------------------------------------------------------
@@ -857,6 +838,19 @@ def _integers(value, field: str) -> list:
     return [as_integer(v, f"{field}[{i}]") for i, v in enumerate(value)]
 
 
+def _check_obstacles_clear(obstacles, candidates: np.ndarray, cells: np.ndarray) -> None:
+    """Refuse a box that holds a candidate position, faces included, or the
+    center of a user cell, faces excluded: the channel model has no path
+    from inside a box. A cell that a box only partly covers stays valid."""
+    for i, box in enumerate(obstacles):
+        held = np.flatnonzero(np.all((box.lo <= candidates) & (candidates <= box.hi), axis=1))
+        if held.size:
+            raise ConfigurationError(f"'obstacles[{i}]' holds candidate position {held[0]}")
+        held = np.flatnonzero(np.all((box.lo < cells) & (cells < box.hi), axis=1))
+        if held.size:
+            raise ConfigurationError(f"'obstacles[{i}]' holds the center of user grid {held[0]}")
+
+
 def load_scenario(doc) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed JSON document, which must be a
     mapping.
@@ -910,6 +904,7 @@ def load_scenario(doc) -> ScenarioConfig:
         center, dims = (tuple(_numbers(_require(o, key, where), where + key, 3))
                         for key in ("center", "dims"))
         obstacles.append(Obstacle(center=center, dims=dims))
+    _check_obstacles_clear(obstacles, build_candidate_grid(ma), build_user_grid(cov))
 
     tx_power_dbm = _require(doc, "tx_power_dbm", "")
     if isinstance(tx_power_dbm, list):  # one value per grid

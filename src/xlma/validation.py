@@ -2,8 +2,8 @@
 
 Run by ``xlma validate``. Each check is a closed-form identity or an
 exactness case with a deterministic verdict; the Monte Carlo moment check
-uses enough draws that a genuine formula error (the negative-control hook
-scales the fourth-moment factor) fails decisively.
+uses enough draws that a genuine formula error in its fourth-moment factor
+``aux_f`` fails decisively.
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ def _check_probability_mass(scenario) -> CheckResult:
     return CheckResult("probability-mass", err < 1e-9, f"|sum(rho) - Kbar| = {err:.2e}")
 
 
-def _check_moments(scenario, draws, corrupt, rng) -> CheckResult:
+def _check_moments(scenario, draws, rng) -> CheckResult:
     """Second/fourth/cross moments of sampled channels vs closed forms."""
     rows = np.flatnonzero(scenario.distribution.rho > 0.0)[:3]
     if len(rows) == 0:
@@ -114,8 +114,6 @@ def _check_moments(scenario, draws, corrupt, rng) -> CheckResult:
     stats = compute_layout_stats(scenario, layout, grid_indices=rows)
     m = scenario.antennas_per_subarray
     f = aux_f(m, stats.xi, scenario.rician_kappa, scenario.pure_los)
-    if corrupt:
-        f = 3.0 * f + 0.05  # negative-control hook: breaks the 4th moment
     mean2 = m * stats.beta_total          # E ||h_s||^2 per subarray
     var2 = stats.beta_total**2 * f        # Var ||h_s||^2 per subarray
 
@@ -163,18 +161,14 @@ def _check_pure_los_exactness(scenario) -> CheckResult:
     ctx = ScenarioContext.build(single)
     n0 = single.ma_region.n_candidates
     support = np.linspace(0, n0 - 1, single.n_subarrays).astype(int)
-    stats = ctx.layout_stats(distinct_sorted(support))
+    stats = ctx.layout_stats(support_layout(single, distinct_sorted(support)))
     closed, _ = ctx.closed_forms(stats)
     values = simulate_trials(single, stats, SimOptions(trials=16, combiner="mrc"))
     err = float(np.max(np.abs(values - closed)))
     return CheckResult("pure-los-exactness", err < 1e-9, f"max |trial - closed| = {err:.2e}")
 
 
-def validate_scenario(
-    scenario: ScenarioConfig,
-    draws: int = 20000,
-    corrupt_kernel_tables: bool = False,
-) -> list[CheckResult]:
+def validate_scenario(scenario: ScenarioConfig, draws: int = 20000) -> list[CheckResult]:
     rng = substream(scenario.rng_seed, "validate")
     checks = [
         _check_index_roundtrip(scenario),
@@ -182,7 +176,7 @@ def validate_scenario(
         _check_steering_norm(scenario, rng),
         _check_fejer(scenario, rng),
         _check_probability_mass(scenario),
-        _check_moments(scenario, draws, corrupt_kernel_tables, rng),
+        _check_moments(scenario, draws, rng),
         _check_pure_los_exactness(scenario),
     ]
     return checks

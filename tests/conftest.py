@@ -74,11 +74,11 @@ def active_gain_tables(scenario):
     which the context does not keep: the build's visibility and gain-table
     calls over the grids with positive activation probability."""
     from xlma.channel import build_gain_tables
-    from xlma.scenario import compute_los_visibility
+    from xlma.scenario import visibility_from_points
 
     rows = np.flatnonzero(scenario.distribution.rho > 0.0)
     candidates = scenario.candidates()
-    xi = compute_los_visibility(candidates, scenario.coverage, scenario.obstacles,
+    xi = visibility_from_points(candidates, scenario.coverage, scenario.obstacles,
                                 scenario.visibility_samples, scenario.rng_seed,
                                 grid_indices=rows)
     return build_gain_tables(scenario, candidates, scenario.grid_centers()[rows], xi,

@@ -28,7 +28,6 @@ from xlma.presets import (
 from xlma.rate import RateModel
 from xlma.scenario import (
     Obstacle,
-    compute_los_visibility,
     load_scenario,
     visibility_from_points,
 )
@@ -85,7 +84,7 @@ def random_instances():
             kappa=kappa, rho=rho, n_subarrays=3, seed=100 + i,
         )
         cands, grids = sc.candidates(), sc.grid_centers()
-        xi = compute_los_visibility(cands, sc.coverage, sc.obstacles, 20, sc.rng_seed)
+        xi = visibility_from_points(cands, sc.coverage, sc.obstacles, 20, sc.rng_seed)
         gains = build_gain_tables(sc, cands, grids, xi)
         model = RateModel.from_candidate_tables(sc, gains)
         plan = successive_replacement(sc, model, xi)
@@ -151,7 +150,8 @@ def test_criterion_2_theorem_tightness(desk_1d):
     details = []
     for m_h, (ctx, plan) in desk_1d.items():
         for scheme in ("proposed", "horizontal_sparse", "dense_ula"):
-            stats = ctx.layout_stats(np.asarray(plan.n_mu, int) if scheme == "proposed"
+            stats = ctx.layout_stats(support_layout(ctx.scenario, plan.n_mu)
+                                     if scheme == "proposed"
                                      else ctx.placement_for_scheme(scheme))
             closed, _ = ctx.closed_forms(stats)
             est, _ = simulate_weighted_sum_rate(
@@ -180,7 +180,7 @@ def test_criterion_3_near_optimality(random_instances):
 
 def test_criterion_4_benchmark_dominance(desk_2d):
     ctx, plan = desk_2d
-    stats = ctx.layout_stats(np.asarray(plan.n_mu, int))
+    stats = ctx.layout_stats(support_layout(ctx.scenario, plan.n_mu))
     prop_closed, _ = ctx.closed_forms(stats)
     prop_mmse, prop_se = simulate_weighted_sum_rate(
         ctx.scenario, stats, SimOptions(trials=2000, combiner="mmse")
@@ -208,7 +208,7 @@ def test_criterion_5_pure_los_exactness():
     ctx = ScenarioContext.build(sc)
     support = np.array([5, 25, 45])
     closed = ctx.model.weighted_sum(support)
-    values = simulate_trials(sc, ctx.layout_stats(support),
+    values = simulate_trials(sc, ctx.layout_stats(support_layout(sc, support)),
                              SimOptions(trials=200, combiner="mrc"))
     err = float(np.max(np.abs(values - closed)))
     spread = float(values.std())
@@ -231,7 +231,7 @@ def test_criterion_6_monotone_traces(desk_1d, desk_2d, random_instances):
 
 def test_criterion_7_mmse_dominance_and_upper_bound(desk_1d):
     ctx, plan = desk_1d[4]
-    stats = ctx.layout_stats(np.asarray(plan.n_mu, int))
+    stats = ctx.layout_stats(support_layout(ctx.scenario, plan.n_mu))
     mrc = simulate_trials(ctx.scenario, stats, SimOptions(trials=1000, combiner="mrc"))
     mmse = simulate_trials(ctx.scenario, stats, SimOptions(trials=1000, combiner="mmse"))
     per_real = bool(np.all(mmse >= mrc - 1e-9))
@@ -248,9 +248,9 @@ def test_criterion_7_mmse_dominance_and_upper_bound(desk_1d):
 def test_criterion_8_visibility_monotonicity():
     sc = load_scenario(paper_partial_los_1d())
     cands = sc.candidates()
-    xi20 = compute_los_visibility(cands, sc.coverage, sc.obstacles, 20, sc.rng_seed)
+    xi20 = visibility_from_points(cands, sc.coverage, sc.obstacles, 20, sc.rng_seed)
     one_box = [Obstacle(tuple(sc.obstacles[0].center), tuple(sc.obstacles[0].dims))]
-    xi_one = compute_los_visibility(cands, sc.coverage, one_box, 20, sc.rng_seed)
+    xi_one = visibility_from_points(cands, sc.coverage, one_box, 20, sc.rng_seed)
     monotone = bool(np.all(xi20 <= xi_one))
     blocked_share = 1.0 - float(xi20.mean())
     report(8, "visibility monotonicity",
@@ -271,7 +271,7 @@ def test_criterion_8_visibility_against_dense_oracle():
     t0 = time.time()
     sc = load_scenario(paper_partial_los_1d())
     cands = sc.candidates()
-    xi20 = compute_los_visibility(cands, sc.coverage, sc.obstacles, 20, sc.rng_seed)
+    xi20 = visibility_from_points(cands, sc.coverage, sc.obstacles, 20, sc.rng_seed)
     xi_oracle = visibility_from_points(
         cands, sc.coverage, sc.obstacles, 1000, sc.rng_seed, purpose="visibility-oracle"
     )
@@ -312,7 +312,7 @@ def test_criterion_10_full_scale_preset():
     plan = ctx.plan()
     assert len(plan.n_mu) == 8 and len(set(plan.n_mu)) == 8
     assert np.isfinite(plan.objective) and plan.objective > 0
-    stats = ctx.layout_stats(np.asarray(plan.n_mu, int))
+    stats = ctx.layout_stats(support_layout(ctx.scenario, plan.n_mu))
     mrc, mrc_se = simulate_weighted_sum_rate(
         ctx.scenario, stats, SimOptions(trials=1000, combiner="mrc")
     )

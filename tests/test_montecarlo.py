@@ -8,7 +8,6 @@ from xlma import montecarlo, rate
 from xlma.channel import ArrayLayout, compute_layout_stats, support_layout
 from xlma.errors import ConfigurationError, DomainError
 from xlma.montecarlo import (
-    MapRequest,
     SimOptions,
     _sinr_all_active,
     correlation_map,
@@ -127,7 +126,7 @@ class TestStackedSinr:
 
 def support_stats(sc, support):
     """The statistics ``simulate_trials`` takes for a support of ``sc``."""
-    return ScenarioContext.build(sc).layout_stats(support)
+    return ScenarioContext.build(sc).layout_stats(support_layout(sc, support))
 
 
 def single_grid_scenario(n_subarrays=3):
@@ -147,7 +146,7 @@ class TestSimulateWeightedSum:
         ctx = ScenarioContext.build(sc)
         support = np.array([2, 9, 14])
         closed = ctx.model.weighted_sum(support)
-        stats = ctx.layout_stats(support)
+        stats = ctx.layout_stats(support_layout(sc, support))
         values = simulate_trials(sc, stats, SimOptions(trials=64))
         assert np.max(np.abs(values - closed)) < 1e-9
         est, err = simulate_weighted_sum_rate(sc, stats, SimOptions(trials=64))
@@ -157,7 +156,7 @@ class TestSimulateWeightedSum:
     def test_bad_support_indices_rejected(self, support):
         ctx = ScenarioContext.build(make_scenario(n_y=8, n_subarrays=2))
         with pytest.raises(DomainError):
-            ctx.layout_stats(support)
+            ctx.layout_stats(support_layout(ctx.scenario, support))
 
     def test_seed_determinism(self):
         sc = make_scenario(n_y=10, k_x=2, k_y=2, kappa=8.0,
@@ -172,8 +171,7 @@ class TestSimulateWeightedSum:
         finite sum over activation patterns; the estimator must match it."""
         sc = make_scenario(n_y=6, k_x=2, k_y=1, m_h=1, m_v=1, kappa=np.inf,
                            rho=[0.6, 0.3], n_subarrays=1, seed=29)
-        support = np.array([2])
-        stats = ScenarioContext.build(sc).layout_stats(support)
+        stats = support_stats(sc, [2])
         beta = stats.beta_los[:, 0]
         pbar = sc.snr_scale
         # One antenna: |h_k|^2 = beta_k and |h_k^H h_i|^2 = beta_k beta_i.
@@ -199,14 +197,15 @@ class TestSimulateWeightedSum:
         assert np.all(mmse >= mrc - 1e-9)
 
     def test_layout_and_support_agree(self):
-        # A support's statistics, sliced from the candidate tables, and its
-        # layout's, computed at the subarray centers, draw the same trials.
+        # A layout's statistics with its support, whose visibility is sliced
+        # from the context's xi, and without, whose visibility pass runs over
+        # the subarray centers, draw the same trials.
         sc = make_scenario(n_y=10, k_x=2, k_y=2, kappa=6.0,
                            rho=[0.8, 0.7, 0.6, 0.5], seed=41)
         ctx = ScenarioContext.build(sc)
-        support = np.array([0, 5])
-        a = simulate_trials(sc, ctx.layout_stats(support), SimOptions(trials=20))
-        b = simulate_trials(sc, ctx.layout_stats(support_layout(sc, support)),
+        layout = support_layout(sc, [0, 5])
+        a = simulate_trials(sc, ctx.layout_stats(layout), SimOptions(trials=20))
+        b = simulate_trials(sc, ctx.layout_stats(dataclasses.replace(layout, support=None)),
                             SimOptions(trials=20))
         np.testing.assert_array_equal(a, b)
 
@@ -318,8 +317,7 @@ class TestMaps:
     def test_power_map_boresight_value(self):
         sc = single_grid_scenario()
         layout = ArrayLayout([(0.0, 0.0, 20.0)], sc.m_h, sc.m_v, sc.d_h, sc.d_v)
-        req = MapRequest(layout=layout, resolution=5, z_plane=20.0)
-        x, y, values = power_gain_map(sc, req)
+        x, y, values = power_gain_map(sc, layout, 5, 20.0, None)
         # Point on boresight at distance d: M * (lambda / 4 pi d)^2.
         xi = int(np.argmin(np.abs(x - 30.0)))
         yi = int(np.argmin(np.abs(y)))
@@ -331,10 +329,8 @@ class TestMaps:
         sc = single_grid_scenario()
         one = support_layout(sc, [4])
         two = dataclasses.replace(one, centers=np.concatenate([one.centers, one.centers]))
-        req1 = MapRequest(layout=one, resolution=4)
-        req2 = MapRequest(layout=two, resolution=4)
-        _, _, v1 = power_gain_map(sc, req1)
-        _, _, v2 = power_gain_map(sc, req2)
+        _, _, v1 = power_gain_map(sc, one, 4, None, None)
+        _, _, v2 = power_gain_map(sc, two, 4, None, None)
         np.testing.assert_allclose(v2, 2 * v1, rtol=1e-12)
 
     def test_power_map_symmetric_layout(self):
@@ -342,7 +338,7 @@ class TestMaps:
         layout = support_layout(sc, [4, 15])  # symmetric about y = 0
         ys = layout.centers[:, 1]
         assert ys[0] == pytest.approx(-ys[1])
-        _, y, values = power_gain_map(sc, MapRequest(layout=layout, resolution=7))
+        _, y, values = power_gain_map(sc, layout, 7, None, None)
         np.testing.assert_allclose(values, values[:, ::-1], rtol=1e-9)
 
     def test_power_map_placeholder_for_blocked(self):
@@ -352,18 +348,14 @@ class TestMaps:
                 center=(4.0, 0.0, 7.5), dims=(2.0, 100.0, 15.0))],
         )
         layout = support_layout(sc, [3])
-        req = MapRequest(layout=layout, resolution=6,
-                         blocked_placeholder_gain=1e-6, z_plane=0.0)
-        _, _, values = power_gain_map(sc, req)
+        _, _, values = power_gain_map(sc, layout, 6, 0.0, 1e-6)
         m = sc.antennas_per_subarray
         assert np.all(values >= m * 1e-6 - 1e-18)
 
     def test_correlation_probe_cell_is_one(self):
         sc = single_grid_scenario()
         layout = support_layout(sc, [2, 9, 14])
-        req = MapRequest(layout=layout, resolution=9, probe_point=(30.0, 0.0),
-                         z_plane=0.0)
-        x, y, values = correlation_map(sc, req)
+        x, y, values = correlation_map(sc, layout, (30.0, 0.0), 9, 0.0)
         xi = int(np.argmin(np.abs(x - 30.0)))
         yi = int(np.argmin(np.abs(y - 0.0)))
         assert values[xi, yi] == pytest.approx(1.0, rel=1e-12)
@@ -373,16 +365,13 @@ class TestMaps:
         sc = make_scenario(n_y=8, k_x=1, k_y=1, m_h=1, m_v=1, kappa=np.inf,
                            rho=[1.0], n_subarrays=1)
         layout = support_layout(sc, [3])
-        req = MapRequest(layout=layout, resolution=5, probe_point=(20.0, 5.0),
-                         z_plane=0.0)
-        _, _, values = correlation_map(sc, req)
+        _, _, values = correlation_map(sc, layout, (20.0, 5.0), 5, 0.0)
         np.testing.assert_allclose(values, 1.0, atol=1e-9)
 
     def test_correlation_requires_probe(self):
         sc = single_grid_scenario()
         with pytest.raises(ConfigurationError):
-            correlation_map(sc, MapRequest(layout=self._probe_layout(sc),
-                                           resolution=4))
+            correlation_map(sc, self._probe_layout(sc), None, 4, None)
 
     def test_blocked_probe_domain_error(self):
         from xlma.scenario import Obstacle
@@ -392,12 +381,12 @@ class TestMaps:
             obstacles=[Obstacle(center=(4.0, 0.0, 10.0), dims=(2.0, 200.0, 200.0))],
         )
         layout = support_layout(sc, [3])
-        req = MapRequest(layout=layout, resolution=4, probe_point=(20.0, 0.0),
-                         z_plane=0.0)
         with pytest.raises(DomainError):
-            correlation_map(sc, req)
+            correlation_map(sc, layout, (20.0, 0.0), 4, 0.0)
 
     def test_resolution_floor(self):
         sc = single_grid_scenario()
-        with pytest.raises(ConfigurationError):
-            MapRequest(layout=self._probe_layout(sc), resolution=1)
+        with pytest.raises(ConfigurationError, match="resolution"):
+            power_gain_map(sc, self._probe_layout(sc), 1, None, None)
+        with pytest.raises(ConfigurationError, match="resolution"):
+            correlation_map(sc, self._probe_layout(sc), (30.0, 0.0), 1, None)

@@ -20,15 +20,15 @@ from xlma.optimizer import (
     select_victim,
     successive_replacement,
 )
-from xlma import rate
+from xlma import optimizer, rate
 from xlma.rate import RateModel
-from xlma.scenario import compute_los_visibility
+from xlma.scenario import visibility_from_points
 
 
 def build_ctx(sc, xi=None):
     cands, grids = sc.candidates(), sc.grid_centers()
     if xi is None:
-        xi = compute_los_visibility(cands, sc.coverage, sc.obstacles,
+        xi = visibility_from_points(cands, sc.coverage, sc.obstacles,
                                     sc.visibility_samples, sc.rng_seed)
     gains = build_gain_tables(sc, cands, grids, xi)
     return RateModel.from_candidate_tables(sc, gains), xi
@@ -194,11 +194,12 @@ class TestExhaustive:
         assert val == best
         assert tuple(np.flatnonzero(chi)) == supp
 
-    def test_limit_refusal_reports_count(self):
+    def test_limit_refusal_reports_count(self, monkeypatch):
         sc = make_scenario(n_y=30, k_x=2, k_y=1, rho=[0.5, 0.5], n_subarrays=10)
         model, _ = build_ctx(sc)
+        monkeypatch.setattr(optimizer, "EXHAUSTIVE_LIMIT", 1000)
         with pytest.raises(ConfigurationError, match="30045015"):
-            exhaustive_search(model, 10, limit=1000)
+            exhaustive_search(model, 10)
 
 
 def set_block_width(monkeypatch, model, width):

@@ -1,6 +1,7 @@
 """ScenarioContext tabulates only the active grids; that must change nothing."""
 
 import dataclasses
+import functools
 import tracemalloc
 
 import numpy as np
@@ -9,12 +10,13 @@ import pytest
 from conftest import active_gain_tables, make_scenario
 from xlma import pipeline, rate
 from xlma.channel import build_gain_tables, compute_layout_stats, support_layout
-from xlma.cli import _sweep_cell
+from xlma.cli import SWEEP_SCHEMES, _sweep_cell
+from xlma.errors import ConfigurationError, DomainError
 from xlma.optimizer import build_init_lp, successive_replacement
 from xlma.pipeline import context_from_document
 from xlma.presets import PRESETS, paper_partial_los_1d
 from xlma.rate import RateModel
-from xlma.scenario import Obstacle, compute_los_visibility
+from xlma.scenario import Obstacle, visibility_from_points
 
 TABLES = ("xi", "beta_los", "beta_nlos", "beta_total", "u")
 
@@ -23,7 +25,7 @@ def _context_and_full_tables():
     ctx = context_from_document(paper_partial_los_1d())
     sc = ctx.scenario
     candidates = sc.candidates()
-    xi = compute_los_visibility(candidates, sc.coverage, sc.obstacles,
+    xi = visibility_from_points(candidates, sc.coverage, sc.obstacles,
                                 sc.visibility_samples, sc.rng_seed)
     full = build_gain_tables(sc, candidates, sc.grid_centers(), xi)
     return ctx, full
@@ -67,26 +69,49 @@ def test_plan_matches_model_from_pruned_full_tables():
 STATS = ("xi", "beta_los", "u", "grid_rows", "los_blocks", "nlos_std")
 
 
-@pytest.mark.parametrize("order", ["slot", "sorted", "reversed"])
+@functools.cache
+def _preset_context(preset):
+    return context_from_document(PRESETS[preset]())
+
+
+@pytest.mark.parametrize("scheme", SWEEP_SCHEMES)
 @pytest.mark.parametrize("preset", sorted(PRESETS))
-def test_layout_stats_of_a_support_are_its_candidate_columns(preset, order):
-    # A support's statistics take its columns of the context's xi instead of
-    # a visibility pass over its centers; the pass gives the same bits.
-    ctx = context_from_document(PRESETS[preset]())
-    support = np.asarray(ctx.plan().n_mu, int)
-    support = {"slot": support, "sorted": np.sort(support), "reversed": support[::-1]}[order]
-    stats = ctx.layout_stats(support)
-    own = compute_layout_stats(ctx.scenario, support_layout(ctx.scenario, support),
-                               grid_indices=ctx.model.grid_rows)
-    np.testing.assert_array_equal(own.layout.centers, ctx.scenario.candidates()[support])
-    for name in STATS:
-        got, want = getattr(stats, name), getattr(own, name)
-        assert got.dtype == want.dtype and np.array_equal(got, want), name
+def test_layout_stats_of_a_support_are_its_candidate_columns(preset, scheme):
+    # Every scheme's layout sits on the candidates. Its statistics take its
+    # support's columns of the context's xi instead of a visibility pass over
+    # its centers; the pass gives the same bits. The plan's support is also
+    # checked sorted and reversed.
+    ctx = _preset_context(preset)
+    try:
+        layout = ctx.placement_for_scheme(scheme)
+    except ConfigurationError as exc:
+        pytest.skip(f"{scheme} does not apply to {preset}: {exc}")
+    layouts = [layout]
+    if scheme == "proposed":
+        layouts += [support_layout(ctx.scenario, np.sort(layout.support)),
+                    support_layout(ctx.scenario, layout.support[::-1])]
+    for layout in layouts:
+        np.testing.assert_array_equal(layout.centers, ctx.scenario.candidates()[layout.support])
+        stats = ctx.layout_stats(layout)
+        own = compute_layout_stats(ctx.scenario, dataclasses.replace(layout, support=None),
+                                   grid_indices=ctx.model.grid_rows)
+        for name in STATS:
+            got, want = getattr(stats, name), getattr(own, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("support", [[0, 4], [3], [3, 0]])
+def test_layout_stats_refuses_a_support_off_its_centers(desk_context, support):
+    # A support that does not index the layout's own centers among the
+    # candidates would slice another layout's columns of xi.
+    layout = support_layout(desk_context.scenario, [0, 3])
+    with pytest.raises(DomainError, match="support"):
+        desk_context.layout_stats(dataclasses.replace(layout, support=support))
 
 
 def test_baseline_sweep_cell_builds_one_layout_model(desk_context, monkeypatch):
-    # One set of statistics per cell, handed to every evaluator; only a
-    # support's call is handed its columns of the context's xi.
+    # One set of statistics per cell, handed to every evaluator, each layout
+    # handed its support's columns of the context's xi.
     made = []
     original = pipeline.compute_layout_stats
 
@@ -96,11 +121,11 @@ def test_baseline_sweep_cell_builds_one_layout_model(desk_context, monkeypatch):
 
     monkeypatch.setattr(pipeline, "compute_layout_stats", counted)
     evaluators = ["approx_mrc", "upper_bound", "sim_mrc", "sim_mmse"]
-    for scheme, given_xi in (("proposed", True), ("horizontal_sparse", False)):
+    for scheme in ("proposed", "horizontal_sparse"):
         made.clear()
         rows = _sweep_cell(desk_context, scheme, evaluators, 2)
         assert len(made) == 1, scheme
-        assert (made[0][0][3] is not None) == given_xi, scheme
+        assert made[0][0][3] is not None, scheme
         assert [row[2] for row in rows[:2]] == list(desk_context.closed_forms(made[0][1]))
 
 
@@ -111,7 +136,7 @@ def test_support_scored_on_its_own_columns_equals_candidate_model(preset):
     ctx = context_from_document(PRESETS[preset]())
     support = np.asarray(ctx.plan().n_mu, int)
     for order in (support, np.sort(support), support[::-1]):
-        assert ctx.closed_forms(ctx.layout_stats(order)) == (
+        assert ctx.closed_forms(ctx.layout_stats(support_layout(ctx.scenario, order))) == (
             ctx.model.weighted_sum(order), ctx.model.weighted_upper_bound(order))
 
 

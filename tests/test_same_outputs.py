@@ -58,13 +58,15 @@ def test_commands_cover_the_gated_outputs(tmp_path, monkeypatch):
     for name, argv in argvs.items():
         if name.startswith("map_"):
             spec = json.loads(Path(argv[argv.index("--map-spec") + 1]).read_text())
-            maps.append((spec["kind"], argv[argv.index("--preset") + 1],
-                         spec.get("scheme", "proposed")))
+            scheme = spec.get("scheme", "proposed")
+            if isinstance(scheme, dict):  # a candidate support given by hand
+                scheme = ("support", *scheme["support"])
+            maps.append((spec["kind"], argv[argv.index("--preset") + 1], scheme))
     layouts = [(preset, "proposed") for preset in same_outputs.COMMAND_PRESETS] + [
         ("desk_full_los_2d", "dense_upa"), ("desk_full_los_2d", "sparse_2x4"),
-        ("paper_partial_los_1d", "dense_ula")]
-    assert sorted(maps) == sorted((kind, *layout) for kind in ("power", "correlation")
-                                  for layout in layouts)
+        ("paper_partial_los_1d", "dense_ula"), ("desk_partial_los", ("support", 58, 3, 96, 41))]
+    assert sorted(maps, key=repr) == sorted(((kind, *layout) for kind in ("power", "correlation")
+                                             for layout in layouts), key=repr)
     for argv in argvs.values():  # every input document was written
         for arg in argv:
             if arg.endswith(".json") and arg.startswith(str(tmp_path)):

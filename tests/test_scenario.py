@@ -23,7 +23,6 @@ from xlma.scenario import (
     candidate_linear_index,
     candidate_multi_index,
     cell_samples,
-    compute_los_visibility,
     dbm_to_mw,
     distinct_sorted,
     grid_linear_index,
@@ -305,7 +304,7 @@ class TestSlabKernel:
         full_scale = preset.startswith("paper_full_scale")
         grids = (np.flatnonzero(sc.distribution.rho > 0) if full_scale
                  else np.arange(sc.coverage.n_grids))
-        xi = compute_los_visibility(sc.candidates(), sc.coverage, sc.obstacles,
+        xi = visibility_from_points(sc.candidates(), sc.coverage, sc.obstacles,
                                     sc.visibility_samples, sc.rng_seed, grid_indices=grids)
         ref = visibility_reference(sc.candidates(), sc.coverage, sc.obstacles,
                                    sc.visibility_samples, sc.rng_seed, grids)
@@ -324,27 +323,27 @@ class TestVisibility:
         return build_candidate_grid(ma)
 
     def test_no_obstacles_all_visible(self):
-        xi = compute_los_visibility(self._candidates(), self._cov(), [], 20, 0)
+        xi = visibility_from_points(self._candidates(), self._cov(), [], 20, 0)
         assert xi.shape == (9, 10)
         assert np.all(xi == 1)
 
     def test_full_wall_blocks_everything(self):
         wall = Obstacle(center=(4.0, 0.0, 10.0), dims=(1.0, 200.0, 200.0))
-        xi = compute_los_visibility(self._candidates(), self._cov(), [wall], 20, 0)
+        xi = visibility_from_points(self._candidates(), self._cov(), [wall], 20, 0)
         assert np.all(xi == 0)
 
     def test_reproducible_and_seed_sensitive(self):
         box = Obstacle(center=(6.0, 0.0, 6.0), dims=(3.0, 14.0, 12.0))
-        a = compute_los_visibility(self._candidates(), self._cov(), [box], 20, 0)
-        b = compute_los_visibility(self._candidates(), self._cov(), [box], 20, 0)
+        a = visibility_from_points(self._candidates(), self._cov(), [box], 20, 0)
+        b = visibility_from_points(self._candidates(), self._cov(), [box], 20, 0)
         assert np.array_equal(a, b)
         assert 0 < a.mean() < 1  # partial occlusion scenario
 
     def test_monotone_in_obstacles(self):
         box1 = Obstacle(center=(6.0, -5.0, 6.0), dims=(3.0, 8.0, 12.0))
         box2 = Obstacle(center=(6.0, 8.0, 4.0), dims=(3.0, 6.0, 8.0))
-        one = compute_los_visibility(self._candidates(), self._cov(), [box1], 20, 5)
-        both = compute_los_visibility(self._candidates(), self._cov(), [box1, box2], 20, 5)
+        one = visibility_from_points(self._candidates(), self._cov(), [box1], 20, 5)
+        both = visibility_from_points(self._candidates(), self._cov(), [box1, box2], 20, 5)
         assert np.all(both <= one)
 
 
@@ -357,7 +356,7 @@ class TestGridIndices:
         sc = load_scenario(PRESETS["desk_partial_los"]())
         cands = sc.candidates()
         with pytest.raises(DomainError):
-            compute_los_visibility(cands, sc.coverage, sc.obstacles, 20, 0,
+            visibility_from_points(cands, sc.coverage, sc.obstacles, 20, 0,
                                    grid_indices=indices)
         with pytest.raises(DomainError):
             visibility_from_points(cands, sc.coverage, sc.obstacles, 20, 0,
@@ -366,8 +365,8 @@ class TestGridIndices:
     def test_integral_floats_and_order_kept(self):
         sc = load_scenario(PRESETS["desk_partial_los"]())
         cands = sc.candidates()
-        full = compute_los_visibility(cands, sc.coverage, sc.obstacles, 20, 0)
-        rows = compute_los_visibility(cands, sc.coverage, sc.obstacles, 20, 0,
+        full = visibility_from_points(cands, sc.coverage, sc.obstacles, 20, 0)
+        rows = visibility_from_points(cands, sc.coverage, sc.obstacles, 20, 0,
                                       grid_indices=[49.0, 3.0, 0.0])
         assert np.array_equal(rows, full[[49, 3, 0]])
 
@@ -769,6 +768,30 @@ class TestLoadScenario:
         edit(doc["obstacles"][0])
         with pytest.raises(ConfigurationError, match=field):
             load_scenario(doc)
+
+    @pytest.mark.parametrize("obstacle, message", [
+        ({"center": [0, 0, 20.5], "dims": [2, 200, 2]}, "candidate position 0"),
+        ({"center": [-1, 0, 20.5], "dims": [2, 200, 2]}, "candidate position 0"),  # on a face
+        ({"center": [0, 30, 20.5], "dims": [2, 2, 2]}, "candidate position 79"),
+        ({"center": [30, 0, 0], "dims": [60, 200, 2]}, "user grid 0"),
+        ({"center": [30, 5.25, 0], "dims": [2, 2, 2]}, "user grid 27"),
+    ])
+    def test_obstacle_holding_a_candidate_or_cell_center_rejected(self, obstacle, message):
+        # A candidate counts on a box's faces too; a cell center only inside.
+        doc = PRESETS["desk_partial_los"]()
+        doc["obstacles"].append(obstacle)
+        with pytest.raises(ConfigurationError, match=rf"'obstacles\[2\]' holds .*{message}$"):
+            load_scenario(doc)
+
+    @pytest.mark.parametrize("obstacle", [
+        {"center": [30, 0, 1], "dims": [60, 200, 2]},  # cell centers on its bottom face
+        {"center": [9, -47.25, 1], "dims": [2, 4, 2]},  # covers part of cell 0, not its center
+        {"center": [1.5, 0, 20.5], "dims": [2, 200, 2]},  # just clear of the candidates
+    ])
+    def test_obstacle_clear_of_candidates_and_cell_centers_accepted(self, obstacle):
+        doc = PRESETS["desk_partial_los"]()
+        doc["obstacles"].append(obstacle)
+        assert len(load_scenario(doc).obstacles) == 3
 
     def test_obstacle_must_be_an_object(self):
         doc = PRESETS["desk_partial_los"]()
