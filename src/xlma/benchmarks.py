@@ -92,13 +92,12 @@ def fpa_layout(kind: str, scenario: ScenarioConfig) -> ArrayLayout:
     # phase, the direct embedding of a conventional array in the
     # per-position channel model.
     if kind == "dense_ula":
-        return ArrayLayout(anchor, m_total, 1, lam / 2.0, lam / 2.0, support=[center_idx])
+        return ArrayLayout(anchor, m_total, 1, lam / 2.0, lam / 2.0)
 
     if kind == "dense_upa":
         if n != 8:
             raise ConfigurationError("dense_upa requires N = 8 (2 M_V x 4 M_H elements)")
-        return ArrayLayout(anchor, 4 * scenario.m_h, 2 * scenario.m_v, lam / 2.0, lam / 2.0,
-                           support=[center_idx])
+        return ArrayLayout(anchor, 4 * scenario.m_h, 2 * scenario.m_v, lam / 2.0, lam / 2.0)
 
     raise ConfigurationError(f"unknown benchmark kind {kind!r}")
 

@@ -146,17 +146,13 @@ def build_gain_tables(
 class ArrayLayout:
     """S subarrays with one element grid: ``centers`` (S, 3) in meters, each
     carrying m_h x m_v elements at spacings d_h, d_v. Movable placements put
-    S = N scenario subarrays on candidates; a dense baseline is one center.
-
-    ``support``, when set, holds the candidate index of each center, so the
-    layout's visibility is those columns of the candidate table."""
+    S = N scenario subarrays on candidates; a dense baseline is one center."""
 
     centers: np.ndarray
     m_h: int
     m_v: int
     d_h: float
     d_v: float
-    support: np.ndarray | None = None
 
     def __post_init__(self):
         centers = np.array(self.centers, float)
@@ -164,10 +160,6 @@ class ArrayLayout:
             raise ConfigurationError("layout needs a nonempty (S, 3) array of centers")
         centers.flags.writeable = False
         object.__setattr__(self, "centers", centers)
-        if self.support is not None:
-            support = np.array(self.support)
-            support.flags.writeable = False
-            object.__setattr__(self, "support", support)
 
     @property
     def n_antennas(self) -> int:
@@ -201,11 +193,10 @@ def check_support(indices, n_cols: int) -> np.ndarray:
 
 def support_layout(scenario: ScenarioConfig, support) -> ArrayLayout:
     """Layout of scenario subarrays at the candidate indices ``support``,
-    checked by ``check_support`` and kept as the layout's ``support``."""
+    checked by ``check_support``."""
     candidates = scenario.candidates()
-    support = check_support(support, len(candidates))
-    return ArrayLayout(candidates[support], scenario.m_h, scenario.m_v, scenario.d_h,
-                       scenario.d_v, support)
+    return ArrayLayout(candidates[check_support(support, len(candidates))],
+                       scenario.m_h, scenario.m_v, scenario.d_h, scenario.d_v)
 
 
 # ---------------------------------------------------------------------------

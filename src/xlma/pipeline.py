@@ -7,9 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .benchmarks import fpa_layout
-from .channel import (ArrayLayout, LayoutStats, build_gain_tables, check_support,
-                      compute_layout_stats, support_layout)
-from .errors import DomainError
+from .channel import (ArrayLayout, LayoutStats, build_gain_tables, compute_layout_stats,
+                      support_layout)
 from .optimizer import PlacementResult, exhaustive_search, successive_replacement
 from .rate import RateModel
 from .scenario import ScenarioConfig, load_scenario
@@ -65,17 +64,14 @@ class ScenarioContext:
         """Statistics of a layout over the active grids: the one placement
         form every evaluator takes.
 
-        A layout with a ``support`` takes its visibility rows from those
-        columns of ``xi``, once the support is checked to index the layout's
-        own centers among the candidates; any other layout runs a
-        visibility pass over its centers.
+        A layout whose every center is a candidate position takes its
+        visibility rows from those candidates' columns of ``xi``; any other
+        layout runs a visibility pass over its centers.
         """
+        on_candidate = np.all(layout.centers[:, None] == self.scenario.candidates(), axis=2)
         xi = None
-        if layout.support is not None:
-            support = check_support(layout.support, self.model.n_cols)
-            if not np.array_equal(self.scenario.candidates()[support], layout.centers):
-                raise DomainError("layout support must index its own centers among the candidates")
-            xi = self.xi[:, support]
+        if on_candidate.any(axis=1).all():
+            xi = self.xi[:, on_candidate.argmax(axis=1)]
         return compute_layout_stats(self.scenario, layout, self.model.grid_rows, xi)
 
     def closed_forms(self, stats: LayoutStats) -> tuple[float, float]:

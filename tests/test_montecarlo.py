@@ -197,15 +197,15 @@ class TestSimulateWeightedSum:
         assert np.all(mmse >= mrc - 1e-9)
 
     def test_layout_and_support_agree(self):
-        # A layout's statistics with its support, whose visibility is sliced
-        # from the context's xi, and without, whose visibility pass runs over
+        # A support's statistics, whose visibility is sliced from the
+        # context's xi, and its layout's own, whose visibility pass runs over
         # the subarray centers, draw the same trials.
         sc = make_scenario(n_y=10, k_x=2, k_y=2, kappa=6.0,
                            rho=[0.8, 0.7, 0.6, 0.5], seed=41)
         ctx = ScenarioContext.build(sc)
         layout = support_layout(sc, [0, 5])
         a = simulate_trials(sc, ctx.layout_stats(layout), SimOptions(trials=20))
-        b = simulate_trials(sc, ctx.layout_stats(dataclasses.replace(layout, support=None)),
+        b = simulate_trials(sc, compute_layout_stats(sc, layout, ctx.model.grid_rows),
                             SimOptions(trials=20))
         np.testing.assert_array_equal(a, b)
 

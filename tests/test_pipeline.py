@@ -1,7 +1,6 @@
 """ScenarioContext tabulates only the active grids; that must change nothing."""
 
 import dataclasses
-import functools
 import tracemalloc
 
 import numpy as np
@@ -11,7 +10,7 @@ from conftest import active_gain_tables, make_scenario
 from xlma import pipeline, rate
 from xlma.channel import build_gain_tables, compute_layout_stats, support_layout
 from xlma.cli import SWEEP_SCHEMES, _sweep_cell
-from xlma.errors import ConfigurationError, DomainError
+from xlma.errors import ConfigurationError
 from xlma.optimizer import build_init_lp, successive_replacement
 from xlma.pipeline import context_from_document
 from xlma.presets import PRESETS, paper_partial_los_1d
@@ -69,44 +68,56 @@ def test_plan_matches_model_from_pruned_full_tables():
 STATS = ("xi", "beta_los", "u", "grid_rows", "los_blocks", "nlos_std")
 
 
-@functools.cache
-def _preset_context(preset):
-    return context_from_document(PRESETS[preset]())
+@pytest.fixture(scope="module", params=sorted(PRESETS))
+def preset_context(request):
+    # Module scope with one param per preset: pytest groups the cases of a
+    # preset, so each context is freed before the next one is built.
+    return context_from_document(PRESETS[request.param]())
 
 
 @pytest.mark.parametrize("scheme", SWEEP_SCHEMES)
-@pytest.mark.parametrize("preset", sorted(PRESETS))
-def test_layout_stats_of_a_support_are_its_candidate_columns(preset, scheme):
-    # Every scheme's layout sits on the candidates. Its statistics take its
-    # support's columns of the context's xi instead of a visibility pass over
-    # its centers; the pass gives the same bits. The plan's support is also
-    # checked sorted and reversed.
-    ctx = _preset_context(preset)
+def test_layout_stats_of_a_support_are_its_candidate_columns(preset_context, scheme):
+    # Every scheme's layout sits on the candidates. Its statistics take those
+    # candidates' columns of the context's xi instead of a visibility pass
+    # over its centers; the pass gives the same bits. The plan's support is
+    # also checked sorted and reversed.
+    ctx = preset_context
     try:
-        layout = ctx.placement_for_scheme(scheme)
+        layouts = [ctx.placement_for_scheme(scheme)]
     except ConfigurationError as exc:
-        pytest.skip(f"{scheme} does not apply to {preset}: {exc}")
-    layouts = [layout]
+        pytest.skip(f"{scheme} does not apply: {exc}")
     if scheme == "proposed":
-        layouts += [support_layout(ctx.scenario, np.sort(layout.support)),
-                    support_layout(ctx.scenario, layout.support[::-1])]
+        support = np.asarray(ctx.plan().n_mu, int)
+        layouts += [support_layout(ctx.scenario, np.sort(support)),
+                    support_layout(ctx.scenario, support[::-1])]
     for layout in layouts:
-        np.testing.assert_array_equal(layout.centers, ctx.scenario.candidates()[layout.support])
         stats = ctx.layout_stats(layout)
-        own = compute_layout_stats(ctx.scenario, dataclasses.replace(layout, support=None),
-                                   grid_indices=ctx.model.grid_rows)
+        own = compute_layout_stats(ctx.scenario, layout, grid_indices=ctx.model.grid_rows)
         for name in STATS:
             got, want = getattr(stats, name), getattr(own, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
-@pytest.mark.parametrize("support", [[0, 4], [3], [3, 0]])
-def test_layout_stats_refuses_a_support_off_its_centers(desk_context, support):
-    # A support that does not index the layout's own centers among the
-    # candidates would slice another layout's columns of xi.
+@pytest.mark.parametrize("moved", [[0], [1], [0, 1]])
+def test_layout_stats_runs_a_pass_for_centers_off_the_candidates(
+        desk_context, monkeypatch, moved):
+    # A layout with any center off the candidate positions has no columns of
+    # xi to take, so its statistics come from a visibility pass of their own.
+    handed = []
+    original = pipeline.compute_layout_stats
+
+    def spy(scenario, layout, grid_indices, xi):
+        handed.append(xi)
+        return original(scenario, layout, grid_indices, xi)
+
+    monkeypatch.setattr(pipeline, "compute_layout_stats", spy)
     layout = support_layout(desk_context.scenario, [0, 3])
-    with pytest.raises(DomainError, match="support"):
-        desk_context.layout_stats(dataclasses.replace(layout, support=support))
+    centers = layout.centers.copy()
+    centers[moved, 0] += 0.25 * desk_context.scenario.wavelength
+    layout = dataclasses.replace(layout, centers=centers)
+    stats = desk_context.layout_stats(layout)
+    assert handed == [None]
+    np.testing.assert_array_equal(stats.layout.centers, centers)
 
 
 def test_baseline_sweep_cell_builds_one_layout_model(desk_context, monkeypatch):
