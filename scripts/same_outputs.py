@@ -27,7 +27,10 @@ and the benchmark documents of ``perfbench/workloads.py``. Each command runs
 in a directory of its own, which afterwards holds its output files, its
 standard output and its exit code. Every file that differs between the two
 sides, or exists on one side only, is printed, and so is every command that
-failed; the exit status is 1 if there is any.
+failed; the exit status is 1 if there is any. A file on both sides is
+printed with how it differs: in float literals only or in other text as
+well (integers such as a support index are text, compared exactly), and
+the largest relative difference between the floats at the same place.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -136,6 +140,28 @@ def differing_files(left: Path, right: Path) -> list:
                   or (left / name).read_bytes() != (right / name).read_bytes())
 
 
+# A decimal literal with a point or an exponent, not part of a longer word.
+FLOAT = re.compile(r"(?<![\w.])([-+]?(?:(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                   r"|\d+[eE][-+]?\d+))(?![\w.])")
+
+
+def how_files_differ(left: Path, right: Path) -> str:
+    """How two differing text files differ: "only in parent", "only in
+    change", or whether anything but float literals differs, with the
+    largest relative difference between the floats at the same place."""
+    if not left.is_file() or not right.is_file():
+        return "only in change" if right.is_file() else "only in parent"
+    left_parts, right_parts = FLOAT.split(left.read_text()), FLOAT.split(right.read_text())
+    # re.split with one group alternates text and float literal, text first.
+    only_floats = left_parts[::2] == right_parts[::2]
+    largest = 0.0
+    for a, b in zip(map(float, left_parts[1::2]), map(float, right_parts[1::2])):
+        if a != b:
+            largest = max(largest, abs(a - b) / max(abs(a), abs(b)))
+    kind = "floats only" if only_floats else "not only floats"
+    return f"{kind}, largest relative float difference {largest:.3g}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
@@ -148,8 +174,10 @@ def main(argv=None) -> int:
             failed = run_side(parent_dir, argvs, tmp / "parent")
         failed += run_side(ROOT, argvs, tmp / "change")
         differ = differing_files(tmp / "parent", tmp / "change")
+        notes = {name: how_files_differ(tmp / "parent" / name, tmp / "change" / name)
+                 for name in differ}
     for name in differ:
-        print(f"differs: {name}")
+        print(f"differs: {name} ({notes[name]})")
     for name in sorted(set(failed)):
         print(f"failed: {name}")
     print(f"{len(argvs)} commands, {len(differ)} differing files, "

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -64,14 +64,19 @@ class ScenarioContext:
         """Statistics of a layout over the active grids: the one placement
         form every evaluator takes.
 
-        A layout whose every center is a candidate position takes its
-        visibility rows from those candidates' columns of ``xi``; any other
-        layout runs a visibility pass over its centers.
+        A layout whose every center is a candidate position has its centers
+        put in candidate order, so that one placement has one antenna axis
+        and one Monte Carlo value however its indices were listed, and takes
+        its visibility rows from those candidates' columns of ``xi``; any
+        other layout runs a visibility pass over its centers.
         """
-        on_candidate = np.all(layout.centers[:, None] == self.scenario.candidates(), axis=2)
+        candidates = self.scenario.candidates()
+        on_candidate = np.all(layout.centers[:, None] == candidates, axis=2)
         xi = None
         if on_candidate.any(axis=1).all():
-            xi = self.xi[:, on_candidate.argmax(axis=1)]
+            support = np.sort(on_candidate.argmax(axis=1))
+            layout = replace(layout, centers=candidates[support])
+            xi = self.xi[:, support]
         return compute_layout_stats(self.scenario, layout, self.model.grid_rows, xi)
 
     def closed_forms(self, stats: LayoutStats) -> tuple[float, float]:

@@ -42,6 +42,21 @@ lag sums round to a few ulps of beta_k*M^2*sum_i w_i per column; relative
 to the denominator that is ~1e-15 unless the per-element SNR is very high,
 there is no NLoS term, and interferers sit near a kernel null.
 
+Only each axis's lag 1 takes a cos and a sin. Lag l >= 2 is lag l - 1 plus
+lag 1 by angle addition,
+
+    cos_l = cos_(l-1)*cos_1 - sin_(l-1)*sin_1,
+    sin_l = sin_(l-1)*cos_1 + cos_(l-1)*sin_1,
+
+and a lag pair joins its two axes' harmonics the same way. Against a
+long-double reference of cos(l*x) and sin(l*x) over 20,000 float64 x in
+[-pi, pi], this recurrence is off by at most 3.3*eps at l = 7 and 48*eps
+at l = 127 (eps = 2**-52), growing about as 0.38*l*eps. ``np.cos(l*x)`` is
+off by 8.0*eps and 128*eps there: it rounds the argument l*x first, an
+error that grows about as l*eps (0.25*eps where l is a power of two, which
+scales x exactly). So no lag is less accurate in the worst case than by a
+libm call of its own, and no lag needs a cutoff.
+
 The model holds the three per-column terms as one (3, K', C) array
 ``terms``: M*beta_k,c, beta_k,c^2*f_k,c and the bracketed denominator term.
 A selection's per-grid sums are one (3, K') array, and
@@ -152,12 +167,15 @@ class RateModel:
         at spacings d_h, d_v, assembled block by block: only ``terms`` is a
         whole table.
 
-        An axis lag of 0 has cos 1 and sin +-0 exactly, so no cos or sin is
-        taken of it: a lag on one axis only uses that axis's cos and sin as
-        they are, where angle addition with 1 and +-0 would give the same
-        values. (It could differ only in the sign of a zero sine, which no
-        output can show: every term it reaches is added to a lag sum that
-        starts at +0 or above.)
+        Each axis takes a cos and a sin of its lag-1 phase only, and forms
+        every later lag from the one before by angle addition (module
+        docstring). An axis lag of 0 has cos 1 and sin +-0 exactly, so it is
+        neither taken nor formed: a lag on one axis only uses that axis's
+        cos and sin as they are, where angle addition with 1 and +-0 would
+        give the same values. (It could differ only in the sign of a zero
+        sine, which no output can show: every term it reaches is added to a
+        lag sum that starts at +0 or above. A phase of +-0 gives sin +-0 at
+        every lag through the recurrence, as through libm.)
         """
         m = m_h * m_v
         grid_rows = tables.grid_rows
@@ -187,16 +205,27 @@ class RateModel:
             lag_sum = m * others_wa  # lag 0
             # Lag -l adds the same real term as lag l, so run the half plane
             # l_h > 0 or l_h = 0 < l_v at double weight.
-            # cos/sin per nonzero axis lag, joined by angle addition for each
-            # lag pair: 2*(M_h + M_v - 2) transcendentals per entry instead of ~L.
+            # cos/sin of each axis's lag 1 only: at most 4 transcendentals per
+            # entry instead of 2*(M_h + M_v - 2). The vertical harmonics are
+            # all held; each horizontal one is formed when its lag comes up.
             phase_h = theta_h * u[:, :, 1]
             phase_v = theta_v * u[:, :, 2]
-            cos_v = {lv: np.cos(lv * phase_v) for lv in range(1, m_v)}
-            sin_v = {lv: np.sin(lv * phase_v) for lv in range(1, m_v)}
-            del phase_v
+            cos_v, sin_v = {}, {}
+            if m_v > 1:
+                cos_v[1], sin_v[1] = np.cos(phase_v), np.sin(phase_v)
+            for lv in range(2, m_v):
+                cv, sv = cos_v[lv - 1], sin_v[lv - 1]
+                cos_v[lv] = cv * cos_v[1] - sv * sin_v[1]
+                sin_v[lv] = sv * cos_v[1] + cv * sin_v[1]
+            if m_h > 1:
+                cos_h1, sin_h1 = np.cos(phase_h), np.sin(phase_h)
+            del phase_h, phase_v
             for lh in range(m_h):
-                if lh:
-                    cos_h, sin_h = np.cos(lh * phase_h), np.sin(lh * phase_h)
+                if lh == 1:
+                    cos_h, sin_h = cos_h1, sin_h1
+                elif lh:
+                    cos_h, sin_h = (cos_h * cos_h1 - sin_h * sin_h1,
+                                    sin_h * cos_h1 + cos_h * sin_h1)
                 for lv in range(1 - m_v if lh else 1, m_v):
                     weight = 2.0 * ((m_h - lh) * (m_v - abs(lv)))
                     if lv == 0:

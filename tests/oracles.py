@@ -5,11 +5,11 @@ test-only helpers over its public API.
 one pass over the interfering grids, each adding its Fejer-kernel, g and q
 terms for every other grid, at O(K'^2 * C) cost. ``assemble_angle_addition``
 is the lag-domain assembly that forms every lag's cos and sin by angle
-addition, axis lag 0 included, with ``others_reference``: the leave-one-out
-sums over float columns, one add chain per column. ``model_with_assembly``
-builds a
-``RateModel`` through its public constructors with either in place of the
-library's one. ``build_kernel_tables`` materializes every pair's kernels.
+addition, axis lag 0 included, from the axis harmonics of
+``axis_harmonics`` (lag 1 from libm, each later lag by angle addition), with
+``others_reference``: the leave-one-out sums over float columns, one add
+chain per column. ``model_with_assembly`` builds a ``RateModel`` through its
+public constructors with either in place of the library's one. ``build_kernel_tables`` materializes every pair's kernels.
 ``slab_hits_reference`` is the segment-box slab test written one obstacle at
 a time, with every temporary at the segments' full shape;
 ``visibility_reference`` tests every segment of every (grid, point) pair
@@ -175,9 +175,23 @@ def others_reference(x):
     return out
 
 
+def axis_harmonics(phase, m):
+    """([cos(l*phase)], [sin(l*phase)]) for the axis lags l = 0 .. m - 1:
+    lags 0 and 1 from ``np.cos`` and ``np.sin``, each later lag from the one
+    before it plus lag 1 by angle addition."""
+    cos = [np.cos(lag * phase) for lag in range(min(m, 2))]
+    sin = [np.sin(lag * phase) for lag in range(min(m, 2))]
+    for _ in range(2, m):
+        c, s = cos[-1], sin[-1]
+        cos.append(c * cos[1] - s * sin[1])
+        sin.append(s * cos[1] + c * sin[1])
+    return cos, sin
+
+
 def assemble_angle_addition(cls, scenario, tables, m_h, m_v, d_h, d_v):
-    """``RateModel._assemble`` with cos and sin taken of every axis lag, 0
-    included, and every lag pair joined by angle addition."""
+    """``RateModel._assemble`` with cos and sin of every axis lag, 0
+    included, from ``axis_harmonics``, and every lag pair joined by angle
+    addition."""
     m = m_h * m_v
     grid_rows = tables.grid_rows
     rho = scenario.distribution.rho[grid_rows]
@@ -204,16 +218,15 @@ def assemble_angle_addition(cls, scenario, tables, m_h, m_v, d_h, d_v):
         lag_sum = m * others_reference(wa)
         phase_h = theta_h * u[:, :, 1]
         phase_v = theta_v * u[:, :, 2]
-        cos_v = [np.cos(lv * phase_v) for lv in range(m_v)]
-        sin_v = [np.sin(lv * phase_v) for lv in range(m_v)]
+        cos_h, sin_h = axis_harmonics(phase_h, m_h)
+        cos_v, sin_v = axis_harmonics(phase_v, m_v)
         for lh in range(m_h):
-            cos_h, sin_h = np.cos(lh * phase_h), np.sin(lh * phase_h)
             for lv in range(1 - m_v if lh else 1, m_v):
                 weight = 2.0 * (m_h - lh) * (m_v - abs(lv))
                 cv = cos_v[abs(lv)]
                 sv = sin_v[lv] if lv >= 0 else -sin_v[-lv]
-                cos = cos_h * cv - sin_h * sv
-                sin = sin_h * cv + cos_h * sv
+                cos = cos_h[lh] * cv - sin_h[lh] * sv
+                sin = sin_h[lh] * cv + cos_h[lh] * sv
                 lag_sum += weight * (cos * others_reference(wa * cos)
                                      + sin * others_reference(wa * sin))
         interf = a * lag_sum

@@ -212,12 +212,11 @@ class TestSimulateWeightedSum:
     def test_context_statistics_and_support_agree(self):
         # Statistics sliced from the candidate tables (rows with rho > 0 only)
         # draw exactly the trials of the support's own statistics over the
-        # same grids.
+        # same grids, its centers in candidate order.
         sc = make_scenario(n_y=10, k_x=2, k_y=2, kappa=6.0,
                            rho=[0.8, 0.0, 0.6, 0.5], seed=43)
-        support = np.array([7, 2])
-        sliced = support_stats(sc, support)
-        computed = compute_layout_stats(sc, support_layout(sc, support),
+        sliced = support_stats(sc, np.array([7, 2]))
+        computed = compute_layout_stats(sc, support_layout(sc, [2, 7]),
                                         grid_indices=[0, 2, 3])
         for combiner in ("mrc", "mmse"):
             opts = SimOptions(trials=20, combiner=combiner)

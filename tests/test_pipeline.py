@@ -11,6 +11,7 @@ from xlma import pipeline, rate
 from xlma.channel import build_gain_tables, compute_layout_stats, support_layout
 from xlma.cli import SWEEP_SCHEMES, _sweep_cell
 from xlma.errors import ConfigurationError
+from xlma.montecarlo import SimOptions, simulate_weighted_sum_rate
 from xlma.optimizer import build_init_lp, successive_replacement
 from xlma.pipeline import context_from_document
 from xlma.presets import PRESETS, paper_partial_los_1d
@@ -77,22 +78,25 @@ def preset_context(request):
 
 @pytest.mark.parametrize("scheme", SWEEP_SCHEMES)
 def test_layout_stats_of_a_support_are_its_candidate_columns(preset_context, scheme):
-    # Every scheme's layout sits on the candidates. Its statistics take those
-    # candidates' columns of the context's xi instead of a visibility pass
-    # over its centers; the pass gives the same bits. The plan's support is
-    # also checked sorted and reversed.
+    # Every scheme's layout sits on the candidates. Its statistics are those
+    # of its centers in candidate order, and take those candidates' columns
+    # of the context's xi instead of a visibility pass over its centers; the
+    # pass gives the same bits. The plan's support is also checked sorted
+    # and reversed.
     ctx = preset_context
     try:
         layouts = [ctx.placement_for_scheme(scheme)]
     except ConfigurationError as exc:
         pytest.skip(f"{scheme} does not apply: {exc}")
+    in_order = layouts[0]
     if scheme == "proposed":
         support = np.asarray(ctx.plan().n_mu, int)
-        layouts += [support_layout(ctx.scenario, np.sort(support)),
-                    support_layout(ctx.scenario, support[::-1])]
+        in_order = support_layout(ctx.scenario, np.sort(support))
+        layouts += [in_order, support_layout(ctx.scenario, support[::-1])]
+    own = compute_layout_stats(ctx.scenario, in_order, grid_indices=ctx.model.grid_rows)
     for layout in layouts:
         stats = ctx.layout_stats(layout)
-        own = compute_layout_stats(ctx.scenario, layout, grid_indices=ctx.model.grid_rows)
+        assert np.array_equal(stats.layout.centers, in_order.centers)
         for name in STATS:
             got, want = getattr(stats, name), getattr(own, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
@@ -143,12 +147,29 @@ def test_baseline_sweep_cell_builds_one_layout_model(desk_context, monkeypatch):
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_support_scored_on_its_own_columns_equals_candidate_model(preset):
     # A support's closed forms, on a model of its own columns, have the bits
-    # of the candidate model's, in any order of the support.
+    # of the candidate model's over the support in candidate order, in any
+    # order of the support.
     ctx = context_from_document(PRESETS[preset]())
     support = np.asarray(ctx.plan().n_mu, int)
-    for order in (support, np.sort(support), support[::-1]):
+    in_order = np.sort(support)
+    for order in (support, in_order, support[::-1]):
         assert ctx.closed_forms(ctx.layout_stats(support_layout(ctx.scenario, order))) == (
-            ctx.model.weighted_sum(order), ctx.model.weighted_upper_bound(order))
+            ctx.model.weighted_sum(in_order), ctx.model.weighted_upper_bound(in_order))
+
+
+@pytest.mark.parametrize("order", [[58, 3, 96, 41], [96, 58, 41, 3], [41, 96, 3, 58]])
+def test_a_support_in_any_order_has_the_values_of_its_sorted_order(desk_context, order):
+    # One placement, one value: listing a support's indices in another order
+    # changes none of the bits of approx_mrc, upper_bound, sim_mrc and
+    # sim_mmse.
+    def values(support):
+        stats = desk_context.layout_stats(support_layout(desk_context.scenario, support))
+        sims = [simulate_weighted_sum_rate(desk_context.scenario, stats,
+                                           SimOptions(trials=20, combiner=combiner))
+                for combiner in ("mrc", "mmse")]
+        return (*desk_context.closed_forms(stats), *sims)
+
+    assert values(order) == values(sorted(order))
 
 
 def _traced_peak(fn):

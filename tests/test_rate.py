@@ -248,6 +248,7 @@ ELEMENT_GRIDS = {
     "1x4": (1, 4, 0.5, 1.0),
     "16x1": (16, 1, 0.5, 0.5),
     "3x5": (3, 5, 0.7, 1.3),
+    "128x1": (128, 1, 0.5, 0.5),  # the longest lag chain of any preset (dense_ula)
 }
 element_grids = pytest.mark.parametrize(
     "grid", ELEMENT_GRIDS.values(), ids=ELEMENT_GRIDS.keys())

@@ -4,6 +4,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 # The scripts import their shared worktree helper by module name.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 import same_outputs  # noqa: E402
@@ -71,3 +73,20 @@ def test_commands_cover_the_gated_outputs(tmp_path, monkeypatch):
         for arg in argv:
             if arg.endswith(".json") and arg.startswith(str(tmp_path)):
                 assert Path(arg).is_file()
+
+
+def test_a_difference_is_described_as_floats_only_or_not(tmp_path):
+    left = _tree(tmp_path / "l", {
+        "ulp.csv": b"scheme,rate,n\nproposed,4.745282747061081,4\n",
+        "int.json": b'{"n_mu": [2, 3, 4, 39], "objective": 12.5}\n',
+        "only_left.txt": b""})
+    right = _tree(tmp_path / "r", {
+        "ulp.csv": b"scheme,rate,n\nproposed,4.745282747061082,4\n",
+        "int.json": b'{"n_mu": [2, 3, 4, 36], "objective": 12.5}\n'})
+    ulp = np.spacing(4.745282747061081) / 4.745282747061082
+    assert same_outputs.how_files_differ(left / "ulp.csv", right / "ulp.csv") == (
+        f"floats only, largest relative float difference {ulp:.3g}")
+    assert same_outputs.how_files_differ(left / "int.json", right / "int.json") == (
+        "not only floats, largest relative float difference 0")
+    assert same_outputs.how_files_differ(left / "only_left.txt",
+                                         right / "only_left.txt") == "only in parent"
