@@ -21,7 +21,8 @@ import numpy as np
 from .benchmarks import BENCHMARK_KINDS
 from .channel import support_layout
 from .errors import ConfigurationError, DomainError
-from .montecarlo import SimOptions, correlation_map, power_gain_map, simulate_weighted_sum_rate
+from .montecarlo import (SimOptions, correlation_map, draw_trials, power_gain_map,
+                         simulate_weighted_sum_rate)
 from .pipeline import ScenarioContext, context_from_document
 from .presets import PRESETS
 from .scenario import (as_integer, as_number, check_fields, dbm_to_mw, load_scenario,
@@ -30,6 +31,7 @@ from .scenario import (as_integer, as_number, check_fields, dbm_to_mw, load_scen
 SWEEP_PARAMETERS = ("m_h", "ma_width", "expected_users", "rician_db")
 SWEEP_SCHEMES = ("proposed", "optimal") + BENCHMARK_KINDS
 SWEEP_EVALUATORS = ("approx_mrc", "sim_mrc", "sim_mmse", "upper_bound")
+SIM_COMBINERS = {"sim_mrc": "mrc", "sim_mmse": "mmse"}
 SWEEP_FIELDS = ("parameter", "values", "schemes", "evaluators", "trials")
 MAP_FIELDS = ("kind", "scheme", "resolution", "probe_point", "blocked_placeholder_dbm",
               "z_plane")
@@ -132,37 +134,65 @@ def _apply_parameter(doc: dict, parameter: str, value, field: str) -> dict:
     return out
 
 
-def _sweep_cell(ctx: ScenarioContext, scheme: str, evaluators, trials: int):
-    """Rows (scheme, evaluator, rate, stderr, note) for one sweep cell."""
-    rows = []
+def _sweep_cell(ctx: ScenarioContext, scheme: str, evaluators):
+    """(statistics, {evaluator: row}) of one scheme: its one ``LayoutStats``
+    and the rows (scheme, evaluator, rate, stderr, note) of its closed forms.
+    A scheme without a placement has no statistics and a skipped row for
+    every evaluator."""
     try:
         layout = ctx.placement_for_scheme(scheme)
     except ConfigurationError as exc:
-        return [(scheme, ev, "", "", f"skipped: {exc}") for ev in evaluators]
-
+        return None, {ev: (scheme, ev, "", "", f"skipped: {exc}") for ev in evaluators}
     stats = ctx.layout_stats(layout)  # one set of statistics for every evaluator
-    closed = {}
+    rows = {}
     if {"approx_mrc", "upper_bound"} & set(evaluators):
-        closed["approx_mrc"], closed["upper_bound"] = ctx.closed_forms(stats)
+        closed = dict(zip(("approx_mrc", "upper_bound"), ctx.closed_forms(stats)))
+        rows = {ev: (scheme, ev, closed[ev], "", "") for ev in evaluators if ev in closed}
+    return stats, rows
+
+
+def _simulated_rows(ctx: ScenarioContext, draws, evaluators, cell) -> dict:
+    """{evaluator: row} of the simulated ``evaluators`` of ``cell``, a
+    (scheme, statistics) pair, each scored on ``draws``."""
+    scheme, stats = cell
+    rows = {}
     for evaluator in evaluators:
-        if evaluator in closed:
-            rows.append((scheme, evaluator, closed[evaluator], "", ""))
-        else:
-            combiner = "mrc" if evaluator == "sim_mrc" else "mmse"
-            est, err = simulate_weighted_sum_rate(
-                ctx.scenario, stats, SimOptions(trials=trials, combiner=combiner))
-            rows.append((scheme, evaluator, est, err, ""))
+        opts = SimOptions(trials=draws.trials, combiner=SIM_COMBINERS[evaluator])
+        est, err = simulate_weighted_sum_rate(ctx.scenario, stats, opts, draws)
+        rows[evaluator] = (scheme, evaluator, est, err, "")
     return rows
+
+
+def _simulate_shape(ctx: ScenarioContext, cells, evaluators, trials: int, map_cells) -> list:
+    """Simulated rows of ``cells``, (scheme, statistics) pairs of one array
+    shape, all scored on one set of draws; the draws go when this returns,
+    so a sweep holds one set at a time."""
+    draws = draw_trials(ctx.scenario, cells[0][1], trials)
+    return list(map_cells(functools.partial(_simulated_rows, ctx, draws, evaluators), cells))
 
 
 def _sweep_value(doc: dict, schemes, evaluators, trials: int, map_cells) -> list:
     """Every scheme's rows at one sweep value, in scheme order. The value's
     context lives only in this call, so a sweep holds one at a time;
-    ``map_cells`` is ``map`` or a thread pool's."""
+    ``map_cells`` is ``map`` or a thread pool's.
+
+    Each scheme's statistics and closed forms come first. The schemes are
+    then grouped by array shape (S, M_total), and each group's trials are
+    drawn once for all its schemes and both combiners."""
     ctx = context_from_document(doc)
-    cells = map_cells(functools.partial(_sweep_cell, ctx, evaluators=evaluators, trials=trials),
-                      schemes)
-    return [row for rows in cells for row in rows]
+    cells = dict(zip(schemes, map_cells(
+        functools.partial(_sweep_cell, ctx, evaluators=evaluators), schemes)))
+    simulated = [ev for ev in evaluators if ev in SIM_COMBINERS]
+    shapes = {}
+    for scheme, (stats, _) in cells.items():
+        if stats is not None and simulated:
+            shape = (len(stats.layout.centers), stats.total_antennas)
+            shapes.setdefault(shape, []).append((scheme, stats))
+    for group in shapes.values():
+        for (scheme, _), rows in zip(group, _simulate_shape(ctx, group, simulated, trials,
+                                                              map_cells)):
+            cells[scheme][1].update(rows)
+    return [cells[scheme][1][ev] for scheme in schemes for ev in evaluators]
 
 
 def _spec_names(spec: dict, key: str, allowed, default=None) -> list:

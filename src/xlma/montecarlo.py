@@ -8,13 +8,17 @@ substreams make trial t's draw independent of execution order, and per-trial
 values are aggregated through numpy's pairwise summation, so parallel or
 chunked evaluation reproduces the sequential estimate bit for bit.
 
-The trial loop only draws. Trials with the same number of active users J
-are staged together, and each group's channels, SINRs and rates are
-computed in one stacked call once the staged draws reach
-``rate.ASSEMBLY_BLOCK_BYTES``. Every step after the draws is elementwise, a
-per-matrix BLAS/LAPACK call or a sum over one trial's own users, so a trial
-gets the same bits as it would alone (``tests/oracles.py`` keeps the
-one-trial-at-a-time loop as the reference).
+Drawing and scoring are apart. ``draw_trials`` draws every trial and stages
+trials with the same number of active users J together, stacked in blocks
+of ``rate.ASSEMBLY_BLOCK_BYTES``; ``simulate_trials`` computes each group's
+channels, SINRs and rates in one stacked call. A trial's draws depend on
+the placement only through its subarray count S and antenna count M_total,
+so a sweep draws once per array shape per sweep value and scores every
+placement of that shape, under both combiners, from those draws. One set
+holds about T * E[J] * (S + 2 * M_total) * 8 bytes for T trials. Every step
+after the draws is elementwise, a per-matrix BLAS/LAPACK call or a sum over
+one trial's own users, so a trial gets the same bits as it would alone
+(``tests/oracles.py`` keeps the one-trial-at-a-time loop as the reference).
 """
 
 from __future__ import annotations
@@ -86,60 +90,109 @@ def _sinr_all_active(h: np.ndarray, pbar: np.ndarray, combiner: str) -> np.ndarr
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class TrialDraws:
+    """Every trial's draws for one array shape: ``n_subarrays`` S and
+    ``total_antennas`` M_total, over ``trials`` trials.
+
+    ``groups`` are ``(trials, active, psi, re, im)`` stacks of the trials
+    with the same number of active users J: trial indices (n,), active stat
+    rows (n, J), phases (n, J, S) and normals (n, J, M_total). Trials with
+    no active user are in no group.
+    """
+
+    n_subarrays: int
+    total_antennas: int
+    trials: int
+    groups: tuple
+
+
+def _active_rows(scenario: ScenarioConfig, stats: LayoutStats) -> np.ndarray:
+    """The grids with rho > 0, which ``stats`` must cover in grid order."""
+    rows = np.flatnonzero(scenario.distribution.rho > 0.0)
+    if len(rows) and not np.array_equal(stats.grid_rows, rows):
+        raise ConfigurationError("layout statistics must cover exactly the grids with rho > 0")
+    return rows
+
+
+def draw_trials(scenario: ScenarioConfig, stats: LayoutStats, trials: int) -> TrialDraws:
+    """The draws of trials 0 .. ``trials`` - 1 for the shape of ``stats``.
+
+    Trial t draws from its own ``substream(seed, "mc", t)``, all seeded in
+    one pass by ``substreams``: the activation uniforms of the grids with
+    rho > 0, then (J, S) phases and twice (J, M_total) normals. Nothing of
+    that depends on where the subarrays are, so these draws are the draws of
+    every placement with the same S and M_total in this scenario; the
+    placement enters only when ``simulate_trials`` turns them into channels.
+    The draws are staged by J, and each group is stacked once the staged
+    draws reach ``rate.ASSEMBLY_BLOCK_BYTES``, so a group's channels and
+    SINRs stay one stacked call of that size.
+    """
+    rows = _active_rows(scenario, stats)
+    groups = []
+
+    def stack(staged):
+        groups.extend(tuple(np.array(field) for field in zip(*group))
+                      for group in staged.values())
+
+    if len(rows):
+        rho_rows = scenario.distribution.rho[rows]
+        staged = {}
+        staged_bytes = 0
+        streams = substreams(scenario.rng_seed, "mc", indices=np.arange(trials))
+        for t, rng in enumerate(streams):
+            draw = draw_realization(stats, rho_rows, rng)
+            if len(draw.columns) == 0:
+                continue
+            size = draw.psi.nbytes + draw.re.nbytes + draw.im.nbytes
+            if staged_bytes + size > rate.ASSEMBLY_BLOCK_BYTES:
+                stack(staged)
+                staged, staged_bytes = {}, 0
+            staged.setdefault(len(draw.columns), []).append(
+                (t, draw.columns, draw.psi, draw.re, draw.im))
+            staged_bytes += size
+        stack(staged)
+    return TrialDraws(len(stats.layout.centers), stats.total_antennas, trials, tuple(groups))
+
+
 def simulate_trials(
-    scenario: ScenarioConfig, stats: LayoutStats, opts: SimOptions
+    scenario: ScenarioConfig, stats: LayoutStats, opts: SimOptions,
+    draws: TrialDraws | None = None,
 ) -> np.ndarray:
-    """Per-trial weighted-sum samples.
+    """Per-trial weighted-sum samples of ``stats`` scored on ``draws``
+    (default: ``draw_trials(scenario, stats, opts.trials)``).
 
     ``stats`` are a placement's statistics over the grids with positive
     activation probability, in grid order (``ScenarioContext.layout_stats``).
-    Trial t draws from its own ``substream(seed, "mc", t)``, all seeded in
-    one pass by ``substreams``. The draws are staged by their number of
-    active users J, all groups together under ``rate.ASSEMBLY_BLOCK_BYTES``;
-    then each group's channels and SINRs are computed in one stacked call.
-    Trial t's value is the sum of its own J rates, as one trial at a time
-    would give.
+    Draws of another S, M_total or trial count raise ``ConfigurationError``.
+    Each staged group's channels and SINRs are computed in one stacked call,
+    and trial t's value is the sum of its own J rates, as one trial at a
+    time would give.
     """
-    rho_all = scenario.distribution.rho
-    rows = np.flatnonzero(rho_all > 0.0)
-    values = np.zeros(opts.trials)
-    if len(rows) == 0:
-        return values
-    if not np.array_equal(stats.grid_rows, rows):
-        raise ConfigurationError("layout statistics must cover exactly the grids with rho > 0")
-    rho_rows = rho_all[rows]
+    rows = _active_rows(scenario, stats)
+    if draws is None:
+        draws = draw_trials(scenario, stats, opts.trials)
+    drawn = (draws.n_subarrays, draws.total_antennas, draws.trials)
+    wanted = (len(stats.layout.centers), stats.total_antennas, opts.trials)
+    if drawn != wanted:
+        raise ConfigurationError(
+            f"draws for (S, M_total, trials) = {drawn} cannot score {wanted}")
     pbar_rows = scenario.snr_scale[rows]
-
-    def flush(groups):
-        for group in groups.values():
-            trials, active, psi, re, im = (np.array(field) for field in zip(*group))
-            h = channel_from_draws(stats, active, psi, re, im)
-            gammas = _sinr_all_active(h, pbar_rows[active], opts.combiner)
-            values[trials] = np.log2(1.0 + gammas).sum(axis=-1)
-
-    groups = {}
-    staged_bytes = 0
-    streams = substreams(scenario.rng_seed, "mc", indices=np.arange(opts.trials))
-    for t, rng in enumerate(streams):
-        draw = draw_realization(stats, rho_rows, rng)
-        if len(draw.columns) == 0:
-            continue
-        size = draw.psi.nbytes + draw.re.nbytes + draw.im.nbytes
-        if staged_bytes + size > rate.ASSEMBLY_BLOCK_BYTES:
-            flush(groups)
-            groups, staged_bytes = {}, 0
-        groups.setdefault(len(draw.columns), []).append(
-            (t, draw.columns, draw.psi, draw.re, draw.im))
-        staged_bytes += size
-    flush(groups)
+    values = np.zeros(opts.trials)
+    for trials, active, psi, re, im in draws.groups:
+        h = channel_from_draws(stats, active, psi, re, im)
+        gammas = _sinr_all_active(h, pbar_rows[active], opts.combiner)
+        values[trials] = np.log2(1.0 + gammas).sum(axis=-1)
     return values
 
 
 def simulate_weighted_sum_rate(
-    scenario: ScenarioConfig, stats: LayoutStats, opts: SimOptions
+    scenario: ScenarioConfig, stats: LayoutStats, opts: SimOptions,
+    draws: TrialDraws | None = None,
 ) -> tuple[float, float]:
-    """(estimate, standard error) of the expected weighted sum rate."""
-    values = simulate_trials(scenario, stats, opts)
+    """(estimate, standard error) of the expected weighted sum rate, from
+    ``simulate_trials``."""
+    values = simulate_trials(scenario, stats, opts, draws)
     estimate = float(np.mean(values))
     if len(values) > 1:
         stderr = float(np.std(values, ddof=1) / np.sqrt(len(values)))

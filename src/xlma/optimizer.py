@@ -24,6 +24,8 @@ from .rate import RateModel
 from .scenario import ScenarioConfig
 
 IMPROVEMENT_EPS = 1e-12
+# Removal values closer than this many spacings of the best tie in select_victim.
+VICTIM_TIE_ULPS = 4
 # Largest C(N0, N) that exhaustive_search (and the sweep's optimal scheme)
 # will enumerate.
 EXHAUSTIVE_LIMIT = 10_000_000
@@ -144,14 +146,20 @@ def round_top_n(chi_star: np.ndarray, n_select: int) -> list:
 
 
 def select_victim(state: SelectionState) -> int:
-    """Slot whose temporary removal costs least (highest remaining objective)."""
+    """Slot whose temporary removal costs least (highest remaining objective).
+
+    Values within ``VICTIM_TIE_ULPS`` spacings of the best so far tie, and
+    the lowest slot wins a tie. Mirror-symmetric slots tie in exact
+    arithmetic, so their rounding, not the geometry, would pick otherwise.
+    """
     best_slot = -1
     best_value = -np.inf
     for slot in range(len(state.n_mu)):
         if slot in state.replaced_slots:
             continue
         value = state.model.objective(state.without(state.n_mu[slot]))
-        if value > best_value:
+        # The first slot is taken as is: np.spacing(inf) is nan.
+        if best_slot < 0 or value > best_value + VICTIM_TIE_ULPS * np.spacing(abs(best_value)):
             best_value = value
             best_slot = slot
     if best_slot < 0:

@@ -13,6 +13,8 @@ import pytest
 import xlma
 from xlma import validation
 from xlma.cli import main
+from xlma.montecarlo import draw_trials
+from xlma.pipeline import context_from_document
 from xlma.presets import desk_full_los, desk_full_los_2d, desk_partial_los, desk_single_grid
 from xlma.scenario import load_scenario
 from xlma.validation import validate_scenario
@@ -309,6 +311,53 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--sweep", str(spath),
                      "--out-dir", str(d2), "--threads", "4"]) == 0
         assert (d1 / "sweep_sim_mrc.csv").read_bytes() == (d2 / "sweep_sim_mrc.csv").read_bytes()
+
+    def test_threads_flag_gives_identical_results_across_shapes(self, tmp_path):
+        # Two array shapes, each scored by two schemes or one under both
+        # combiners from the draws of its shape.
+        cfg = write_config(tmp_path, desk_full_los())
+        spec = {"parameter": "m_h", "values": [2, 4], "trials": 30,
+                "schemes": ["proposed", "horizontal_sparse", "dense_ula"],
+                "evaluators": ["sim_mrc", "sim_mmse"]}
+        spath = tmp_path / "sweep.json"
+        spath.write_text(json.dumps(spec))
+        outputs = {}
+        for threads in ("1", "4"):
+            out_dir = tmp_path / f"o{threads}"
+            assert main(["sweep", "--config", str(cfg), "--sweep", str(spath),
+                         "--out-dir", str(out_dir), "--threads", threads]) == 0
+            outputs[threads] = [(out_dir / f"sweep_{ev}.csv").read_bytes()
+                                for ev in spec["evaluators"]]
+        assert outputs["1"] == outputs["4"]
+
+    def test_sweep_holds_one_draw_set_at_a_time(self, tmp_path):
+        # dense_ula's draws are made after the S = N schemes' are dropped, so
+        # adding it raises the peak by less than its own draw set.
+        doc = desk_full_los()
+        cfg = write_config(tmp_path, doc)
+        trials = 200
+
+        def peak(schemes):
+            spath = tmp_path / "sweep.json"
+            spath.write_text(json.dumps({"parameter": "m_h", "values": [4], "trials": trials,
+                                         "schemes": schemes,
+                                         "evaluators": ["sim_mrc", "sim_mmse"]}))
+            argv = ["sweep", "--config", str(cfg), "--sweep", str(spath),
+                    "--out-dir", str(tmp_path / "out")]
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        ctx = context_from_document(doc)
+        dense = ctx.layout_stats(ctx.placement_for_scheme("dense_ula"))
+        draws = draw_trials(ctx.scenario, dense, trials)
+        one_set = sum(field.nbytes for group in draws.groups for field in group)
+        peak(["proposed", "horizontal_sparse", "dense_ula"])  # one-time allocations
+        both = peak(["proposed", "horizontal_sparse", "dense_ula"])
+        assert both - peak(["proposed", "horizontal_sparse"]) < one_set
 
     @pytest.mark.parametrize("threads", ["0", "4"])
     def test_sweep_holds_one_value_context_at_a_time(self, tmp_path, threads):

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -6,16 +7,19 @@ import pytest
 from conftest import make_scenario
 from xlma import montecarlo, rate
 from xlma.channel import ArrayLayout, compute_layout_stats, support_layout
+from xlma.cli import SWEEP_SCHEMES, main
 from xlma.errors import ConfigurationError, DomainError
 from xlma.montecarlo import (
     SimOptions,
     _sinr_all_active,
     correlation_map,
+    draw_trials,
     power_gain_map,
     simulate_trials,
     simulate_weighted_sum_rate,
 )
-from xlma.pipeline import ScenarioContext
+from xlma.pipeline import ScenarioContext, context_from_document
+from xlma.presets import desk_full_los, desk_full_los_2d
 from oracles import mmse_sinr, mrc_sinr, simulate_trials_reference
 
 
@@ -229,6 +233,77 @@ class TestSimulateWeightedSum:
         stats = compute_layout_stats(sc, support_layout(sc, [7, 2]))  # all four grids
         with pytest.raises(ConfigurationError, match="rho > 0"):
             simulate_trials(sc, stats, SimOptions(trials=2))
+
+
+class TestSharedDraws:
+    """A sweep value draws once per array shape (S, M_total) and scores every
+    placement of that shape, under both combiners, on those draws."""
+
+    TRIALS = 40
+
+    @staticmethod
+    def _scheme_stats():
+        # Rician, so the normals count; N = 8, so every baseline is
+        # constructible (the exhaustive optimum is over its limit).
+        doc = desk_full_los_2d()
+        doc["rician_kappa_db"] = 10.0
+        ctx = context_from_document(doc)
+        stats = {}
+        for scheme in SWEEP_SCHEMES:
+            try:
+                stats[scheme] = ctx.layout_stats(ctx.placement_for_scheme(scheme))
+            except ConfigurationError:
+                assert scheme == "optimal"
+        return ctx.scenario, stats
+
+    def test_shared_draws_equal_per_trial_reference(self):
+        sc, stats = self._scheme_stats()
+        shapes = {}
+        for scheme_stats in stats.values():
+            shape = (len(scheme_stats.layout.centers), scheme_stats.total_antennas)
+            shapes.setdefault(shape, []).append(scheme_stats)
+        assert sorted(map(len, shapes.values())) == [2, 4]
+        for group in shapes.values():
+            draws = draw_trials(sc, group[0], self.TRIALS)
+            for scheme_stats in group:
+                for combiner in ("mrc", "mmse"):
+                    opts = SimOptions(trials=self.TRIALS, combiner=combiner)
+                    np.testing.assert_array_equal(
+                        simulate_trials(sc, scheme_stats, opts, draws),
+                        simulate_trials_reference(sc, scheme_stats, opts))
+
+    def test_draws_of_another_shape_or_count_rejected(self):
+        sc, stats = self._scheme_stats()
+        sparse, dense = stats["horizontal_sparse"], stats["dense_ula"]
+        assert sparse.total_antennas == dense.total_antennas  # S differs alone
+        ctx = context_from_document(desk_full_los_2d())
+        narrower = ctx.layout_stats(dataclasses.replace(sparse.layout, m_h=2))
+        opts = SimOptions(trials=self.TRIALS)
+        draws = draw_trials(sc, sparse, self.TRIALS)
+        for other, other_opts in ((dense, opts), (narrower, opts),
+                                  (sparse, SimOptions(trials=self.TRIALS + 1))):
+            with pytest.raises(ConfigurationError, match="draws for"):
+                simulate_trials(sc, other, other_opts, draws)
+
+    def test_sweep_draws_each_trial_once_per_shape(self, tmp_path, monkeypatch):
+        drawn = []
+        original = montecarlo.draw_realization
+
+        def counted(*args):
+            drawn.append(args[0].total_antennas)
+            return original(*args)
+
+        monkeypatch.setattr(montecarlo, "draw_realization", counted)
+        config, spec = tmp_path / "config.json", tmp_path / "sweep.json"
+        config.write_text(json.dumps(desk_full_los()))
+        spec.write_text(json.dumps({
+            "parameter": "m_h", "values": [2, 4], "trials": 25,
+            "schemes": ["proposed", "dense_ula", "horizontal_sparse"],
+            "evaluators": ["approx_mrc", "sim_mrc", "sim_mmse"]}))
+        assert main(["sweep", "--config", str(config), "--sweep", str(spec),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        # m_h 2 and 4 give M_total 8 and 16: 25 trials x 2 shapes per value.
+        assert drawn == [8] * 50 + [16] * 50
 
 
 def record_groups(monkeypatch) -> list:

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -72,6 +73,25 @@ class TestVictimAndReplacement:
             for slot in range(len(state.n_mu))
         ]
         assert select_victim(state) == int(np.argmax(values))
+
+    @staticmethod
+    def _scored_state(values, replaced=()):
+        """A selection whose slot s, when removed, leaves ``values[s]``."""
+        model = SimpleNamespace(objective=lambda slot: values[slot])
+        return SimpleNamespace(n_mu=list(range(len(values))), replaced_slots=set(replaced),
+                               model=model, without=lambda col: col)
+
+    @pytest.mark.parametrize("ulps", [1, 4])
+    def test_near_tie_goes_to_the_lowest_slot(self, ulps):
+        # The tie that rounding decided on paper_full_scale_3d_type3.
+        tied = 32.337467674619454
+        above = tied + ulps * np.spacing(tied)
+        assert select_victim(self._scored_state([tied, above, 1.0])) == 0
+        assert select_victim(self._scored_state([1.0, tied, above], replaced=[0])) == 1
+
+    def test_clear_gain_goes_to_the_later_slot(self):
+        tied = 32.337467674619454
+        assert select_victim(self._scored_state([tied, tied + 5 * np.spacing(tied)])) == 1
 
     def test_useless_slot_selected_first(self):
         # A slot whose position is blocked toward every grid loses nothing.

@@ -125,8 +125,9 @@ def test_layout_stats_runs_a_pass_for_centers_off_the_candidates(
 
 
 def test_baseline_sweep_cell_builds_one_layout_model(desk_context, monkeypatch):
-    # One set of statistics per cell, handed to every evaluator, each layout
-    # handed its support's columns of the context's xi.
+    # One set of statistics per cell, returned for the simulated evaluators
+    # and giving the closed forms, each layout handed its support's columns
+    # of the context's xi.
     made = []
     original = pipeline.compute_layout_stats
 
@@ -138,10 +139,13 @@ def test_baseline_sweep_cell_builds_one_layout_model(desk_context, monkeypatch):
     evaluators = ["approx_mrc", "upper_bound", "sim_mrc", "sim_mmse"]
     for scheme in ("proposed", "horizontal_sparse"):
         made.clear()
-        rows = _sweep_cell(desk_context, scheme, evaluators, 2)
+        stats, rows = _sweep_cell(desk_context, scheme, evaluators)
         assert len(made) == 1, scheme
         assert made[0][0][3] is not None, scheme
-        assert [row[2] for row in rows[:2]] == list(desk_context.closed_forms(made[0][1]))
+        assert stats is made[0][1], scheme
+        assert [rows[ev][2] for ev in ("approx_mrc", "upper_bound")] == list(
+            desk_context.closed_forms(made[0][1]))
+        assert set(rows) == {"approx_mrc", "upper_bound"}, scheme
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
