@@ -1,6 +1,6 @@
 """Byte-compare the outputs of a parent revision with this working tree's.
 
-    python3 scripts/same_outputs.py --parent REV
+    python3 scripts/same_outputs.py --parent REV [--float-rtol R]
 
 Run from anywhere inside a source checkout. REV is checked out as a
 temporary ``git worktree`` beside the repository (``worktree.py``) and
@@ -27,10 +27,12 @@ and the benchmark documents of ``perfbench/workloads.py``. Each command runs
 in a directory of its own, which afterwards holds its output files, its
 standard output and its exit code. Every file that differs between the two
 sides, or exists on one side only, is printed, and so is every command that
-failed; the exit status is 1 if there is any. A file on both sides is
-printed with how it differs: in float literals only or in other text as
-well (integers such as a support index are text, compared exactly), and
-the largest relative difference between the floats at the same place.
+failed. A file on both sides is printed with how it differs: in float
+literals only or in other text as well (integers such as a support index
+are text, compared exactly), and the largest relative difference between
+the floats at the same place. The exit status is 1 if any command failed or
+any file differs, except that with ``--float-rtol R`` a file on both sides
+that differs in float literals only, by at most R relative, is accepted.
 """
 
 from __future__ import annotations
@@ -145,12 +147,9 @@ FLOAT = re.compile(r"(?<![\w.])([-+]?(?:(?:\d+\.\d*|\.\d+)(?:[eE][-+]?\d+)?"
                    r"|\d+[eE][-+]?\d+))(?![\w.])")
 
 
-def how_files_differ(left: Path, right: Path) -> str:
-    """How two differing text files differ: "only in parent", "only in
-    change", or whether anything but float literals differs, with the
-    largest relative difference between the floats at the same place."""
-    if not left.is_file() or not right.is_file():
-        return "only in change" if right.is_file() else "only in parent"
+def float_difference(left: Path, right: Path):
+    """(whether two text files differ in float literals only, the largest
+    relative difference between the floats at the same place)."""
     left_parts, right_parts = FLOAT.split(left.read_text()), FLOAT.split(right.read_text())
     # re.split with one group alternates text and float literal, text first.
     only_floats = left_parts[::2] == right_parts[::2]
@@ -158,13 +157,35 @@ def how_files_differ(left: Path, right: Path) -> str:
     for a, b in zip(map(float, left_parts[1::2]), map(float, right_parts[1::2])):
         if a != b:
             largest = max(largest, abs(a - b) / max(abs(a), abs(b)))
+    return only_floats, largest
+
+
+def how_files_differ(left: Path, right: Path) -> str:
+    """How two differing text files differ: "only in parent", "only in
+    change", or whether anything but float literals differs, with the
+    largest relative difference between the floats at the same place."""
+    if not left.is_file() or not right.is_file():
+        return "only in change" if right.is_file() else "only in parent"
+    only_floats, largest = float_difference(left, right)
     kind = "floats only" if only_floats else "not only floats"
     return f"{kind}, largest relative float difference {largest:.3g}"
+
+
+def within_float_rtol(left: Path, right: Path, rtol) -> bool:
+    """Whether two files on both sides differ in float literals only, by at
+    most ``rtol`` relative; never when ``rtol`` is None."""
+    if rtol is None or not left.is_file() or not right.is_file():
+        return False
+    only_floats, largest = float_difference(left, right)
+    return only_floats and largest <= rtol
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
+    parser.add_argument("--float-rtol", type=float, metavar="R",
+                        help="accept files that differ in float literals only, by at most "
+                             "R relative (default: accept no difference)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -176,13 +197,15 @@ def main(argv=None) -> int:
         differ = differing_files(tmp / "parent", tmp / "change")
         notes = {name: how_files_differ(tmp / "parent" / name, tmp / "change" / name)
                  for name in differ}
+        refused = [name for name in differ if not within_float_rtol(
+            tmp / "parent" / name, tmp / "change" / name, args.float_rtol)]
     for name in differ:
         print(f"differs: {name} ({notes[name]})")
     for name in sorted(set(failed)):
         print(f"failed: {name}")
-    print(f"{len(argvs)} commands, {len(differ)} differing files, "
-          f"{len(set(failed))} failed commands")
-    return 1 if differ or failed else 0
+    print(f"{len(argvs)} commands, {len(differ)} differing files "
+          f"({len(refused)} not accepted), {len(set(failed))} failed commands")
+    return 1 if refused or failed else 0
 
 
 if __name__ == "__main__":

@@ -111,11 +111,11 @@ def _apply_parameter(doc: dict, parameter: str, value, field: str) -> dict:
     if parameter == "m_h":
         out["m_h"] = as_integer(value, field)
     elif parameter == "ma_width":
-        width = as_number(value, field)
+        width = as_number(value, field, finite=True)
         region = load_scenario(doc).ma_region  # checks the numbers the step is made of
         step = (region.y_max - region.y_min) / region.n_y
         ma = out["ma_region"]
-        n_y = round(width / step) if np.isfinite(width) else 0
+        n_y = round(width / step)
         if n_y < 1:
             raise ConfigurationError(f"'{field}': ma_width {value} too small for step {step}")
         ma["y_min"], ma["y_max"], ma["n_y"] = -width / 2.0, width / 2.0, n_y

@@ -24,7 +24,8 @@ from .rate import RateModel
 from .scenario import ScenarioConfig
 
 IMPROVEMENT_EPS = 1e-12
-# Removal values closer than this many spacings of the best tie in select_victim.
+# Values closer than this many spacings of the best tie in select_victim and
+# best_replacement.
 VICTIM_TIE_ULPS = 4
 # Largest C(N0, N) that exhaustive_search (and the sweep's optimal scheme)
 # will enumerate.
@@ -64,13 +65,13 @@ class SelectionState:
 
     def without(self, col: int) -> np.ndarray:
         """Per-grid sums with the selected column ``col`` left out."""
-        return self.sums - self.model.terms[:, :, col]
+        return self.sums - self.model.terms[:, col]
 
     def replace(self, slot: int, col: int, objective: float) -> None:
         """Move ``slot`` to column ``col``, whose selection scores ``objective``."""
         terms = self.model.terms
-        self.sums -= terms[:, :, self.n_mu[slot]]
-        self.sums += terms[:, :, col]
+        self.sums -= terms[:, self.n_mu[slot]]
+        self.sums += terms[:, col]
         self.n_mu[slot] = col
         self.replaced_slots.add(slot)
         self.objective = objective
@@ -145,44 +146,40 @@ def round_top_n(chi_star: np.ndarray, n_select: int) -> list:
     return [int(i) for i in order[:n_select]]
 
 
-def select_victim(state: SelectionState) -> int:
-    """Slot whose temporary removal costs least (highest remaining objective).
+def first_best(values) -> int:
+    """Index of the first of ``values`` within ``VICTIM_TIE_ULPS`` spacings
+    of the largest. Mirror-symmetric choices tie in exact arithmetic, so
+    their rounding, not the geometry, would pick otherwise."""
+    values = np.asarray(values, float)
+    best = values.max()
+    # fmin keeps an infinite best as it is: np.spacing(inf) is nan.
+    return int(np.argmax(values >= np.fmin(best, best - VICTIM_TIE_ULPS * np.spacing(abs(best)))))
 
-    Values within ``VICTIM_TIE_ULPS`` spacings of the best so far tie, and
-    the lowest slot wins a tie. Mirror-symmetric slots tie in exact
-    arithmetic, so their rounding, not the geometry, would pick otherwise.
-    """
-    best_slot = -1
-    best_value = -np.inf
-    for slot in range(len(state.n_mu)):
-        if slot in state.replaced_slots:
-            continue
-        value = state.model.objective(state.without(state.n_mu[slot]))
-        # The first slot is taken as is: np.spacing(inf) is nan.
-        if best_slot < 0 or value > best_value + VICTIM_TIE_ULPS * np.spacing(abs(best_value)):
-            best_value = value
-            best_slot = slot
-    if best_slot < 0:
+
+def select_victim(state: SelectionState) -> int:
+    """Slot whose temporary removal costs least (highest remaining objective),
+    the lowest slot among near-ties (``first_best``)."""
+    slots = [slot for slot in range(len(state.n_mu)) if slot not in state.replaced_slots]
+    if not slots:
         raise DomainError("all slots already replaced")
-    return best_slot
+    values = [state.model.objective(state.without(state.n_mu[slot])) for slot in slots]
+    return slots[first_best(values)]
 
 
 def best_replacement(
     model: RateModel, state: SelectionState, victim_slot: int
 ) -> tuple[int, float]:
-    """Best candidate for the vacated slot (the old position is admissible).
+    """Best candidate for the vacated slot (the old position is admissible),
+    the lowest candidate among near-ties (``first_best``).
 
     Every candidate is scored at once by ``model.marginal_objective`` on the
-    selection's sums without the vacated column. Its rates are formed column
-    block by column block into one whole (K', C) table, weighted by one
-    product so each score rounds alike whatever the blocking. Ties resolve
-    to the lowest candidate index.
+    selection's sums without the vacated column.
     """
     old = state.n_mu[victim_slot]
     objectives = model.marginal_objective(state.without(old))
     blocked = [c for c in state.n_mu if c != old]
     objectives[blocked] = -np.inf
-    best = int(np.argmax(objectives))  # first maximum = lowest index
+    best = first_best(objectives)
     return best, float(objectives[best])
 
 
@@ -256,49 +253,47 @@ def _prefix_blocks(n_cols: int, n_select: int, width: int, max_heads: int):
                 yield np.array(chunk, np.intp).reshape(len(chunk), n_select - 2), x, tails
 
 
-def _block_sums(columns, heads, x, tails, out, prefix, scratch) -> None:
-    """Sums of the rows of ``columns`` (a (C, ...) table) over a
-    ``_prefix_blocks`` block's subsets, into ``out`` (subsets, ...), which
-    may be strided.
+def _block_sums(terms, heads, x, tails, out, prefix, scratch) -> None:
+    """Sums of the columns of ``terms`` (3, C, K') over a ``_prefix_blocks``
+    block's subsets, into ``out`` (3, subsets, K').
 
-    Each head's sum plus row x is formed once, into ``prefix`` (heads, ...),
-    with ``scratch`` of the same shape for the gathered rows, and one
-    broadcast add appends every tail: the left fold ((a + b) + c) + d.
+    Each head's sum plus column x is formed once, into ``prefix``
+    (3, heads, K'), with ``scratch`` of the same shape for the gathered
+    columns. Each head's prefix is copied into its rows, and the tails'
+    contiguous (tails, K') run is added to them: the left fold
+    ((a + b) + c) + d of ``RateModel.sums``.
     """
-    block = out.reshape(len(heads), len(tails), *out.shape[1:])
-    tail = columns[tails.start : tails.stop]
+    block = out.reshape(3, len(heads), len(tails), out.shape[-1])
+    tail = terms[:, None, tails.start : tails.stop]
     if x is None:
-        block[0] = tail
+        block[...] = tail
         return
     if heads.shape[1] == 0:
-        prefix[...] = columns[x]
+        prefix[...] = terms[:, x, None]
     else:
         # mode="clip" writes straight into the given buffer, where the
         # default mode would write a copy; no head index reaches x.
-        np.take(columns, heads[:, 0], axis=0, out=prefix, mode="clip")
+        np.take(terms, heads[:, 0], axis=1, out=prefix, mode="clip")
         for col in heads.T[1:]:
-            np.take(columns, col, axis=0, out=scratch, mode="clip")
+            np.take(terms, col, axis=1, out=scratch, mode="clip")
             prefix += scratch
-        prefix += columns[x]
-    np.add(prefix[:, None], tail[None], out=block)
+        prefix += terms[:, x, None]
+    block[...] = prefix[:, :, None]
+    block += tail
 
 
 def exhaustive_search(model: RateModel, n_select: int) -> tuple[np.ndarray, float]:
-    """Global optimum over all N-subsets (lexicographically first among ties).
+    """Global optimum over all N-subsets (lexicographically first among ties)
+    and its value.
 
     Subsets are scored in ``_prefix_blocks``. ``_block_sums`` forms a block's
-    column sums from a (C, 3, K') copy of ``model.terms``, whose row c holds
-    column c's three terms: the left fold which ``table[:, idx].sum(axis=2)``
-    applies to N gathered columns of each (K', C) table when K' >= 2.
-    ``RateModel.log_rates`` turns them into rates. The buffers are allocated
-    once per call: three blocks of ``rate.ASSEMBLY_BLOCK_BYTES`` for the
-    sums, one for the rates and six quarter blocks for the head sums. A
-    block's rates hold one row of K' grids per subset, and each row's
-    weighted sum is numpy's pairwise sum over its own contiguous grids,
-    never a matvec that may round by position in the block, so exact ties
-    stay exact. Blocks are not in lexicographic order, so a block's best
-    that ties the best so far is compared with it as a support. The winner
-    is re-scored by ``model.weighted_sum``.
+    column sums from ``model.terms`` in the order of ``RateModel.sums``, and
+    ``RateModel.objective`` scores them, so each value has the bits of
+    ``model.weighted_sum`` of its subset. The sums buffers are allocated
+    once per call: three blocks of ``rate.ASSEMBLY_BLOCK_BYTES`` and six
+    quarter blocks for the head sums. Blocks are not in lexicographic order,
+    so a block's best that ties the best so far is compared with it as a
+    support.
     """
     n_cols = model.n_cols
     if not 1 <= n_select <= n_cols:
@@ -311,22 +306,16 @@ def exhaustive_search(model: RateModel, n_select: int) -> tuple[np.ndarray, floa
     n_rows = len(model.rho)
     width = max(1, rate.ASSEMBLY_BLOCK_BYTES // (8 * n_rows))
     max_heads = max(1, width // 4)
-    columns = np.ascontiguousarray(model.terms.transpose(2, 0, 1))  # (C, 3, K')
-    sums = np.empty(width * 3 * n_rows)
-    work = np.empty(width * n_rows)
-    head_sums = np.empty((2, max_heads, 3, n_rows))  # prefix and scratch
-    scores = np.empty(width)
+    sums = np.empty(3 * width * n_rows)
+    head_sums = np.empty(2 * 3 * max_heads * n_rows)  # prefix and scratch
     best_support = None
     best_value = -np.inf
     for heads, x, tails in _prefix_blocks(n_cols, n_select, width, max_heads):
         n = len(heads) * len(tails)
-        # (3, n, K'): each term's sums contiguous, as ``log_rates`` reads them.
-        block = sums[: n * 3 * n_rows].reshape(3, n, n_rows)
-        prefix, scratch = head_sums[:, : len(heads)]
-        _block_sums(columns, heads, x, tails, block.transpose(1, 0, 2), prefix, scratch)
-        rates = model.log_rates(model.pbar, *block, out=work[: n * n_rows].reshape(n, n_rows))
-        rates *= model.rho
-        values = rates.sum(axis=1, out=scores[:n])
+        block = sums[: 3 * n * n_rows].reshape(3, n, n_rows)
+        prefix, scratch = head_sums[: 2 * 3 * len(heads) * n_rows].reshape(2, 3, -1, n_rows)
+        _block_sums(model.terms, heads, x, tails, block, prefix, scratch)
+        values = model.objective(block)
         j = int(np.argmax(values))  # first maximum: first in the block's order
         value = values[j]
         if not value >= best_value:
@@ -338,4 +327,4 @@ def exhaustive_search(model: RateModel, n_select: int) -> tuple[np.ndarray, floa
             best_support = support
     chi = np.zeros(n_cols, dtype=np.uint8)
     chi[list(best_support)] = 1
-    return chi, model.weighted_sum(np.array(best_support))
+    return chi, float(best_value)

@@ -57,10 +57,15 @@ error that grows about as l*eps (0.25*eps where l is a power of two, which
 scales x exactly). So no lag is less accurate in the worst case than by a
 libm call of its own, and no lag needs a cutoff.
 
-The model holds the three per-column terms as one (3, K', C) array
-``terms``: M*beta_k,c, beta_k,c^2*f_k,c and the bracketed denominator term.
-A selection's per-grid sums are one (3, K') array, and
-``RateModel.log_rates`` is the one place they become log2(1 + gamma_k).
+The model holds the three per-column terms as one (3, C, K') array
+``terms``: M*beta_k,c, beta_k,c^2*f_k,c and the bracketed denominator term,
+row c of each term holding column c's K' grids. A selection's per-grid sums
+are one (3, K') array, the rows of its columns added in order.
+``RateModel.log_rates`` is the one place sums become log2(1 + gamma_k), and
+``RateModel.objective`` the one weighted reduction: it weights the rates by
+rho and sums each contiguous K'-row. Every scorer (a selection, every
+column added to kept sums, every subset of the exhaustive search) reduces
+through it, so one support scores the same bits in each.
 
 Grids with zero activation probability contribute nothing to either the
 weighted sum or the interference sums (their terms carry rho_i = 0), so the
@@ -155,8 +160,9 @@ class RateModel:
         self.grid_rows = np.asarray(grid_rows, int)
         self.rho = np.asarray(rho, float)
         self.pbar = np.asarray(pbar, float)
-        # (3, K', C): M*beta_k,c, beta_k,c^2*f_k,c and the SINR denominator
-        # term of each column, so a selection's sums are one (3, K') array.
+        # (3, C, K'): M*beta_k,c, beta_k,c^2*f_k,c and the SINR denominator
+        # term, row c holding column c, so a selection's sums are one (3, K')
+        # array.
         self.terms = terms
 
     # -- construction ------------------------------------------------------
@@ -165,7 +171,9 @@ class RateModel:
     def _assemble(cls, scenario, tables: GainTables, m_h, m_v, d_h, d_v) -> "RateModel":
         """Model over the columns of ``tables``, each an m_h x m_v element grid
         at spacings d_h, d_v, assembled block by block: only ``terms`` is a
-        whole table.
+        whole table. A block is computed over (K', w) grids by columns, where
+        the sums over grids run down contiguous columns, and written
+        transposed into its w rows of ``terms``.
 
         Each axis takes a cos and a sin of its lag-1 phase only, and forms
         every later lag from the one before by angle addition (module
@@ -185,19 +193,20 @@ class RateModel:
         pure = np.isinf(kappa)
         n_rows, n_cols = tables.beta_los.shape
 
-        terms = np.empty((3, n_rows, n_cols))
+        terms = np.empty((3, n_cols, n_rows))
         sig_mean, sig_var, denom = terms
         power = (pbar * rho)[:, None]
         theta_h = 2.0 * np.pi * d_h / scenario.wavelength
         theta_v = 2.0 * np.pi * d_v / scenario.wavelength
 
         def assemble_block(c):
-            """Fill the columns ``c`` of the three tables; its temporaries are
+            """Fill the rows ``c`` of the three tables; its temporaries are
             freed on return, before the next block allocates its own."""
             xi, beta_los, u = tables.xi[:, c], tables.beta_los[:, c], tables.u[:, c]
             beta = xi * beta_los + beta_los / kappa
-            sig_mean[:, c] = m * beta
-            sig_var[:, c] = beta * beta * aux_f(m, xi, kappa, pure)
+            m_beta = m * beta
+            sig_mean[c] = m_beta.T
+            sig_var[c] = (beta * beta * aux_f(m, xi, kappa, pure)).T
             w = power * beta
             a = xi if pure else kappa * xi / (kappa * xi + 1.0)
             wa = w * a
@@ -244,7 +253,9 @@ class RateModel:
             interf = a * lag_sum
             if not pure:
                 interf += m * (_others(w) - a * others_wa)
-            denom[:, c] = beta * interf + sig_mean[:, c]
+            interf *= beta
+            interf += m_beta
+            denom[c] = interf.T
 
         # Blocks of even width, so that ``_others`` adds two columns a step.
         width = 2 * max(1, ASSEMBLY_BLOCK_BYTES // (16 * n_rows))
@@ -274,18 +285,18 @@ class RateModel:
 
     @property
     def n_cols(self) -> int:
-        return self.terms.shape[2]
+        return self.terms.shape[1]
 
     def sums(self, support) -> np.ndarray:
-        """(3, K') sums of ``terms`` over the columns of ``support``."""
-        return self.terms[:, :, check_support(support, self.n_cols)].sum(axis=2)
+        """(3, K') sums of ``terms`` over the columns of ``support``, added
+        in the support's order."""
+        return self.terms[:, check_support(support, self.n_cols)].sum(axis=1)
 
     @staticmethod
     def log_rates(pbar, s_mean, s_var, s_den, out) -> np.ndarray:
         """log2(1 + SINR) of per-grid sums into ``out``, which it returns: the
         ratio-of-means SINR pbar * (s_mean^2 + s_var) / s_den, and rate 0
-        wherever s_den is not > 0. The one closed-form SINR of every scorer;
-        each reduces the rates in its own order."""
+        wherever s_den is not > 0. The one closed-form SINR of every scorer."""
         np.multiply(s_mean, s_mean, out=out)
         out += s_var
         out *= pbar
@@ -296,42 +307,40 @@ class RateModel:
         out += 1.0
         return np.log2(out, out=out)
 
-    def objective(self, sums) -> float:
-        """Weighted sum rate from (3, K') per-grid sums.
+    def _weighted(self, rates):
+        """The one weighted reduction: ``rates`` (..., K') times rho, summed
+        over each contiguous K'-row, whatever rows lie beside it."""
+        rates *= self.rho
+        return rates.sum(axis=-1)
 
-        ``marginal_objective`` scores every column added to such sums, with
-        temporaries no larger than a column block.
-        """
-        return self.rho @ self.log_rates(self.pbar, *sums, out=np.empty(len(self.rho)))
+    def objective(self, sums):
+        """Weighted sum rate of (3, ..., K') per-grid sums, one value per
+        K'-row: a float for one selection's (3, K') sums."""
+        return self._weighted(self.log_rates(self.pbar, *sums, out=np.empty(sums.shape[1:])))
 
     def weighted_sum(self, chi) -> float:
         return float(self.objective(self.sums(chi)))
 
     def weighted_upper_bound(self, chi) -> float:
-        return float(self.rho @ np.log2(1.0 + self.pbar * self.sums(chi)[0]))
+        return float(self._weighted(np.log2(1.0 + self.pbar * self.sums(chi)[0])))
 
     def marginal_objective(self, kept=None) -> np.ndarray:
         """c[n]: the weighted sum rate of the per-grid sums ``kept`` plus
-        column n, for every column n.
+        column n, for every column n, with the bits of ``objective(kept +
+        terms[:, n])``.
 
         ``kept`` is a (3, K') array of sums, such as ``SelectionState.without``;
-        None scores each column alone. The rates are formed over column blocks
-        of ``ASSEMBLY_BLOCK_BYTES`` into one (K', C) table, so the sums and
-        their temporaries are never whole tables. Each rate is elementwise and
-        has the same bits whatever the blocking; the weighted sum over grids
-        is one product with the whole table, because a matrix-vector product
-        can round a column differently by its position in the call.
+        None scores each column alone. The columns are scored in blocks of
+        ``ASSEMBLY_BLOCK_BYTES`` per term, so no sums or rates are whole
+        tables.
         """
-        _, n_rows, n_cols = self.terms.shape
-        rates = np.empty((n_rows, n_cols))
-        pbar = self.pbar[:, None]
+        _, n_cols, n_rows = self.terms.shape
+        values = np.empty(n_cols)
         width = max(1, ASSEMBLY_BLOCK_BYTES // (8 * n_rows))
         for start in range(0, n_cols, width):
             c = slice(start, start + width)
-            sums = self.terms[:, :, c]
+            sums = self.terms[:, c]
             if kept is not None:
-                sums = kept[:, :, None] + sums
-            # A contiguous ``out``: writing into the strided ``rates[:, c]``
-            # made this loop about 1.5 times slower on a 189 x 1010 table.
-            rates[:, c] = self.log_rates(pbar, *sums, out=np.empty(sums.shape[1:]))
-        return self.rho @ rates
+                sums = kept[:, None] + sums
+            values[c] = self.objective(sums)
+        return values

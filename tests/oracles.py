@@ -163,7 +163,7 @@ def assemble_row_loop(cls, scenario, tables, m_h, m_v, d_h, d_v):
         contrib[i, :] = 0.0
         interf += contrib
     denom = beta * interf + sig_mean
-    return cls(grid_rows, rho, pbar, np.stack([sig_mean, sig_var, denom]))
+    return cls(grid_rows, rho, pbar, np.stack([sig_mean.T, sig_var.T, denom.T]))
 
 
 def others_reference(x):
@@ -233,7 +233,7 @@ def assemble_angle_addition(cls, scenario, tables, m_h, m_v, d_h, d_v):
         if not pure:
             interf += m * (others_reference(w) - a * others_reference(wa))
         denom[:, c] = beta * interf + sig_mean[:, c]
-    return cls(grid_rows, rho, pbar, terms)
+    return cls(grid_rows, rho, pbar, np.ascontiguousarray(terms.transpose(0, 2, 1)))
 
 
 def model_with_assembly(assemble, constructor, scenario, data) -> RateModel:
@@ -333,7 +333,7 @@ def validate_gain_tables(tables, atol: float = 1e-12):
 def _grid_sums(model: RateModel, support, grid_index: int):
     """(row, (3,) sums of the model's terms over ``support``) of one grid."""
     (row,) = np.flatnonzero(model.grid_rows == grid_index)
-    return row, model.terms[:, row, np.asarray(support)].sum(axis=1)
+    return row, model.terms[:, np.asarray(support), row].sum(axis=1)
 
 
 def grid_sinr(model: RateModel, support, grid_index: int) -> float:
@@ -436,7 +436,7 @@ def exhaustive_search_reference(model: RateModel, n_select: int, block_bytes: in
     for _ in range(0, count, width):
         block = itertools.chain.from_iterable(itertools.islice(combos, width))
         idx = np.fromiter(block, dtype=np.intp).reshape(-1, n_select)
-        s_mean, s_var, s_den = (table[:, idx].sum(axis=2) for table in model.terms)
+        s_mean, s_var, s_den = (table[idx].sum(axis=1).T for table in model.terms)
         with np.errstate(divide="ignore", invalid="ignore"):
             gamma = model.pbar[:, None] * (s_mean**2 + s_var) / s_den
         gamma = np.where(s_den > 0.0, gamma, 0.0)

@@ -171,6 +171,8 @@ class TestSweep:
         ("m_h", ["abc"], 10, "values[0]"),
         ("m_h", [None], 10, "values[0]"),
         ("ma_width", [5.0, math.nan], 10, "values[1]"),
+        ("ma_width", [5.0, math.inf], 10, "values[1]"),
+        ("ma_width", [-math.inf], 10, "values[0]"),
         ("ma_width", ["wide"], 10, "values[0]"),
         ("expected_users", [None], 10, "values[0]"),
         ("rician_db", [10, None], 10, "values[1]"),
@@ -230,6 +232,21 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--sweep", str(spath),
                      "--out-dir", str(out_dir), "--threads", "-3"]) == 1
         assert "--threads" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400", "NaN", "Infinity"])
+    def test_non_finite_ma_width_is_refused_as_such(self, tmp_path, capsys, literal):
+        # 1e400 parses to inf: it was once turned into n_y = 0 and reported
+        # as "too small for step".
+        cfg = write_config(tmp_path, desk_full_los())
+        spath = tmp_path / "sweep.json"
+        spath.write_text('{"parameter": "ma_width", "values": [2.0, %s], '
+                         '"schemes": ["proposed"], "evaluators": ["approx_mrc"]}' % literal)
+        out_dir = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(spath),
+                     "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert "'values[1]' must be a finite number" in err and "too small" not in err
         assert not out_dir.exists()
 
     def test_ma_width_sweep_checks_the_region_it_rescales(self, tmp_path, capsys):

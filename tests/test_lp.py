@@ -169,7 +169,7 @@ class TestSolveLp:
         rho = data.draw(hnp.arrays(float, n_grids,
                                    elements=st.sampled_from([0.0, 0.1, 0.5, 1.0])))
         n_select = data.draw(st.integers(1, n_cols))
-        gains = data.draw(hnp.arrays(float, (3, n_grids, n_cols),
+        gains = data.draw(hnp.arrays(float, (3, n_cols, n_grids),
                                      elements=st.floats(0.1, 10.0)))
         gains[2] += gains[0]  # a denominator term holds its column's signal term
         model = RateModel(np.arange(n_grids), rho, np.ones(n_grids), gains)

@@ -22,8 +22,10 @@ from xlma.optimizer import (
     successive_replacement,
 )
 from xlma import optimizer, rate
+from xlma.pipeline import ScenarioContext
+from xlma.presets import PRESETS
 from xlma.rate import RateModel
-from xlma.scenario import visibility_from_points
+from xlma.scenario import load_scenario, visibility_from_points
 
 
 def build_ctx(sc, xi=None):
@@ -125,6 +127,34 @@ class TestVictimAndReplacement:
         marg = [model.weighted_sum(np.array([c])) for c in range(model.n_cols)]
         assert cand == int(np.argmax(marg))
         assert value == pytest.approx(max(marg), rel=1e-12)
+
+    def test_replacement_near_tie_goes_to_the_lowest_column(self):
+        """Column b > a copies the best candidate a with its signal raised a
+        few ulps: within ``VICTIM_TIE_ULPS`` of a's score, a is kept, as
+        ``select_victim`` keeps the lowest slot; past it, b wins."""
+        base = random_model(1)
+        scores = base.marginal_objective(SelectionState(base, [0, 4, 8]).without(4))
+        scores[[0, 8]] = -np.inf
+        a, b = int(np.argmax(scores)), base.n_cols - 1
+        assert a < b
+        outcomes = set()
+        for ulps in range(0, 400, 8):
+            terms = base.terms.copy()
+            terms[:, b] = terms[:, a]
+            terms[0, b] *= 1.0 + ulps * np.finfo(float).eps
+            model = RateModel(base.grid_rows, base.rho, base.pbar, terms)
+            state = SelectionState(model, [0, 4, 8])
+            scores = model.marginal_objective(state.without(4))
+            gain = (scores[b] - scores[a]) / np.spacing(scores[a])
+            near = gain <= optimizer.VICTIM_TIE_ULPS
+            assert best_replacement(model, state, 1) == ((a, scores[a]) if near
+                                                          else (b, scores[b]))
+            outcomes.add("tie" if gain <= 0 else "near" if near else "gain")
+        assert outcomes == {"tie", "near", "gain"}
+
+    def test_first_best_keeps_an_infinite_best(self):
+        assert optimizer.first_best([-np.inf, 1.0, np.inf, np.inf]) == 2
+        assert optimizer.first_best([-np.inf, -np.inf]) == 0
 
 
 class TestSuccessiveReplacement:
@@ -249,7 +279,8 @@ def random_model(seed, n_rows=12, n_cols=10, zero_den_row=None):
     if zero_den_row is not None:
         terms[2, zero_den_row] = 0.0
     return RateModel(np.arange(n_rows), rng.uniform(0.1, 1.0, n_rows),
-                     10.0 ** rng.uniform(2, 9, n_rows), terms)
+                     10.0 ** rng.uniform(2, 9, n_rows),
+                     np.ascontiguousarray(terms.transpose(0, 2, 1)))
 
 
 class TestInitLp:
@@ -279,30 +310,47 @@ class TestInitLp:
         assert np.array_equal(problem.coverage_rows, xi[top].astype(float))
 
 
-def test_every_scorer_rates_through_log_rates(monkeypatch):
-    """``objective``, ``marginal_objective`` and each block of
-    ``exhaustive_search`` call ``RateModel.log_rates``: no scorer keeps a
-    closed-form SINR of its own."""
-    library = RateModel.log_rates
-    callers = []
+def test_every_scorer_reduces_through_objective(monkeypatch):
+    """``marginal_objective`` and each block of ``exhaustive_search`` score
+    through ``RateModel.objective``, the only caller of ``log_rates``, and it
+    and ``weighted_upper_bound`` weight through ``_weighted``: no scorer keeps
+    a closed-form SINR or a weighted reduction of its own, and the exhaustive
+    winner is not scored again."""
+    callers = {"log_rates": [], "objective": [], "_weighted": []}
 
-    def spy(*args, **kwargs):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return library(*args, **kwargs)
+    def spy(name, library):
+        def traced(*args, **kwargs):
+            callers[name].append(sys._getframe(1).f_code.co_name)
+            return library(*args, **kwargs)
+        return traced
 
-    monkeypatch.setattr(RateModel, "log_rates", staticmethod(spy))
+    monkeypatch.setattr(RateModel, "log_rates",
+                        staticmethod(spy("log_rates", RateModel.log_rates)))
+    for name in ("objective", "_weighted"):
+        monkeypatch.setattr(RateModel, name, spy(name, getattr(RateModel, name)))
     model = random_model(0)
-    model.objective(model.sums([0, 4]))
-    assert callers == ["objective"]
-    callers.clear()
-    model.marginal_objective()
-    assert callers and set(callers) == {"marginal_objective"}
-    callers.clear()
+
+    def calls(score):
+        for names in callers.values():
+            names.clear()
+        score()
+        return {name: names.copy() for name, names in callers.items()}
+
+    assert calls(lambda: model.objective(model.sums([0, 4]))) == {
+        "log_rates": ["objective"], "objective": ["<lambda>"], "_weighted": ["objective"]}
+    assert calls(lambda: model.weighted_upper_bound([0, 4])) == {
+        "log_rates": [], "objective": [], "_weighted": ["weighted_upper_bound"]}
+    set_block_width(monkeypatch, model, 3)
+    n_blocks = -(-model.n_cols // 3)
+    assert calls(model.marginal_objective) == {
+        "log_rates": ["objective"] * n_blocks, "objective": ["marginal_objective"] * n_blocks,
+        "_weighted": ["objective"] * n_blocks}
     set_block_width(monkeypatch, model, 7)
-    exhaustive_search(model, 3)
     n_blocks = len(set(block_of(model, 3, 7).values()))
     assert n_blocks > 1
-    assert callers == ["exhaustive_search"] * n_blocks + ["objective"]
+    assert calls(lambda: exhaustive_search(model, 3)) == {
+        "log_rates": ["objective"] * n_blocks, "objective": ["exhaustive_search"] * n_blocks,
+        "_weighted": ["objective"] * n_blocks}
 
 
 class TestExhaustiveBlocks:
@@ -389,7 +437,7 @@ class TestExhaustiveTies:
                 if not 0 <= b < base.n_cols or b in best:
                     continue
                 terms = base.terms.copy()
-                terms[:, :, b] = terms[:, :, a]
+                terms[:, b] = terms[:, a]
                 model = RateModel(base.grid_rows, base.rho, base.pbar, terms)
                 first, second = sorted([best, tuple(sorted(set(best) - {a} | {b}))])
                 if brute_force(model, self.N_SELECT)[0] == first:
@@ -438,9 +486,9 @@ class TestExhaustiveTies:
         so the two tie exactly; every other support sums unevenly or lower."""
         unit = {0: (2, 0, 0), 5: (0, 2, 0), 6: (0, 0, 2),
                 1: (1, 1, 0), 2: (0, 1, 1), 3: (1, 0, 1)}
-        terms = np.stack([np.zeros((3, 8)), np.zeros((3, 8)), np.ones((3, 8))])
+        terms = np.stack([np.zeros((8, 3)), np.zeros((8, 3)), np.ones((8, 3))])
         for col, signal in unit.items():
-            terms[0, :, col] = signal
+            terms[0, col] = signal
         model = RateModel(np.arange(3), np.ones(3), np.full(3, 1e3), terms)
         first, second = (0, 5, 6), (1, 2, 3)
         set_block_width(monkeypatch, model, width)
@@ -451,3 +499,24 @@ class TestExhaustiveTies:
         chi, val = exhaustive_search(model, self.N_SELECT)
         assert tuple(np.flatnonzero(chi)) == first
         assert val == model.weighted_sum(np.array(first))
+
+
+@pytest.mark.parametrize("preset", ["desk_partial_los", "paper_partial_los_1d",
+                                    "desk_full_los", "desk_partial_los_3d_type1"])
+def test_every_scorer_gives_a_support_the_same_bits(preset):
+    """``marginal_objective`` scores each column added to kept sums with the
+    bits of ``objective``, and ``exhaustive_search`` returns the bits of
+    ``weighted_sum`` of its own support (pure-LoS presets and a Rician one)."""
+    ctx = ScenarioContext.build(load_scenario(PRESETS[preset]()))
+    model = ctx.model
+    n_mu = ctx.plan().n_mu
+    kept = SelectionState(model, n_mu).without(n_mu[0])
+    scores = model.marginal_objective(kept)
+    alone = model.marginal_objective()
+    for n in range(model.n_cols):
+        assert scores[n] == model.objective(kept + model.terms[:, n])
+        assert alone[n] == model.objective(model.terms[:, n])
+    head = RateModel(model.grid_rows, model.rho, model.pbar, model.terms[:, :16])
+    for n_select in (1, 2, 4):
+        chi, value = exhaustive_search(head, n_select)
+        assert value == head.weighted_sum(np.flatnonzero(chi))

@@ -201,13 +201,13 @@ def _memory_scenario(monkeypatch, kappa):
 @pytest.mark.parametrize("kappa", [np.inf, 10.0])
 def test_context_build_peak_memory_in_whole_tables(monkeypatch, kappa):
     # The build holds beta_los (1 table), u (3), xi (1/8) and the model's
-    # terms (3); the peak, in the assembly, is about 8.3 (K' x C)
+    # terms (3); the peak, in the assembly, is about 8.0 (K' x C)
     # float64 tables: one more held through the build breaks the bound.
     sc = _memory_scenario(monkeypatch, kappa)
     ctx, peak = _traced_peak(lambda: pipeline.ScenarioContext.build(sc))
-    assert ctx.model.terms.shape == (3, 60, 120)
+    assert ctx.model.terms.shape == (3, 120, 60)
     assert ctx.xi.min() == 0  # the obstacle blocks some pairs
-    assert peak < 9 * ctx.model.terms[0].nbytes
+    assert peak < 9 * ctx.model.terms.nbytes / 3
 
 
 @pytest.mark.parametrize("kappa", [np.inf, 10.0])
@@ -223,8 +223,8 @@ def test_context_holds_xi_and_terms_in_whole_tables(monkeypatch, kappa):
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert ctx.model.terms.shape == (3, 60, 120)
-    assert held < 3.5 * ctx.model.terms[0].nbytes
+    assert ctx.model.terms.shape == (3, 120, 60)
+    assert held < 3.5 * ctx.model.terms.nbytes / 3
 
 
 @pytest.mark.parametrize("kappa", [np.inf, 10.0])
@@ -237,16 +237,16 @@ def test_gain_tables_peak_memory_in_whole_tables(monkeypatch, kappa):
     rows = ctx.model.grid_rows
     _, peak = _traced_peak(lambda: build_gain_tables(
         sc, sc.candidates(), sc.grid_centers()[rows], ctx.xi, grid_rows=rows))
-    assert peak < 6.5 * ctx.model.terms[0].nbytes
+    assert peak < 6.5 * ctx.model.terms.nbytes / 3
 
 
-@pytest.mark.parametrize("stage, bound", [("plan", 2.0), ("init_lp", 1.5)])
+@pytest.mark.parametrize("stage, bound", [("plan", 1.0), ("init_lp", 0.6)])
 @pytest.mark.parametrize("kappa", [np.inf, 10.0])
 def test_optimizer_peak_memory_in_whole_tables(monkeypatch, kappa, stage, bound):
-    # The LP seed and every replacement step score all candidates into one
-    # (K' x C) rate table, column block by column block. Above the tables
-    # the context holds, the plan peaks at about 1.4 tables and the LP seed
-    # at 1.1; whole-table sums and SINRs read 6.2 and 3.0.
+    # The LP seed and every replacement step score all candidates column
+    # block by column block, into one value per candidate. Above the tables
+    # the context holds, the plan peaks at about 0.55 (K' x C) tables and
+    # the LP seed at 0.2; one more whole rate table breaks either bound.
     sc = _memory_scenario(monkeypatch, kappa)
     ctx = pipeline.ScenarioContext.build(sc)
     run = {"plan": ctx.plan,
@@ -254,4 +254,4 @@ def test_optimizer_peak_memory_in_whole_tables(monkeypatch, kappa, stage, bound)
     result, peak = _traced_peak(run)
     if stage == "plan":
         assert len(result.trace) > 1  # at least one replacement step ran
-    assert peak < bound * ctx.model.terms[0].nbytes
+    assert peak < bound * ctx.model.terms.nbytes / 3

@@ -341,8 +341,8 @@ class TestLagDomainAssembly:
         slow = model_with_assembly(assemble_row_loop, RateModel.from_candidate_tables,
                                    sc, gains)
         w_sum = (sc.snr_scale[:20] * rho) @ gains.beta_total
-        bound = 8 * np.finfo(float).eps * (64 * gains.beta_total * w_sum + slow.terms[2])
-        assert np.all(np.abs(fast.terms[2] - slow.terms[2]) <= bound)
+        bound = 8 * np.finfo(float).eps * (64 * gains.beta_total * w_sum + slow.terms[2].T)
+        assert np.all(np.abs(fast.terms[2] - slow.terms[2]).T <= bound)
 
     def test_zero_gain_columns_give_exact_zero_denominators(self):
         # Pure LoS: a blocked entry has no gain at all (beta = 0), and columns
@@ -353,7 +353,7 @@ class TestLagDomainAssembly:
         gains = build_gain_tables(sc, sc.candidates(), sc.grid_centers(), xi)
         assert np.all(gains.beta_total[xi == 0] == 0.0)
         fast, slow = assert_matches_row_loop(RateModel.from_candidate_tables, sc, gains)
-        assert np.all(fast.terms[2][xi == 0] == 0.0) and np.all(slow.terms[2][xi == 0] == 0.0)
+        assert np.all(fast.terms[2][xi.T == 0] == 0.0) and np.all(slow.terms[2][xi.T == 0] == 0.0)
 
     @pytest.mark.parametrize("kappa", [np.inf, 7.0])
     def test_any_block_width_matches_one_block_exactly(self, monkeypatch, kappa):
@@ -538,7 +538,7 @@ class TestRateModel:
         model = build_model(sc)
         support = np.array([0, 3, 5])
         m = sc.antennas_per_subarray
-        gains_sum = model.terms[0, 0, support].sum()  # = M * sum(beta)
+        gains_sum = model.terms[0, support, 0].sum()  # = M * sum(beta)
         expected = sc.snr_scale[0] * gains_sum
         assert grid_sinr(model, support, 0) == pytest.approx(expected, rel=1e-12)
         assert model.weighted_sum(support) == pytest.approx(0.9 * np.log2(1.0 + expected),
@@ -711,10 +711,10 @@ class TestMarginalObjective:
 
     @staticmethod
     def whole_table(model, kept):
-        s_mean, s_var, s_den = model.terms if kept is None else kept[:, :, None] + model.terms
+        s_mean, s_var, s_den = model.terms if kept is None else kept[:, None] + model.terms
         with np.errstate(divide="ignore", invalid="ignore"):
-            gamma = model.pbar[:, None] * (s_mean**2 + s_var) / s_den
-        return model.rho @ np.log2(1.0 + np.where(s_den > 0.0, gamma, 0.0))
+            gamma = model.pbar * (s_mean**2 + s_var) / s_den
+        return (model.rho * np.log2(1.0 + np.where(s_den > 0.0, gamma, 0.0))).sum(axis=1)
 
     @pytest.mark.parametrize("width", [1, 3, None], ids=["w1", "w3", "default"])
     @pytest.mark.parametrize("selection", [None, [3, 50, 119]], ids=["alone", "kept"])

@@ -1,10 +1,12 @@
 """The byte comparison and the command set of ``scripts/same_outputs.py``."""
 
+import contextlib
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 # The scripts import their shared worktree helper by module name.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
@@ -90,3 +92,38 @@ def test_a_difference_is_described_as_floats_only_or_not(tmp_path):
         "not only floats, largest relative float difference 0")
     assert same_outputs.how_files_differ(left / "only_left.txt",
                                          right / "only_left.txt") == "only in parent"
+
+
+def _exit_status(monkeypatch, parent_files, change_files, *flags):
+    """``main``'s exit status when the parent and the change write these
+    files, with no checkout made and no command run."""
+    monkeypatch.setattr(same_outputs, "commands", lambda inputs: {"plan_x": ["plan"]})
+    monkeypatch.setattr(same_outputs, "revision_checkout",
+                        lambda rev: contextlib.nullcontext(Path("parent")))
+
+    def run_side(checkout, argvs, out_root):
+        _tree(out_root, parent_files if checkout == Path("parent") else change_files)
+        return []
+
+    monkeypatch.setattr(same_outputs, "run_side", run_side)
+    return same_outputs.main(["--parent", "HEAD", *flags])
+
+
+@pytest.mark.parametrize("change, flags, status", [
+    (b"[2, 4.745282747061081]\n", (), 0),
+    (b"[2, 4.745282747061082]\n", (), 1),
+    (b"[2, 4.745282747061082]\n", ("--float-rtol", "1e-13"), 0),
+    (b"[2, 4.745282747061082]\n", ("--float-rtol", "1e-16"), 1),
+    (b"[2, 4.74528274706]\n", ("--float-rtol", "1e-13"), 1),
+    (b"[3, 4.745282747061081]\n", ("--float-rtol", "1e-13"), 1),
+    (b"[2.0, 4.745282747061081]\n", ("--float-rtol", "1e-13"), 1),
+])
+def test_float_rtol_accepts_only_small_float_differences(monkeypatch, change, flags, status):
+    parent = {"plan_x/plan.json": b"[2, 4.745282747061081]\n"}
+    assert _exit_status(monkeypatch, parent, {"plan_x/plan.json": change}, *flags) == status
+
+
+def test_float_rtol_does_not_accept_a_one_sided_file(monkeypatch):
+    parent = {"plan_x/plan.json": b"1.0\n"}
+    change = {**parent, "plan_x/extra.json": b"1.0\n"}
+    assert _exit_status(monkeypatch, parent, change, "--float-rtol", "1") == 1

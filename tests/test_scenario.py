@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 import math
 import re
@@ -898,3 +899,69 @@ class TestLoadScenario:
     def test_dbm_helper(self):
         assert dbm_to_mw(0.0) == pytest.approx(1.0)
         assert dbm_to_mw(-80.0) == pytest.approx(1e-8)
+
+
+def _box(data, x=(2.0, 6.0), z=(0.0, 25.0)):
+    """A box between the MA plane (x = 0) and the coverage region
+    (x >= 8), so it holds no candidate and no cell center."""
+    center = (data.draw(st.floats(*x)), data.draw(st.floats(-22.0, 22.0)),
+              data.draw(st.floats(*z)))
+    dims = (data.draw(st.floats(0.5, 2.0)), data.draw(st.floats(0.5, 12.0)),
+            data.draw(st.floats(0.5, 12.0)))
+    return Obstacle(center=center, dims=dims)
+
+
+@st.composite
+def small_scenes(draw):
+    """Small valid scenes: 1-11 x 1-3 candidates, up to 16 grids, 1-3 boxes
+    that shadow some of them, Rician or pure LoS."""
+    from conftest import make_scenario
+
+    n_y, n_z = draw(st.integers(1, 11)), draw(st.integers(1, 3))
+    data = draw(st.data())
+    return make_scenario(
+        n_y=n_y, n_z=n_z, k_x=draw(st.integers(1, 4)), k_y=draw(st.integers(1, 4)),
+        n_subarrays=draw(st.integers(1, min(3, n_y * n_z))),
+        kappa=draw(st.sampled_from([np.inf, 4.0])), seed=draw(st.integers(0, 50)),
+        obstacles=[_box(data) for _ in range(draw(st.integers(1, 3)))])
+
+
+class TestObstacleProperties:
+    """Whole-scene properties of the obstacle list: its order does not
+    matter, and a box no segment can reach changes nothing."""
+
+    @staticmethod
+    def _xi(sc):
+        return visibility_from_points(sc.candidates(), sc.coverage, sc.obstacles,
+                                      sc.visibility_samples, sc.rng_seed)
+
+    @given(small_scenes(), st.randoms(use_true_random=False))
+    @settings(max_examples=25, deadline=None)
+    def test_obstacle_order_leaves_xi_bit_identical(self, sc, random):
+        shuffled = list(sc.obstacles)
+        random.shuffle(shuffled)
+        permuted = dataclasses.replace(sc, obstacles=shuffled)
+        assert np.array_equal(self._xi(permuted), self._xi(sc))
+
+    @given(small_scenes(), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_unreachable_box_changes_nothing(self, sc, data):
+        # Candidates sit at z >= 15 and cells at z >= 0, so every segment
+        # between them stays at z >= 0; this box lies wholly below z = 0.
+        from xlma.channel import support_layout
+        from xlma.pipeline import ScenarioContext
+
+        below = _box(data, x=(-5.0, 50.0), z=(-30.0, -7.0))
+        assert below.hi[2] < 0.0
+        boxed = dataclasses.replace(sc, obstacles=[*sc.obstacles, below])
+        results = []
+        for scene in (sc, boxed):
+            ctx = ScenarioContext.build(scene)
+            plan = ctx.plan()
+            layout = support_layout(scene, plan.n_mu)
+            results.append((ctx.xi, plan, ctx.closed_forms(ctx.layout_stats(layout))))
+        (xi, plan, forms), (xi_boxed, plan_boxed, forms_boxed) = results
+        assert np.array_equal(xi_boxed, xi)
+        assert plan_boxed.n_mu == plan.n_mu and plan_boxed.trace == plan.trace
+        assert plan_boxed.objective == plan.objective
+        assert forms_boxed == forms
