@@ -15,6 +15,9 @@ its own checkout's ``src/``, with one BLAS/OpenMP thread:
   grids by 3030 candidates, several seconds and about 400 MB);
 - ``sweep`` on the ``sweep_oracle`` benchmark documents at seeds 7 and 11,
   under ``--threads`` 1 and 4;
+- ``sweep`` of ``expected_users`` over ``USERS_SWEEP``'s values on its
+  preset, which has obstacles, with the closed-form evaluators only: each
+  value's ``distribution`` is turned into activation probabilities at load;
 - ``validate``, ``benchmark`` and ``map`` (power and correlation) on three
   presets;
 - ``map`` (power and correlation) of the baseline layouts ``MAP_SCHEMES``,
@@ -52,6 +55,7 @@ DENSE_SEEDS = (7, 11, 23)
 SWEEP_SEEDS = (7, 11)
 ALL_ACTIVE_REGULAR_RATIO = 0.2
 SWEEP_THREADS = ("1", "4")
+USERS_SWEEP = ("desk_partial_los", [6.0, 11.0])
 COMMAND_PRESETS = ("desk_full_los_2d", "desk_partial_los", "paper_partial_los_1d")
 MAP_RESOLUTION = 20
 MAP_SCHEMES = (("desk_full_los_2d", "dense_upa"), ("desk_full_los_2d", "sparse_2x4"),
@@ -91,6 +95,12 @@ def commands(inputs: Path) -> dict:
             out[f"sweep_oracle_{seed}_threads_{threads}"] = [
                 "sweep", "--config", config, "--sweep", spec, "--out-dir", ".",
                 "--threads", threads]
+    users_preset, users_values = USERS_SWEEP
+    users_spec = _write_json(inputs / "users_sweep_spec.json", {
+        "parameter": "expected_users", "values": users_values,
+        "schemes": ["proposed", "dense_ula"], "evaluators": ["approx_mrc", "upper_bound"]})
+    out["sweep_expected_users"] = ["sweep", "--preset", users_preset, "--sweep", users_spec,
+                                   "--out-dir", "."]
     for preset in COMMAND_PRESETS:
         out[f"validate_{preset}"] = ["validate", "--preset", preset]
         out[f"benchmark_{preset}"] = ["benchmark", "--preset", preset, "--out-dir", "."]

@@ -25,8 +25,8 @@ from .montecarlo import (SimOptions, correlation_map, draw_trials, power_gain_ma
                          simulate_weighted_sum_rate)
 from .pipeline import ScenarioContext, context_from_document
 from .presets import PRESETS
-from .scenario import (as_integer, as_number, check_fields, dbm_to_mw, load_scenario,
-                       mw_to_dbm, rician_kappa)
+from .scenario import (DISTRIBUTION_FIELDS, _require, as_integer, as_number, check_fields,
+                       dbm_to_mw, load_scenario, mw_to_dbm, rician_kappa)
 
 SWEEP_PARAMETERS = ("m_h", "ma_width", "expected_users", "rician_db")
 SWEEP_SCHEMES = ("proposed", "optimal") + BENCHMARK_KINDS
@@ -120,7 +120,9 @@ def _apply_parameter(doc: dict, parameter: str, value, field: str) -> dict:
             raise ConfigurationError(f"'{field}': ma_width {value} too small for step {step}")
         ma["y_min"], ma["y_max"], ma["n_y"] = -width / 2.0, width / 2.0, n_y
     elif parameter == "expected_users":
-        out["distribution"]["expected_users"] = as_number(value, field)
+        dist = check_fields(_require(out, "distribution", ""), DISTRIBUTION_FIELDS,
+                            "distribution.")
+        dist["expected_users"] = as_number(value, field)
     elif parameter == "rician_db":
         try:
             rician_kappa(value)

@@ -109,7 +109,7 @@ class TrialDraws:
 
 def _active_rows(scenario: ScenarioConfig, stats: LayoutStats) -> np.ndarray:
     """The grids with rho > 0, which ``stats`` must cover in grid order."""
-    rows = np.flatnonzero(scenario.distribution.rho > 0.0)
+    rows = np.flatnonzero(scenario.rho > 0.0)
     if len(rows) and not np.array_equal(stats.grid_rows, rows):
         raise ConfigurationError("layout statistics must cover exactly the grids with rho > 0")
     return rows
@@ -136,7 +136,7 @@ def draw_trials(scenario: ScenarioConfig, stats: LayoutStats, trials: int) -> Tr
                       for group in staged.values())
 
     if len(rows):
-        rho_rows = scenario.distribution.rho[rows]
+        rho_rows = scenario.rho[rows]
         staged = {}
         staged_bytes = 0
         streams = substreams(scenario.rng_seed, "mc", indices=np.arange(trials))

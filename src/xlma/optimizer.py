@@ -95,7 +95,7 @@ def build_init_lp(scenario: ScenarioConfig, model: RateModel, xi: np.ndarray) ->
     not hold raises ``DomainError``.
     """
     c = model.marginal_objective()
-    rho = scenario.distribution.rho
+    rho = scenario.rho
     n_select = scenario.n_subarrays
     top = np.lexsort((np.arange(len(rho)), -rho))[:n_select]
     top = top[rho[top] > 0.0]

@@ -34,7 +34,7 @@ class ScenarioContext:
     @classmethod
     def build(cls, scenario: ScenarioConfig) -> "ScenarioContext":
         candidates = scenario.candidates()
-        rows = np.flatnonzero(scenario.distribution.rho > 0.0)
+        rows = np.flatnonzero(scenario.rho > 0.0)
         xi = compute_los_visibility(
             candidates,
             scenario.coverage,

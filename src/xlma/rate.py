@@ -187,7 +187,7 @@ class RateModel:
         """
         m = m_h * m_v
         grid_rows = tables.grid_rows
-        rho = scenario.distribution.rho[grid_rows]
+        rho = scenario.rho[grid_rows]
         pbar = scenario.snr_scale[grid_rows]
         kappa = tables.kappa
         pure = np.isinf(kappa)
@@ -270,7 +270,7 @@ class RateModel:
         Rows of grids with zero activation probability, when the tables
         carry them, stay in the model and contribute nothing.
         """
-        if not np.any(scenario.distribution.rho[gains.grid_rows] > 0.0):
+        if not np.any(scenario.rho[gains.grid_rows] > 0.0):
             raise ConfigurationError("no grids with positive activation probability")
         return cls._assemble(scenario, gains, scenario.m_h, scenario.m_v,
                              scenario.d_h, scenario.d_v)

@@ -4,6 +4,11 @@ Discretizes the 2D antenna placement region into candidate positions and the
 3D coverage cuboid into user grids, assigns per-grid activation
 probabilities, and computes obstacle-induced line-of-sight visibility.
 
+The users enter a scenario only through the per-grid activation
+probabilities ``rho`` and their sum, the expected user count. A document's
+``distribution`` object (hotspot sets and regular ratio) is turned into
+``rho`` at load and is not kept.
+
 Index conventions (all 0-based in code):
     candidate  idx = iy + iz * n_y          (row-major over y, then z)
     user grid  idx = ix + iy * k_x + iz * k_x * k_y
@@ -13,7 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -50,6 +55,20 @@ def _check_finite(what: str, *values) -> None:
         raise ConfigurationError(f"{what} must be finite")
 
 
+def _check_axes(spec, region: str, count: str, axes: str) -> None:
+    """Each of ``axes`` of ``spec`` has a positive count ``{count}_{axis}``
+    and bounds ``{axis}_min <= {axis}_max``, equal only with count 1."""
+    for axis in axes:
+        lo, hi = getattr(spec, axis + "_min"), getattr(spec, axis + "_max")
+        name = f"{count}_{axis}"
+        n = getattr(spec, name)
+        if n < 1:
+            raise ConfigurationError(f"{region}.{name} must be positive")
+        if lo > hi or (lo == hi and n != 1):
+            raise ConfigurationError(
+                f"{region} {axis} bounds invalid: [{lo}, {hi}] with {name}={n}")
+
+
 # ---------------------------------------------------------------------------
 # Region specifications
 # ---------------------------------------------------------------------------
@@ -72,16 +91,7 @@ class MaRegionSpec:
 
     def __post_init__(self):
         _check_finite("ma_region values", *astuple(self))
-        for axis, lo, hi, count in (
-            ("y", self.y_min, self.y_max, self.n_y),
-            ("z", self.z_min, self.z_max, self.n_z),
-        ):
-            if count < 1:
-                raise ConfigurationError(f"ma_region.n_{axis} must be positive")
-            if lo > hi or (lo == hi and count != 1):
-                raise ConfigurationError(
-                    f"ma_region {axis} bounds invalid: [{lo}, {hi}] with n_{axis}={count}"
-                )
+        _check_axes(self, "ma_region", "n", "yz")
 
     @property
     def n_candidates(self) -> int:
@@ -114,17 +124,7 @@ class CoverageSpec:
         _check_finite("coverage values", *astuple(self))
         if self.x_min <= 0:
             raise ConfigurationError("coverage.x_min must be > 0 (front half-space)")
-        for axis, lo, hi, count in (
-            ("x", self.x_min, self.x_max, self.k_x),
-            ("y", self.y_min, self.y_max, self.k_y),
-            ("z", self.z_min, self.z_max, self.k_z),
-        ):
-            if count < 1:
-                raise ConfigurationError(f"coverage.k_{axis} must be positive")
-            if lo > hi or (lo == hi and count != 1):
-                raise ConfigurationError(
-                    f"coverage {axis} bounds invalid: [{lo}, {hi}] with k_{axis}={count}"
-                )
+        _check_axes(self, "coverage", "k", "xyz")
 
     @property
     def n_grids(self) -> int:
@@ -287,45 +287,6 @@ def assign_probabilities(
     rho[k1] = rho1
     rho[k2] = rho2
     return rho
-
-
-@dataclass(frozen=True)
-class UserDistribution:
-    """Activation probabilities plus the hotspot structure they came from."""
-
-    rho: np.ndarray
-    hotspot_k1: np.ndarray
-    hotspot_k2: np.ndarray
-    regular_ratio: float
-    expected_users: float
-
-    def __post_init__(self):
-        rho = np.asarray(self.rho, float)
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "hotspot_k1", np.asarray(self.hotspot_k1, int))
-        object.__setattr__(self, "hotspot_k2", np.asarray(self.hotspot_k2, int))
-        if rho.min(initial=0.0) < 0 or rho.max(initial=0.0) > 1:
-            raise ConfigurationError("distribution.rho entries must lie in [0, 1]")
-        if abs(rho.sum() - self.expected_users) > 1e-9:
-            raise ConfigurationError(
-                "sum(rho) != expected_users; clamped probability levels are rejected"
-            )
-
-    @classmethod
-    def from_sets(
-        cls,
-        n_grids: int,
-        expected_users: float,
-        regular_ratio: float,
-        hotspot_k1,
-        hotspot_k2,
-    ) -> "UserDistribution":
-        k1 = np.asarray(hotspot_k1, int)
-        k2 = np.asarray(hotspot_k2, int)
-        hot = set(k1.tolist()) | set(k2.tolist())
-        k0 = np.array(sorted(set(range(n_grids)) - hot), dtype=int)
-        rho = assign_probabilities(expected_users, regular_ratio, k0, k1, k2)
-        return cls(rho, k1, k2, regular_ratio, expected_users)
 
 
 # ---------------------------------------------------------------------------
@@ -652,14 +613,16 @@ class ScenarioConfig:
     rng_seed: int
     ma_region: MaRegionSpec
     coverage: CoverageSpec
+    rho: np.ndarray
+    expected_users: float
     obstacles: list = field(default_factory=list)
-    distribution: UserDistribution = None
     visibility_samples: int = 20
 
     def __post_init__(self):
         self.tx_power_mw = np.broadcast_to(
             np.asarray(self.tx_power_mw, float), (self.coverage.n_grids,)
         ).copy()
+        self.rho = np.asarray(self.rho, float)
         self.validate()
 
     def validate(self):
@@ -696,8 +659,14 @@ class ScenarioConfig:
             raise ConfigurationError(
                 "ma_region z sampling interval must exceed the subarray vertical extent"
             )
-        if self.distribution is not None and len(self.distribution.rho) != self.coverage.n_grids:
+        if self.rho.shape != (self.coverage.n_grids,):
             raise ConfigurationError("distribution.rho length must equal the grid count K")
+        if not np.all((0 <= self.rho) & (self.rho <= 1)):
+            raise ConfigurationError("distribution.rho entries must lie in [0, 1]")
+        if not abs(self.rho.sum() - self.expected_users) <= 1e-9:
+            raise ConfigurationError(
+                "sum(rho) != expected_users; clamped probability levels are rejected"
+            )
 
     @property
     def wavelength(self) -> float:
@@ -727,10 +696,9 @@ class ScenarioConfig:
 SCENARIO_FIELDS = ("carrier_freq", "m_h", "m_v", "d_h", "d_v", "n_subarrays", "tx_power_dbm",
                    "noise_power_dbm", "rician_kappa_db", "rng_seed", "visibility_samples",
                    "ma_region", "coverage", "distribution", "obstacles")
-MA_REGION_FIELDS = ("y_min", "y_max", "z_min", "z_max", "n_y", "n_z")
-COVERAGE_FIELDS = ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max", "k_x", "k_y", "k_z")
+MA_REGION_FIELDS, COVERAGE_FIELDS, OBSTACLE_FIELDS = (
+    tuple(f.name for f in fields(spec)) for spec in (MaRegionSpec, CoverageSpec, Obstacle))
 DISTRIBUTION_FIELDS = ("expected_users", "regular_ratio", "hotspot_k1", "hotspot_k2")
-OBSTACLE_FIELDS = ("center", "dims")
 
 
 def check_fields(mapping, accepted, context: str = "") -> dict:
@@ -810,6 +778,36 @@ def _integer(mapping: dict, key: str, context: str, default=None) -> int:
     return as_integer(value, context + key)
 
 
+def _region(doc: dict, key: str, spec):
+    """The ``spec`` dataclass of the object ``doc[key]``, its int fields
+    read as integers and the rest as numbers."""
+    context = key + "."
+    mapping = check_fields(_require(doc, key, ""), tuple(f.name for f in fields(spec)), context)
+    return spec(**{f.name: (_integer if f.type == "int" else _number)(mapping, f.name, context)
+                   for f in fields(spec)})
+
+
+def _grid_sets(dist_doc: dict, n_grids: int) -> tuple:
+    """(k0, k1, k2): the regular grids, in neither list, and the lists
+    ``hotspot_k1`` and ``hotspot_k2`` of ``dist_doc``, which must hold
+    distinct grid indices, none in both. An entry that does not is named."""
+    seen, sets = {}, []
+    for key in ("hotspot_k1", "hotspot_k2"):
+        field = "distribution." + key
+        entries = _integers(dist_doc.get(key, []), field)
+        for i, k in enumerate(entries):
+            where = f"{field}[{i}]"
+            if not 0 <= k < n_grids:
+                raise ConfigurationError(
+                    f"'{where}' must be a grid index in [0, {n_grids}), got {k}")
+            if k in seen:
+                raise ConfigurationError(
+                    f"'{where}' repeats grid {k}, already listed at '{seen[k]}'")
+            seen[k] = where
+        sets.append(entries)
+    return [k for k in range(n_grids) if k not in seen], *sets
+
+
 def _numbers(value, field: str, length: int) -> list:
     """``value`` as a list of ``length`` floats."""
     if not isinstance(value, list) or len(value) != length:
@@ -862,18 +860,8 @@ def load_scenario(doc) -> ScenarioConfig:
         raise ConfigurationError(f"a scenario must be a JSON object, got {type(doc).__name__}")
     check_fields(doc, SCENARIO_FIELDS)
 
-    ma_doc = check_fields(_require(doc, "ma_region", ""), MA_REGION_FIELDS, "ma_region.")
-    ma = MaRegionSpec(
-        **{key: _number(ma_doc, key, "ma_region.")
-           for key in ("y_min", "y_max", "z_min", "z_max")},
-        **{key: _integer(ma_doc, key, "ma_region.") for key in ("n_y", "n_z")},
-    )
-    cov_doc = check_fields(_require(doc, "coverage", ""), COVERAGE_FIELDS, "coverage.")
-    cov = CoverageSpec(
-        **{key: _number(cov_doc, key, "coverage.")
-           for key in ("x_min", "x_max", "y_min", "y_max", "z_min", "z_max")},
-        **{key: _integer(cov_doc, key, "coverage.") for key in ("k_x", "k_y", "k_z")},
-    )
+    ma = _region(doc, "ma_region", MaRegionSpec)
+    cov = _region(doc, "coverage", CoverageSpec)
 
     freq = _number(doc, "carrier_freq", "")
     if not 0 < freq < np.inf:  # NaN fails too
@@ -886,13 +874,9 @@ def load_scenario(doc) -> ScenarioConfig:
 
     dist_doc = check_fields(_require(doc, "distribution", ""), DISTRIBUTION_FIELDS,
                             "distribution.")
-    distribution = UserDistribution.from_sets(
-        n_grids=cov.n_grids,
-        expected_users=_number(dist_doc, "expected_users", "distribution."),
-        regular_ratio=_number(dist_doc, "regular_ratio", "distribution.", default=0.0),
-        **{key: _integers(dist_doc.get(key, []), "distribution." + key)
-           for key in ("hotspot_k1", "hotspot_k2")},
-    )
+    expected_users = _number(dist_doc, "expected_users", "distribution.")
+    regular_ratio = _number(dist_doc, "regular_ratio", "distribution.", default=0.0)
+    rho = assign_probabilities(expected_users, regular_ratio, *_grid_sets(dist_doc, cov.n_grids))
 
     obstacle_docs = doc.get("obstacles", [])
     if not isinstance(obstacle_docs, list):
@@ -925,7 +909,8 @@ def load_scenario(doc) -> ScenarioConfig:
         rng_seed=_integer(doc, "rng_seed", "", default=0),
         ma_region=ma,
         coverage=cov,
+        rho=rho,
+        expected_users=expected_users,
         obstacles=obstacles,
-        distribution=distribution,
         visibility_samples=_integer(doc, "visibility_samples", "", default=20),
     )

@@ -24,7 +24,6 @@ from .rate import RateModel, aux_f, fejer_correlation
 from .rng import substream
 from .scenario import (
     ScenarioConfig,
-    UserDistribution,
     candidate_linear_index,
     candidate_multi_index,
     distinct_sorted,
@@ -98,14 +97,13 @@ def _check_fejer(scenario, rng) -> CheckResult:
 
 
 def _check_probability_mass(scenario) -> CheckResult:
-    total = scenario.distribution.rho.sum()
-    err = abs(total - scenario.distribution.expected_users)
+    err = abs(scenario.rho.sum() - scenario.expected_users)
     return CheckResult("probability-mass", err < 1e-9, f"|sum(rho) - Kbar| = {err:.2e}")
 
 
 def _check_moments(scenario, draws, rng) -> CheckResult:
     """Second/fourth/cross moments of sampled channels vs closed forms."""
-    rows = np.flatnonzero(scenario.distribution.rho > 0.0)[:3]
+    rows = np.flatnonzero(scenario.rho > 0.0)[:3]
     if len(rows) == 0:
         return CheckResult("moment-identities", False, "no active grids")
     n0 = scenario.ma_region.n_candidates
@@ -152,12 +150,10 @@ def _check_moments(scenario, draws, rng) -> CheckResult:
 
 def _check_pure_los_exactness(scenario) -> CheckResult:
     """Single always-active grid, pure LoS: simulation equals the closed form."""
-    active = np.flatnonzero(scenario.distribution.rho > 0)
+    active = np.flatnonzero(scenario.rho > 0)
     rho = np.zeros(scenario.coverage.n_grids)
     rho[active[0] if len(active) else 0] = 1.0
-    dist = UserDistribution(rho=rho, hotspot_k1=[], hotspot_k2=[],
-                            regular_ratio=1.0, expected_users=1.0)
-    single = replace(scenario, rician_kappa=np.inf, distribution=dist)
+    single = replace(scenario, rician_kappa=np.inf, rho=rho, expected_users=1.0)
     ctx = ScenarioContext.build(single)
     n0 = single.ma_region.n_candidates
     support = np.linspace(0, n0 - 1, single.n_subarrays).astype(int)

@@ -1,12 +1,7 @@
 import numpy as np
 import pytest
 
-from xlma.scenario import (
-    CoverageSpec,
-    MaRegionSpec,
-    ScenarioConfig,
-    UserDistribution,
-)
+from xlma.scenario import CoverageSpec, MaRegionSpec, ScenarioConfig
 
 
 def make_scenario(
@@ -44,13 +39,6 @@ def make_scenario(
         fill = 0.5 if expected_users is None else expected_users / n_grids
         rho = np.full(n_grids, fill)
     rho = np.asarray(rho, float)
-    dist = UserDistribution(
-        rho=rho,
-        hotspot_k1=[],
-        hotspot_k2=[],
-        regular_ratio=1.0,
-        expected_users=float(rho.sum()),
-    )
     return ScenarioConfig(
         carrier_freq=30e9,
         m_h=m_h,
@@ -64,8 +52,9 @@ def make_scenario(
         rng_seed=seed,
         ma_region=ma,
         coverage=cov,
+        rho=rho,
+        expected_users=float(rho.sum()),
         obstacles=list(obstacles),
-        distribution=dist,
     )
 
 
@@ -76,7 +65,7 @@ def active_gain_tables(scenario):
     from xlma.channel import build_gain_tables
     from xlma.scenario import visibility_from_points
 
-    rows = np.flatnonzero(scenario.distribution.rho > 0.0)
+    rows = np.flatnonzero(scenario.rho > 0.0)
     candidates = scenario.candidates()
     xi = visibility_from_points(candidates, scenario.coverage, scenario.obstacles,
                                 scenario.visibility_samples, scenario.rng_seed,

@@ -143,7 +143,7 @@ def assemble_row_loop(cls, scenario, tables, m_h, m_v, d_h, d_v):
     grid_rows = tables.grid_rows
     beta, beta_los, beta_nlos = tables.beta_total, tables.beta_los, tables.beta_nlos
     xi, u = tables.xi.astype(float), tables.u
-    rho = scenario.distribution.rho[grid_rows]
+    rho = scenario.rho[grid_rows]
     pbar = scenario.snr_scale[grid_rows]
     pure = scenario.pure_los
     kap = None if pure else beta_los / beta_nlos
@@ -194,7 +194,7 @@ def assemble_angle_addition(cls, scenario, tables, m_h, m_v, d_h, d_v):
     addition."""
     m = m_h * m_v
     grid_rows = tables.grid_rows
-    rho = scenario.distribution.rho[grid_rows]
+    rho = scenario.rho[grid_rows]
     pbar = scenario.snr_scale[grid_rows]
     kappa = tables.kappa
     pure = np.isinf(kappa)
@@ -408,7 +408,7 @@ def min_element_spacing(layout) -> float:
 def simulate_trials_reference(scenario, stats, opts) -> np.ndarray:
     """``simulate_trials`` one trial at a time, in trial order, for a
     layout's statistics over the grids with rho > 0."""
-    rho_rows = scenario.distribution.rho[stats.grid_rows]
+    rho_rows = scenario.rho[stats.grid_rows]
     pbar_rows = scenario.snr_scale[stats.grid_rows]
     values = np.zeros(opts.trials)
     for t in range(opts.trials):

@@ -291,6 +291,29 @@ class TestSweep:
         assert "unknown field 'trails'; did you mean 'trials'?" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("parameter, value", [
+        ("m_h", 2), ("ma_width", 20.0), ("expected_users", 2.0), ("rician_db", 10)])
+    @pytest.mark.parametrize("distribution, message", [
+        (None, "missing required field 'distribution'"),
+        ([1, 2], "'distribution' must be an object, got [1, 2]"),
+    ])
+    def test_bad_distribution_named_under_every_parameter(self, tmp_path, capsys, parameter,
+                                                         value, distribution, message):
+        doc = desk_full_los()
+        if distribution is None:
+            del doc["distribution"]
+        else:
+            doc["distribution"] = distribution
+        cfg = write_config(tmp_path, doc)
+        spath = tmp_path / "sweep.json"
+        spath.write_text(json.dumps({"parameter": parameter, "values": [value],
+                                     "schemes": ["proposed"]}))
+        out_dir = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(spath),
+                     "--out-dir", str(out_dir)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_unknown_scenario_field_rejected(self, tmp_path, capsys):
         doc = desk_full_los()
         doc["rician_kapa_db"] = 20

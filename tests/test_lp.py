@@ -173,8 +173,7 @@ class TestSolveLp:
                                      elements=st.floats(0.1, 10.0)))
         gains[2] += gains[0]  # a denominator term holds its column's signal term
         model = RateModel(np.arange(n_grids), rho, np.ones(n_grids), gains)
-        scenario = SimpleNamespace(distribution=SimpleNamespace(rho=rho),
-                                   n_subarrays=n_select)
+        scenario = SimpleNamespace(rho=rho, n_subarrays=n_select)
         problem = build_init_lp(scenario, model, xi)
         sol = solve_lp(problem)
         assert sol.result.status == "optimal"

@@ -34,7 +34,7 @@ def _context_and_full_tables():
 def test_active_row_tables_equal_rows_of_full_tables():
     ctx, full = _context_and_full_tables()
     sc = ctx.scenario
-    rows = np.flatnonzero(sc.distribution.rho > 0)
+    rows = np.flatnonzero(sc.rho > 0)
     assert (len(rows), sc.coverage.n_grids) == (12, 189) and sc.obstacles
     assert full.xi.min() == 0  # the obstacles block some pairs
     np.testing.assert_array_equal(ctx.model.grid_rows, rows)
@@ -48,7 +48,7 @@ def test_active_row_tables_equal_rows_of_full_tables():
 def test_plan_matches_model_from_pruned_full_tables():
     ctx, full = _context_and_full_tables()
     sc = ctx.scenario
-    rows = np.flatnonzero(sc.distribution.rho > 0)
+    rows = np.flatnonzero(sc.rho > 0)
     pruned = dataclasses.replace(full, beta_los=full.beta_los[rows], xi=full.xi[rows],
                                  u=full.u[rows], grid_rows=rows)
     old = successive_replacement(sc, RateModel.from_candidate_tables(sc, pruned),

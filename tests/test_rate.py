@@ -34,7 +34,7 @@ def build_model(sc, include_zero_rho=False):
     """Full-LoS model over the active grids, or over every grid."""
     rows = np.arange(sc.coverage.n_grids)
     if not include_zero_rho:
-        rows = np.flatnonzero(sc.distribution.rho > 0)
+        rows = np.flatnonzero(sc.rho > 0)
     cands, grids = sc.candidates(), sc.grid_centers()[rows]
     xi = np.ones((len(rows), len(cands)), dtype=np.uint8)
     gains = build_gain_tables(sc, cands, grids, xi, grid_rows=rows)
@@ -202,7 +202,7 @@ class TestSinrRatioOfMeansOracle:
         draws = 100_000
         h = sample_stacked(sc, stats, draws, seed=21)
         pbar = sc.snr_scale
-        rho = sc.distribution.rho
+        rho = sc.rho
         for k in range(6):
             norm2 = np.sum(np.abs(h[:, k, :]) ** 2, axis=1)
             num = pbar[k] * np.mean(norm2**2)
@@ -583,7 +583,7 @@ class TestRateModel:
         c = model.marginal_objective()
         for n in (0, 3, 9):
             manual = sum(
-                sc.distribution.rho[k] * marginal_rate(model, n, int(k))
+                sc.rho[k] * marginal_rate(model, n, int(k))
                 for k in model.grid_rows
             )
             assert c[n] == pytest.approx(manual, rel=1e-12)

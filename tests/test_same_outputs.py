@@ -56,6 +56,12 @@ def test_commands_cover_the_gated_outputs(tmp_path, monkeypatch):
     assert json.loads(Path(all_active[all_active.index("--config") + 1]).read_text()) == expected
     sweeps = [argv for name, argv in argvs.items() if name.startswith("sweep_oracle_")]
     assert sorted(argv[-1] for argv in sweeps) == ["1", "1", "4", "4"]
+    users = argvs["sweep_expected_users"]  # the document-to-rho path, at two user counts
+    preset = users[users.index("--preset") + 1]
+    assert PRESETS[preset]()["obstacles"]
+    users_spec = json.loads(Path(users[users.index("--sweep") + 1]).read_text())
+    assert users_spec["parameter"] == "expected_users" and len(users_spec["values"]) == 2
+    assert set(users_spec["evaluators"]) == {"approx_mrc", "upper_bound"}
     for command in ("validate", "benchmark"):
         assert len([name for name in argvs if name.startswith(command + "_")]) == 3
     maps = []

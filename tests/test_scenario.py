@@ -33,6 +33,7 @@ from xlma.scenario import (
     visibility_from_points,
 )
 from xlma.presets import PRESETS, desk_full_los
+from conftest import make_scenario
 from oracles import (blocked_reference, grid_sample_points, segment_intersects_box,
                      visibility_reference)
 
@@ -153,6 +154,33 @@ class TestProbabilities:
         rho = assign_probabilities(kbar, zeta, k0, k1, k2)
         assert abs(rho.sum() - kbar) < 1e-9
         assert rho.min() >= 0 and rho.max() <= 1
+
+
+class TestScenarioActivation:
+    """``ScenarioConfig`` checks the activation probabilities it holds."""
+
+    @pytest.mark.parametrize("rho, message", [
+        ([0.5, 0.5, 1.0], "length must equal the grid count"),
+        ([0.5] * 5, "length must equal the grid count"),
+        ([-0.5, 1.5, 0.5, 0.5], r"entries must lie in \[0, 1\]"),
+        ([1.5, 0.5, 0.0, 0.0], r"entries must lie in \[0, 1\]"),
+        ([math.nan, 0.5, 0.5, 0.5], r"entries must lie in \[0, 1\]"),
+        ([0.5, 0.5, 0.5, 0.4], r"sum\(rho\) != expected_users"),
+    ])
+    def test_bad_rho_rejected(self, rho, message):
+        sc = make_scenario()  # 4 grids at 0.5, expected_users 2
+        with pytest.raises(ConfigurationError, match=message):
+            dataclasses.replace(sc, rho=rho)
+
+    def test_nan_expected_users_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"sum\(rho\) != expected_users"):
+            dataclasses.replace(make_scenario(), expected_users=math.nan)
+
+    def test_rho_is_required(self):
+        sc = make_scenario()
+        kwargs = {f.name: getattr(sc, f.name) for f in dataclasses.fields(sc) if f.name != "rho"}
+        with pytest.raises(TypeError, match="rho"):
+            scenario.ScenarioConfig(**kwargs)
 
 
 BOX = Obstacle(center=(5.0, 0.0, 5.0), dims=(2.0, 4.0, 10.0))
@@ -303,7 +331,7 @@ class TestSlabKernel:
         for type 3)."""
         sc = load_scenario(PRESETS[preset]())
         full_scale = preset.startswith("paper_full_scale")
-        grids = (np.flatnonzero(sc.distribution.rho > 0) if full_scale
+        grids = (np.flatnonzero(sc.rho > 0) if full_scale
                  else np.arange(sc.coverage.n_grids))
         xi = visibility_from_points(sc.candidates(), sc.coverage, sc.obstacles,
                                     sc.visibility_samples, sc.rng_seed, grid_indices=grids)
@@ -532,7 +560,7 @@ class TestEarlyStop:
         testing every sample of every pruned pair: 3,855,480 bytes, the least
         of four runs with numpy 2.4.6."""
         sc = load_scenario(PRESETS["paper_full_scale_3d_type1"]())
-        grids = np.flatnonzero(sc.distribution.rho > 0)
+        grids = np.flatnonzero(sc.rho > 0)
         points = sc.candidates()
 
         def run():
@@ -722,10 +750,21 @@ class TestLoadScenario:
         with pytest.raises(ConfigurationError, match=r"tx_power_dbm\[3\]"):
             load_scenario(doc)
 
-    def test_bad_hotspot_entry_is_named(self):
-        doc = desk_full_los()
-        doc["distribution"]["hotspot_k1"] = [35, 40.0, 41.5]
-        with pytest.raises(ConfigurationError, match=r"distribution\.hotspot_k1\[2\]"):
+    @pytest.mark.parametrize("key, entries, message", [
+        ("hotspot_k1", [35, 40.0, 41.5], r"'distribution\.hotspot_k1\[2\]' must be an integer"),
+        ("hotspot_k1", [35, 500], r"'distribution\.hotspot_k1\[1\]' must be a grid index "
+                                  r"in \[0, 50\), got 500"),
+        ("hotspot_k2", [0, 1, -1], r"'distribution\.hotspot_k2\[2\]' must be a grid index "
+                                   r"in \[0, 50\), got -1"),
+        ("hotspot_k1", [35, 40, 35], r"'distribution\.hotspot_k1\[2\]' repeats grid 35, "
+                                     r"already listed at 'distribution\.hotspot_k1\[0\]'"),
+        ("hotspot_k2", [0, 1, 40], r"'distribution\.hotspot_k2\[2\]' repeats grid 40, "
+                                   r"already listed at 'distribution\.hotspot_k1\[1\]'"),
+    ])
+    def test_bad_hotspot_entry_is_named(self, key, entries, message):
+        doc = desk_full_los()  # 50 grids; hotspot_k1 [35, 40, ...], hotspot_k2 [0, 1, ...]
+        doc["distribution"][key] = entries
+        with pytest.raises(ConfigurationError, match=message):
             load_scenario(doc)
 
     @pytest.mark.parametrize("path, value", [
@@ -915,8 +954,6 @@ def _box(data, x=(2.0, 6.0), z=(0.0, 25.0)):
 def small_scenes(draw):
     """Small valid scenes: 1-11 x 1-3 candidates, up to 16 grids, 1-3 boxes
     that shadow some of them, Rician or pure LoS."""
-    from conftest import make_scenario
-
     n_y, n_z = draw(st.integers(1, 11)), draw(st.integers(1, 3))
     data = draw(st.data())
     return make_scenario(
@@ -965,3 +1002,24 @@ class TestObstacleProperties:
         assert plan_boxed.n_mu == plan.n_mu and plan_boxed.trace == plan.trace
         assert plan_boxed.objective == plan.objective
         assert forms_boxed == forms
+
+
+class TestCombinerOrder:
+    """On every realization, the MMSE combiner's rate is at least MRC's:
+    MMSE maximizes each active user's SINR. Equal rates can differ in the
+    last bits, hence the 1e-9 relative slack."""
+
+    @given(small_scenes())
+    @settings(max_examples=30, deadline=None)
+    def test_mmse_at_least_mrc_on_every_trial(self, sc):
+        from xlma.channel import support_layout
+        from xlma.montecarlo import SimOptions, draw_trials, simulate_trials
+        from xlma.pipeline import ScenarioContext
+
+        ctx = ScenarioContext.build(sc)
+        stats = ctx.layout_stats(support_layout(sc, ctx.plan().n_mu))
+        trials = 40
+        draws = draw_trials(sc, stats, trials)
+        mrc, mmse = (simulate_trials(sc, stats, SimOptions(trials, combiner), draws)
+                     for combiner in ("mrc", "mmse"))
+        assert np.all(mmse >= mrc * (1.0 - 1e-9))
