@@ -1,4 +1,4 @@
-"""The tracemalloc peak of one benchmark workload's xlma command.
+"""Tracemalloc and resident peaks of one benchmark workload's xlma command.
 
     python3 scripts/trace_peak.py --workload NAME [--seed N]
 
@@ -7,11 +7,18 @@ Run from anywhere inside a source checkout; xlma is imported from its
 ``perfbench/workloads.py`` (imported, not edited) into a temporary
 directory, with one BLAS/OpenMP thread. The command runs twice under
 tracemalloc, and the second run's peak is reported: the first is a warm-up
-that keeps one-time allocations (imports, caches) out of it. Prints one JSON
-line: the workload, the seed and the peak in MB (1e6 bytes).
+that keeps one-time allocations (imports, caches) out of it. It then runs
+once more in a fresh interpreter, as ``perfbench/cli_pass.py`` runs it,
+which reads its own ``VmHWM`` from ``/proc/self/status`` as the command
+ends. Prints one JSON line: the workload, the seed, the tracemalloc peak
+(``peak_mb``) and the pass's resident peak (``vmhwm_mb``), in MB (1e6
+bytes).
 
 ``peak_rss_mb`` also moves with the heap that compiling ``src/`` leaves
-resident; a shift in it means a memory change only if this peak moves too.
+resident; a shift in it means a memory change only if the tracemalloc peak
+moves too. It is also floored after the first pass: ``ru_maxrss`` carries
+the launcher's peak over at exec, while ``VmHWM`` starts afresh with the
+new process image.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -47,6 +55,25 @@ def traced_peak(argv) -> int:
     return peak
 
 
+def pass_vmhwm(argv) -> int:
+    """Bytes of the resident peak (``VmHWM``) of ``xlma.cli.main(argv)`` run
+    in a fresh interpreter, read by that interpreter as the command ends; a
+    nonzero exit raises."""
+    child = ("import contextlib, io, sys\n"
+             "sys.path.insert(0, sys.argv[1])\n"
+             "from xlma.cli import main\n"
+             "with contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = main(sys.argv[2:])\n"
+             "status = open('/proc/self/status').read()\n"
+             "print(code, status.split('VmHWM:')[1].split()[0])\n")
+    done = subprocess.run([sys.executable, "-c", child, str(ROOT / "src"), *argv],
+                          capture_output=True, text=True, check=True)
+    code, kib = map(int, done.stdout.split())
+    if code:
+        raise RuntimeError(f"xlma {' '.join(argv)} exited {code}")
+    return kib * 1024
+
+
 def workload_peak(workload) -> int:
     """The traced peak of ``workload``'s command, run a second time: the
     first run is the warm-up."""
@@ -69,8 +96,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        peak = workload_peak(workloads.WORKLOADS[args.workload](Path(tmp), args.seed))
-    print(json.dumps({"workload": args.workload, "seed": args.seed, "peak_mb": peak / 1e6}))
+        workload = workloads.WORKLOADS[args.workload](Path(tmp), args.seed)
+        peak = workload_peak(workload)
+        pass_dir = workload.run_dir / "vmhwm"
+        pass_dir.mkdir()
+        vmhwm = pass_vmhwm(workload.argv(pass_dir))
+    print(json.dumps({"workload": args.workload, "seed": args.seed, "peak_mb": peak / 1e6,
+                      "vmhwm_mb": vmhwm / 1e6}))
     return 0
 
 

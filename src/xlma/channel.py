@@ -146,7 +146,13 @@ def build_gain_tables(
 class ArrayLayout:
     """S subarrays with one element grid: ``centers`` (S, 3) in meters, each
     carrying m_h x m_v elements at spacings d_h, d_v. Movable placements put
-    S = N scenario subarrays on candidates; a dense baseline is one center."""
+    S = N scenario subarrays on candidates; a dense baseline is one center.
+
+    Two subarrays whose element rectangles meet, faces included, raise
+    ``DomainError``: at equal x, |dy| <= (m_h - 1) d_h and
+    |dz| <= (m_v - 1) d_v: the scenario's candidate spacing rule, under
+    which equal centers always meet.
+    """
 
     centers: np.ndarray
     m_h: int
@@ -158,6 +164,14 @@ class ArrayLayout:
         centers = np.array(self.centers, float)
         if centers.ndim != 2 or centers.shape[1] != 3 or len(centers) == 0:
             raise ConfigurationError("layout needs a nonempty (S, 3) array of centers")
+        gap = np.abs(centers[:, None] - centers)
+        meet = ((gap[..., 0] == 0) & (gap[..., 1] <= (self.m_h - 1) * self.d_h)
+                & (gap[..., 2] <= (self.m_v - 1) * self.d_v))
+        pairs = np.argwhere(np.triu(meet, 1))
+        if len(pairs):
+            first, second = pairs[0]
+            raise DomainError(f"subarrays {first} and {second} overlap: their element "
+                              "rectangles meet")
         centers.flags.writeable = False
         object.__setattr__(self, "centers", centers)
 
@@ -240,12 +254,17 @@ def compute_layout_stats(
     Rows cover the user grids ``grid_indices`` (default: all), in that order.
     ``xi``, one row per grid and one column per center, is the visibility
     to use; without it a visibility pass over the centers computes it.
-    ``los_blocks`` and ``nlos_std`` are what channel draws need.
+    ``los_blocks`` and ``nlos_std`` are what channel draws need. A center
+    inside an obstacle, faces included, raises ``DomainError``.
     """
     if grid_indices is None:
         grid_indices = np.arange(scenario.coverage.n_grids)
     grid_indices = check_indices(grid_indices, scenario.coverage.n_grids, "grid_indices")
     centers = layout.centers
+    for i, box in enumerate(scenario.obstacles):
+        held = box.holds(centers)
+        if held.size:
+            raise DomainError(f"obstacles[{i}] holds the center of subarray {held[0]}")
     if xi is None:
         xi = visibility_from_points(
             centers,

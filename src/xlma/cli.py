@@ -80,7 +80,7 @@ def cmd_plan(args) -> int:
     result = ctx.plan()
     payload = {
         "n_mu": [int(i) for i in result.n_mu],
-        "chi": [int(v) for v in result.chi],
+        "chi": np.bincount(result.n_mu, minlength=ctx.scenario.ma_region.n_candidates).tolist(),
         "phi_rows": {str(slot): int(cand) for slot, cand in enumerate(result.n_mu)},
         "objective": result.objective,
         "lp": {

@@ -79,7 +79,6 @@ class SelectionState:
 
 @dataclass
 class PlacementResult:
-    chi: np.ndarray
     n_mu: list
     objective: float
     trace: list
@@ -219,10 +218,7 @@ def successive_replacement(
             break
         state.replace(victim, candidate, cand_objective)
 
-    chi = np.zeros(model.n_cols, dtype=np.uint8)
-    chi[state.n_mu] = 1
     return PlacementResult(
-        chi=chi,
         n_mu=list(state.n_mu),
         objective=state.objective,
         trace=trace,
@@ -283,8 +279,8 @@ def _block_sums(terms, heads, x, tails, out, prefix, scratch) -> None:
 
 
 def exhaustive_search(model: RateModel, n_select: int) -> tuple[np.ndarray, float]:
-    """Global optimum over all N-subsets (lexicographically first among ties)
-    and its value.
+    """(support, value): the sorted columns of the global optimum over all
+    N-subsets (lexicographically first among ties) and its value.
 
     Subsets are scored in ``_prefix_blocks``. ``_block_sums`` forms a block's
     column sums from ``model.terms`` in the order of ``RateModel.sums``, and
@@ -325,6 +321,4 @@ def exhaustive_search(model: RateModel, n_select: int) -> tuple[np.ndarray, floa
         if best_support is None or value > best_value or support < best_support:
             best_value = value
             best_support = support
-    chi = np.zeros(n_cols, dtype=np.uint8)
-    chi[list(best_support)] = 1
-    return chi, float(best_value)
+    return np.array(best_support), float(best_value)

@@ -56,8 +56,8 @@ class ScenarioContext:
         if scheme == "proposed":
             return support_layout(self.scenario, self.plan().n_mu)
         if scheme == "optimal":
-            chi, _ = exhaustive_search(self.model, self.scenario.n_subarrays)
-            return support_layout(self.scenario, np.flatnonzero(chi))
+            support, _ = exhaustive_search(self.model, self.scenario.n_subarrays)
+            return support_layout(self.scenario, support)
         return fpa_layout(scheme, self.scenario)
 
     def layout_stats(self, layout: ArrayLayout) -> LayoutStats:

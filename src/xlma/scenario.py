@@ -5,9 +5,9 @@ Discretizes the 2D antenna placement region into candidate positions and the
 probabilities, and computes obstacle-induced line-of-sight visibility.
 
 The users enter a scenario only through the per-grid activation
-probabilities ``rho`` and their sum, the expected user count. A document's
-``distribution`` object (hotspot sets and regular ratio) is turned into
-``rho`` at load and is not kept.
+probabilities ``rho``; their sum is the expected user count. A document's
+``distribution`` object (expected user count, hotspot sets and regular
+ratio) is turned into ``rho`` at load and is not kept.
 
 Index conventions (all 0-based in code):
     candidate  idx = iy + iz * n_y          (row-major over y, then z)
@@ -168,6 +168,12 @@ class Obstacle:
     def hi(self) -> np.ndarray:
         return np.asarray(self.center, float) + np.asarray(self.dims, float) / 2.0
 
+    def holds(self, points, faces: bool = True) -> np.ndarray:
+        """Indices of the (P, 3) ``points`` inside the box, on its faces too
+        unless ``faces`` is false."""
+        inside = np.less_equal if faces else np.less
+        return np.flatnonzero(np.all(inside(self.lo, points) & inside(points, self.hi), axis=1))
+
 
 # ---------------------------------------------------------------------------
 # Index mappings
@@ -236,8 +242,10 @@ def assign_probabilities(
         rho2 = min(1, 3*Kbar*(1-zeta) / (2|K1| + 3|K2|))
         rho1 = max(2*Kbar*(1-zeta) / (2|K1| + 3|K2|), (Kbar*(1-zeta) - |K2|) / |K1|)
         rho0 = Kbar*zeta / |K0|
-    which keep sum(rho) = Kbar whenever the values stay within [0, 1]; a
-    configuration whose levels exceed 1 is rejected rather than renormalized.
+    A configuration whose levels exceed 1 is rejected rather than
+    renormalized, so every rho returned sums to Kbar up to rounding: the
+    levels fill the hotspot mass Kbar*(1-zeta) exactly, rho2 clamped at 1
+    or not, and a set that is empty carries at most 1e-12 of mass.
     """
     k0, k1, k2 = (np.asarray(s, dtype=int) for s in (k0, k1, k2))
     n0, n1, n2 = len(k0), len(k1), len(k2)
@@ -614,7 +622,6 @@ class ScenarioConfig:
     ma_region: MaRegionSpec
     coverage: CoverageSpec
     rho: np.ndarray
-    expected_users: float
     obstacles: list = field(default_factory=list)
     visibility_samples: int = 20
 
@@ -660,13 +667,17 @@ class ScenarioConfig:
                 "ma_region z sampling interval must exceed the subarray vertical extent"
             )
         if self.rho.shape != (self.coverage.n_grids,):
-            raise ConfigurationError("distribution.rho length must equal the grid count K")
+            raise ConfigurationError("rho length must equal the grid count K")
         if not np.all((0 <= self.rho) & (self.rho <= 1)):
-            raise ConfigurationError("distribution.rho entries must lie in [0, 1]")
-        if not abs(self.rho.sum() - self.expected_users) <= 1e-9:
-            raise ConfigurationError(
-                "sum(rho) != expected_users; clamped probability levels are rejected"
-            )
+            raise ConfigurationError("rho entries must lie in [0, 1]")
+        # The channel model has no path from inside a box. A cell that a box
+        # only partly covers stays valid.
+        candidates, cells = self.candidates(), self.grid_centers()
+        for i, box in enumerate(self.obstacles):
+            for what, held in (("candidate position", box.holds(candidates)),
+                               ("the center of user grid", box.holds(cells, faces=False))):
+                if held.size:
+                    raise ConfigurationError(f"'obstacles[{i}]' holds {what} {held[0]}")
 
     @property
     def wavelength(self) -> float:
@@ -836,19 +847,6 @@ def _integers(value, field: str) -> list:
     return [as_integer(v, f"{field}[{i}]") for i, v in enumerate(value)]
 
 
-def _check_obstacles_clear(obstacles, candidates: np.ndarray, cells: np.ndarray) -> None:
-    """Refuse a box that holds a candidate position, faces included, or the
-    center of a user cell, faces excluded: the channel model has no path
-    from inside a box. A cell that a box only partly covers stays valid."""
-    for i, box in enumerate(obstacles):
-        held = np.flatnonzero(np.all((box.lo <= candidates) & (candidates <= box.hi), axis=1))
-        if held.size:
-            raise ConfigurationError(f"'obstacles[{i}]' holds candidate position {held[0]}")
-        held = np.flatnonzero(np.all((box.lo < cells) & (cells < box.hi), axis=1))
-        if held.size:
-            raise ConfigurationError(f"'obstacles[{i}]' holds the center of user grid {held[0]}")
-
-
 def load_scenario(doc) -> ScenarioConfig:
     """Build a ScenarioConfig from a parsed JSON document, which must be a
     mapping.
@@ -888,7 +886,6 @@ def load_scenario(doc) -> ScenarioConfig:
         center, dims = (tuple(_numbers(_require(o, key, where), where + key, 3))
                         for key in ("center", "dims"))
         obstacles.append(Obstacle(center=center, dims=dims))
-    _check_obstacles_clear(obstacles, build_candidate_grid(ma), build_user_grid(cov))
 
     tx_power_dbm = _require(doc, "tx_power_dbm", "")
     if isinstance(tx_power_dbm, list):  # one value per grid
@@ -910,7 +907,6 @@ def load_scenario(doc) -> ScenarioConfig:
         ma_region=ma,
         coverage=cov,
         rho=rho,
-        expected_users=expected_users,
         obstacles=obstacles,
         visibility_samples=_integer(doc, "visibility_samples", "", default=20),
     )

@@ -96,11 +96,6 @@ def _check_fejer(scenario, rng) -> CheckResult:
     return CheckResult("fejer-kernel", ok, f"max deviation {worst:.2e}")
 
 
-def _check_probability_mass(scenario) -> CheckResult:
-    err = abs(scenario.rho.sum() - scenario.expected_users)
-    return CheckResult("probability-mass", err < 1e-9, f"|sum(rho) - Kbar| = {err:.2e}")
-
-
 def _check_moments(scenario, draws, rng) -> CheckResult:
     """Second/fourth/cross moments of sampled channels vs closed forms."""
     rows = np.flatnonzero(scenario.rho > 0.0)[:3]
@@ -153,7 +148,7 @@ def _check_pure_los_exactness(scenario) -> CheckResult:
     active = np.flatnonzero(scenario.rho > 0)
     rho = np.zeros(scenario.coverage.n_grids)
     rho[active[0] if len(active) else 0] = 1.0
-    single = replace(scenario, rician_kappa=np.inf, rho=rho, expected_users=1.0)
+    single = replace(scenario, rician_kappa=np.inf, rho=rho)
     ctx = ScenarioContext.build(single)
     n0 = single.ma_region.n_candidates
     support = np.linspace(0, n0 - 1, single.n_subarrays).astype(int)
@@ -171,7 +166,6 @@ def validate_scenario(scenario: ScenarioConfig, draws: int = 20000) -> list[Chec
         _check_selection_diagonal(scenario, rng),
         _check_steering_norm(scenario, rng),
         _check_fejer(scenario, rng),
-        _check_probability_mass(scenario),
         _check_moments(scenario, draws, rng),
         _check_pure_los_exactness(scenario),
     ]

@@ -15,7 +15,6 @@ def make_scenario(
     n_subarrays=3,
     kappa=np.inf,
     rho=None,
-    expected_users=None,
     seed=3,
     obstacles=(),
     y_half=20.0,
@@ -34,11 +33,6 @@ def make_scenario(
         z_min=0.0, z_max=0.0 if k_z == 1 else 6.0,
         k_x=k_x, k_y=k_y, k_z=k_z,
     )
-    n_grids = cov.n_grids
-    if rho is None:
-        fill = 0.5 if expected_users is None else expected_users / n_grids
-        rho = np.full(n_grids, fill)
-    rho = np.asarray(rho, float)
     return ScenarioConfig(
         carrier_freq=30e9,
         m_h=m_h,
@@ -52,8 +46,7 @@ def make_scenario(
         rng_seed=seed,
         ma_region=ma,
         coverage=cov,
-        rho=rho,
-        expected_users=float(rho.sum()),
+        rho=np.full(cov.n_grids, 0.5) if rho is None else rho,
         obstacles=list(obstacles),
     )
 

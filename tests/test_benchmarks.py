@@ -25,7 +25,7 @@ def paper_2d_scenario():
         carrier_freq=sc.carrier_freq, m_h=4, m_v=4, d_h=sc.d_h, d_v=sc.d_v,
         n_subarrays=8, tx_power_mw=sc.tx_power_mw, noise_power_mw=sc.noise_power_mw,
         rician_kappa=sc.rician_kappa, rng_seed=sc.rng_seed, ma_region=ma,
-        coverage=sc.coverage, rho=sc.rho, expected_users=sc.expected_users,
+        coverage=sc.coverage, rho=sc.rho,
     )
 
 

@@ -161,6 +161,57 @@ class TestLayouts:
             ArrayLayout(centers, 1, 1, 0.5, 0.5)
 
 
+class TestImpossiblePlacements:
+    """Subarrays that overlap, or sit inside an obstacle, have no channel."""
+
+    @pytest.fixture(scope="class")
+    def desk(self):
+        from xlma.presets import desk_partial_los
+        from xlma.scenario import load_scenario
+
+        return load_scenario(desk_partial_los())
+
+    @staticmethod
+    def _layout(sc, centers):
+        return ArrayLayout(centers, sc.m_h, sc.m_v, sc.d_h, sc.d_v)
+
+    def test_two_subarrays_on_one_candidate_rejected(self, desk):
+        with pytest.raises(DomainError, match="subarrays 0 and 1 overlap"):
+            self._layout(desk, desk.candidates()[[3, 3, 10]])
+
+    def test_subarray_a_millimeter_from_another_rejected(self, desk):
+        centers = desk.candidates()[[10, 3, 3]]
+        centers[2, 1] += 1e-3
+        with pytest.raises(DomainError, match="subarrays 1 and 2 overlap"):
+            self._layout(desk, centers)
+
+    @pytest.mark.parametrize("gap, m_v, overlaps", [
+        ((0.0, 1.5, 0.0), 1, True),      # the end elements coincide: faces meet
+        ((0.0, 1.5000001, 0.0), 1, False),
+        ((0.0, 1.0, 0.25), 1, False),    # one-row grids at different heights
+        ((0.0, 1.0, 0.25), 2, True),
+        ((0.25, 0.0, 0.0), 1, False),    # different planes
+    ])
+    def test_rectangles_meet_faces_included(self, gap, m_v, overlaps):
+        # Four 0.5 m-spaced columns span 1.5 m in y, two rows 0.5 m in z.
+        centers = [(0.0, 0.0, 0.0), gap]
+        if overlaps:
+            with pytest.raises(DomainError, match="subarrays 0 and 1 overlap"):
+                ArrayLayout(centers, 4, m_v, 0.5, 0.5)
+        else:
+            assert len(ArrayLayout(centers, 4, m_v, 0.5, 0.5).centers) == 2
+
+    def test_center_inside_an_obstacle_rejected(self, desk):
+        centers = np.array([desk.candidates()[0], desk.obstacles[1].center])
+        with pytest.raises(DomainError, match=r"obstacles\[1\] holds the center of subarray 1"):
+            compute_layout_stats(desk, self._layout(desk, centers))
+
+    def test_center_on_an_obstacle_face_rejected(self, desk):
+        box = desk.obstacles[0]
+        with pytest.raises(DomainError, match=r"obstacles\[0\] holds the center of subarray 0"):
+            compute_layout_stats(desk, self._layout(desk, [box.hi]))
+
+
 class TestCheckSupport:
     @pytest.mark.parametrize("support", [[5.7, 2.2], [5.9], [1.0, 2.5], [np.nan]])
     def test_non_integral_indices_rejected(self, support):

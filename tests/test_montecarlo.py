@@ -401,11 +401,9 @@ class TestMaps:
 
     def test_power_map_additive_in_subarrays(self):
         sc = single_grid_scenario()
-        one = support_layout(sc, [4])
-        two = dataclasses.replace(one, centers=np.concatenate([one.centers, one.centers]))
-        _, _, v1 = power_gain_map(sc, one, 4, None, None)
-        _, _, v2 = power_gain_map(sc, two, 4, None, None)
-        np.testing.assert_allclose(v2, 2 * v1, rtol=1e-12)
+        v1, v2, both = (power_gain_map(sc, support_layout(sc, support), 4, None, None)[2]
+                        for support in ([4], [15], [4, 15]))
+        np.testing.assert_allclose(both, v1 + v2, rtol=1e-12)
 
     def test_power_map_symmetric_layout(self):
         sc = single_grid_scenario()

@@ -193,12 +193,10 @@ class TestSuccessiveReplacement:
         model, xi = build_ctx(sc)
         result = successive_replacement(sc, model, xi)
         # Phi has one 1 per row (slot) at n_mu[slot]: one position per
-        # subarray, at most one subarray per position, Phi^T Phi = diag(chi).
+        # subarray, at most one subarray per position among the candidates.
         n_mu = np.asarray(result.n_mu)
         assert n_mu.shape == (4,) and len(set(result.n_mu)) == 4
-        assert result.chi.shape == (model.n_cols,)
-        np.testing.assert_array_equal(np.flatnonzero(result.chi), np.sort(n_mu))
-        assert set(np.unique(result.chi)) == {0, 1}
+        assert 0 <= n_mu.min() and n_mu.max() < model.n_cols
 
     def test_deterministic(self):
         sc = make_scenario(n_y=14, k_x=2, k_y=3, kappa=12.0,
@@ -223,26 +221,26 @@ class TestExhaustive:
     def test_full_support(self):
         sc = make_scenario(n_y=5, k_x=2, k_y=1, rho=[0.5, 0.5], n_subarrays=5)
         model, _ = build_ctx(sc)
-        chi, val = exhaustive_search(model, 5)
-        np.testing.assert_array_equal(chi, 1)
+        support, val = exhaustive_search(model, 5)
+        np.testing.assert_array_equal(support, np.arange(5))
 
     def test_n1_equals_argmax(self):
         sc = make_scenario(n_y=9, k_x=2, k_y=2, kappa=9.0,
                            rho=[0.5, 0.6, 0.4, 0.3], seed=8)
         model, _ = build_ctx(sc)
-        chi, val = exhaustive_search(model, 1)
+        support, val = exhaustive_search(model, 1)
         marg = [model.weighted_sum(np.array([c])) for c in range(model.n_cols)]
         assert val == pytest.approx(max(marg), rel=1e-12)
-        assert chi[int(np.argmax(marg))] == 1
+        assert support.tolist() == [int(np.argmax(marg))]
 
     def test_matches_itertools_brute_force(self):
         sc = make_scenario(n_y=8, k_x=2, k_y=2, kappa=11.0,
                            rho=[0.6, 0.5, 0.4, 0.7], seed=2)
         model, _ = build_ctx(sc)
-        chi, val = exhaustive_search(model, 3)
+        support, val = exhaustive_search(model, 3)
         supp, best = brute_force(model, 3)
         assert val == best
-        assert tuple(np.flatnonzero(chi)) == supp
+        assert tuple(support) == supp
 
     def test_limit_refusal_reports_count(self, monkeypatch):
         sc = make_scenario(n_y=30, k_x=2, k_y=1, rho=[0.5, 0.5], n_subarrays=10)
@@ -363,9 +361,9 @@ class TestExhaustiveBlocks:
                            rho=list(rng.uniform(0.1, 0.9, 4)), seed=seed)
         model, _ = build_ctx(sc)
         for n_select in range(1, model.n_cols + 1):
-            chi, val = exhaustive_search(model, n_select)
+            support, val = exhaustive_search(model, n_select)
             supp, best = brute_force(model, n_select)
-            assert tuple(np.flatnonzero(chi)) == supp
+            assert tuple(support) == supp
             assert val == best
 
     @pytest.mark.parametrize("width", [1, 3])
@@ -375,9 +373,9 @@ class TestExhaustiveBlocks:
         model, _ = build_ctx(sc)
         for n_select in (1, 2, 3, 5):
             set_block_width(monkeypatch, model, width)
-            chi, val = exhaustive_search(model, n_select)
+            support, val = exhaustive_search(model, n_select)
             supp, best = brute_force(model, n_select)
-            assert tuple(np.flatnonzero(chi)) == supp
+            assert tuple(support) == supp
             assert val == best
 
     @pytest.mark.parametrize("seed, zero_den_row", [(0, None), (1, 5), (2, None)])
@@ -390,9 +388,9 @@ class TestExhaustiveBlocks:
         if width is not None:
             set_block_width(monkeypatch, model, width)
         for n_select in range(1, model.n_cols + 1):
-            chi, val = exhaustive_search(model, n_select)
+            support, val = exhaustive_search(model, n_select)
             supp, best = exhaustive_search_reference(model, n_select)
-            assert tuple(np.flatnonzero(chi)) == supp
+            assert tuple(support) == supp
             assert val == best
 
     def test_memory_bounded(self):
@@ -452,8 +450,8 @@ class TestExhaustiveTies:
 
     def _check(self, monkeypatch, model, first, width):
         set_block_width(monkeypatch, model, width)
-        chi, val = exhaustive_search(model, self.N_SELECT)
-        assert tuple(np.flatnonzero(chi)) == first
+        support, val = exhaustive_search(model, self.N_SELECT)
+        assert tuple(support) == first
         assert val == model.weighted_sum(np.array(first))
 
     def _shared_width(self, model, first, second):
@@ -496,8 +494,8 @@ class TestExhaustiveTies:
         assert blocks[second] < blocks[first]
         assert exhaustive_search_reference(model, self.N_SELECT)[0] == first
         assert model.weighted_sum(np.array(second)) == model.weighted_sum(np.array(first))
-        chi, val = exhaustive_search(model, self.N_SELECT)
-        assert tuple(np.flatnonzero(chi)) == first
+        support, val = exhaustive_search(model, self.N_SELECT)
+        assert tuple(support) == first
         assert val == model.weighted_sum(np.array(first))
 
 
@@ -518,5 +516,5 @@ def test_every_scorer_gives_a_support_the_same_bits(preset):
         assert alone[n] == model.objective(model.terms[:, n])
     head = RateModel(model.grid_rows, model.rho, model.pbar, model.terms[:, :16])
     for n_select in (1, 2, 4):
-        chi, value = exhaustive_search(head, n_select)
-        assert value == head.weighted_sum(np.flatnonzero(chi))
+        support, value = exhaustive_search(head, n_select)
+        assert value == head.weighted_sum(support)

@@ -55,7 +55,6 @@ def test_plan_matches_model_from_pruned_full_tables():
                                  full.xi[rows])
     new = ctx.plan()
     assert new.n_mu == old.n_mu
-    assert np.array_equal(new.chi, old.chi)
     assert new.objective == old.objective
     # Full tables keep the zero-rho rows, so the LP seed reads xi by absolute
     # grid index; only the summation order of the rate differs.
