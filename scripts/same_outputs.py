@@ -18,6 +18,9 @@ its own checkout's ``src/``, with one BLAS/OpenMP thread:
 - ``sweep`` of ``expected_users`` over ``USERS_SWEEP``'s values on its
   preset, which has obstacles, with the closed-form evaluators only: each
   value's ``distribution`` is turned into activation probabilities at load;
+- ``sweep`` of ``ma_width`` over ``WIDTH_SWEEP``'s values, whole numbers of
+  the preset's candidate step, with the closed-form and simulated MRC rates
+  at ``WIDTH_TRIALS`` trials: each value rescales the placement region;
 - ``validate``, ``benchmark`` and ``map`` (power and correlation) on three
   presets;
 - ``map`` (power and correlation) of the baseline layouts ``MAP_SCHEMES``,
@@ -56,6 +59,8 @@ SWEEP_SEEDS = (7, 11)
 ALL_ACTIVE_REGULAR_RATIO = 0.2
 SWEEP_THREADS = ("1", "4")
 USERS_SWEEP = ("desk_partial_los", [6.0, 11.0])
+WIDTH_SWEEP = ("desk_partial_los", [20.2, 40.4])
+WIDTH_TRIALS = 20
 COMMAND_PRESETS = ("desk_full_los_2d", "desk_partial_los", "paper_partial_los_1d")
 MAP_RESOLUTION = 20
 MAP_SCHEMES = (("desk_full_los_2d", "dense_upa"), ("desk_full_los_2d", "sparse_2x4"),
@@ -101,6 +106,12 @@ def commands(inputs: Path) -> dict:
         "schemes": ["proposed", "dense_ula"], "evaluators": ["approx_mrc", "upper_bound"]})
     out["sweep_expected_users"] = ["sweep", "--preset", users_preset, "--sweep", users_spec,
                                    "--out-dir", "."]
+    width_preset, width_values = WIDTH_SWEEP
+    width_spec = _write_json(inputs / "width_sweep_spec.json", {
+        "parameter": "ma_width", "values": width_values, "schemes": ["proposed", "dense_ula"],
+        "evaluators": ["approx_mrc", "sim_mrc"], "trials": WIDTH_TRIALS})
+    out["sweep_ma_width"] = ["sweep", "--preset", width_preset, "--sweep", width_spec,
+                             "--out-dir", "."]
     for preset in COMMAND_PRESETS:
         out[f"validate_{preset}"] = ["validate", "--preset", preset]
         out[f"benchmark_{preset}"] = ["benchmark", "--preset", preset, "--out-dir", "."]

@@ -107,27 +107,19 @@ class GainTables:
 
 
 def build_gain_tables(
-    scenario: ScenarioConfig,
-    candidates: np.ndarray,
-    grids: np.ndarray,
-    xi: np.ndarray,
-    grid_rows=None,
+    scenario: ScenarioConfig, columns: np.ndarray, xi: np.ndarray, grid_rows
 ) -> GainTables:
-    """Gain tables for every (grid, candidate) pair.
+    """Gain tables for every (grid, column) pair.
 
-    ``candidates`` are the column positions, ``grids`` the centers of the
-    tabulated grids and ``grid_rows`` their absolute indices (default: all
-    grids, in order); ``xi`` has one row each.
+    ``columns`` are the column positions and ``grid_rows`` the indices of
+    the tabulated user grids, checked by ``check_indices``; ``xi`` has one
+    row per grid and one column per position.
     """
+    grid_rows = check_indices(grid_rows, scenario.coverage.n_grids, "grid_rows")
     xi = np.asarray(xi)
-    if xi.shape != (len(grids), len(candidates)):
-        raise ConfigurationError("xi shape must be (len(grids), N0)")
-    if grid_rows is None:
-        grid_rows = np.arange(len(grids))
-    grid_rows = np.asarray(grid_rows, int)
-    if grid_rows.shape != (len(grids),):
-        raise ConfigurationError("grid_rows must hold one index per tabulated grid")
-    u, dist = wave_vectors(grids, candidates)
+    if xi.shape != (len(grid_rows), len(columns)):
+        raise ConfigurationError("xi shape must be (len(grid_rows), len(columns))")
+    u, dist = wave_vectors(scenario.grid_centers()[grid_rows], columns)
     return GainTables(
         beta_los=los_path_gain(dist, scenario.wavelength),
         xi=xi.astype(np.uint8),
@@ -224,14 +216,14 @@ class LayoutStats(GainTables):
     center, plus what channel draws need.
 
     ``los_blocks`` holds the stacked per-element LoS response
-    xi * sqrt(beta_los) * a(u) without the random phase, and ``nlos_std``
-    the per-element NLoS deviation sqrt(beta_nlos / 2), so channel draws
-    only add phases and Gaussian noise.
+    xi * sqrt(beta_los) * a(u) without the random phase, so channel draws
+    only add phases and Gaussian noise. The NLoS deviation sqrt(beta_nlos / 2)
+    is one number per (grid, subarray), shared by the subarray's M elements;
+    ``channel_from_draws`` forms it from ``beta_nlos``.
     """
 
     layout: ArrayLayout
     los_blocks: np.ndarray     # (G, S * M) complex
-    nlos_std: np.ndarray       # (G, S * M)
 
     @property
     def total_antennas(self) -> int:
@@ -246,20 +238,17 @@ class LayoutStats(GainTables):
 
 
 def compute_layout_stats(
-    scenario: ScenarioConfig, layout: ArrayLayout, grid_indices=None, xi=None
+    scenario: ScenarioConfig, layout: ArrayLayout, grid_indices, xi=None
 ) -> LayoutStats:
     """Gains, visibility and steering blocks for ``layout`` at exact centers:
     the one maker of ``LayoutStats``.
 
-    Rows cover the user grids ``grid_indices`` (default: all), in that order.
-    ``xi``, one row per grid and one column per center, is the visibility
-    to use; without it a visibility pass over the centers computes it.
-    ``los_blocks`` and ``nlos_std`` are what channel draws need. A center
-    inside an obstacle, faces included, raises ``DomainError``.
+    Rows cover the user grids ``grid_indices``, in that order, checked by
+    ``check_indices``. ``xi``, one row per grid and one column per center,
+    is the visibility to use; without it a visibility pass over the centers
+    computes it. A center inside an obstacle, faces included, raises
+    ``DomainError``.
     """
-    if grid_indices is None:
-        grid_indices = np.arange(scenario.coverage.n_grids)
-    grid_indices = check_indices(grid_indices, scenario.coverage.n_grids, "grid_indices")
     centers = layout.centers
     for i, box in enumerate(scenario.obstacles):
         held = box.holds(centers)
@@ -274,9 +263,7 @@ def compute_layout_stats(
             scenario.rng_seed,
             grid_indices=grid_indices,
         )
-    gains = build_gain_tables(
-        scenario, centers, scenario.grid_centers()[grid_indices], xi, grid_rows=grid_indices
-    )
+    gains = build_gain_tables(scenario, centers, xi, grid_indices)
     steering = steering_vector(gains.u, layout.m_h, layout.m_v, layout.d_h, layout.d_v,
                                scenario.wavelength)
     amplitude = gains.xi * np.sqrt(gains.beta_los)
@@ -284,7 +271,6 @@ def compute_layout_stats(
         **vars(gains),
         layout=layout,
         los_blocks=(amplitude[..., None] * steering).reshape(len(amplitude), -1),
-        nlos_std=np.repeat(np.sqrt(gains.beta_nlos / 2.0), layout.n_antennas, axis=1),
     )
 
 
@@ -340,13 +326,19 @@ def channel_from_draws(stats: LayoutStats, rows, psi, re, im) -> np.ndarray:
     """Channel columns for stat ``rows`` from their phases and normals.
 
     Works on any leading batch shape: ``rows`` (..., J), ``psi`` (..., J, S)
-    and ``re``/``im`` (..., J, M_total) give h (..., M_total, J). Every
-    entry is los_blocks * exp(-j psi) + (re + j im) * nlos_std, computed
-    elementwise, so a batch holds the same bits as its members one by one.
+    and ``re``/``im`` (..., J, M_total) give h (..., M_total, J). Element m
+    of subarray s is los_blocks * exp(-j psi_s) + (re + j im) *
+    sqrt(beta_nlos_s / 2): the antenna axis is viewed as (S, M), and each
+    subarray's phase and deviation broadcast over its M elements. Every
+    entry is computed elementwise, so a batch holds the same bits as its
+    members one by one.
     """
-    phase = np.repeat(np.exp(-1j * psi), stats.layout.n_antennas, axis=-1)
-    h = stats.los_blocks[rows] * phase + (re + 1j * im) * stats.nlos_std[rows]
-    return np.swapaxes(h, -1, -2)
+    n_sub, m = len(stats.layout.centers), stats.layout.n_antennas
+    by_subarray = psi.shape + (m,)
+    nlos_std = np.sqrt(stats.beta_nlos[rows] / 2.0)[..., None]
+    h = (stats.los_blocks.reshape(-1, n_sub, m)[rows] * np.exp(-1j * psi)[..., None]
+         + (re + 1j * im).reshape(by_subarray) * nlos_std)
+    return np.swapaxes(h.reshape(re.shape), -1, -2)
 
 
 def sample_channel(

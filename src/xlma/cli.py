@@ -13,6 +13,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -105,20 +106,37 @@ def cmd_plan(args) -> int:
 
 
 def _apply_parameter(doc: dict, parameter: str, value, field: str) -> dict:
-    """A copy of ``doc`` with the sweep ``parameter`` set to ``value``, which
-    the sweep spec holds at ``field``."""
+    """A copy of ``doc`` with the sweep ``parameter``, one of
+    ``SWEEP_PARAMETERS``, set to ``value``, which the sweep spec holds at
+    ``field``.
+
+    An ``ma_width`` keeps the region's y step and center: a width that is
+    not a whole number of steps (to 1e-9 relative) raises
+    ``ConfigurationError`` naming the nearest widths that are.
+    """
     out = json.loads(json.dumps(doc))
     if parameter == "m_h":
         out["m_h"] = as_integer(value, field)
     elif parameter == "ma_width":
         width = as_number(value, field, finite=True)
         region = load_scenario(doc).ma_region  # checks the numbers the step is made of
-        step = (region.y_max - region.y_min) / region.n_y
-        ma = out["ma_region"]
-        n_y = round(width / step)
+        step = region.dy
+        if step == 0:
+            raise ConfigurationError(f"'{field}': ma_width needs an ma_region with "
+                                     "y_max > y_min")
+        steps = width / step
+        n_y = round(steps)
         if n_y < 1:
             raise ConfigurationError(f"'{field}': ma_width {value} too small for step {step}")
-        ma["y_min"], ma["y_max"], ma["n_y"] = -width / 2.0, width / 2.0, n_y
+        if abs(steps - n_y) > 1e-9 * n_y:
+            nearest = " and ".join(f"{n * step:.12g}" for n in (math.floor(steps),
+                                                                math.ceil(steps)) if n >= 1)
+            raise ConfigurationError(
+                f"'{field}': ma_width {value} is not a whole number of candidate steps "
+                f"{step:.12g}; the nearest widths that are: {nearest}")
+        center = (region.y_min + region.y_max) / 2.0
+        ma = out["ma_region"]
+        ma["y_min"], ma["y_max"], ma["n_y"] = center - width / 2.0, center + width / 2.0, n_y
     elif parameter == "expected_users":
         dist = check_fields(_require(out, "distribution", ""), DISTRIBUTION_FIELDS,
                             "distribution.")
@@ -129,10 +147,6 @@ def _apply_parameter(doc: dict, parameter: str, value, field: str) -> dict:
         except ConfigurationError as exc:
             raise ConfigurationError(f"'{field}': {exc}") from None
         out["rician_kappa_db"] = value
-    else:
-        raise ConfigurationError(
-            f"unknown sweep parameter {parameter!r}; one of {SWEEP_PARAMETERS}"
-        )
     return out
 
 
@@ -430,10 +444,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigurationError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ConfigurationError, DomainError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - unexpected runtime failure

@@ -43,8 +43,7 @@ class ScenarioContext:
             scenario.rng_seed,
             grid_indices=rows,
         )
-        grids = scenario.grid_centers()[rows]
-        gains = build_gain_tables(scenario, candidates, grids, xi, grid_rows=rows)
+        gains = build_gain_tables(scenario, candidates, xi, rows)
         return cls(scenario, gains.xi, RateModel.from_candidate_tables(scenario, gains))
 
     def plan(self) -> PlacementResult:

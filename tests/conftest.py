@@ -63,8 +63,7 @@ def active_gain_tables(scenario):
     xi = visibility_from_points(candidates, scenario.coverage, scenario.obstacles,
                                 scenario.visibility_samples, scenario.rng_seed,
                                 grid_indices=rows)
-    return build_gain_tables(scenario, candidates, scenario.grid_centers()[rows], xi,
-                             grid_rows=rows)
+    return build_gain_tables(scenario, candidates, xi, rows)
 
 
 @pytest.fixture(scope="session")

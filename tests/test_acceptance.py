@@ -83,9 +83,9 @@ def random_instances():
             n_y=20, y_half=30.0, k_x=k_x, k_y=k_y, m_h=int(rng.choice([2, 4])),
             kappa=kappa, rho=rho, n_subarrays=3, seed=100 + i,
         )
-        cands, grids = sc.candidates(), sc.grid_centers()
+        cands = sc.candidates()
         xi = visibility_from_points(cands, sc.coverage, sc.obstacles, 20, sc.rng_seed)
-        gains = build_gain_tables(sc, cands, grids, xi)
+        gains = build_gain_tables(sc, cands, xi, np.arange(sc.coverage.n_grids))
         model = RateModel.from_candidate_tables(sc, gains)
         plan = successive_replacement(sc, model, xi)
         COLLECTED_TRACES.append((sc.n_subarrays, plan.trace))

@@ -103,32 +103,32 @@ class TestLosPathGain:
 class TestGainTables:
     def test_pure_los(self):
         sc = make_scenario(kappa=np.inf)
-        cands, grids = sc.candidates(), sc.grid_centers()
-        xi = np.ones((len(grids), len(cands)), dtype=np.uint8)
-        tables = build_gain_tables(sc, cands, grids, xi)
+        cands, rows = sc.candidates(), np.arange(sc.coverage.n_grids)
+        xi = np.ones((len(rows), len(cands)), dtype=np.uint8)
+        tables = build_gain_tables(sc, cands, xi, rows)
         validate_gain_tables(tables)
         assert np.all(tables.beta_nlos == 0)
         np.testing.assert_allclose(tables.beta_total, tables.beta_los)
 
     def test_blocked_with_finite_kappa(self):
         sc = make_scenario(kappa=10.0)
-        cands, grids = sc.candidates(), sc.grid_centers()
-        xi = np.zeros((len(grids), len(cands)), dtype=np.uint8)
-        tables = build_gain_tables(sc, cands, grids, xi)
+        cands, rows = sc.candidates(), np.arange(sc.coverage.n_grids)
+        xi = np.zeros((len(rows), len(cands)), dtype=np.uint8)
+        tables = build_gain_tables(sc, cands, xi, rows)
         np.testing.assert_allclose(tables.beta_total, tables.beta_los / 10.0)
 
     def test_kappa_20db(self):
         sc = make_scenario(kappa=100.0)
-        cands, grids = sc.candidates(), sc.grid_centers()
-        xi = np.ones((len(grids), len(cands)), dtype=np.uint8)
-        tables = build_gain_tables(sc, cands, grids, xi)
+        cands, rows = sc.candidates(), np.arange(sc.coverage.n_grids)
+        xi = np.ones((len(rows), len(cands)), dtype=np.uint8)
+        tables = build_gain_tables(sc, cands, xi, rows)
         np.testing.assert_allclose(tables.beta_nlos, tables.beta_los / 100.0)
 
     def test_unit_wave_vectors(self):
         sc = make_scenario()
-        cands, grids = sc.candidates(), sc.grid_centers()
-        xi = np.ones((len(grids), len(cands)), dtype=np.uint8)
-        tables = build_gain_tables(sc, cands, grids, xi)
+        cands, rows = sc.candidates(), np.arange(sc.coverage.n_grids)
+        xi = np.ones((len(rows), len(cands)), dtype=np.uint8)
+        tables = build_gain_tables(sc, cands, xi, rows)
         np.testing.assert_allclose(np.linalg.norm(tables.u, axis=-1), 1.0, atol=1e-12)
 
 
@@ -204,12 +204,12 @@ class TestImpossiblePlacements:
     def test_center_inside_an_obstacle_rejected(self, desk):
         centers = np.array([desk.candidates()[0], desk.obstacles[1].center])
         with pytest.raises(DomainError, match=r"obstacles\[1\] holds the center of subarray 1"):
-            compute_layout_stats(desk, self._layout(desk, centers))
+            compute_layout_stats(desk, self._layout(desk, centers), [0])
 
     def test_center_on_an_obstacle_face_rejected(self, desk):
         box = desk.obstacles[0]
         with pytest.raises(DomainError, match=r"obstacles\[0\] holds the center of subarray 0"):
-            compute_layout_stats(desk, self._layout(desk, [box.hi]))
+            compute_layout_stats(desk, self._layout(desk, [box.hi]), [0])
 
 
 class TestCheckSupport:
@@ -327,7 +327,7 @@ class TestSampleChannel:
         # The three draws assembled column by column, as h was built before
         # assembly moved to channel_from_draws.
         sc = make_scenario(n_y=10, k_x=2, k_y=2, kappa=kappa, rho=[0.5] * 4)
-        stats = compute_layout_stats(sc, support_layout(sc, [1, 4, 8]))
+        stats = compute_layout_stats(sc, support_layout(sc, [1, 4, 8]), np.arange(4))
         rows = [3, 0, 3, 2]
         h = sample_channel(stats, rows, substream(8, "t"))
         rng = substream(8, "t")
@@ -337,13 +337,48 @@ class TestSampleChannel:
         m = sc.antennas_per_subarray
         for j, row in enumerate(rows):
             phase = np.repeat(np.exp(-1j * psi[j]), m)
-            column = stats.los_blocks[row] * phase + (re[j] + 1j * im[j]) * stats.nlos_std[row]
+            nlos_std = np.repeat(np.sqrt(stats.beta_nlos[row] / 2.0), m)
+            column = stats.los_blocks[row] * phase + (re[j] + 1j * im[j]) * nlos_std
             np.testing.assert_array_equal(h[:, j], column)
+
+    @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3),
+           st.lists(st.integers(1, 3), max_size=2), st.integers(0, 3),
+           st.sampled_from([5.0, np.inf]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_channel_from_draws_is_the_element_formula(self, n_sub, m_h, m_v, batch, n_rows,
+                                                       kappa, seed):
+        # Element k of subarray s = k // M in column j: its own LoS entry
+        # turned by the subarray's phase, plus its own normals scaled by the
+        # subarray's sqrt(beta_nlos / 2), bit for bit under any batch shape.
+        sc = make_scenario(n_y=8, k_x=2, k_y=2, m_h=m_h, m_v=m_v, kappa=kappa)
+        stats = compute_layout_stats(sc, support_layout(sc, np.arange(n_sub)), np.arange(4))
+        m = m_h * m_v
+        rng = np.random.default_rng(seed)
+        shape = (*batch, n_rows)
+        rows = rng.integers(0, 4, shape)
+        psi = rng.uniform(0.0, 2.0 * np.pi, (*shape, n_sub))
+        re, im = rng.standard_normal((2, *shape, n_sub * m))
+        h = channel_from_draws(stats, rows, psi, re, im)
+        # The ufuncs run numpy's array loops one element at a time; operators
+        # on numpy scalars take another path, whose complex product can
+        # differ in the last bit.
+        mul, add = np.multiply, np.add
+        want = np.empty((*batch, n_sub * m, n_rows), complex)
+        for index in np.ndindex(shape):
+            *lead, j = index
+            row = rows[index]
+            for k in range(n_sub * m):
+                s = k // m
+                los = mul(stats.los_blocks[row, k], np.exp(mul(-1j, psi[(*index, s)])))
+                normal = add(re[(*index, k)], mul(1j, im[(*index, k)]))
+                want[(*lead, k, j)] = add(los, mul(normal, np.sqrt(stats.beta_nlos[row, s] / 2.0)))
+        assert h.shape == want.shape
+        assert np.array_equal(h, want)
 
     def test_draw_realization_then_channel_from_draws_is_sample_channel(self):
         # One draw's activation uniforms come first, then sample_channel's draws.
         sc = make_scenario(n_y=10, k_x=2, k_y=2, kappa=5.0, rho=[0.5] * 4)
-        stats = compute_layout_stats(sc, support_layout(sc, [1, 4, 8]))
+        stats = compute_layout_stats(sc, support_layout(sc, [1, 4, 8]), np.arange(4))
         rho = np.array([0.9, 0.2, 0.7, 0.6])
         draw = draw_realization(stats, rho, substream(9, "t"))
         rng = substream(9, "t")

@@ -12,7 +12,7 @@ import pytest
 
 import xlma
 from xlma import validation
-from xlma.cli import main
+from xlma.cli import _apply_parameter, main
 from xlma.montecarlo import draw_trials
 from xlma.pipeline import context_from_document
 from xlma.presets import desk_full_los, desk_full_los_2d, desk_partial_los, desk_single_grid
@@ -170,8 +170,8 @@ class TestSweep:
         ("m_h", [2, True], 10, "values[1]"),
         ("m_h", ["abc"], 10, "values[0]"),
         ("m_h", [None], 10, "values[0]"),
-        ("ma_width", [5.0, math.nan], 10, "values[1]"),
-        ("ma_width", [5.0, math.inf], 10, "values[1]"),
+        ("ma_width", [5.05, math.nan], 10, "values[1]"),
+        ("ma_width", [5.05, math.inf], 10, "values[1]"),
         ("ma_width", [-math.inf], 10, "values[0]"),
         ("ma_width", ["wide"], 10, "values[0]"),
         ("expected_users", [None], 10, "values[0]"),
@@ -240,7 +240,7 @@ class TestSweep:
         # as "too small for step".
         cfg = write_config(tmp_path, desk_full_los())
         spath = tmp_path / "sweep.json"
-        spath.write_text('{"parameter": "ma_width", "values": [2.0, %s], '
+        spath.write_text('{"parameter": "ma_width", "values": [2.02, %s], '
                          '"schemes": ["proposed"], "evaluators": ["approx_mrc"]}' % literal)
         out_dir = tmp_path / "o"
         assert main(["sweep", "--config", str(cfg), "--sweep", str(spath),
@@ -259,6 +259,55 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--sweep", str(spath),
                      "--out-dir", str(tmp_path / "o")]) == 1
         assert "ma_region.y_max" in capsys.readouterr().err
+
+    def test_ma_width_off_the_candidate_step_is_refused(self, tmp_path, capsys):
+        # desk_partial_los steps 101 m / 100 = 1.01 m. A width of 20 m is
+        # 19.8 steps, which once ran as 20 steps of 1.00 m.
+        cfg = write_config(tmp_path, desk_partial_los())
+        spath = tmp_path / "sweep.json"
+        spath.write_text(json.dumps({"parameter": "ma_width", "values": [20.2, 20.0],
+                                     "schemes": ["proposed"], "evaluators": ["approx_mrc"]}))
+        out_dir = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(spath),
+                     "--out-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert ("'values[1]': ma_width 20.0 is not a whole number of candidate steps 1.01; "
+                "the nearest widths that are: 19.19 and 20.2") in err
+        assert not out_dir.exists()
+
+    def test_ma_width_keeps_the_candidate_step(self, tmp_path):
+        doc = desk_partial_los()
+        region = load_scenario(_apply_parameter(doc, "ma_width", 20.2, "values[0]")).ma_region
+        assert (region.y_min, region.y_max, region.n_y, region.dy) == (-10.1, 10.1, 20, 1.01)
+        cfg = write_config(tmp_path, doc)
+        spath = tmp_path / "sweep.json"
+        spath.write_text(json.dumps({"parameter": "ma_width", "values": [20.2],
+                                     "schemes": ["proposed"], "evaluators": ["approx_mrc"]}))
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(spath),
+                     "--out-dir", str(tmp_path / "o")]) == 0
+        assert [r["value"] for r in read_sweep(tmp_path / "o" / "sweep_approx_mrc.csv")] == [
+            "20.2"]
+
+    def test_ma_width_keeps_an_off_center_region_centered(self):
+        doc = desk_full_los()
+        doc["ma_region"].update(y_min=-30.5, y_max=70.5)  # center 20 m, step 1.01 m
+        region = load_scenario(_apply_parameter(doc, "ma_width", 40.4, "values[0]")).ma_region
+        assert region.n_y == 40
+        assert (region.y_min + region.y_max) / 2 == pytest.approx(20.0, rel=1e-12)
+        assert region.dy == pytest.approx(1.01, rel=1e-12)
+
+    def test_ma_width_of_a_region_without_y_extent_is_refused(self, tmp_path, capsys):
+        doc = desk_full_los()
+        doc["ma_region"] = {"y_min": 0.0, "y_max": 0.0, "z_min": 20.0, "z_max": 45.0,
+                            "n_y": 1, "n_z": 10}
+        cfg = write_config(tmp_path, doc)
+        spath = tmp_path / "sweep.json"
+        spath.write_text(json.dumps({"parameter": "ma_width", "values": [2.0],
+                                     "schemes": ["proposed"], "evaluators": ["approx_mrc"]}))
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(spath),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+        assert "'values[0]': ma_width needs an ma_region with y_max > y_min" in (
+            capsys.readouterr().err)
 
     def test_infinite_rician_sweep_value_is_pure_los(self, tmp_path):
         cfg = write_config(tmp_path, desk_full_los())

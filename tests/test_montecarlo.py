@@ -141,7 +141,7 @@ def single_grid_scenario(n_subarrays=3):
 class TestSimulateWeightedSum:
     def test_zero_rho_zero_estimate(self):
         sc = make_scenario(n_y=6, k_x=2, k_y=1, rho=[0.0, 0.0])
-        stats = compute_layout_stats(sc, support_layout(sc, [0, 3]))
+        stats = compute_layout_stats(sc, support_layout(sc, [0, 3]), [0, 1])
         est, err = simulate_weighted_sum_rate(sc, stats, SimOptions(trials=50))
         assert est == 0.0 and err == 0.0
 
@@ -230,7 +230,7 @@ class TestSimulateWeightedSum:
     def test_statistics_over_other_grids_rejected(self):
         sc = make_scenario(n_y=10, k_x=2, k_y=2, kappa=6.0,
                            rho=[0.8, 0.0, 0.6, 0.5], seed=43)
-        stats = compute_layout_stats(sc, support_layout(sc, [7, 2]))  # all four grids
+        stats = compute_layout_stats(sc, support_layout(sc, [7, 2]), np.arange(4))
         with pytest.raises(ConfigurationError, match="rho > 0"):
             simulate_trials(sc, stats, SimOptions(trials=2))
 

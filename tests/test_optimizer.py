@@ -29,11 +29,11 @@ from xlma.scenario import load_scenario, visibility_from_points
 
 
 def build_ctx(sc, xi=None):
-    cands, grids = sc.candidates(), sc.grid_centers()
+    cands = sc.candidates()
     if xi is None:
         xi = visibility_from_points(cands, sc.coverage, sc.obstacles,
                                     sc.visibility_samples, sc.rng_seed)
-    gains = build_gain_tables(sc, cands, grids, xi)
+    gains = build_gain_tables(sc, cands, xi, np.arange(sc.coverage.n_grids))
     return RateModel.from_candidate_tables(sc, gains), xi
 
 
@@ -99,10 +99,10 @@ class TestVictimAndReplacement:
         # A slot whose position is blocked toward every grid loses nothing.
         sc = make_scenario(n_y=12, k_x=2, k_y=2, kappa=np.inf,
                            rho=[0.6, 0.5, 0.4, 0.7], seed=9)
-        cands, grids = sc.candidates(), sc.grid_centers()
+        cands = sc.candidates()
         xi = np.ones((4, 12), dtype=np.uint8)
         xi[:, 5] = 0  # candidate 5 sees nothing
-        gains = build_gain_tables(sc, cands, grids, xi)
+        gains = build_gain_tables(sc, cands, xi, np.arange(4))
         model = RateModel.from_candidate_tables(sc, gains)
         assert select_victim(SelectionState(model, [0, 5, 9])) == 1
 
@@ -288,9 +288,9 @@ class TestInitLp:
     def _model(self, rows):
         sc = make_scenario(n_y=8, k_x=2, k_y=2, kappa=10.0, rho=self.RHO,
                            n_subarrays=3, seed=1)
-        cands, grids = sc.candidates(), sc.grid_centers()
+        cands = sc.candidates()
         xi = np.random.default_rng(1).integers(0, 2, (len(rows), len(cands)), dtype=np.uint8)
-        gains = build_gain_tables(sc, cands, grids[rows], xi, grid_rows=rows)
+        gains = build_gain_tables(sc, cands, xi, rows)
         return sc, RateModel.from_candidate_tables(sc, gains), xi
 
     @pytest.mark.parametrize("left_out", [0, 1, 3])

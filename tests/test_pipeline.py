@@ -27,7 +27,7 @@ def _context_and_full_tables():
     candidates = sc.candidates()
     xi = visibility_from_points(candidates, sc.coverage, sc.obstacles,
                                 sc.visibility_samples, sc.rng_seed)
-    full = build_gain_tables(sc, candidates, sc.grid_centers(), xi)
+    full = build_gain_tables(sc, candidates, xi, np.arange(sc.coverage.n_grids))
     return ctx, full
 
 
@@ -65,7 +65,7 @@ def test_plan_matches_model_from_pruned_full_tables():
     assert unpruned.objective == pytest.approx(new.objective, rel=1e-12)
 
 
-STATS = ("xi", "beta_los", "u", "grid_rows", "los_blocks", "nlos_std")
+STATS = ("xi", "beta_los", "u", "grid_rows", "los_blocks")
 
 
 @pytest.fixture(scope="module", params=sorted(PRESETS))
@@ -234,8 +234,7 @@ def test_gain_tables_peak_memory_in_whole_tables(monkeypatch, kappa):
     sc = _memory_scenario(monkeypatch, kappa)
     ctx = pipeline.ScenarioContext.build(sc)
     rows = ctx.model.grid_rows
-    _, peak = _traced_peak(lambda: build_gain_tables(
-        sc, sc.candidates(), sc.grid_centers()[rows], ctx.xi, grid_rows=rows))
+    _, peak = _traced_peak(lambda: build_gain_tables(sc, sc.candidates(), ctx.xi, rows))
     assert peak < 6.5 * ctx.model.terms.nbytes / 3
 
 

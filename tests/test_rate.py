@@ -35,9 +35,9 @@ def build_model(sc, include_zero_rho=False):
     rows = np.arange(sc.coverage.n_grids)
     if not include_zero_rho:
         rows = np.flatnonzero(sc.rho > 0)
-    cands, grids = sc.candidates(), sc.grid_centers()[rows]
+    cands = sc.candidates()
     xi = np.ones((len(rows), len(cands)), dtype=np.uint8)
-    gains = build_gain_tables(sc, cands, grids, xi, grid_rows=rows)
+    gains = build_gain_tables(sc, cands, xi, rows)
     return RateModel.from_candidate_tables(sc, gains)
 
 
@@ -106,19 +106,19 @@ class TestAuxKernels:
 class TestKernelTables:
     def test_invariants_on_small_scenario(self):
         sc = make_scenario(n_y=6, k_x=2, k_y=2, kappa=10.0)
-        cands, grids = sc.candidates(), sc.grid_centers()
+        cands = sc.candidates()
         xi = np.ones((4, 6), dtype=np.uint8)
         xi[1, ::2] = 0
-        gains = build_gain_tables(sc, cands, grids, xi)
+        gains = build_gain_tables(sc, cands, xi, np.arange(4))
         tables = build_kernel_tables(sc, gains.beta_los, gains.beta_nlos,
                                      xi.astype(float), gains.u)
         tables.validate(sc.antennas_per_subarray)
 
     def test_budget_refusal(self):
         sc = make_scenario(n_y=6, k_x=2, k_y=2, kappa=10.0)
-        cands, grids = sc.candidates(), sc.grid_centers()
+        cands = sc.candidates()
         xi = np.ones((4, 6), dtype=np.uint8)
-        gains = build_gain_tables(sc, cands, grids, xi)
+        gains = build_gain_tables(sc, cands, xi, np.arange(4))
         with pytest.raises(ConfigurationError, match="budget"):
             build_kernel_tables(sc, gains.beta_los, gains.beta_nlos,
                                 xi.astype(float), gains.u, budget=10)
@@ -228,9 +228,9 @@ def assert_matches_row_loop(constructor, sc, data):
 
 def random_visibility_tables(sc, seed):
     """Gain tables over every grid and candidate, with random 0/1 visibility."""
-    cands, grids = sc.candidates(), sc.grid_centers()
-    xi = np.random.default_rng(seed).integers(0, 2, (len(grids), len(cands)), dtype=np.uint8)
-    return build_gain_tables(sc, cands, grids, xi)
+    cands, rows = sc.candidates(), np.arange(sc.coverage.n_grids)
+    xi = np.random.default_rng(seed).integers(0, 2, (len(rows), len(cands)), dtype=np.uint8)
+    return build_gain_tables(sc, cands, xi, rows)
 
 
 def with_visibility(stats, xi):
@@ -321,8 +321,8 @@ class TestLagDomainAssembly:
         rho[7] = 1.0
         sc = make_scenario(n_y=16, k_x=4, k_y=5, m_h=8, kappa=10.0, rho=rho,
                            tx_power_mw=3.1622776601683795e6)
-        gains = build_gain_tables(sc, sc.candidates(), sc.grid_centers(),
-                                  np.ones((20, 16), np.uint8))
+        gains = build_gain_tables(sc, sc.candidates(), np.ones((20, 16), np.uint8),
+                                  np.arange(20))
         assert_matches_row_loop(RateModel.from_candidate_tables, sc, gains)
 
     def test_pure_los_error_within_stated_bound(self):
@@ -335,8 +335,8 @@ class TestLagDomainAssembly:
         rho[7] = 1.0
         sc = make_scenario(n_y=16, k_x=4, k_y=5, m_h=8, kappa=np.inf, rho=rho,
                            tx_power_mw=3.1622776601683795e6)
-        gains = build_gain_tables(sc, sc.candidates(), sc.grid_centers(),
-                                  np.ones((20, 16), np.uint8))
+        gains = build_gain_tables(sc, sc.candidates(), np.ones((20, 16), np.uint8),
+                                  np.arange(20))
         fast = RateModel.from_candidate_tables(sc, gains)
         slow = model_with_assembly(assemble_row_loop, RateModel.from_candidate_tables,
                                    sc, gains)
@@ -350,7 +350,7 @@ class TestLagDomainAssembly:
         sc = make_scenario(n_y=10, k_x=3, k_y=3, kappa=np.inf, rho=np.linspace(0.2, 0.9, 9))
         xi = np.random.default_rng(2).integers(0, 2, (9, 10), dtype=np.uint8)
         xi[:, [1, 6]] = 0
-        gains = build_gain_tables(sc, sc.candidates(), sc.grid_centers(), xi)
+        gains = build_gain_tables(sc, sc.candidates(), xi, np.arange(9))
         assert np.all(gains.beta_total[xi == 0] == 0.0)
         fast, slow = assert_matches_row_loop(RateModel.from_candidate_tables, sc, gains)
         assert np.all(fast.terms[2][xi.T == 0] == 0.0) and np.all(slow.terms[2][xi.T == 0] == 0.0)
@@ -426,10 +426,10 @@ class TestAxisLagZero:
         # head on, so their wave vectors have y and z components of exactly 0.
         sc = make_scenario(n_y=5, n_z=1, k_x=3, k_y=3, m_h=3, m_v=3, kappa=7.0,
                            y_half=20.0)
-        cands = sc.candidates()
-        grids = sc.grid_centers()
-        grids[:, 2] = 15.0
-        gains = build_gain_tables(sc, cands, grids, np.ones((9, 5), np.uint8))
+        sc = dataclasses.replace(
+            sc, coverage=dataclasses.replace(sc.coverage, z_min=15.0, z_max=15.0))
+        gains = build_gain_tables(sc, sc.candidates(), np.ones((9, 5), np.uint8),
+                                  np.arange(9))
         assert np.sum((gains.u[..., 1] == 0.0) & (gains.u[..., 2] == 0.0)) >= 3
         assert_same_bits(RateModel.from_candidate_tables, sc, gains)
 
@@ -675,9 +675,8 @@ class TestRateModel:
     def test_column_blocks_match_one_block_exactly(self, monkeypatch):
         sc = make_scenario(n_y=11, k_x=2, k_y=2, kappa=7.0,
                            rho=[0.6, 0.4, 0.3, 0.5], seed=5)
-        cands, grids = sc.candidates(), sc.grid_centers()
         xi = np.random.default_rng(5).integers(0, 2, (4, 11), dtype=np.uint8)
-        gains = build_gain_tables(sc, cands, grids, xi, grid_rows=np.arange(4))
+        gains = build_gain_tables(sc, sc.candidates(), xi, np.arange(4))
         monkeypatch.setattr(rate_module, "ASSEMBLY_BLOCK_BYTES", 10**12)
         whole = RateModel.from_candidate_tables(sc, gains)
         monkeypatch.setattr(rate_module, "ASSEMBLY_BLOCK_BYTES", 8 * 4 * 3)

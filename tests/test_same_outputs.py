@@ -62,6 +62,12 @@ def test_commands_cover_the_gated_outputs(tmp_path, monkeypatch):
     users_spec = json.loads(Path(users[users.index("--sweep") + 1]).read_text())
     assert users_spec["parameter"] == "expected_users" and len(users_spec["values"]) == 2
     assert set(users_spec["evaluators"]) == {"approx_mrc", "upper_bound"}
+    widths = argvs["sweep_ma_width"]  # the region-rescaling path, closed form and simulated
+    assert widths[widths.index("--preset") + 1] == "desk_partial_los"
+    widths_spec = json.loads(Path(widths[widths.index("--sweep") + 1]).read_text())
+    assert widths_spec["parameter"] == "ma_width" and widths_spec["values"] == [20.2, 40.4]
+    assert widths_spec["schemes"] == ["proposed", "dense_ula"]
+    assert widths_spec["evaluators"] == ["approx_mrc", "sim_mrc"]
     for command in ("validate", "benchmark"):
         assert len([name for name in argvs if name.startswith(command + "_")]) == 3
     maps = []
