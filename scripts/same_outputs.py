@@ -8,7 +8,7 @@ removed at the end. Both sides run the same ``xlma`` commands on the same
 input documents, each command in a fresh interpreter that imports xlma from
 its own checkout's ``src/``, with one BLAS/OpenMP thread:
 
-- ``plan`` with ``--trace-jsonl`` on every preset;
+- ``plan`` on every preset;
 - ``plan`` on the ``dense_plan`` benchmark document at seeds 7, 11 and 23;
 - ``plan`` at the paper's scale with every grid active:
   ``paper_full_scale_3d_type1`` with ``regular_ratio`` 0.2 (1890 active
@@ -21,8 +21,9 @@ its own checkout's ``src/``, with one BLAS/OpenMP thread:
 - ``sweep`` of ``ma_width`` over ``WIDTH_SWEEP``'s values, whole numbers of
   the preset's candidate step, with the closed-form and simulated MRC rates
   at ``WIDTH_TRIALS`` trials: each value rescales the placement region;
-- ``validate``, ``benchmark`` and ``map`` (power and correlation) on three
-  presets;
+- ``validate``, ``benchmark`` and ``map`` (power and correlation) on the
+  ``COMMAND_PRESETS``: three pure-LoS presets and a 20 dB Rician one with
+  obstacles and a 2 x 2 element grid;
 - ``map`` (power and correlation) of the baseline layouts ``MAP_SCHEMES``,
   whose element grids differ from the scenario's subarray;
 - ``map`` (power and correlation) of the candidate support ``MAP_SUPPORT``,
@@ -61,7 +62,8 @@ SWEEP_THREADS = ("1", "4")
 USERS_SWEEP = ("desk_partial_los", [6.0, 11.0])
 WIDTH_SWEEP = ("desk_partial_los", [20.2, 40.4])
 WIDTH_TRIALS = 20
-COMMAND_PRESETS = ("desk_full_los_2d", "desk_partial_los", "paper_partial_los_1d")
+COMMAND_PRESETS = ("desk_full_los_2d", "desk_partial_los", "paper_partial_los_1d",
+                   "desk_partial_los_3d_type1")
 MAP_RESOLUTION = 20
 MAP_SCHEMES = (("desk_full_los_2d", "dense_upa"), ("desk_full_los_2d", "sparse_2x4"),
                ("paper_partial_los_1d", "dense_ula"))
@@ -84,8 +86,7 @@ def commands(inputs: Path) -> dict:
 
     out = {}
     for preset in sorted(PRESETS):
-        out[f"plan_{preset}"] = ["plan", "--preset", preset, "--out", "plan.json",
-                                 "--trace-jsonl", "trace.jsonl"]
+        out[f"plan_{preset}"] = ["plan", "--preset", preset, "--out", "plan.json"]
     for seed in DENSE_SEEDS:
         config = _write_json(inputs / f"dense_{seed}.json", workloads.dense_scenario(seed))
         out[f"dense_plan_{seed}"] = ["plan", "--config", config, "--out", "plan.json"]

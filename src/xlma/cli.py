@@ -26,8 +26,9 @@ from .montecarlo import (SimOptions, correlation_map, draw_trials, power_gain_ma
                          simulate_weighted_sum_rate)
 from .pipeline import ScenarioContext, context_from_document
 from .presets import PRESETS
-from .scenario import (DISTRIBUTION_FIELDS, _require, as_integer, as_number, check_fields,
-                       dbm_to_mw, load_scenario, mw_to_dbm, rician_kappa)
+from .scenario import (CANDIDATE_LIMIT, DISTRIBUTION_FIELDS, _integers, _require, as_integer,
+                       as_number, check_fields, dbm_to_mw, load_scenario, mw_to_dbm,
+                       rician_kappa)
 
 SWEEP_PARAMETERS = ("m_h", "ma_width", "expected_users", "rician_db")
 SWEEP_SCHEMES = ("proposed", "optimal") + BENCHMARK_KINDS
@@ -36,6 +37,10 @@ SIM_COMBINERS = {"sim_mrc": "mrc", "sim_mmse": "mmse"}
 SWEEP_FIELDS = ("parameter", "values", "schemes", "evaluators", "trials")
 MAP_FIELDS = ("kind", "scheme", "resolution", "probe_point", "blocked_placeholder_dbm",
               "z_plane")
+# Largest sweep trial count and map resolution (points per map axis) a spec
+# may ask for; a larger one is refused before anything is allocated.
+TRIALS_LIMIT = 1_000_000
+RESOLUTION_LIMIT = 2000
 
 
 def _load_document(args) -> dict:
@@ -92,10 +97,6 @@ def cmd_plan(args) -> int:
         "rng_seed": ctx.scenario.rng_seed,
     }
     _write_json(args.out, payload)
-    if args.trace_jsonl:
-        with Path(args.trace_jsonl).open("w") as fh:
-            for record in result.trace:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
     print(f"plan written to {args.out} (objective {result.objective:.6f} bits/s/Hz)")
     return 0
 
@@ -125,6 +126,9 @@ def _apply_parameter(doc: dict, parameter: str, value, field: str) -> dict:
             raise ConfigurationError(f"'{field}': ma_width needs an ma_region with "
                                      "y_max > y_min")
         steps = width / step
+        if not steps <= CANDIDATE_LIMIT:  # inf too
+            raise ConfigurationError(f"'{field}': ma_width {value} spans more than "
+                                     f"{CANDIDATE_LIMIT} candidate steps of {step:.12g}")
         n_y = round(steps)
         if n_y < 1:
             raise ConfigurationError(f"'{field}': ma_width {value} too small for step {step}")
@@ -234,8 +238,8 @@ def cmd_sweep(args) -> int:
     schemes = _spec_names(spec, "schemes", SWEEP_SCHEMES)
     evaluators = _spec_names(spec, "evaluators", SWEEP_EVALUATORS, default=["approx_mrc"])
     trials = as_integer(spec.get("trials", 500), "trials")
-    if trials < 1:
-        raise ConfigurationError(f"'trials' must be at least 1, got {trials}")
+    if not 1 <= trials <= TRIALS_LIMIT:
+        raise ConfigurationError(f"'trials' must lie in [1, {TRIALS_LIMIT}], got {trials}")
     if parameter not in SWEEP_PARAMETERS:
         raise ConfigurationError(f"sweep parameter must be one of {SWEEP_PARAMETERS}")
     if not isinstance(values, list) or not values:
@@ -290,8 +294,12 @@ def _map_fields(spec: dict) -> dict:
         raise ConfigurationError(f"'probe_point' must be a list of 2 or 3 numbers, got {probe!r}")
     placeholder = spec.get("blocked_placeholder_dbm")
     z_plane = spec.get("z_plane")
+    resolution = as_integer(spec.get("resolution", 50), "resolution")
+    if resolution > RESOLUTION_LIMIT:
+        raise ConfigurationError(
+            f"'resolution' must be at most {RESOLUTION_LIMIT}, got {resolution}")
     return {
-        "resolution": as_integer(spec.get("resolution", 50), "resolution"),
+        "resolution": resolution,
         "probe_point": None if probe is None else tuple(
             as_number(v, f"probe_point[{i}]", finite=True) for i, v in enumerate(probe)),
         "blocked_placeholder_gain": None if placeholder is None else float(
@@ -311,12 +319,13 @@ def cmd_map(args) -> int:
     if isinstance(scheme, dict):
         if "support" not in check_fields(scheme, ("support",), "scheme."):
             raise ConfigurationError("missing required field 'scheme.support'")
+        support = _integers(scheme["support"], "scheme.support")
     elif scheme not in SWEEP_SCHEMES:
         raise ConfigurationError(
             f"'scheme' must be one of {SWEEP_SCHEMES} or an object with 'support', "
             f"got {scheme!r}")
     ctx = context_from_document(doc)
-    layout = (support_layout(ctx.scenario, scheme["support"]) if isinstance(scheme, dict)
+    layout = (support_layout(ctx.scenario, support) if isinstance(scheme, dict)
               else ctx.placement_for_scheme(scheme))
 
     probe = fields["probe_point"]
@@ -409,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="optimize a placement and write the plan JSON")
     add_config(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--trace-jsonl", help="also write the optimizer trace as JSON lines")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("sweep", help="evaluate schemes across a parameter sweep")

@@ -227,19 +227,15 @@ def successive_replacement(
 
 
 def _prefix_blocks(n_cols: int, n_select: int, width: int, max_heads: int):
-    """Every n_select-subset of range(n_cols) once, in blocks
-    ``(heads, x, tails)`` of at most ``width`` subsets and ``max_heads``
-    heads: head + (x, d) for each row of ``heads`` and each d in the range
-    ``tails``.
+    """Every n_select-subset of range(n_cols), n_select >= 2, once, in
+    blocks ``(heads, x, tails)`` of at most ``width`` subsets and
+    ``max_heads`` heads: head + (x, d) for each row of ``heads`` and each d
+    in the range ``tails``.
 
     x is the second-largest element, each head an (n_select - 2)-subset of
-    range(x) and each tail d > x; for n_select == 1, x is None and heads
-    has one empty row. A block runs head-major, in lexicographic order.
+    range(x) and each tail d > x. A block runs head-major, in lexicographic
+    order.
     """
-    if n_select == 1:
-        for d in range(0, n_cols, width):
-            yield np.empty((1, 0), np.intp), None, range(d, min(n_cols, d + width))
-        return
     for x in range(n_select - 2, n_cols - 1):
         for d in range(x + 1, n_cols, width):
             tails = range(d, min(n_cols, d + width))
@@ -261,9 +257,6 @@ def _block_sums(terms, heads, x, tails, out, prefix, scratch) -> None:
     """
     block = out.reshape(3, len(heads), len(tails), out.shape[-1])
     tail = terms[:, None, tails.start : tails.stop]
-    if x is None:
-        block[...] = tail
-        return
     if heads.shape[1] == 0:
         prefix[...] = terms[:, x, None]
     else:
@@ -282,14 +275,15 @@ def exhaustive_search(model: RateModel, n_select: int) -> tuple[np.ndarray, floa
     """(support, value): the sorted columns of the global optimum over all
     N-subsets (lexicographically first among ties) and its value.
 
-    Subsets are scored in ``_prefix_blocks``. ``_block_sums`` forms a block's
-    column sums from ``model.terms`` in the order of ``RateModel.sums``, and
-    ``RateModel.objective`` scores them, so each value has the bits of
-    ``model.weighted_sum`` of its subset. The sums buffers are allocated
-    once per call: three blocks of ``rate.ASSEMBLY_BLOCK_BYTES`` and six
-    quarter blocks for the head sums. Blocks are not in lexicographic order,
-    so a block's best that ties the best so far is compared with it as a
-    support.
+    One column is the first maximum of ``model.marginal_objective``, the LP
+    seed's vector. More are scored in ``_prefix_blocks``: ``_block_sums``
+    forms a block's column sums from ``model.terms`` in the order of
+    ``RateModel.sums``, and ``RateModel.objective`` scores them, so each
+    value has the bits of ``model.weighted_sum`` of its subset. The sums
+    buffers are allocated once per call: three blocks of
+    ``rate.ASSEMBLY_BLOCK_BYTES`` and six quarter blocks for the head sums.
+    Blocks are not in lexicographic order, so a block's best that ties the
+    best so far is compared with it as a support.
     """
     n_cols = model.n_cols
     if not 1 <= n_select <= n_cols:
@@ -299,6 +293,10 @@ def exhaustive_search(model: RateModel, n_select: int) -> tuple[np.ndarray, floa
         raise ConfigurationError(
             f"exhaustive search over {count} combinations exceeds limit {EXHAUSTIVE_LIMIT}"
         )
+    if n_select == 1:
+        values = model.marginal_objective()
+        best = int(np.argmax(values))
+        return np.array([best]), float(values[best])
     n_rows = len(model.rho)
     width = max(1, rate.ASSEMBLY_BLOCK_BYTES // (8 * n_rows))
     max_heads = max(1, width // 4)
@@ -317,7 +315,7 @@ def exhaustive_search(model: RateModel, n_select: int) -> tuple[np.ndarray, floa
         if not value >= best_value:
             continue
         head, d = divmod(j, len(tails))
-        support = (*heads[head].tolist(), *(() if x is None else (x,)), tails[d])
+        support = (*heads[head].tolist(), x, tails[d])
         if best_support is None or value > best_value or support < best_support:
             best_value = value
             best_support = support

@@ -15,9 +15,10 @@ M_h x M_v element grid at spacings (d_h, d_v), M = M_h*M_v elements: the
 scenario's subarray, or a layout's one grid. The auxiliary factor f carries
 M, so the signal term adds it bare. All rates are log2, all powers linear.
 
-The pair moments factor over grids. With the scalar Rician factor kappa and
-A = kappa*xi / (kappa*xi + 1) per (grid, column), g_ki = A_k*A_i and
-q_ki = M*(1 - A_k*A_i); in pure LoS (kappa infinite), A = xi and q = 0.
+The pair moments factor over grids. Under the Rician factor kappa an entry
+(grid, column) in LoS has A = kappa/(kappa + 1) and f = M*(2*kappa + 1)/
+(kappa + 1)^2, a blocked one A = 0 and f = M; kappa infinite (pure LoS) gives
+A = 1, f = 0 (``rician_weights``). g_ki = A_k*A_i and q_ki = M*(1 - A_k*A_i).
 beta = xi*beta_los + beta_los/kappa, A and f are formed per column block
 from the stored gain tables, never as whole tables. The Fejer product is a
 sum over antenna lags,
@@ -134,12 +135,14 @@ def _others(x):
     return out.view(np.float64)
 
 
-def aux_f(m, xi, kappa_bar, pure_los: bool):
-    """Signal fourth-moment excess factor; beta^2 * f is the variance of |h|^2."""
-    if pure_los:
-        return np.zeros(np.broadcast_shapes(np.shape(xi), np.shape(m)))
-    kx = np.asarray(kappa_bar) * np.asarray(xi)
-    return np.asarray(m) * (2.0 * kx + 1.0) / (kx + 1.0) ** 2
+def rician_weights(kappa, m) -> tuple[float, float]:
+    """(A, f) of an entry in LoS at Rician factor ``kappa``, M = ``m``:
+    kappa/(kappa + 1) and M*(2*kappa + 1)/(kappa + 1)^2, (1, 0) at kappa =
+    inf. A blocked entry has (0, M); beta^2 * f is the variance of |h|^2."""
+    if np.isinf(kappa):
+        return 1.0, 0.0
+    k1 = kappa + 1.0
+    return kappa / k1, m * (2.0 * kappa + 1.0) / (k1 * k1)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +193,7 @@ class RateModel:
         rho = scenario.rho[grid_rows]
         pbar = scenario.snr_scale[grid_rows]
         kappa = tables.kappa
-        pure = np.isinf(kappa)
+        a_seen, f_seen = rician_weights(kappa, m)
         n_rows, n_cols = tables.beta_los.shape
 
         terms = np.empty((3, n_cols, n_rows))
@@ -206,9 +209,9 @@ class RateModel:
             beta = xi * beta_los + beta_los / kappa
             m_beta = m * beta
             sig_mean[c] = m_beta.T
-            sig_var[c] = (beta * beta * aux_f(m, xi, kappa, pure)).T
+            sig_var[c] = (beta * beta * np.where(xi, f_seen, m)).T
             w = power * beta
-            a = xi if pure else kappa * xi / (kappa * xi + 1.0)
+            a = xi * a_seen
             wa = w * a
             others_wa = _others(wa)
             lag_sum = m * others_wa  # lag 0
@@ -251,8 +254,7 @@ class RateModel:
                         sin = sin_h * cv - cos_h * sv
                     lag_sum += weight * (cos * _others(wa * cos) + sin * _others(wa * sin))
             interf = a * lag_sum
-            if not pure:
-                interf += m * (_others(w) - a * others_wa)
+            interf += m * (_others(w) - a * others_wa)
             interf *= beta
             interf += m_beta
             denom[c] = interf.T

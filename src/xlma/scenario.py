@@ -26,6 +26,13 @@ from .errors import ConfigurationError, DomainError
 from .rng import uniforms
 
 SPEED_OF_LIGHT = 299792458.0
+# Largest counts a scenario may hold: candidate positions N0, user grids K,
+# visibility samples per grid and elements M = m_h * m_v per subarray. A
+# larger one is refused before anything is allocated or looped over.
+CANDIDATE_LIMIT = 100_000
+GRID_LIMIT = 100_000
+SAMPLES_LIMIT = 10_000
+ELEMENT_LIMIT = 4096
 
 
 def dbm_to_mw(dbm: float) -> float:
@@ -55,9 +62,11 @@ def _check_finite(what: str, *values) -> None:
         raise ConfigurationError(f"{what} must be finite")
 
 
-def _check_axes(spec, region: str, count: str, axes: str) -> None:
+def _check_axes(spec, region: str, count: str, axes: str, limit: int) -> None:
     """Each of ``axes`` of ``spec`` has a positive count ``{count}_{axis}``
-    and bounds ``{axis}_min <= {axis}_max``, equal only with count 1."""
+    and bounds ``{axis}_min <= {axis}_max``, equal only with count 1, and
+    the counts' product is at most ``limit``."""
+    total = 1
     for axis in axes:
         lo, hi = getattr(spec, axis + "_min"), getattr(spec, axis + "_max")
         name = f"{count}_{axis}"
@@ -67,6 +76,10 @@ def _check_axes(spec, region: str, count: str, axes: str) -> None:
         if lo > hi or (lo == hi and n != 1):
             raise ConfigurationError(
                 f"{region} {axis} bounds invalid: [{lo}, {hi}] with {name}={n}")
+        total *= n
+    if total > limit:
+        names = " * ".join(f"{region}.{count}_{axis}" for axis in axes)
+        raise ConfigurationError(f"{names} = {total} exceeds the limit {limit}")
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +104,7 @@ class MaRegionSpec:
 
     def __post_init__(self):
         _check_finite("ma_region values", *astuple(self))
-        _check_axes(self, "ma_region", "n", "yz")
+        _check_axes(self, "ma_region", "n", "yz", CANDIDATE_LIMIT)
 
     @property
     def n_candidates(self) -> int:
@@ -124,7 +137,7 @@ class CoverageSpec:
         _check_finite("coverage values", *astuple(self))
         if self.x_min <= 0:
             raise ConfigurationError("coverage.x_min must be > 0 (front half-space)")
-        _check_axes(self, "coverage", "k", "xyz")
+        _check_axes(self, "coverage", "k", "xyz", GRID_LIMIT)
 
     @property
     def n_grids(self) -> int:
@@ -313,6 +326,8 @@ def check_indices(indices, size: int, what: str) -> np.ndarray:
     arr = np.asarray(indices)
     if arr.dtype == bool:
         raise DomainError(f"{what} must be an index list, not a boolean mask")
+    if arr.dtype == object:  # such as an int past int64
+        raise DomainError(f"{what} indices must be integers in [0, {size})")
     with np.errstate(invalid="ignore"):  # NaN/inf cast to garbage, rejected below
         out = arr.astype(int)
     if not np.array_equal(out, arr):
@@ -605,8 +620,8 @@ class ScenarioConfig:
     """All physical and system parameters of one scenario.
 
     Powers are linear milliwatts and the Rician factor is a linear ratio
-    (np.inf selects the symbolic pure-LoS mode); dB conversions happen once
-    at JSON load time.
+    (np.inf is pure LoS, the Rician formula's limit); dB conversions happen
+    once at JSON load time.
     """
 
     carrier_freq: float
@@ -638,6 +653,9 @@ class ScenarioConfig:
             raise ConfigurationError("carrier_freq must be positive and finite")
         if self.m_h < 1 or self.m_v < 1:
             raise ConfigurationError("m_h and m_v must be >= 1")
+        if self.m_h * self.m_v > ELEMENT_LIMIT:
+            raise ConfigurationError(f"m_h * m_v = {self.m_h * self.m_v} exceeds the limit "
+                                     f"{ELEMENT_LIMIT}")
         if not (0 < self.d_h < np.inf and 0 < self.d_v < np.inf):
             raise ConfigurationError("d_h and d_v must be positive and finite")
         n0 = self.ma_region.n_candidates
@@ -651,8 +669,9 @@ class ScenarioConfig:
             raise ConfigurationError("noise_power_mw must be positive and finite")
         if not (self.rician_kappa > 0):  # rejects NaN and nonpositive
             raise ConfigurationError("rician_kappa must be > 0 or infinite (pure LoS)")
-        if self.visibility_samples < 1:
-            raise ConfigurationError("visibility_samples must be >= 1")
+        if not 1 <= self.visibility_samples <= SAMPLES_LIMIT:
+            raise ConfigurationError(f"visibility_samples must lie in [1, {SAMPLES_LIMIT}], "
+                                     f"got {self.visibility_samples}")
         if self.rng_seed < 0:
             raise ConfigurationError("rng_seed must be >= 0")
         # Adjacent placements must not overlap along any axis the subarray moves on.
@@ -686,10 +705,6 @@ class ScenarioConfig:
     @property
     def antennas_per_subarray(self) -> int:
         return self.m_h * self.m_v
-
-    @property
-    def pure_los(self) -> bool:
-        return np.isinf(self.rician_kappa)
 
     @property
     def snr_scale(self) -> np.ndarray:
@@ -762,11 +777,18 @@ def rician_kappa(kappa_db) -> float:
 def as_number(value, field: str, finite: bool = False) -> float:
     """``value`` as a float; anything but a JSON number (a string, a bool,
     null, a list), or with ``finite`` a NaN or infinity, raises
-    ``ConfigurationError`` naming ``field``."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or finite and not np.isfinite(value)):
-        raise ConfigurationError(f"'{field}' must be a {'finite ' * finite}number, got {value!r}")
-    return float(value)
+    ``ConfigurationError`` naming ``field``. An integer past a float's
+    range is an infinity."""
+    message = f"'{field}' must be a {'finite ' * finite}number, got {value!r}"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(message)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf if value > 0 else -math.inf
+    if finite and not math.isfinite(number):
+        raise ConfigurationError(message)
+    return number
 
 
 def as_integer(value, field: str) -> int:

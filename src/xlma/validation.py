@@ -3,7 +3,7 @@
 Run by ``xlma validate``. Each check is a closed-form identity or an
 exactness case with a deterministic verdict; the Monte Carlo moment check
 uses enough draws that a genuine formula error in its fourth-moment factor
-``aux_f`` fails decisively.
+f (``rician_weights``) fails decisively.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from .channel import (
 )
 from .montecarlo import SimOptions, simulate_trials
 from .pipeline import ScenarioContext
-from .rate import RateModel, aux_f, fejer_correlation
+from .rate import fejer_correlation, rician_weights
 from .rng import substream
 from .scenario import (
     ScenarioConfig,
@@ -106,7 +106,7 @@ def _check_moments(scenario, draws, rng) -> CheckResult:
     layout = support_layout(scenario, distinct_sorted(support))
     stats = compute_layout_stats(scenario, layout, grid_indices=rows)
     m = scenario.antennas_per_subarray
-    f = aux_f(m, stats.xi, scenario.rician_kappa, scenario.pure_los)
+    f = np.where(stats.xi, rician_weights(scenario.rician_kappa, m)[1], m)
     mean2 = m * stats.beta_total          # E ||h_s||^2 per subarray
     var2 = stats.beta_total**2 * f        # Var ||h_s||^2 per subarray
 

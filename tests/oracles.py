@@ -39,9 +39,17 @@ import numpy as np
 from xlma.channel import channel_from_draws, draw_realization
 from xlma.errors import ConfigurationError, DomainError
 from xlma.montecarlo import _sinr_all_active
-from xlma.rate import ASSEMBLY_BLOCK_BYTES, RateModel, _fejer_axis, aux_f, fejer_correlation
+from xlma.rate import ASSEMBLY_BLOCK_BYTES, RateModel, _fejer_axis, fejer_correlation
 from xlma.rng import _key, substream
 from xlma.scenario import segments_blocked
+
+
+def aux_f(m, xi, kappa_bar, pure_los: bool):
+    """Signal fourth-moment excess factor; beta^2 * f is the variance of |h|^2."""
+    if pure_los:
+        return np.zeros(np.broadcast_shapes(np.shape(xi), np.shape(m)))
+    kx = np.asarray(kappa_bar) * np.asarray(xi)
+    return np.asarray(m) * (2.0 * kx + 1.0) / (kx + 1.0) ** 2
 
 
 def aux_g(xi_k, xi_i, kap_k, kap_i, pure_los: bool):
@@ -120,7 +128,7 @@ def build_kernel_tables(scenario, beta_los, beta_nlos, xi, u,
             "use the streaming rate model instead"
         )
     m = scenario.antennas_per_subarray
-    pure = scenario.pure_los
+    pure = np.isinf(scenario.rician_kappa)
     kap = None if pure else beta_los / beta_nlos
     phi = np.empty((n_grids, n_grids, n_cols))
     g = np.empty_like(phi)
@@ -145,7 +153,7 @@ def assemble_row_loop(cls, scenario, tables, m_h, m_v, d_h, d_v):
     xi, u = tables.xi.astype(float), tables.u
     rho = scenario.rho[grid_rows]
     pbar = scenario.snr_scale[grid_rows]
-    pure = scenario.pure_los
+    pure = np.isinf(scenario.rician_kappa)
     kap = None if pure else beta_los / beta_nlos
     f = aux_f(m, xi, kap, pure)
     sig_mean = m * beta

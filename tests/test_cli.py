@@ -12,11 +12,12 @@ import pytest
 
 import xlma
 from xlma import validation
-from xlma.cli import _apply_parameter, main
+from xlma.cli import RESOLUTION_LIMIT, TRIALS_LIMIT, _apply_parameter, main
 from xlma.montecarlo import draw_trials
 from xlma.pipeline import context_from_document
 from xlma.presets import desk_full_los, desk_full_los_2d, desk_partial_los, desk_single_grid
-from xlma.scenario import load_scenario
+from xlma.scenario import (CANDIDATE_LIMIT, ELEMENT_LIMIT, GRID_LIMIT, SAMPLES_LIMIT,
+                           load_scenario)
 from xlma.validation import validate_scenario
 
 
@@ -112,14 +113,19 @@ class TestPlan:
         assert "scenario must be a JSON object" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists() and not (tmp_path / "o").exists()
 
-    def test_plan_trace_jsonl(self, tmp_path):
+    def test_plan_trace_only_in_plan_json(self, tmp_path, capsys):
+        """The optimizer trace has one home, the plan JSON's ``trace``."""
         cfg = write_config(tmp_path, desk_full_los())
         out = tmp_path / "plan.json"
-        trace = tmp_path / "trace.jsonl"
-        assert main(["plan", "--config", str(cfg), "--out", str(out),
-                     "--trace-jsonl", str(trace)]) == 0
-        lines = [json.loads(line) for line in trace.read_text().splitlines()]
-        assert lines == json.loads(out.read_text())["trace"]
+        assert main(["plan", "--config", str(cfg), "--out", str(out)]) == 0
+        trace = json.loads(out.read_text())["trace"]
+        assert [r["iteration"] for r in trace] == list(range(len(trace)))
+        assert trace[0]["accepted"] and trace[0]["victim_slot"] is None
+        with pytest.raises(SystemExit):
+            main(["plan", "--config", str(cfg), "--out", str(out),
+                  "--trace-jsonl", str(tmp_path / "trace.jsonl")])
+        assert "--trace-jsonl" in capsys.readouterr().err
+        assert not (tmp_path / "trace.jsonl").exists()
 
     def test_preset_name(self, tmp_path):
         out = tmp_path / "plan.json"
@@ -128,6 +134,75 @@ class TestPlan:
     def test_unknown_preset(self, tmp_path, capsys):
         assert main(["plan", "--preset", "nope", "--out", str(tmp_path / "x")]) == 1
         assert "preset" in capsys.readouterr().err
+
+
+class TestCountLimits:
+    """A count past its stated limit exits 1 with an error naming its field,
+    refused before anything it sizes is allocated or looped over."""
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("coverage", "k_x"), 1e308, "coverage.k_x"),
+        (("coverage", "k_y"), 10**30, "coverage.k_y"),
+        (("coverage", "k_z"), 10**30, "k_z"),  # a flat coverage region: refused for it
+        (("coverage", "k_y"), GRID_LIMIT // 5 + 1, "coverage.k_y"),  # K = GRID_LIMIT + 5
+        (("ma_region", "n_y"), 1e308, "ma_region.n_y"),
+        (("ma_region", "n_y"), CANDIDATE_LIMIT + 1, "ma_region.n_y"),
+        (("visibility_samples",), 1e308, "visibility_samples"),
+        (("visibility_samples",), SAMPLES_LIMIT + 1, "visibility_samples"),
+        (("m_v",), 10**30, "m_h * m_v"),
+        (("m_v",), ELEMENT_LIMIT + 1, "m_h * m_v"),
+    ])
+    def test_scenario_counts(self, tmp_path, capsys, path, value, field):
+        doc = desk_partial_los()  # obstacles, one candidate row and k_x = 5
+        doc["m_h"] = 1
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["plan", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_scenario_counts_at_their_limits_load(self):
+        doc = desk_partial_los()
+        doc.update(m_h=1, m_v=ELEMENT_LIMIT, visibility_samples=SAMPLES_LIMIT)
+        doc["ma_region"]["n_y"] = CANDIDATE_LIMIT
+        doc["coverage"]["k_y"] = GRID_LIMIT // 5
+        sc = load_scenario(doc)
+        assert sc.ma_region.n_candidates == CANDIDATE_LIMIT
+        assert sc.coverage.n_grids == GRID_LIMIT
+
+    @pytest.mark.parametrize("trials", [1e308, 10**30, TRIALS_LIMIT + 1])
+    def test_sweep_trials(self, tmp_path, capsys, trials):
+        cfg = write_config(tmp_path, desk_full_los())
+        spath = tmp_path / "sweep.json"
+        spath.write_text(json.dumps({"parameter": "m_h", "values": [2], "schemes": ["proposed"],
+                                     "evaluators": ["sim_mrc"], "trials": trials}))
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(spath),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+        assert f"error: 'trials' must lie in [1, {TRIALS_LIMIT}]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("width", [1e308, CANDIDATE_LIMIT * 1.01 + 1])
+    def test_sweep_ma_width_past_the_candidate_limit(self, tmp_path, capsys, width):
+        cfg = write_config(tmp_path, desk_full_los())  # candidate step 1.01
+        spath = tmp_path / "sweep.json"
+        spath.write_text(json.dumps({"parameter": "ma_width", "values": [width],
+                                     "schemes": ["proposed"]}))
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(spath),
+                     "--out-dir", str(tmp_path / "o")]) == 1
+        assert "error: 'values[0]': ma_width" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("resolution", [1e308, 10**30, RESOLUTION_LIMIT + 1])
+    def test_map_resolution(self, tmp_path, capsys, resolution):
+        cfg = write_config(tmp_path, desk_full_los())
+        spath = tmp_path / "map.json"
+        spath.write_text(json.dumps({"kind": "power", "resolution": resolution}))
+        assert main(["map", "--config", str(cfg), "--map-spec", str(spath),
+                     "--out", str(tmp_path / "map.csv")]) == 1
+        assert "error: 'resolution' must be at most" in capsys.readouterr().err
 
 
 def read_sweep(path):
@@ -556,7 +631,24 @@ class TestMap:
         out = tmp_path / "m.csv"
         assert main(["map", "--config", str(cfg), "--map-spec", str(spath),
                      "--out", str(out)]) == 1
-        assert "integers" in capsys.readouterr().err
+        assert "'scheme.support[0]' must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry, message", [
+        (None, "'scheme.support[1]' must be a number"),
+        ("abc", "'scheme.support[1]' must be a number"),
+        ([3], "'scheme.support[1]' must be a number"),
+        (10**30, "placement support indices must be integers in [0, 100)"),
+        (1e308, "placement support indices must be integers in [0, 100)"),
+    ])
+    def test_support_entry_that_is_no_index_names_it(self, tmp_path, capsys, entry, message):
+        cfg = write_config(tmp_path, desk_full_los())
+        spath = tmp_path / "map.json"
+        spath.write_text(json.dumps({"kind": "power", "scheme": {"support": [5, entry]}}))
+        out = tmp_path / "m.csv"
+        assert main(["map", "--config", str(cfg), "--map-spec", str(spath),
+                     "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value, field", [
@@ -722,8 +814,13 @@ class TestValidate:
 
     def test_corrupted_kernels_fail_moment_check(self, monkeypatch):
         sc = load_scenario(desk_single_grid())
-        aux_f = validation.aux_f
-        monkeypatch.setattr(validation, "aux_f", lambda *args: 3.0 * aux_f(*args) + 0.05)
+        weights = validation.rician_weights
+
+        def corrupted(kappa, m):
+            a, f = weights(kappa, m)
+            return a, 3.0 * f + 0.05
+
+        monkeypatch.setattr(validation, "rician_weights", corrupted)
         checks = validate_scenario(sc, draws=4000)
         by_name = {c.name: c for c in checks}
         assert not by_name["moment-identities"].passed

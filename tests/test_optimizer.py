@@ -262,7 +262,7 @@ def block_of(model, n_select, width):
     for b, (heads, x, tails) in enumerate(blocks_in_order):
         for head in heads.tolist():
             for d in tails:
-                blocks[(*head, *(() if x is None else (x,)), d)] = b
+                blocks[(*head, x, d)] = b
     return blocks
 
 
@@ -392,6 +392,20 @@ class TestExhaustiveBlocks:
             supp, best = exhaustive_search_reference(model, n_select)
             assert tuple(support) == supp
             assert val == best
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_column_is_first_maximum_of_marginal_objective(self, seed):
+        """N = 1 returns the first argmax of the LP seed's vector, with its
+        bits; of exact copies of the best column the first wins."""
+        model = random_model(seed)
+        values = model.marginal_objective()
+        best = int(np.argmax(values))
+        support, val = exhaustive_search(model, 1)
+        assert support.tolist() == [best]
+        assert val == values[best]
+        copies = RateModel(model.grid_rows, model.rho, model.pbar,
+                           np.repeat(model.terms[:, best:best + 1], 3, axis=1))
+        assert exhaustive_search(copies, 1)[0].tolist() == [0]
 
     def test_memory_bounded(self):
         """K' = 50, C = 40, N = 4: every temporary stays block-sized."""

@@ -20,9 +20,10 @@ from xlma.errors import ConfigurationError, DomainError
 from xlma.optimizer import SelectionState
 from xlma.pipeline import context_from_document
 from xlma.presets import PRESETS
-from xlma.rate import RateModel, aux_f, fejer_correlation
+from xlma.rate import RateModel, fejer_correlation, rician_weights
 from xlma import rate as rate_module
-from oracles import (assemble_angle_addition, assemble_row_loop, aux_g, aux_kernels, aux_q,
+from oracles import (assemble_angle_addition, assemble_row_loop, aux_f, aux_g, aux_kernels,
+                     aux_q,
                      build_kernel_tables, grid_rate, grid_sinr, marginal_rate,
                      model_with_assembly, others_reference, upper_bound_rate)
 from xlma.rng import substream
@@ -91,6 +92,22 @@ class TestAuxKernels:
 
     def test_unit_rician_ratio(self):
         assert aux_f(4, 1.0, 1.0, False) == pytest.approx(3.0)  # 3M/4 with M = 4
+
+    @pytest.mark.parametrize("kappa", [np.inf, 1e150, 100.0, 7.0, 1.0, 0.3, 1e-300])
+    @pytest.mark.parametrize("m", [1, 4, 16])
+    def test_one_rician_formula_has_the_bits_of_the_entrywise_one(self, kappa, m):
+        """A = xi * A_seen and f = where(xi, f_seen, M) give the bits of
+        kappa*xi/(kappa*xi + 1) and ``aux_f`` per entry, and kappa = inf
+        gives pure LoS: A = xi, and f = 0 wherever beta can be nonzero."""
+        xi = np.array([[1, 0], [0, 1]], np.uint8)
+        a_seen, f_seen = rician_weights(kappa, m)
+        f = np.where(xi, f_seen, m)
+        if np.isinf(kappa):
+            assert np.array_equal(xi * a_seen, xi)
+            assert np.array_equal(f[xi == 1], np.zeros(2))
+        else:
+            assert np.array_equal(xi * a_seen, kappa * xi / (kappa * xi + 1.0))
+            assert np.array_equal(f, aux_f(m, xi, kappa, False))
 
     def test_wrapper_shapes(self):
         b_los = np.array([1.0, 2.0])

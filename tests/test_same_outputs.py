@@ -47,8 +47,8 @@ def test_a_trailing_newline_is_a_difference(tmp_path):
 def test_commands_cover_the_gated_outputs(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     argvs = same_outputs.commands(tmp_path)
-    for preset in PRESETS:
-        assert "--trace-jsonl" in argvs[f"plan_{preset}"]
+    for preset in PRESETS:  # the trace is compared inside plan.json
+        assert argvs[f"plan_{preset}"] == ["plan", "--preset", preset, "--out", "plan.json"]
     assert {f"dense_plan_{seed}" for seed in (7, 11, 23)} <= set(argvs)
     all_active = argvs["plan_full_scale_all_active"]  # every grid of the paper's scale
     expected = PRESETS["paper_full_scale_3d_type1"]()
@@ -68,8 +68,14 @@ def test_commands_cover_the_gated_outputs(tmp_path, monkeypatch):
     assert widths_spec["parameter"] == "ma_width" and widths_spec["values"] == [20.2, 40.4]
     assert widths_spec["schemes"] == ["proposed", "dense_ula"]
     assert widths_spec["evaluators"] == ["approx_mrc", "sim_mrc"]
+    # validate, benchmark and the maps run the Rician weights at a finite kappa too
+    rician = "desk_partial_los_3d_type1"
+    assert rician in same_outputs.COMMAND_PRESETS
+    doc = PRESETS[rician]()
+    assert doc["rician_kappa_db"] == 20.0 and doc["obstacles"] and doc["m_v"] == 2
     for command in ("validate", "benchmark"):
-        assert len([name for name in argvs if name.startswith(command + "_")]) == 3
+        assert len([name for name in argvs if name.startswith(command + "_")]) == 4
+        assert f"{command}_{rician}" in argvs
     maps = []
     for name, argv in argvs.items():
         if name.startswith("map_"):

@@ -961,7 +961,7 @@ class TestLoadScenario:
     def test_infinite_kappa_db_is_pure_los(self):
         doc = desk_full_los()
         doc["rician_kappa_db"] = float("inf")
-        assert load_scenario(doc).pure_los
+        assert np.isinf(load_scenario(doc).rician_kappa)
 
     def test_dbm_helper(self):
         assert dbm_to_mw(0.0) == pytest.approx(1.0)
@@ -995,6 +995,47 @@ def small_scenes(draw):
 # standard errors (as in perfbench/workloads.py). At 3, about 100
 # comparisons would fail by chance up to about 12% of the time.
 UPPER_BOUND_STDERRS = 4.0
+
+
+class TestNumbers:
+    def test_integers_past_float_range_are_infinities(self):
+        assert scenario.as_number(10**30, "f", finite=True) == 1e30
+        assert scenario.as_number(10**400, "f") == math.inf
+        assert scenario.as_number(-10**400, "f") == -math.inf
+        with pytest.raises(ConfigurationError, match="'f' must be a finite number"):
+            scenario.as_number(10**400, "f", finite=True)
+        with pytest.raises(ConfigurationError, match="'n' must be an integer"):
+            scenario.as_integer(10**400, "n")
+
+
+class TestCountLimits:
+    """API-built scenarios are held to the counts a document is."""
+
+    def test_candidates(self):
+        region = dict(y_min=-1.0, y_max=1.0, z_min=0.0, z_max=1.0)
+        assert MaRegionSpec(**region, n_y=scenario.CANDIDATE_LIMIT, n_z=1).n_candidates == (
+            scenario.CANDIDATE_LIMIT)
+        with pytest.raises(ConfigurationError, match=r"ma_region.n_y \* ma_region.n_z = "
+                           f"{scenario.CANDIDATE_LIMIT + 1} exceeds"):
+            MaRegionSpec(**region, n_y=1, n_z=scenario.CANDIDATE_LIMIT + 1)
+
+    def test_grids(self):
+        cov = dict(x_min=1.0, x_max=2.0, y_min=0.0, y_max=1.0, z_min=0.0, z_max=1.0)
+        assert CoverageSpec(**cov, k_x=1, k_y=1, k_z=scenario.GRID_LIMIT).n_grids == (
+            scenario.GRID_LIMIT)
+        with pytest.raises(ConfigurationError, match=r"coverage.k_x \* coverage.k_y \* "
+                           f"coverage.k_z = {scenario.GRID_LIMIT + 1} exceeds"):
+            CoverageSpec(**cov, k_x=scenario.GRID_LIMIT + 1, k_y=1, k_z=1)
+
+    def test_visibility_samples_and_elements(self):
+        sc = make_scenario(m_h=1)
+        assert dataclasses.replace(sc, visibility_samples=scenario.SAMPLES_LIMIT)
+        with pytest.raises(ConfigurationError, match="visibility_samples must lie in"):
+            dataclasses.replace(sc, visibility_samples=scenario.SAMPLES_LIMIT + 1)
+        assert dataclasses.replace(sc, m_v=scenario.ELEMENT_LIMIT)
+        with pytest.raises(ConfigurationError, match="m_h \\* m_v = "
+                           f"{scenario.ELEMENT_LIMIT + 1} exceeds"):
+            dataclasses.replace(sc, m_v=scenario.ELEMENT_LIMIT + 1)
 
 
 class TestWholeScenes:
