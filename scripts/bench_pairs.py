@@ -14,11 +14,15 @@ drift of the machine falls on both sides alike. Nothing under
 ``perfbench/`` is edited.
 
 For every workload and end-to-end metric of ``BENCHMARK.json`` it prints
-both sides' median [q1, q3], the relative change of the median, the pairs
-the change won (strictly better in the metric's direction), and the verdict
-of the claim rule: a claimed gain holds when the change wins at least 9 of
-every 10 pairs and its median is better than the parent's by more than the
-parent's interquartile range.
+both sides' median [q1, q3], the relative change of the median, the median
+[q1, q3] of the per-pair relative differences (change - parent) / parent,
+the pairs the change won (strictly better in the metric's direction), and
+the verdict of the claim rule: a claimed gain holds when the change wins at
+least 9 of every 10 pairs and its median is better than the parent's by
+more than the parent's interquartile range. The two sides of a pair run
+back to back, so a drift of the machine over the pairs widens both sides'
+quartiles but hardly the per-pair differences; those show the effect apart
+from the drift. The verdict does not use them.
 """
 
 from __future__ import annotations
@@ -61,6 +65,15 @@ def claim_verdict(parent, change, better: str) -> tuple[int, bool]:
     return wins, wins >= WIN_SHARE * len(parent) and gap > q3 - q1
 
 
+def pair_differences(parent, change) -> list[float] | None:
+    """(change - parent) / parent of each pair, or None if a parent run is 0."""
+    if len(parent) != len(change) or not parent:
+        raise ValueError("need the same positive number of parent and change runs")
+    if not all(parent):
+        return None
+    return [(c - p) / p for p, c in zip(parent, change)]
+
+
 def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """The metrics of one untraced ``perfbench/run.py`` run in ``checkout``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -80,8 +93,14 @@ def report(workload, metrics, parent_runs, change_runs) -> None:
         wins, met = claim_verdict(parent, change, better)
         (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
         shift = f"{(cm - pm) / pm:+.1%}" if pm else "n/a"
+        differences = pair_differences(parent, change)
+        if differences is None:
+            paired = "n/a"
+        else:
+            d1, dm, d3 = quartiles(differences)
+            paired = f"{dm:+.1%} [{d1:+.1%}, {d3:+.1%}]"
         print(f"{workload} {name}: parent {pm:.4g} [{p1:.4g}, {p3:.4g}]  "
-              f"change {cm:.4g} [{c1:.4g}, {c3:.4g}]  {shift}  "
+              f"change {cm:.4g} [{c1:.4g}, {c3:.4g}]  {shift}  per pair {paired}  "
               f"wins {wins}/{len(parent)}  claim {'met' if met else 'not met'}")
 
 

@@ -26,9 +26,9 @@ from .montecarlo import (SimOptions, correlation_map, draw_trials, power_gain_ma
                          simulate_weighted_sum_rate)
 from .pipeline import ScenarioContext, context_from_document
 from .presets import PRESETS
-from .scenario import (CANDIDATE_LIMIT, DISTRIBUTION_FIELDS, _integers, _require, as_integer,
-                       as_number, check_fields, dbm_to_mw, load_scenario, mw_to_dbm,
-                       rician_kappa)
+from .scenario import (CANDIDATE_LIMIT, DISTRIBUTION_FIELDS, _integers, _require,
+                       as_bounded, as_integer, as_number, check_fields, dbm_to_mw,
+                       load_scenario, mw_to_dbm, rician_kappa)
 
 SWEEP_PARAMETERS = ("m_h", "ma_width", "expected_users", "rician_db")
 SWEEP_SCHEMES = ("proposed", "optimal") + BENCHMARK_KINDS
@@ -41,6 +41,9 @@ MAP_FIELDS = ("kind", "scheme", "resolution", "probe_point", "blocked_placeholde
 # may ask for; a larger one is refused before anything is allocated.
 TRIALS_LIMIT = 1_000_000
 RESOLUTION_LIMIT = 2000
+# Largest |blocked_placeholder_dbm|: its power in mW, summed over a map
+# point's subarrays and elements, stays positive and finite.
+PLACEHOLDER_DBM_LIMIT = 1000.0
 
 
 def _load_document(args) -> dict:
@@ -301,10 +304,10 @@ def _map_fields(spec: dict) -> dict:
     return {
         "resolution": resolution,
         "probe_point": None if probe is None else tuple(
-            as_number(v, f"probe_point[{i}]", finite=True) for i, v in enumerate(probe)),
-        "blocked_placeholder_gain": None if placeholder is None else float(
-            dbm_to_mw(as_number(placeholder, "blocked_placeholder_dbm", finite=True))),
-        "z_plane": None if z_plane is None else as_number(z_plane, "z_plane", finite=True),
+            as_bounded(v, f"probe_point[{i}]") for i, v in enumerate(probe)),
+        "blocked_placeholder_gain": None if placeholder is None else float(dbm_to_mw(
+            as_bounded(placeholder, "blocked_placeholder_dbm", PLACEHOLDER_DBM_LIMIT, "dBm"))),
+        "z_plane": None if z_plane is None else as_bounded(z_plane, "z_plane"),
     }
 
 

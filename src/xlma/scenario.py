@@ -33,6 +33,10 @@ CANDIDATE_LIMIT = 100_000
 GRID_LIMIT = 100_000
 SAMPLES_LIMIT = 10_000
 ELEMENT_LIMIT = 4096
+# Largest |coordinate| in metres (region bounds, obstacle center and dims,
+# map plane and probe): far past any preset's ~100 m, and small enough that
+# squares and powers of distances stay finite.
+COORDINATE_LIMIT = 1e6
 
 
 def dbm_to_mw(dbm: float) -> float:
@@ -64,11 +68,12 @@ def _check_finite(what: str, *values) -> None:
 
 def _check_axes(spec, region: str, count: str, axes: str, limit: int) -> None:
     """Each of ``axes`` of ``spec`` has a positive count ``{count}_{axis}``
-    and bounds ``{axis}_min <= {axis}_max``, equal only with count 1, and
-    the counts' product is at most ``limit``."""
+    and bounds ``{axis}_min <= {axis}_max`` (``as_bounded``), equal only
+    with count 1, and the counts' product is at most ``limit``."""
     total = 1
     for axis in axes:
-        lo, hi = getattr(spec, axis + "_min"), getattr(spec, axis + "_max")
+        lo, hi = (as_bounded(getattr(spec, axis + end), f"{region}.{axis}{end}")
+                  for end in ("_min", "_max"))
         name = f"{count}_{axis}"
         n = getattr(spec, name)
         if n < 1:
@@ -169,7 +174,9 @@ class Obstacle:
     dims: tuple[float, float, float]
 
     def __post_init__(self):
-        _check_finite("obstacle center and dims", *self.center, *self.dims)
+        for name in ("center", "dims"):
+            for i, value in enumerate(getattr(self, name)):
+                as_bounded(value, f"{name}[{i}]")
         if any(d <= 0 for d in self.dims):
             raise ConfigurationError("obstacle dims must be strictly positive")
 
@@ -216,25 +223,17 @@ def grid_multi_index(idx: int, k_x: int, k_y: int) -> tuple[int, int, int]:
 
 def build_candidate_grid(ma: MaRegionSpec) -> np.ndarray:
     """Centers of all candidate placement positions, shape (N0, 3)."""
-    iy = np.arange(ma.n_y)
-    iz = np.arange(ma.n_z)
-    y = ma.y_min + (iy + 0.5) * ma.dy
-    z = ma.z_min + (iz + 0.5) * ma.dz
-    yy, zz = np.meshgrid(y, z, indexing="xy")  # iz-major rows, iy fastest
+    iy, iz = candidate_multi_index(np.arange(ma.n_candidates), ma.n_y)
     out = np.zeros((ma.n_candidates, 3))
-    out[:, 1] = yy.ravel()
-    out[:, 2] = zz.ravel()
+    out[:, 1] = ma.y_min + (iy + 0.5) * ma.dy
+    out[:, 2] = ma.z_min + (iz + 0.5) * ma.dz
     return out
 
 
 def build_user_grid(cov: CoverageSpec) -> np.ndarray:
     """Geometric centers of all user grids, shape (K, 3)."""
-    d = cov.deltas
-    ix = cov.x_min + (np.arange(cov.k_x) + 0.5) * d[0]
-    iy = cov.y_min + (np.arange(cov.k_y) + 0.5) * d[1]
-    iz = cov.z_min + (np.arange(cov.k_z) + 0.5) * d[2]
-    zz, yy, xx = np.meshgrid(iz, iy, ix, indexing="ij")  # ix fastest
-    return np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
+    index = np.stack(grid_multi_index(np.arange(cov.n_grids), cov.k_x, cov.k_y), axis=1)
+    return np.array([cov.x_min, cov.y_min, cov.z_min]) + (index + 0.5) * cov.deltas
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +340,21 @@ def check_indices(indices, size: int, what: str) -> np.ndarray:
     return out
 
 
-class _SlabTest:
-    """Slab test of segments against box obstacles, in buffers for up to
-    ``size`` segments that every call reuses.
+# Bytes per segment of one ``_slab_test`` call: its tracemalloc peak is 77
+# (numpy 2.4; start points of the segments' shape, parallel segments).
+SLAB_BYTES_PER_SEGMENT = 78
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _slab_test(starts: np.ndarray, ends: np.ndarray, boxes: np.ndarray) -> np.ndarray:
+    """Whether each segment [starts, ends] (their broadcast shape) touches
+    any of ``boxes``, an (obstacles, 2, 3) array of (lo, hi) corners.
 
     Segment p + t*d, t in [0, 1], touches box [lo, hi] (boundary contact
     counts) iff [0, 1] and the intervals between (lo_a - p_a)/d_a and
     (hi_a - p_a)/d_a of the three axes a intersect. The differences
     d = end - start are formed once per call and shared by every obstacle,
-    the numerators on the shape of the start points, and the temporaries of
-    the segments' shape are views of the buffers' leading entries.
+    the numerators on the shape of the start points.
     A component d_a == 0 makes the segment parallel to slab a: it lies
     inside the slab for every t or for none. Inside, its bounds become
     (-inf, inf); outside (or not provably inside, as with NaN), (inf, -inf).
@@ -361,47 +365,26 @@ class _SlabTest:
     exactly 0. Each segment gets the operations of a separate test per
     obstacle, so results are the same bit for bit in any batch.
     """
-
-    # float64 d (3 components) and five t temporaries, bool hit and blocked.
-    BYTES_PER_SEGMENT = 8 * 8 + 2
-
-    def __init__(self, size: int):
-        self.floats = np.empty((8, size))
-        self.flags = np.empty((2, size), dtype=bool)
-
-    @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-    def __call__(self, starts: np.ndarray, ends: np.ndarray, boxes: np.ndarray) -> np.ndarray:
-        """Whether each segment [starts, ends] (their broadcast shape) touches
-        any of ``boxes``, an (obstacles, 2, 3) array of (lo, hi) corners.
-
-        The result is a buffer of this test, overwritten by the next call.
-        """
-        shape = np.broadcast_shapes(starts.shape[:-1], ends.shape[:-1])
-        size = math.prod(shape)
-        *d, t_lo, t_hi, t0, t1, t2 = self.floats[:, :size].reshape((8,) + shape)
-        hit, blocked = self.flags[:, :size].reshape((2,) + shape)
+    d = [ends[..., a] - starts[..., a] for a in range(3)]
+    parallel = [d[a] == 0.0 for a in range(3)]
+    parallel = [mask if mask.any() else None for mask in parallel]
+    blocked = np.zeros(d[0].shape, dtype=bool)
+    for lo, hi in boxes:
         for a in range(3):
-            np.subtract(ends[..., a], starts[..., a], out=d[a])
-        parallel = [d[a] == 0.0 for a in range(3)]
-        parallel = [mask if mask.any() else None for mask in parallel]
-        blocked.fill(False)
-        for lo, hi in boxes:
-            for a in range(3):
-                oa = starts[..., a]
-                np.divide(lo[a] - oa, d[a], out=t0)
-                np.divide(hi[a] - oa, d[a], out=t1)
-                tmin = np.minimum(t0, t1, out=t2)
-                tmax = np.maximum(t0, t1, out=t1)
-                if parallel[a] is not None:
-                    inside = (oa >= lo[a]) & (oa <= hi[a])
-                    tmin = np.where(parallel[a], np.where(inside, -np.inf, np.inf), tmin)
-                    tmax = np.where(parallel[a], np.where(inside, np.inf, -np.inf), tmax)
-                # [t_lo, t_hi] starts as [0, 1]: axis 0 clips the scalars.
-                np.maximum(t_lo if a else 0.0, tmin, out=t_lo)
-                np.minimum(t_hi if a else 1.0, tmax, out=t_hi)
-            np.less_equal(t_lo, t_hi, out=hit)
-            blocked |= hit
-        return blocked
+            oa = starts[..., a]
+            # Axis a's interval: its two quotients, ordered.
+            tmin = (lo[a] - oa) / d[a]
+            tmax = (hi[a] - oa) / d[a]
+            tmin, tmax = np.minimum(tmin, tmax), np.maximum(tmin, tmax)
+            if parallel[a] is not None:
+                inside = (oa >= lo[a]) & (oa <= hi[a])
+                tmin = np.where(parallel[a], np.where(inside, -np.inf, np.inf), tmin)
+                tmax = np.where(parallel[a], np.where(inside, np.inf, -np.inf), tmax)
+            # [t_lo, t_hi] starts as [0, 1]: axis 0 clips the scalars.
+            t_lo = np.maximum(t_lo if a else 0.0, tmin)
+            t_hi = np.minimum(t_hi if a else 1.0, tmax)
+        blocked |= t_lo <= t_hi
+    return blocked
 
 
 def _corners(obstacles) -> np.ndarray:
@@ -414,10 +397,7 @@ def segments_blocked(starts: np.ndarray, ends: np.ndarray, obstacles) -> np.ndar
 
     Boundaries are inclusive: a segment touching a face counts as blocked.
     """
-    starts = np.asarray(starts, float)
-    ends = np.asarray(ends, float)
-    shape = np.broadcast_shapes(starts.shape[:-1], ends.shape[:-1])
-    return _SlabTest(math.prod(shape))(starts, ends, _corners(obstacles))
+    return _slab_test(np.asarray(starts, float), np.asarray(ends, float), _corners(obstacles))
 
 
 def cell_samples(cov: CoverageSpec, grid_indices, samples: int, rng_seed: int,
@@ -523,15 +503,16 @@ def visibility_from_points(
     in any batch, so stopping at a pair's first blocked sample leaves the
     table as it is. Most blocked pairs are blocked by their first sample.
 
-    Every row's samples are drawn first, before the kernel's buffers exist,
+    Every row's samples are drawn first, before the prune's buffers exist,
     so the draw's temporaries never add to them. Then, one obstacle at a
     time, rows go through the prune in blocks; the pairs found queue up
     across blocks until they fill a batch, and the queue goes through the
     rounds in batches of at most as many pairs as segments, each round's
     undecided pairs kept in its front. Blocks and batches share the memory
     of one (samples, points) slab test, which is what testing a whole row
-    at once held: a block takes at most half, a batch the rest. Both reuse
-    one buffer set per call, each batch through views.
+    at once would hold: a block takes at most half, a batch the rest. The
+    blocks reuse one set of window buffers per call; each batch's slab test
+    holds its own temporaries, ``SLAB_BYTES_PER_SEGMENT`` per segment.
     """
     samples = as_integer(samples_per_grid, "samples_per_grid")
     if samples < 1:
@@ -562,18 +543,16 @@ def visibility_from_points(
     widest = max(stop - start for start, stop in rounds)
     # Bytes per row of a block: (rows, points) masks and the pair indices
     # found and queued, (rows, coordinates) windows. Per segment of a batch:
-    # the slab test, its parallel masks and the gathered sample; per pair: its
-    # queue entries, row and column, start point, hit and the index kept for
-    # the next round.
-    budget = samples * n_points * _SlabTest.BYTES_PER_SEGMENT
+    # the slab test and the gathered sample; per pair: its queue entries,
+    # row and column, start point, hit and the index kept for the next round.
+    budget = samples * n_points * SLAB_BYTES_PER_SEGMENT
     row_bytes = 49 * n_points + 64 * max(len(coords) for coords, _ in axes)
-    pair_bytes = _SlabTest.BYTES_PER_SEGMENT + 3 + 24 + 66
+    pair_bytes = SLAB_BYTES_PER_SEGMENT + 24 + 66
     block_rows = min(max(budget // 2 // row_bytes, 1), n_rows)
     capacity = max(min((budget - block_rows * row_bytes) // pair_bytes,
                        n_rows * n_points * samples), widest)
 
     targets = cell_samples(cov, grid_indices, samples, rng_seed, purpose)
-    slab_test = _SlabTest(capacity)
     lower, upper, gathered = np.empty((3, block_rows, n_points))
     sample_lo, sample_hi = targets.min(axis=1), targets.max(axis=1)
     flat_xi = xi.reshape(-1)
@@ -586,8 +565,8 @@ def visibility_from_points(
             step = capacity // width
             for batch in (pairs[i:i + step] for i in range(0, len(pairs), step)):
                 row, col = np.divmod(batch, n_points)
-                hit = slab_test(points[col][:, None, :], targets[row, start:stop],
-                                box[None]).any(axis=1)
+                hit = _slab_test(points[col][:, None, :], targets[row, start:stop],
+                                 box[None]).any(axis=1)
                 flat_xi[batch[hit]] = 0
                 undecided = batch[~hit]
                 pairs[kept:kept + len(undecided)] = undecided
@@ -791,6 +770,16 @@ def as_number(value, field: str, finite: bool = False) -> float:
     return number
 
 
+def as_bounded(value, field: str, limit: float = COORDINATE_LIMIT, unit: str = "m") -> float:
+    """``value`` as a float in [-limit, limit], else ``ConfigurationError``
+    naming ``field``; by default a coordinate."""
+    number = as_number(value, field, finite=True)
+    if not abs(number) <= limit:
+        raise ConfigurationError(f"'{field}' must lie in [-{limit:g}, {limit:g}] {unit}, "
+                                 f"got {value!r}")
+    return number
+
+
 def as_integer(value, field: str) -> int:
     """``value`` as an int; NaN, infinite and fractional values are refused."""
     number = as_number(value, field)
@@ -907,7 +896,10 @@ def load_scenario(doc) -> ScenarioConfig:
         check_fields(o, OBSTACLE_FIELDS, where)
         center, dims = (tuple(_numbers(_require(o, key, where), where + key, 3))
                         for key in ("center", "dims"))
-        obstacles.append(Obstacle(center=center, dims=dims))
+        try:
+            obstacles.append(Obstacle(center=center, dims=dims))
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"'obstacles[{i}]': {exc}") from None
 
     tx_power_dbm = _require(doc, "tx_power_dbm", "")
     if isinstance(tx_power_dbm, list):  # one value per grid

@@ -55,3 +55,23 @@ def test_ties_are_no_wins():
 def test_unpaired_runs_rejected():
     with pytest.raises(ValueError):
         claim_verdict(PARENT, PARENT[:-1], "lower")
+
+
+def test_pair_differences_are_relative_to_each_pairs_parent():
+    assert bench_pairs.pair_differences([2.0, 4.0], [1.0, 5.0]) == [-0.5, 0.25]
+    assert bench_pairs.pair_differences([0.0, 4.0], [1.0, 5.0]) is None
+    with pytest.raises(ValueError):
+        bench_pairs.pair_differences([1.0], [1.0, 2.0])
+
+
+def test_a_drifting_parent_shows_a_steady_effect_per_pair(capsys):
+    """The host slows by 10% a pair, so the parent's quartiles span about
+    40% of its median and hide the change's steady 5% gain, which every
+    pair shows. The verdict stays that of the claim rule."""
+    parent = [1.1**i for i in range(10)]
+    change = [p * 0.95 for p in parent]
+    bench_pairs.report("w", [{"name": "wall_s", "better": "lower"}],
+                       [{"wall_s": v} for v in parent], [{"wall_s": v} for v in change])
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("w wall_s: parent 1.537 [1.24, 1.904]  change 1.46 [1.178, 1.809]  -5.0%")
+    assert "per pair -5.0% [-5.0%, -5.0%]  wins 10/10  claim not met" in line

@@ -12,12 +12,13 @@ import pytest
 
 import xlma
 from xlma import validation
-from xlma.cli import RESOLUTION_LIMIT, TRIALS_LIMIT, _apply_parameter, main
+from xlma.cli import (PLACEHOLDER_DBM_LIMIT, RESOLUTION_LIMIT, TRIALS_LIMIT, _apply_parameter,
+                      main)
 from xlma.montecarlo import draw_trials
 from xlma.pipeline import context_from_document
 from xlma.presets import desk_full_los, desk_full_los_2d, desk_partial_los, desk_single_grid
-from xlma.scenario import (CANDIDATE_LIMIT, ELEMENT_LIMIT, GRID_LIMIT, SAMPLES_LIMIT,
-                           load_scenario)
+from xlma.scenario import (CANDIDATE_LIMIT, COORDINATE_LIMIT, ELEMENT_LIMIT, GRID_LIMIT,
+                           SAMPLES_LIMIT, load_scenario)
 from xlma.validation import validate_scenario
 
 
@@ -203,6 +204,70 @@ class TestCountLimits:
         assert main(["map", "--config", str(cfg), "--map-spec", str(spath),
                      "--out", str(tmp_path / "map.csv")]) == 1
         assert "error: 'resolution' must be at most" in capsys.readouterr().err
+
+
+def small_partial_los():
+    """desk_partial_los with 12 candidates on its row."""
+    doc = desk_partial_los()
+    doc["ma_region"]["n_y"] = 12
+    return doc
+
+
+class TestCoordinateLimits:
+    """Coordinates and a placeholder power whose squares or powers would
+    overflow are refused naming their field, before anything is built."""
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("coverage", "y_max"), 1e308, "'coverage.y_max' must lie in [-1e+06, 1e+06] m"),
+        (("ma_region", "y_max"), 1e308, "'ma_region.y_max' must lie in [-1e+06, 1e+06] m"),
+        (("coverage", "x_max"), COORDINATE_LIMIT * 2, "'coverage.x_max'"),
+        (("obstacles", 0, "center", 2), 1e308, "'obstacles[0]': 'center[2]' must lie in"),
+        (("obstacles", 1, "dims", 0), 10**30, "'obstacles[1]': 'dims[0]' must lie in"),
+    ])
+    def test_scene_coordinates(self, tmp_path, capsys, path, value, field):
+        doc = small_partial_los()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        cfg = write_config(tmp_path, doc)
+        assert main(["plan", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 1
+        assert f"error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("z_plane", 1e308, "'z_plane' must lie in [-1e+06, 1e+06] m, got 1e+308"),
+        ("z_plane", -1.5e6, "'z_plane' must lie in"),
+        ("probe_point", [30.0, 1e308], "'probe_point[1]' must lie in"),
+        ("blocked_placeholder_dbm", 1e308,
+         "'blocked_placeholder_dbm' must lie in [-1000, 1000] dBm, got 1e+308"),
+        ("blocked_placeholder_dbm", -PLACEHOLDER_DBM_LIMIT - 1, "'blocked_placeholder_dbm'"),
+    ])
+    def test_map_fields(self, tmp_path, capsys, field, value, message):
+        cfg = write_config(tmp_path, small_partial_los())
+        spath = tmp_path / "map.json"
+        spath.write_text(json.dumps({"kind": "power", "resolution": 6,
+                                     "probe_point": [30.0, 0.0], field: value}))
+        assert main(["map", "--config", str(cfg), "--map-spec", str(spath),
+                     "--out", str(tmp_path / "map.csv")]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "map.csv").exists()
+
+    def test_values_at_the_limits_are_accepted(self, tmp_path):
+        """A map plane at the coordinate limit and a placeholder at either
+        end of its range give finite readings."""
+        cfg = write_config(tmp_path, small_partial_los())
+        for spec in ({"kind": "power", "resolution": 3, "z_plane": COORDINATE_LIMIT},
+                     {"kind": "power", "resolution": 3, "z_plane": 3.0,
+                      "blocked_placeholder_dbm": PLACEHOLDER_DBM_LIMIT},
+                     {"kind": "power", "resolution": 3, "z_plane": 3.0,
+                      "blocked_placeholder_dbm": -PLACEHOLDER_DBM_LIMIT}):
+            spath = write_config(tmp_path, spec, "map.json")
+            assert main(["map", "--config", str(cfg), "--map-spec", str(spath),
+                         "--out", str(tmp_path / "map.csv")]) == 0
+            with open(tmp_path / "map.csv", newline="") as fh:
+                values = [float(v) for row in list(csv.reader(fh))[1:] for v in row[1:]]
+            assert np.all(np.isfinite(values)) and min(values) > -3000.0
 
 
 def read_sweep(path):

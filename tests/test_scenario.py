@@ -106,6 +106,25 @@ class TestIndexing:
         ix, iy, iz = grid_multi_index(idx, k_x, k_y)
         assert grid_linear_index(ix, iy, iz, k_x, k_y) == idx
 
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_grids_equal_the_per_axis_meshgrid_layout(self, preset):
+        """The centers built from the index mappings equal, on every preset,
+        those laid out per axis by ``np.meshgrid``, as the grids were built
+        before."""
+        sc = load_scenario(PRESETS[preset]())
+        ma, cov = sc.ma_region, sc.coverage
+        y = ma.y_min + (np.arange(ma.n_y) + 0.5) * ma.dy
+        z = ma.z_min + (np.arange(ma.n_z) + 0.5) * ma.dz
+        yy, zz = np.meshgrid(y, z, indexing="xy")  # iy fastest
+        candidates = np.stack([np.zeros(yy.size), yy.ravel(), zz.ravel()], axis=1)
+        d = cov.deltas
+        axes = [lo + (np.arange(n) + 0.5) * step for lo, n, step in
+                zip((cov.x_min, cov.y_min, cov.z_min), (cov.k_x, cov.k_y, cov.k_z), d)]
+        zz, yy, xx = np.meshgrid(axes[2], axes[1], axes[0], indexing="ij")  # ix fastest
+        cells = np.stack([xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
+        assert np.array_equal(sc.candidates(), candidates)
+        assert np.array_equal(sc.grid_centers(), cells)
+
     @given(st.lists(st.integers(-2**62, 2**62) | st.integers(0, 5), max_size=30))
     @settings(max_examples=100, deadline=None)
     def test_distinct_sorted_is_plain_unique(self, values):
@@ -343,6 +362,39 @@ class TestSlabKernel:
         np.testing.assert_array_equal(got, blocked_reference(starts, ends, [box]))
         np.testing.assert_array_equal(got, [True, False, True])
 
+    def test_returns_a_fresh_array(self):
+        """A second call, on other segments, leaves the first result as it was."""
+        boxes = scenario._corners([Obstacle(center=(1.0, 1.0, 1.0), dims=(2.0, 2.0, 2.0))])
+        starts = np.array([[-1.0, 1.0, 1.0], [-1.0, 5.0, 1.0]])
+        first = scenario._slab_test(starts, np.array([[3.0, 1.0, 1.0], [3.0, 5.0, 1.0]]), boxes)
+        kept = first.copy()
+        second = scenario._slab_test(starts[::-1], np.array([[3.0, 5.0, 1.0], [3.0, 1.0, 1.0]]),
+                                     boxes)
+        np.testing.assert_array_equal(kept, [True, False])
+        np.testing.assert_array_equal(first, kept)
+        np.testing.assert_array_equal(second, [False, True])
+
+    def test_peak_memory_per_segment(self):
+        """The tracemalloc peak of one call stays within
+        ``SLAB_BYTES_PER_SEGMENT`` per segment, plus 8 kB, where it is
+        highest: start points of the segments' shape, some segments parallel
+        to every slab and inside it."""
+        rng = np.random.default_rng(3)
+        starts = rng.uniform(-4.0, 4.0, (100_000, 3))
+        ends = rng.uniform(-4.0, 4.0, (100_000, 3))
+        ends[::7] = starts[::7] + [0.0, 0.0, 1.0]
+        ends[1::7, 2] = starts[1::7, 2]
+        boxes = scenario._corners([BOX, Obstacle(center=(0.0, 0.0, 0.0), dims=(9.0, 9.0, 9.0))])
+        scenario._slab_test(starts, ends, boxes)
+        tracemalloc.start()
+        try:
+            blocked = scenario._slab_test(starts, ends, boxes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert blocked.all()  # the second box holds every start point
+        assert peak <= scenario.SLAB_BYTES_PER_SEGMENT * len(starts) + 8192
+
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_visibility_equals_reference(self, preset):
         """Every grid's row, or at full scale every active grid's (all clear
@@ -463,13 +515,13 @@ class TestConePrune:
         (x >= 7.5), so the kernel tests none of its pairs; a wall between
         them shadows every segment, so it tests all of them."""
         tested = []
-        kernel = scenario._SlabTest.__call__
+        kernel = scenario._slab_test
 
-        def counted(self, starts, ends, obstacles):
+        def counted(starts, ends, obstacles):
             tested.append(len(ends) * len(obstacles))
-            return kernel(self, starts, ends, obstacles)
+            return kernel(starts, ends, obstacles)
 
-        monkeypatch.setattr(scenario._SlabTest, "__call__", counted)
+        monkeypatch.setattr(scenario, "_slab_test", counted)
         sc = load_scenario(PRESETS["desk_partial_los"]())
         behind = Obstacle(center=(-5.0, 0.0, 10.0), dims=(2.0, 500.0, 500.0))
         wall = Obstacle(center=(4.0, 0.0, 10.0), dims=(0.5, 500.0, 500.0))
@@ -522,14 +574,14 @@ class TestConePrune:
 def _counting_kernel(monkeypatch):
     """A list that gains the number of segments of every slab-kernel call."""
     tested = []
-    kernel = scenario._SlabTest.__call__
+    kernel = scenario._slab_test
 
-    def counted(self, starts, ends, boxes):
+    def counted(starts, ends, boxes):
         tested.append(math.prod(np.broadcast_shapes(starts.shape[:-1], ends.shape[:-1]))
                       * len(boxes))
-        return kernel(self, starts, ends, boxes)
+        return kernel(starts, ends, boxes)
 
-    monkeypatch.setattr(scenario._SlabTest, "__call__", counted)
+    monkeypatch.setattr(scenario, "_slab_test", counted)
     return tested
 
 
@@ -1036,6 +1088,29 @@ class TestCountLimits:
         with pytest.raises(ConfigurationError, match="m_h \\* m_v = "
                            f"{scenario.ELEMENT_LIMIT + 1} exceeds"):
             dataclasses.replace(sc, m_v=scenario.ELEMENT_LIMIT + 1)
+
+
+class TestCoordinateLimits:
+    """API-built regions and obstacles are held to the coordinate bound a
+    document is."""
+
+    def test_regions(self):
+        limit = scenario.COORDINATE_LIMIT
+        assert MaRegionSpec(y_min=-limit, y_max=limit, z_min=0.0, z_max=1.0, n_y=2, n_z=1)
+        with pytest.raises(ConfigurationError, match=r"^'ma_region.z_min' must lie in"):
+            MaRegionSpec(y_min=-1.0, y_max=1.0, z_min=-2 * limit, z_max=1.0, n_y=2, n_z=1)
+        cov = dict(x_min=1.0, y_min=0.0, y_max=1.0, z_min=0.0, z_max=1.0, k_x=1, k_y=1, k_z=1)
+        assert CoverageSpec(**cov, x_max=limit)
+        with pytest.raises(ConfigurationError, match=r"^'coverage.x_max' must lie in"):
+            CoverageSpec(**cov, x_max=np.nextafter(limit, np.inf))
+
+    def test_obstacles(self):
+        limit = scenario.COORDINATE_LIMIT
+        assert Obstacle(center=(limit, 0.0, 0.0), dims=(1.0, limit, 1.0))
+        with pytest.raises(ConfigurationError, match=r"^'center\[1\]' must lie in"):
+            Obstacle(center=(0.0, -1e308, 0.0), dims=(1.0, 1.0, 1.0))
+        with pytest.raises(ConfigurationError, match=r"^'dims\[2\]' must lie in"):
+            Obstacle(center=(0.0, 0.0, 0.0), dims=(1.0, 1.0, 2 * limit))
 
 
 class TestWholeScenes:
