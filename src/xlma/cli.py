@@ -26,8 +26,8 @@ from .montecarlo import (SimOptions, correlation_map, draw_trials, power_gain_ma
                          simulate_weighted_sum_rate)
 from .pipeline import ScenarioContext, context_from_document
 from .presets import PRESETS
-from .scenario import (CANDIDATE_LIMIT, DISTRIBUTION_FIELDS, _integers, _require,
-                       as_bounded, as_integer, as_number, check_fields, dbm_to_mw,
+from .scenario import (CANDIDATE_LIMIT, DISTRIBUTION_FIELDS, MaRegionSpec, _integers, _region,
+                       _require, as_bounded, as_integer, as_number, check_fields, dbm_to_mw,
                        load_scenario, mw_to_dbm, rician_kappa)
 
 SWEEP_PARAMETERS = ("m_h", "ma_width", "expected_users", "rician_db")
@@ -123,7 +123,7 @@ def _apply_parameter(doc: dict, parameter: str, value, field: str) -> dict:
         out["m_h"] = as_integer(value, field)
     elif parameter == "ma_width":
         width = as_number(value, field, finite=True)
-        region = load_scenario(doc).ma_region  # checks the numbers the step is made of
+        region = _region(doc, "ma_region", MaRegionSpec)  # checks the numbers of the step
         step = region.dy
         if step == 0:
             raise ConfigurationError(f"'{field}': ma_width needs an ma_region with "
@@ -248,7 +248,12 @@ def cmd_sweep(args) -> int:
     if not isinstance(values, list) or not values:
         raise ConfigurationError("sweep values must be a nonempty list")
 
-    docs = [_apply_parameter(doc, parameter, v, f"values[{i}]") for i, v in enumerate(values)]
+    try:
+        docs = [_apply_parameter(doc, parameter, v, f"values[{i}]")
+                for i, v in enumerate(values)]
+    except ConfigurationError:
+        load_scenario(doc)  # a fault of the document is named before a value's
+        raise
     for value_doc in docs:
         load_scenario(value_doc)  # every value is checked before the first cell runs
     out_dir = Path(args.out_dir)

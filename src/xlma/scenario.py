@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -60,27 +60,24 @@ def distinct_sorted(values) -> np.ndarray:
     return out[keep]
 
 
-def _check_finite(what: str, *values) -> None:
-    """Reject NaN and infinite entries (JSON parsing accepts both)."""
-    if not np.all(np.isfinite(np.asarray(values, float))):
-        raise ConfigurationError(f"{what} must be finite")
-
-
 def _check_axes(spec, region: str, count: str, axes: str, limit: int) -> None:
-    """Each of ``axes`` of ``spec`` has a positive count ``{count}_{axis}``
-    and bounds ``{axis}_min <= {axis}_max`` (``as_bounded``), equal only
-    with count 1, and the counts' product is at most ``limit``."""
+    """Read each of ``axes`` of the frozen ``spec`` and store what was read:
+    a positive count ``{count}_{axis}`` (``as_integer``) and bounds
+    ``{axis}_min <= {axis}_max`` (``as_bounded``), equal only with count 1.
+    The counts' product is at most ``limit``."""
     total = 1
     for axis in axes:
         lo, hi = (as_bounded(getattr(spec, axis + end), f"{region}.{axis}{end}")
                   for end in ("_min", "_max"))
         name = f"{count}_{axis}"
-        n = getattr(spec, name)
+        n = as_integer(getattr(spec, name), f"{region}.{name}")
         if n < 1:
             raise ConfigurationError(f"{region}.{name} must be positive")
         if lo > hi or (lo == hi and n != 1):
             raise ConfigurationError(
                 f"{region} {axis} bounds invalid: [{lo}, {hi}] with {name}={n}")
+        for key, value in ((axis + "_min", lo), (axis + "_max", hi), (name, n)):
+            object.__setattr__(spec, key, value)
         total *= n
     if total > limit:
         names = " * ".join(f"{region}.{count}_{axis}" for axis in axes)
@@ -108,7 +105,6 @@ class MaRegionSpec:
     n_z: int
 
     def __post_init__(self):
-        _check_finite("ma_region values", *astuple(self))
         _check_axes(self, "ma_region", "n", "yz", CANDIDATE_LIMIT)
 
     @property
@@ -139,10 +135,9 @@ class CoverageSpec:
     k_z: int
 
     def __post_init__(self):
-        _check_finite("coverage values", *astuple(self))
+        _check_axes(self, "coverage", "k", "xyz", GRID_LIMIT)
         if self.x_min <= 0:
             raise ConfigurationError("coverage.x_min must be > 0 (front half-space)")
-        _check_axes(self, "coverage", "k", "xyz", GRID_LIMIT)
 
     @property
     def n_grids(self) -> int:
@@ -175,8 +170,13 @@ class Obstacle:
 
     def __post_init__(self):
         for name in ("center", "dims"):
-            for i, value in enumerate(getattr(self, name)):
-                as_bounded(value, f"{name}[{i}]")
+            values = getattr(self, name)
+            if isinstance(values, np.ndarray):
+                values = values.tolist()  # a 0-d array has no len()
+            if not isinstance(values, (tuple, list)) or len(values) != 3:
+                raise ConfigurationError(f"'{name}' must be 3 numbers, got {values!r}")
+            object.__setattr__(self, name, tuple(
+                as_bounded(value, f"{name}[{i}]") for i, value in enumerate(values)))
         if any(d <= 0 for d in self.dims):
             raise ConfigurationError("obstacle dims must be strictly positive")
 
@@ -620,6 +620,8 @@ class ScenarioConfig:
     visibility_samples: int = 20
 
     def __post_init__(self):
+        for name in ("m_h", "m_v", "n_subarrays", "rng_seed", "visibility_samples"):
+            setattr(self, name, as_integer(getattr(self, name), name))
         self.tx_power_mw = np.broadcast_to(
             np.asarray(self.tx_power_mw, float), (self.coverage.n_grids,)
         ).copy()
@@ -794,19 +796,13 @@ def _number(mapping: dict, key: str, context: str, default=None) -> float:
     return as_number(value, context + key)
 
 
-def _integer(mapping: dict, key: str, context: str, default=None) -> int:
-    """``mapping[key]`` as an int; required unless ``default`` is given."""
-    value = _require(mapping, key, context) if default is None else mapping.get(key, default)
-    return as_integer(value, context + key)
-
-
 def _region(doc: dict, key: str, spec):
-    """The ``spec`` dataclass of the object ``doc[key]``, its int fields
-    read as integers and the rest as numbers."""
+    """The ``spec`` dataclass of the object ``doc[key]``, which reads its
+    own fields."""
     context = key + "."
-    mapping = check_fields(_require(doc, key, ""), tuple(f.name for f in fields(spec)), context)
-    return spec(**{f.name: (_integer if f.type == "int" else _number)(mapping, f.name, context)
-                   for f in fields(spec)})
+    names = tuple(f.name for f in fields(spec))
+    mapping = check_fields(_require(doc, key, ""), names, context)
+    return spec(**{name: _require(mapping, name, context) for name in names})
 
 
 def _grid_sets(dist_doc: dict, n_grids: int) -> tuple:
@@ -909,18 +905,18 @@ def load_scenario(doc) -> ScenarioConfig:
 
     return ScenarioConfig(
         carrier_freq=freq,
-        m_h=_integer(doc, "m_h", ""),
-        m_v=_integer(doc, "m_v", ""),
+        m_h=_require(doc, "m_h", ""),
+        m_v=_require(doc, "m_v", ""),
         d_h=d_h,
         d_v=d_v,
-        n_subarrays=_integer(doc, "n_subarrays", ""),
+        n_subarrays=_require(doc, "n_subarrays", ""),
         tx_power_mw=_power_mw(tx_power_dbm, "tx_power_dbm"),
         noise_power_mw=float(_power_mw(_number(doc, "noise_power_dbm", ""), "noise_power_dbm")),
         rician_kappa=kappa,
-        rng_seed=_integer(doc, "rng_seed", "", default=0),
+        rng_seed=doc.get("rng_seed", 0),
         ma_region=ma,
         coverage=cov,
         rho=rho,
         obstacles=obstacles,
-        visibility_samples=_integer(doc, "visibility_samples", "", default=20),
+        visibility_samples=doc.get("visibility_samples", 20),
     )

@@ -160,6 +160,25 @@ class TestLayouts:
         with pytest.raises(ConfigurationError):
             ArrayLayout(centers, 1, 1, 0.5, 0.5)
 
+    @pytest.mark.parametrize("name, value", [
+        *((name, value) for name in ("m_h", "m_v")
+          for value in (0, -1, 2.5, True, np.nan, "2", None)),
+        *((name, value) for name in ("d_h", "d_v")
+          for value in (0.0, -0.1, np.nan, np.inf, True, "0.5", None)),
+    ])
+    def test_bad_element_grid_named(self, name, value):
+        # Left unread, a NaN d_h scores approx_mrc 0.0, m_h = 0 scores (0.0, 0.0)
+        # and d_h = -0.1 lets two subarrays 5 cm apart pass the overlap check.
+        grid = {"m_h": 2, "m_v": 2, "d_h": 0.1, "d_v": 0.1, name: value}
+        with pytest.raises(ConfigurationError, match=rf"^'{name}' must be"):
+            ArrayLayout([(0.0, 0.0, 0.0), (0.0, 0.05, 0.0)], **grid)
+
+    def test_element_grid_kept_as_int_and_float(self):
+        layout = ArrayLayout([(0.0, 0.0, 0.0)], m_h=4.0, m_v=np.int64(2), d_h=1, d_v=0.5)
+        assert [type(v) for v in (layout.m_h, layout.m_v, layout.d_h, layout.d_v)] == [
+            int, int, float, float]
+        assert layout.element_positions().shape == (1, 8, 3)
+
 
 class TestImpossiblePlacements:
     """Subarrays that overlap, or sit inside an obstacle, have no channel."""

@@ -428,6 +428,30 @@ class TestSweep:
         assert [r["value"] for r in read_sweep(tmp_path / "o" / "sweep_approx_mrc.csv")] == [
             "20.2"]
 
+    @pytest.mark.parametrize("parameter, values", [
+        ("m_h", [2, 3]), ("ma_width", [20.2, 40.4]), ("expected_users", [2.0, 3.0]),
+        ("rician_db", [10, "infinite"])])
+    def test_each_value_document_is_loaded_twice(self, tmp_path, monkeypatch, parameter,
+                                                 values):
+        # Once checked before the first cell runs, once for its context.
+        from xlma import cli, pipeline
+
+        loaded = []
+
+        def counting_load(doc):
+            loaded.append(doc)
+            return load_scenario(doc)
+
+        monkeypatch.setattr(cli, "load_scenario", counting_load)
+        monkeypatch.setattr(pipeline, "load_scenario", counting_load)
+        cfg = write_config(tmp_path, desk_partial_los())
+        spath = tmp_path / "sweep.json"
+        spath.write_text(json.dumps({"parameter": parameter, "values": values,
+                                     "schemes": ["proposed"], "evaluators": ["approx_mrc"]}))
+        assert main(["sweep", "--config", str(cfg), "--sweep", str(spath),
+                     "--out-dir", str(tmp_path / "o")]) == 0
+        assert len(loaded) == 2 * len(values)
+
     def test_ma_width_keeps_an_off_center_region_centered(self):
         doc = desk_full_los()
         doc["ma_region"].update(y_min=-30.5, y_max=70.5)  # center 20 m, step 1.01 m

@@ -1,13 +1,13 @@
 """No input ends the command line in a runtime failure.
 
 Preset documents, sweep specs and map specs are mutated at one or two nodes
-(deleted, or set to null, a string, NaN, +-inf, 0, a negative, 1e308,
-10**30, a fraction or a list of the wrong length) and run through
-``cli.main``: it must exit 0, or 1 with an ``error:`` line on stderr, never
-2, and raise no warning (the test suite's filter makes each an error): a
-number whose square or power overflows is refused, not run with infinities.
-Scenes are kept small (at most ``MAX_N_Y`` candidates per row), so that each
-run takes milliseconds.
+(deleted, or set to null, true, a string, NaN, +-inf, 0, a negative, 1e308,
+10**30, a fraction, the number as a float (12 becomes 12.0) or a list of the
+wrong length) and run through ``cli.main``: it must exit 0, or 1 with an
+``error:`` line on stderr, never 2, and raise no warning (the test suite's
+filter makes each an error): a number whose square or power overflows is
+refused, not run with infinities. Scenes are kept small (at most
+``MAX_N_Y`` candidates per row), so that each run takes milliseconds.
 """
 
 import contextlib
@@ -26,8 +26,8 @@ from xlma.presets import PRESETS
 
 MAX_N_Y = 12
 DELETE = object()
-MUTATIONS = ("delete", "null", "string", "nan", "inf", "-inf", "zero", "negative", "1e308",
-             "10**30", "fraction", "wrong length")
+MUTATIONS = ("delete", "null", "true", "string", "nan", "inf", "-inf", "zero", "negative",
+             "1e308", "10**30", "fraction", "integral float", "wrong length")
 
 
 def small_preset(name: str) -> dict:
@@ -41,9 +41,10 @@ def mutated(value, mutation: str):
     number = value if isinstance(value, (int, float)) and not isinstance(value, bool) else 1
     if mutation == "wrong length":
         return value[:-1] if isinstance(value, list) and value else [value, value]
-    return {"delete": DELETE, "null": None, "string": "abc", "nan": math.nan,
+    return {"delete": DELETE, "null": None, "true": True, "string": "abc", "nan": math.nan,
             "inf": math.inf, "-inf": -math.inf, "zero": 0, "negative": -abs(number) or -1,
-            "1e308": 1e308, "10**30": 10**30, "fraction": number + 0.5}[mutation]
+            "1e308": 1e308, "10**30": 10**30, "fraction": number + 0.5,
+            "integral float": float(number)}[mutation]
 
 
 def node_paths(node, prefix=()):

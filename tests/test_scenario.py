@@ -1113,6 +1113,116 @@ class TestCoordinateLimits:
             Obstacle(center=(0.0, 0.0, 0.0), dims=(1.0, 1.0, 2 * limit))
 
 
+REGION = dict(y_min=-1.0, y_max=1.0, z_min=0.0, z_max=1.0, n_y=2, n_z=1)
+COVERAGE = dict(x_min=1.0, x_max=2.0, y_min=0.0, y_max=1.0, z_min=0.0, z_max=1.0,
+                k_x=1, k_y=1, k_z=1)
+NOT_COUNTS = [1.5, True, math.nan, math.inf, "2", None]
+
+
+class TestApiFields:
+    """Each scenario object reads its own fields: one built through the API
+    is refused as a document is, naming the field, and keeps what it read."""
+
+    @pytest.mark.parametrize("value", NOT_COUNTS)
+    @pytest.mark.parametrize("spec, fields, region", [
+        (MaRegionSpec, REGION, "ma_region"), (CoverageSpec, COVERAGE, "coverage")])
+    def test_region_counts(self, spec, fields, region, value):
+        for name in (key for key in fields if key[:2] in ("n_", "k_")):
+            with pytest.raises(ConfigurationError, match=rf"^'{region}\.{name}' must be"):
+                spec(**{**fields, name: value})
+
+    @pytest.mark.parametrize("value", [True, math.nan, "1.0", None])
+    @pytest.mark.parametrize("spec, fields, region", [
+        (MaRegionSpec, REGION, "ma_region"), (CoverageSpec, COVERAGE, "coverage")])
+    def test_region_bounds(self, spec, fields, region, value):
+        for name in (key for key in fields if key.endswith(("_min", "_max"))):
+            with pytest.raises(ConfigurationError, match=rf"^'{region}\.{name}' must be"):
+                spec(**{**fields, name: value})
+
+    def test_integral_float_counts_are_stored_as_int(self):
+        ma = MaRegionSpec(**{**REGION, "n_y": 40.0, "y_min": -1})
+        assert (ma.n_y, type(ma.n_y), ma.y_min, type(ma.y_min)) == (40, int, -1.0, float)
+        assert build_candidate_grid(ma).shape == (40, 3)
+        cov = CoverageSpec(**{**COVERAGE, "k_x": 3.0, "k_y": np.int64(2)})
+        assert [type(getattr(cov, k)) for k in ("k_x", "k_y", "k_z")] == [int] * 3
+        assert cov.n_grids == 6
+        sc = make_scenario(m_h=4.0, n_subarrays=3.0, seed=3.0)
+        assert [type(getattr(sc, k)) for k in ("m_h", "m_v", "n_subarrays", "rng_seed",
+                                               "visibility_samples")] == [int] * 5
+
+    @pytest.mark.parametrize("value", NOT_COUNTS)
+    @pytest.mark.parametrize("name", ["m_h", "m_v", "n_subarrays", "rng_seed",
+                                      "visibility_samples"])
+    def test_scenario_counts(self, name, value):
+        # Left unread, an rng_seed of 1.5 plans to the objective of seed 1.
+        sc = make_scenario()
+        with pytest.raises(ConfigurationError, match=rf"^'{name}' must be"):
+            dataclasses.replace(sc, **{name: value})
+
+    @pytest.mark.parametrize("name", ["center", "dims"])
+    @pytest.mark.parametrize("value, message", [
+        ((1.0, 2.0), "' must be 3 numbers"),
+        ([1.0, 2.0, 3.0, 4.0], "' must be 3 numbers"),
+        (np.ones((1, 3)), "' must be 3 numbers"),
+        (np.array(1.0), "' must be 3 numbers"),
+        ("abc", "' must be 3 numbers"),
+        (None, "' must be 3 numbers"),
+        ((1.0, True, 1.0), r"\[1\]' must be a finite number"),
+        ((1.0, 1.0, math.nan), r"\[2\]' must be a finite number"),
+        ((1.0, "2", 1.0), r"\[1\]' must be a finite number"),
+    ])
+    def test_obstacle_center_and_dims(self, name, value, message):
+        fields = {"center": (1.0, 1.0, 1.0), "dims": (1.0, 1.0, 1.0), name: value}
+        with pytest.raises(ConfigurationError, match=f"^'{name}{message}"):
+            Obstacle(**fields)
+
+    def test_obstacle_keeps_floats(self):
+        box = Obstacle(center=np.array([1, 2, 3]), dims=[1, 1, 2])
+        assert box.center == (1.0, 2.0, 3.0) and box.dims == (1.0, 1.0, 2.0)
+        assert {type(v) for v in box.center + box.dims} == {float}
+
+
+class TestTypeStability:
+    """A loaded scenario holds each int field as an int and each float
+    field as a float, whatever JSON number the document wrote, so what it
+    writes out (plan JSON, sweep CSVs) has the same bytes."""
+
+    @staticmethod
+    def assert_field_types(obj):
+        for f in dataclasses.fields(obj):
+            kind = {"int": int, "float": float}.get(f.type)
+            if kind is not None:
+                assert type(getattr(obj, f.name)) is kind, (type(obj).__name__, f.name)
+
+    def test_every_preset_and_workload_document(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+
+        assert workloads.FULL_SCALE_PRESET in PRESETS
+        docs = [make() for make in PRESETS.values()] + [
+            workloads.dense_scenario(7), workloads.sweep_scenario(7)]
+        for doc in docs:
+            sc = load_scenario(doc)
+            for obj in (sc, sc.ma_region, sc.coverage):
+                self.assert_field_types(obj)
+            for box in sc.obstacles:
+                assert {type(v) for v in box.center + box.dims} == {float}
+
+    def test_integral_float_count_plans_byte_identically(self, tmp_path):
+        from xlma.cli import main
+
+        outputs = []
+        for n_y in (12, 12.0):
+            doc = PRESETS["desk_partial_los"]()
+            doc["ma_region"]["n_y"] = n_y
+            config, out = tmp_path / f"{n_y!r}.json", tmp_path / f"plan_{n_y!r}.json"
+            config.write_text(json.dumps(doc))
+            assert main(["plan", "--config", str(config), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert '"n_y": 12.0' in (tmp_path / "12.0.json").read_text()
+        assert outputs[0] == outputs[1]
+
+
 class TestWholeScenes:
     """Every small valid scene plans and scores every scheme it can build."""
 
