@@ -18,6 +18,10 @@ its own checkout's ``src/``, with one BLAS/OpenMP thread:
 - ``sweep`` of ``expected_users`` over ``USERS_SWEEP``'s values on its
   preset, which has obstacles, with the closed-form evaluators only: each
   value's ``distribution`` is turned into activation probabilities at load;
+- ``sweep`` of ``expected_users`` with the ``optimal`` scheme on
+  ``ORACLE_SWEEP``'s preset at each of its subarray counts: N = 2 scores
+  the exhaustive oracle's subsets with empty heads, N = 3 with heads of one
+  column;
 - ``sweep`` of ``ma_width`` over ``WIDTH_SWEEP``'s values, whole numbers of
   the preset's candidate step, with the closed-form and simulated MRC rates
   at ``WIDTH_TRIALS`` trials: each value rescales the placement region;
@@ -60,6 +64,7 @@ SWEEP_SEEDS = (7, 11)
 ALL_ACTIVE_REGULAR_RATIO = 0.2
 SWEEP_THREADS = ("1", "4")
 USERS_SWEEP = ("desk_partial_los", [6.0, 11.0])
+ORACLE_SWEEP = ("desk_partial_los_3d_type1", (2, 3), [6.0, 11.0])
 WIDTH_SWEEP = ("desk_partial_los", [20.2, 40.4])
 WIDTH_TRIALS = 20
 COMMAND_PRESETS = ("desk_full_los_2d", "desk_partial_los", "paper_partial_los_1d",
@@ -107,6 +112,16 @@ def commands(inputs: Path) -> dict:
         "schemes": ["proposed", "dense_ula"], "evaluators": ["approx_mrc", "upper_bound"]})
     out["sweep_expected_users"] = ["sweep", "--preset", users_preset, "--sweep", users_spec,
                                    "--out-dir", "."]
+    oracle_preset, oracle_counts, oracle_values = ORACLE_SWEEP
+    oracle_spec = _write_json(inputs / "oracle_sweep_spec.json", {
+        "parameter": "expected_users", "values": oracle_values,
+        "schemes": ["proposed", "optimal"], "evaluators": ["approx_mrc", "upper_bound"]})
+    for n_select in oracle_counts:
+        doc = PRESETS[oracle_preset]()
+        doc["n_subarrays"] = n_select
+        config = _write_json(inputs / f"oracle_{n_select}.json", doc)
+        out[f"sweep_optimal_n{n_select}"] = ["sweep", "--config", config, "--sweep",
+                                              oracle_spec, "--out-dir", "."]
     width_preset, width_values = WIDTH_SWEEP
     width_spec = _write_json(inputs / "width_sweep_spec.json", {
         "parameter": "ma_width", "values": width_values, "schemes": ["proposed", "dense_ula"],

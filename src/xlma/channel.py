@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DomainError
-from .scenario import ScenarioConfig, as_integer, as_number, check_indices, visibility_from_points
+from .scenario import ScenarioConfig, as_integer, as_spacing, check_indices, visibility_from_points
 
 
 def wave_vectors(targets: np.ndarray, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -159,10 +159,7 @@ class ArrayLayout:
                 raise ConfigurationError(f"'{name}' must be >= 1, got {count}")
             object.__setattr__(self, name, count)
         for name in ("d_h", "d_v"):
-            spacing = as_number(getattr(self, name), name, finite=True)
-            if not spacing > 0:
-                raise ConfigurationError(f"'{name}' must be positive, got {spacing!r}")
-            object.__setattr__(self, name, spacing)
+            object.__setattr__(self, name, as_spacing(getattr(self, name), name))
         centers = np.array(self.centers, float)
         if centers.ndim != 2 or centers.shape[1] != 3 or len(centers) == 0:
             raise ConfigurationError("layout needs a nonempty (S, 3) array of centers")

@@ -9,8 +9,9 @@ values are aggregated through numpy's pairwise summation, so parallel or
 chunked evaluation reproduces the sequential estimate bit for bit.
 
 Drawing and scoring are apart. ``draw_trials`` draws every trial and stages
-trials with the same number of active users J together, stacked in blocks
-of ``rate.ASSEMBLY_BLOCK_BYTES``; ``simulate_trials`` computes each group's
+trials with the same number of active users J together, stacking the
+largest group whenever the staged draws would pass
+``rate.ASSEMBLY_BLOCK_BYTES``; ``simulate_trials`` computes each group's
 channels, SINRs and rates in one stacked call. A trial's draws depend on
 the placement only through its subarray count S and antenna count M_total,
 so a sweep draws once per array shape per sweep value and scores every
@@ -124,34 +125,35 @@ def draw_trials(scenario: ScenarioConfig, stats: LayoutStats, trials: int) -> Tr
     that depends on where the subarrays are, so these draws are the draws of
     every placement with the same S and M_total in this scenario; the
     placement enters only when ``simulate_trials`` turns them into channels.
-    The draws are staged by J, and each group is stacked once the staged
-    draws reach ``rate.ASSEMBLY_BLOCK_BYTES``, so a group's channels and
-    SINRs stay one stacked call of that size.
+    The draws are staged by J. When the next draw would take the staged
+    draws past ``rate.ASSEMBLY_BLOCK_BYTES``, the J-group holding the most
+    bytes is stacked, again until the draw fits. So a group's channels and
+    SINRs stay one stacked call of at most that size, unless one draw alone
+    is larger.
     """
     rows = _active_rows(scenario, stats)
     groups = []
+    staged = {}  # {J: (bytes, draws)}
 
-    def stack(staged):
-        groups.extend(tuple(np.array(field) for field in zip(*group))
-                      for group in staged.values())
+    def stack(j):
+        groups.append(tuple(np.array(field) for field in zip(*staged.pop(j)[1])))
 
     if len(rows):
         rho_rows = scenario.rho[rows]
-        staged = {}
-        staged_bytes = 0
         streams = substreams(scenario.rng_seed, "mc", indices=np.arange(trials))
         for t, rng in enumerate(streams):
             draw = draw_realization(stats, rho_rows, rng)
-            if len(draw.columns) == 0:
+            j = len(draw.columns)
+            if j == 0:
                 continue
             size = draw.psi.nbytes + draw.re.nbytes + draw.im.nbytes
-            if staged_bytes + size > rate.ASSEMBLY_BLOCK_BYTES:
-                stack(staged)
-                staged, staged_bytes = {}, 0
-            staged.setdefault(len(draw.columns), []).append(
-                (t, draw.columns, draw.psi, draw.re, draw.im))
-            staged_bytes += size
-        stack(staged)
+            while staged and sum(b for b, _ in staged.values()) + size > rate.ASSEMBLY_BLOCK_BYTES:
+                stack(max(staged, key=lambda k: staged[k][0]))
+            held, draws = staged.get(j, (0, []))
+            draws.append((t, draw.columns, draw.psi, draw.re, draw.im))
+            staged[j] = (held + size, draws)
+        for j in list(staged):
+            stack(j)
     return TrialDraws(len(stats.layout.centers), stats.total_antennas, trials, tuple(groups))
 
 

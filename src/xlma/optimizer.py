@@ -6,7 +6,9 @@ whose objective is each position's marginal contribution and whose
 constraints force LoS coverage of the busiest grids, then refined by a loop
 that repeatedly removes the least-damaging subarray and rehomes it to the
 best candidate, accepting only strict improvements. Each subarray moves at
-most once, so the loop runs at most N iterations.
+most once, so the loop runs at most N iterations. The exhaustive oracle,
+against which the method is measured, scores every N-subset. All three
+score candidates through ``RateModel.marginal_objective``.
 """
 
 from __future__ import annotations
@@ -226,64 +228,20 @@ def successive_replacement(
     )
 
 
-def _prefix_blocks(n_cols: int, n_select: int, width: int, max_heads: int):
-    """Every n_select-subset of range(n_cols), n_select >= 2, once, in
-    blocks ``(heads, x, tails)`` of at most ``width`` subsets and
-    ``max_heads`` heads: head + (x, d) for each row of ``heads`` and each d
-    in the range ``tails``.
-
-    x is the second-largest element, each head an (n_select - 2)-subset of
-    range(x) and each tail d > x. A block runs head-major, in lexicographic
-    order.
-    """
-    for x in range(n_select - 2, n_cols - 1):
-        for d in range(x + 1, n_cols, width):
-            tails = range(d, min(n_cols, d + width))
-            heads = itertools.combinations(range(x), n_select - 2)
-            rows = min(max_heads, width // len(tails))
-            while chunk := list(itertools.islice(heads, rows)):
-                yield np.array(chunk, np.intp).reshape(len(chunk), n_select - 2), x, tails
-
-
-def _block_sums(terms, heads, x, tails, out, prefix, scratch) -> None:
-    """Sums of the columns of ``terms`` (3, C, K') over a ``_prefix_blocks``
-    block's subsets, into ``out`` (3, subsets, K').
-
-    Each head's sum plus column x is formed once, into ``prefix``
-    (3, heads, K'), with ``scratch`` of the same shape for the gathered
-    columns. Each head's prefix is copied into its rows, and the tails'
-    contiguous (tails, K') run is added to them: the left fold
-    ((a + b) + c) + d of ``RateModel.sums``.
-    """
-    block = out.reshape(3, len(heads), len(tails), out.shape[-1])
-    tail = terms[:, None, tails.start : tails.stop]
-    if heads.shape[1] == 0:
-        prefix[...] = terms[:, x, None]
-    else:
-        # mode="clip" writes straight into the given buffer, where the
-        # default mode would write a copy; no head index reaches x.
-        np.take(terms, heads[:, 0], axis=1, out=prefix, mode="clip")
-        for col in heads.T[1:]:
-            np.take(terms, col, axis=1, out=scratch, mode="clip")
-            prefix += scratch
-        prefix += terms[:, x, None]
-    block[...] = prefix[:, :, None]
-    block += tail
-
-
 def exhaustive_search(model: RateModel, n_select: int) -> tuple[np.ndarray, float]:
     """(support, value): the sorted columns of the global optimum over all
     N-subsets (lexicographically first among ties) and its value.
 
     One column is the first maximum of ``model.marginal_objective``, the LP
-    seed's vector. More are scored in ``_prefix_blocks``: ``_block_sums``
-    forms a block's column sums from ``model.terms`` in the order of
-    ``RateModel.sums``, and ``RateModel.objective`` scores them, so each
-    value has the bits of ``model.weighted_sum`` of its subset. The sums
-    buffers are allocated once per call: three blocks of
-    ``rate.ASSEMBLY_BLOCK_BYTES`` and six quarter blocks for the head sums.
-    Blocks are not in lexicographic order, so a block's best that ties the
-    best so far is compared with it as a support.
+    seed's vector. More are walked by x, the second-largest column. The
+    heads, the (N - 2)-subsets of range(x), come in chunks: each head's
+    columns and then x are summed in the order of ``RateModel.sums``, and
+    ``model.marginal_objective`` scores those sums plus each column past x,
+    so each value has the bits of ``model.weighted_sum`` of its subset. A
+    chunk holds at most a quarter block of ``rate.ASSEMBLY_BLOCK_BYTES``
+    heads and, when the columns past x fit, one block of subsets. Chunks
+    are not in lexicographic order, so a chunk's best that ties the best so
+    far is compared with it as a support.
     """
     n_cols = model.n_cols
     if not 1 <= n_select <= n_cols:
@@ -297,26 +255,25 @@ def exhaustive_search(model: RateModel, n_select: int) -> tuple[np.ndarray, floa
         values = model.marginal_objective()
         best = int(np.argmax(values))
         return np.array([best]), float(values[best])
-    n_rows = len(model.rho)
-    width = max(1, rate.ASSEMBLY_BLOCK_BYTES // (8 * n_rows))
-    max_heads = max(1, width // 4)
-    sums = np.empty(3 * width * n_rows)
-    head_sums = np.empty(2 * 3 * max_heads * n_rows)  # prefix and scratch
+    width = max(1, rate.ASSEMBLY_BLOCK_BYTES // (8 * len(model.rho)))
     best_support = None
     best_value = -np.inf
-    for heads, x, tails in _prefix_blocks(n_cols, n_select, width, max_heads):
-        n = len(heads) * len(tails)
-        block = sums[: 3 * n * n_rows].reshape(3, n, n_rows)
-        prefix, scratch = head_sums[: 2 * 3 * len(heads) * n_rows].reshape(2, 3, -1, n_rows)
-        _block_sums(model.terms, heads, x, tails, block, prefix, scratch)
-        values = model.objective(block)
-        j = int(np.argmax(values))  # first maximum: first in the block's order
-        value = values[j]
-        if not value >= best_value:
-            continue
-        head, d = divmod(j, len(tails))
-        support = (*heads[head].tolist(), x, tails[d])
-        if best_support is None or value > best_value or support < best_support:
-            best_value = value
-            best_support = support
+    for x in range(n_select - 2, n_cols - 1):
+        n_tails = n_cols - x - 1
+        heads = itertools.combinations(range(x), n_select - 2)
+        while chunk := list(itertools.islice(heads, max(1, width // max(4, n_tails)))):
+            columns = np.array([(*head, x) for head in chunk], np.intp).T
+            prefix = model.terms.take(columns[0], axis=1)
+            for col in columns[1:]:
+                prefix += model.terms.take(col, axis=1)
+            values = model.marginal_objective(prefix, start=x + 1)
+            j = int(np.argmax(values))  # first maximum: lexicographically first in the chunk
+            head, d = divmod(j, n_tails)
+            value = values[head, d]
+            if not value >= best_value:
+                continue
+            support = (*chunk[head], x, x + 1 + d)
+            if best_support is None or value > best_value or support < best_support:
+                best_value = value
+                best_support = support
     return np.array(best_support), float(best_value)

@@ -64,9 +64,11 @@ row c of each term holding column c's K' grids. A selection's per-grid sums
 are one (3, K') array, the rows of its columns added in order.
 ``RateModel.log_rates`` is the one place sums become log2(1 + gamma_k), and
 ``RateModel.objective`` the one weighted reduction: it weights the rates by
-rho and sums each contiguous K'-row. Every scorer (a selection, every
-column added to kept sums, every subset of the exhaustive search) reduces
-through it, so one support scores the same bits in each.
+rho and sums each contiguous K'-row. Every scorer reduces through it, so one
+support scores the same bits in each. ``RateModel.marginal_objective`` is
+the one scorer of kept sums plus a column: of each column alone (the LP
+seed), of a selection less one column plus each column (replacement) and of
+a stack of head sums plus each later column (the exhaustive oracle).
 
 Grids with zero activation probability contribute nothing to either the
 weighted sum or the interference sums (their terms carry rho_i = 0), so the
@@ -326,23 +328,30 @@ class RateModel:
     def weighted_upper_bound(self, chi) -> float:
         return float(self._weighted(np.log2(1.0 + self.pbar * self.sums(chi)[0])))
 
-    def marginal_objective(self, kept=None) -> np.ndarray:
-        """c[n]: the weighted sum rate of the per-grid sums ``kept`` plus
-        column n, for every column n, with the bits of ``objective(kept +
-        terms[:, n])``.
+    def marginal_objective(self, kept=None, start=0) -> np.ndarray:
+        """c[..., n]: the weighted sum rate of the per-grid sums ``kept``
+        plus column ``start + n``, for every column from ``start`` on, with
+        the bits of ``objective(kept + terms[:, start + n])``.
 
-        ``kept`` is a (3, K') array of sums, such as ``SelectionState.without``;
-        None scores each column alone. The columns are scored in blocks of
-        ``ASSEMBLY_BLOCK_BYTES`` per term, so no sums or rates are whole
-        tables.
+        ``kept`` is one (3, K') array of sums, such as
+        ``SelectionState.without``, or a stack (3, H, K') of them, giving
+        (H, C - start) values; None scores each column alone. The columns
+        are scored in blocks of ``ASSEMBLY_BLOCK_BYTES`` per term over the
+        stack, so no sums or rates are whole tables. Each block's sums are
+        the kept sums copied, then the columns added.
         """
+        if kept is not None and kept.ndim == 2:
+            return self.marginal_objective(kept[:, None], start)[0]
         _, n_cols, n_rows = self.terms.shape
-        values = np.empty(n_cols)
-        width = max(1, ASSEMBLY_BLOCK_BYTES // (8 * n_rows))
-        for start in range(0, n_cols, width):
-            c = slice(start, start + width)
-            sums = self.terms[:, c]
+        heads = 1 if kept is None else kept.shape[1]
+        values = np.empty((heads, n_cols - start))
+        width = max(1, ASSEMBLY_BLOCK_BYTES // (8 * n_rows * heads))
+        for first in range(start, n_cols, width):
+            c = slice(first, first + width)
+            sums = self.terms[:, None, c]
             if kept is not None:
-                sums = kept[:, None] + sums
-            values[c] = self.objective(sums)
-        return values
+                sums = np.empty(kept.shape[:2] + sums.shape[2:])
+                sums[...] = kept[:, :, None]
+                sums += self.terms[:, None, c]
+            values[:, first - start : first - start + width] = self.objective(sums)
+        return values if kept is not None else values[0]

@@ -622,6 +622,8 @@ class ScenarioConfig:
     def __post_init__(self):
         for name in ("m_h", "m_v", "n_subarrays", "rng_seed", "visibility_samples"):
             setattr(self, name, as_integer(getattr(self, name), name))
+        for name in ("d_h", "d_v"):
+            setattr(self, name, as_spacing(getattr(self, name), name))
         self.tx_power_mw = np.broadcast_to(
             np.asarray(self.tx_power_mw, float), (self.coverage.n_grids,)
         ).copy()
@@ -637,8 +639,6 @@ class ScenarioConfig:
         if self.m_h * self.m_v > ELEMENT_LIMIT:
             raise ConfigurationError(f"m_h * m_v = {self.m_h * self.m_v} exceeds the limit "
                                      f"{ELEMENT_LIMIT}")
-        if not (0 < self.d_h < np.inf and 0 < self.d_v < np.inf):
-            raise ConfigurationError("d_h and d_v must be positive and finite")
         n0 = self.ma_region.n_candidates
         if not 1 <= self.n_subarrays <= n0:
             raise ConfigurationError(
@@ -782,6 +782,15 @@ def as_bounded(value, field: str, limit: float = COORDINATE_LIMIT, unit: str = "
     return number
 
 
+def as_spacing(value, field: str) -> float:
+    """``value`` as a positive element spacing of at most ``COORDINATE_LIMIT``
+    metres (``as_bounded``), else ``ConfigurationError`` naming ``field``."""
+    spacing = as_bounded(value, field)
+    if not spacing > 0:
+        raise ConfigurationError(f"'{field}' must be positive, got {spacing!r}")
+    return spacing
+
+
 def as_integer(value, field: str) -> int:
     """``value`` as an int; NaN, infinite and fractional values are refused."""
     number = as_number(value, field)
@@ -871,9 +880,9 @@ def load_scenario(doc) -> ScenarioConfig:
     freq = _number(doc, "carrier_freq", "")
     if not 0 < freq < np.inf:  # NaN fails too
         raise ConfigurationError(f"'carrier_freq' must be positive and finite, got {freq!r}")
-    wavelength = SPEED_OF_LIGHT / freq
-    d_h = wavelength / 2.0 if doc.get("d_h") is None else _number(doc, "d_h", "")
-    d_v = wavelength / 2.0 if doc.get("d_v") is None else _number(doc, "d_v", "")
+    # Element spacings default to half a wavelength.
+    d_h, d_v = (SPEED_OF_LIGHT / freq / 2.0 if doc.get(key) is None else doc[key]
+                for key in ("d_h", "d_v"))
 
     kappa = rician_kappa(doc.get("rician_kappa_db", "infinite"))
 

@@ -164,14 +164,18 @@ class TestLayouts:
         *((name, value) for name in ("m_h", "m_v")
           for value in (0, -1, 2.5, True, np.nan, "2", None)),
         *((name, value) for name in ("d_h", "d_v")
-          for value in (0.0, -0.1, np.nan, np.inf, True, "0.5", None)),
+          for value in (0.0, -0.1, np.nan, np.inf, 1e300, 2e6, True, "0.5", None)),
     ])
     def test_bad_element_grid_named(self, name, value):
         # Left unread, a NaN d_h scores approx_mrc 0.0, m_h = 0 scores (0.0, 0.0)
         # and d_h = -0.1 lets two subarrays 5 cm apart pass the overlap check.
         grid = {"m_h": 2, "m_v": 2, "d_h": 0.1, "d_v": 0.1, name: value}
-        with pytest.raises(ConfigurationError, match=rf"^'{name}' must be"):
+        with pytest.raises(ConfigurationError, match=rf"^'{name}' must (be|lie in)"):
             ArrayLayout([(0.0, 0.0, 0.0), (0.0, 0.05, 0.0)], **grid)
+
+    def test_spacing_at_the_coordinate_bound_is_kept(self):
+        layout = ArrayLayout([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], 2, 2, 1e6, 1e6)
+        assert (layout.d_h, layout.d_v) == (1e6, 1e6)
 
     def test_element_grid_kept_as_int_and_float(self):
         layout = ArrayLayout([(0.0, 0.0, 0.0)], m_h=4.0, m_v=np.int64(2), d_h=1, d_v=0.5)

@@ -235,6 +235,27 @@ class TestCoordinateLimits:
         assert f"error: {field}" in capsys.readouterr().err
         assert not (tmp_path / "x.json").exists()
 
+    @staticmethod
+    def _one_candidate(d_h):
+        """desk_partial_los with one candidate, N = 1 and two elements at
+        ``d_h``: no candidate spacing bounds the element spacing."""
+        doc = desk_partial_los()
+        doc["ma_region"].update(n_y=1, n_z=1)
+        doc.update(n_subarrays=1, m_h=2, d_h=d_h)
+        return doc
+
+    def test_element_spacing_past_the_bound(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, self._one_candidate(1e300))
+        assert main(["plan", "--config", str(cfg), "--out", str(tmp_path / "x.json")]) == 1
+        assert "error: 'd_h' must lie in [-1e+06, 1e+06] m, got 1e+300" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_element_spacing_at_the_bound_plans(self, tmp_path):
+        cfg = write_config(tmp_path, self._one_candidate(COORDINATE_LIMIT))
+        out = tmp_path / "x.json"
+        assert main(["plan", "--config", str(cfg), "--out", str(out)]) == 0
+        assert math.isfinite(json.loads(out.read_text())["objective"])
+
     @pytest.mark.parametrize("field, value, message", [
         ("z_plane", 1e308, "'z_plane' must lie in [-1e+06, 1e+06] m, got 1e+308"),
         ("z_plane", -1.5e6, "'z_plane' must lie in"),

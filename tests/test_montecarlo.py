@@ -361,6 +361,28 @@ class TestStagedTrials:
         np.testing.assert_array_equal(simulate_trials(sc, stats, opts), reference)
         assert len(shapes) > 2 * len({j for _, j in shapes})  # several flushes
 
+    @pytest.mark.parametrize("trials_per_flush", [2, 5])
+    def test_each_flush_stacks_one_group_within_the_budget(self, trials_per_flush,
+                                                           monkeypatch):
+        """A budget of a few trials' draws forces many flushes; each stacks
+        one J-group, within the budget, and every drawn trial is in one."""
+        sc = self._varying_scenario(4.0)
+        stats = support_stats(sc, np.array([0, 5, 11]))
+        per_user = 8 * (len(stats.layout.centers) + 2 * stats.total_antennas)
+        budget = 6 * per_user * trials_per_flush
+        monkeypatch.setattr(rate, "ASSEMBLY_BLOCK_BYTES", budget)
+        draws = draw_trials(sc, stats, 150)
+        assert len(draws.groups) > 10
+        for trials, active, psi, re, im in draws.groups:
+            assert active.shape == (len(trials), active.shape[1])
+            assert psi.nbytes + re.nbytes + im.nbytes <= budget
+        drawn = np.sort(np.concatenate([trials for trials, *_ in draws.groups]))
+        assert len(set(drawn)) == len(drawn)
+        opts = SimOptions(trials=150, combiner="mrc")
+        reference = simulate_trials_reference(sc, stats, opts)
+        assert np.array_equal(drawn, np.flatnonzero(reference))
+        np.testing.assert_array_equal(simulate_trials(sc, stats, opts, draws), reference)
+
     @pytest.mark.parametrize("combiner", ["mrc", "mmse"])
     def test_default_budget_flushes_several_times(self, combiner, monkeypatch):
         # 400 trials of about ten active users at 16 antennas stage several

@@ -13,7 +13,6 @@ from xlma.channel import build_gain_tables
 from xlma.errors import ConfigurationError, DomainError
 from xlma.optimizer import (
     SelectionState,
-    _prefix_blocks,
     best_replacement,
     build_init_lp,
     exhaustive_search,
@@ -256,13 +255,24 @@ def set_block_width(monkeypatch, model, width):
 
 
 def block_of(model, n_select, width):
-    """{support: index of the block that scores it} for ``width``."""
-    blocks = {}
-    blocks_in_order = _prefix_blocks(model.n_cols, n_select, width, max(1, width // 4))
-    for b, (heads, x, tails) in enumerate(blocks_in_order):
-        for head in heads.tolist():
-            for d in tails:
-                blocks[(*head, x, d)] = b
+    """{support: index of the block that scores it} for ``width``, N >= 2:
+    for each second-largest column x, chunks of at most
+    ``width // max(4, tails)`` heads in lexicographic order, and each
+    chunk's tails past x in ``marginal_objective`` blocks of
+    ``width // heads`` columns."""
+    blocks, block = {}, itertools.count()
+    n_cols = model.n_cols
+    for x in range(n_select - 2, n_cols - 1):
+        heads = list(itertools.combinations(range(x), n_select - 2))
+        per_chunk = max(1, width // max(4, n_cols - x - 1))
+        for h in range(0, len(heads), per_chunk):
+            chunk = heads[h:h + per_chunk]
+            per_block = max(1, width // len(chunk))
+            for d in range(x + 1, n_cols, per_block):
+                b = next(block)
+                for head in chunk:
+                    for tail in range(d, min(n_cols, d + per_block)):
+                        blocks[(*head, x, tail)] = b
     return blocks
 
 
@@ -309,11 +319,11 @@ class TestInitLp:
 
 
 def test_every_scorer_reduces_through_objective(monkeypatch):
-    """``marginal_objective`` and each block of ``exhaustive_search`` score
-    through ``RateModel.objective``, the only caller of ``log_rates``, and it
-    and ``weighted_upper_bound`` weight through ``_weighted``: no scorer keeps
-    a closed-form SINR or a weighted reduction of its own, and the exhaustive
-    winner is not scored again."""
+    """``marginal_objective``, and through it each block of
+    ``exhaustive_search``, scores through ``RateModel.objective``, the only
+    caller of ``log_rates``, and it and ``weighted_upper_bound`` weight
+    through ``_weighted``: no scorer keeps a closed-form SINR or a weighted
+    reduction of its own, and the exhaustive winner is not scored again."""
     callers = {"log_rates": [], "objective": [], "_weighted": []}
 
     def spy(name, library):
@@ -347,7 +357,7 @@ def test_every_scorer_reduces_through_objective(monkeypatch):
     n_blocks = len(set(block_of(model, 3, 7).values()))
     assert n_blocks > 1
     assert calls(lambda: exhaustive_search(model, 3)) == {
-        "log_rates": ["objective"] * n_blocks, "objective": ["exhaustive_search"] * n_blocks,
+        "log_rates": ["objective"] * n_blocks, "objective": ["marginal_objective"] * n_blocks,
         "_weighted": ["objective"] * n_blocks}
 
 

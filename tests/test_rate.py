@@ -746,6 +746,25 @@ class TestMarginalObjective:
             assert (model.terms[2] == 0.0).any()
         assert np.array_equal(model.marginal_objective(kept), expected)
 
+    @pytest.mark.parametrize("width", [1, 3, None], ids=["w1", "w3", "default"])
+    def test_stacked_sums_from_every_start_bit_for_bit(self, monkeypatch, model, width):
+        """Value (h, n) of a (3, H, K') stack from ``start`` has the bits of
+        ``objective`` of sums h plus column start + n; one (3, K') set of sums
+        scores as a stack of one."""
+        if width is not None:
+            monkeypatch.setattr(rate_module, "ASSEMBLY_BLOCK_BYTES", 8 * 60 * width)
+        rng = np.random.default_rng(7)
+        n_cols = model.n_cols
+        stack = np.stack([model.sums(rng.choice(n_cols, 3, replace=False)) for _ in range(5)],
+                         axis=1)
+        expected = np.array([[model.objective(stack[:, h] + model.terms[:, n])
+                              for n in range(n_cols)] for h in range(5)])
+        for start in range(n_cols):
+            scores = model.marginal_objective(stack, start)
+            assert scores.shape == (5, n_cols - start)
+            assert np.array_equal(scores, expected[:, start:])
+            assert np.array_equal(model.marginal_objective(stack[:, 2], start), scores[2])
+
     def test_each_score_is_the_weighted_sum_of_its_selection(self, model):
         state = SelectionState(model, [3, 50, 119])
         scores = model.marginal_objective(state.without(50))

@@ -68,6 +68,12 @@ def test_commands_cover_the_gated_outputs(tmp_path, monkeypatch):
     assert widths_spec["parameter"] == "ma_width" and widths_spec["values"] == [20.2, 40.4]
     assert widths_spec["schemes"] == ["proposed", "dense_ula"]
     assert widths_spec["evaluators"] == ["approx_mrc", "sim_mrc"]
+    for n_select in (2, 3):  # the exhaustive oracle with empty and one-column heads
+        oracle = argvs[f"sweep_optimal_n{n_select}"]
+        doc = json.loads(Path(oracle[oracle.index("--config") + 1]).read_text())
+        assert doc["n_subarrays"] == n_select
+        oracle_spec = json.loads(Path(oracle[oracle.index("--sweep") + 1]).read_text())
+        assert "optimal" in oracle_spec["schemes"]
     # validate, benchmark and the maps run the Rician weights at a finite kappa too
     rician = "desk_partial_los_3d_type1"
     assert rician in same_outputs.COMMAND_PRESETS

@@ -854,6 +854,8 @@ class TestLoadScenario:
         (("d_v",), np.inf),
         (("d_h",), 0.0),
         (("d_v",), 0),
+        (("d_h",), 1e300),
+        (("d_v",), -1.0),
         (("distribution", "expected_users"), np.nan),
     ])
     def test_non_finite_or_zero_value_rejected(self, path, value):
