@@ -1,17 +1,17 @@
 """Order-alternated parent/change pairs of the benchmark, with the claim verdict.
 
     python3 scripts/bench_pairs.py --parent REV [--pairs 10] [--seed 7]
-                                   [--workload NAME ...]
+                                   [--workload NAME ...] [--base DIR]
 
-Run from anywhere inside a source checkout. REV is checked out as a
-temporary ``git worktree`` beside the repository, outside its tree, at a
-path exactly as long as the repository's own (``worktree.py``: the peak RSS
-a pass reports moves with the length of its checkout's path), and removed at
-the end. Each pair runs ``perfbench/run.py --trace 0`` for BENCHMARK.json's
-``run_seconds`` once in the parent checkout and once in this working tree,
-the parent first in even pairs and the change first in odd ones, so that a
-drift of the machine falls on both sides alike. Nothing under
-``perfbench/`` is edited.
+Run from anywhere inside a source checkout. REV is extracted by
+``git archive`` and this working tree is copied, each into a new directory
+under DIR (default: the system's temporary directory), so that both sides
+sit at paths of equal length (``checkout.py``: the peak RSS a pass reports
+moves with the length of its checkout's path); both are removed at the end.
+Each pair runs ``perfbench/run.py --trace 0`` for BENCHMARK.json's
+``run_seconds`` once in each copy, the parent first in even pairs and the
+change first in odd ones, so that a drift of the machine falls on both
+sides alike. Nothing under ``perfbench/`` is edited.
 
 For every workload and end-to-end metric of ``BENCHMARK.json`` it prints
 both sides' median [q1, q3], the relative change of the median, the median
@@ -34,7 +34,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from worktree import ROOT, revision_checkout
+from checkout import ROOT, revision_checkout, working_tree_copy
 
 WIN_SHARE = 0.9
 
@@ -111,6 +111,8 @@ def parse_args(argv):
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--workload", action="append",
                         help="a workload to run (repeatable; default: every one)")
+    parser.add_argument("--base", type=Path, metavar="DIR",
+                        help="directory to hold both checkouts (default: a temporary one)")
     return parser.parse_args(argv)
 
 
@@ -118,14 +120,15 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in benchmark["workloads"]]
-    with revision_checkout(args.parent) as parent_dir:
+    with (revision_checkout(args.parent, args.base) as parent_dir,
+          working_tree_copy(args.base) as change_dir):
         for workload in workloads:
-            runs = {parent_dir: [], ROOT: []}
+            runs = {parent_dir: [], change_dir: []}
             for i in range(args.pairs):
-                for checkout in ((parent_dir, ROOT) if i % 2 == 0 else (ROOT, parent_dir)):
-                    runs[checkout].append(run_benchmark(checkout, workload, args.seed,
-                                                        benchmark["run_seconds"]))
-            report(workload, benchmark["end_to_end"], runs[parent_dir], runs[ROOT])
+                for side in ((parent_dir, change_dir) if i % 2 == 0 else (change_dir, parent_dir)):
+                    runs[side].append(run_benchmark(side, workload, args.seed,
+                                                    benchmark["run_seconds"]))
+            report(workload, benchmark["end_to_end"], runs[parent_dir], runs[change_dir])
     return 0
 
 

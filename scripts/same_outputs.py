@@ -1,12 +1,13 @@
 """Byte-compare the outputs of a parent revision with this working tree's.
 
-    python3 scripts/same_outputs.py --parent REV [--float-rtol R]
+    python3 scripts/same_outputs.py --parent REV [--float-rtol R] [--base DIR]
 
-Run from anywhere inside a source checkout. REV is checked out as a
-temporary ``git worktree`` beside the repository (``worktree.py``) and
-removed at the end. Both sides run the same ``xlma`` commands on the same
-input documents, each command in a fresh interpreter that imports xlma from
-its own checkout's ``src/``, with one BLAS/OpenMP thread:
+Run from anywhere inside a source checkout. REV is extracted by
+``git archive`` into a new directory under DIR (default: the system's
+temporary directory; ``checkout.py``) and removed at the end. Both sides run
+the same ``xlma`` commands on the same input documents, each command in a
+fresh interpreter that imports xlma from its own checkout's ``src/``, with
+one BLAS/OpenMP thread:
 
 - ``plan`` on every preset;
 - ``plan`` on the ``dense_plan`` benchmark document at seeds 7, 11 and 23;
@@ -22,6 +23,10 @@ its own checkout's ``src/``, with one BLAS/OpenMP thread:
   ``ORACLE_SWEEP``'s preset at each of its subarray counts: N = 2 scores
   the exhaustive oracle's subsets with empty heads, N = 3 with heads of one
   column;
+- ``sweep`` of ``expected_users`` with the ``optimal`` scheme on
+  ``PURE_LOS_ORACLE_SWEEP``'s preset at its subarray count: pure LoS, where
+  the oracle's float32 screen meets variance terms that are all 0 and
+  denominator terms of blocked entries that are 0 (161,700 subsets);
 - ``sweep`` of ``ma_width`` over ``WIDTH_SWEEP``'s values, whole numbers of
   the preset's candidate step, with the closed-form and simulated MRC rates
   at ``WIDTH_TRIALS`` trials: each value rescales the placement region;
@@ -57,7 +62,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from worktree import ROOT, revision_checkout
+from checkout import ROOT, revision_checkout
 
 DENSE_SEEDS = (7, 11, 23)
 SWEEP_SEEDS = (7, 11)
@@ -65,6 +70,7 @@ ALL_ACTIVE_REGULAR_RATIO = 0.2
 SWEEP_THREADS = ("1", "4")
 USERS_SWEEP = ("desk_partial_los", [6.0, 11.0])
 ORACLE_SWEEP = ("desk_partial_los_3d_type1", (2, 3), [6.0, 11.0])
+PURE_LOS_ORACLE_SWEEP = ("desk_partial_los", 3)
 WIDTH_SWEEP = ("desk_partial_los", [20.2, 40.4])
 WIDTH_TRIALS = 20
 COMMAND_PRESETS = ("desk_full_los_2d", "desk_partial_los", "paper_partial_los_1d",
@@ -122,6 +128,12 @@ def commands(inputs: Path) -> dict:
         config = _write_json(inputs / f"oracle_{n_select}.json", doc)
         out[f"sweep_optimal_n{n_select}"] = ["sweep", "--config", config, "--sweep",
                                               oracle_spec, "--out-dir", "."]
+    pure_los_preset, n_select = PURE_LOS_ORACLE_SWEEP
+    doc = PRESETS[pure_los_preset]()
+    doc["n_subarrays"] = n_select
+    config = _write_json(inputs / "oracle_pure_los.json", doc)
+    out["sweep_optimal_pure_los"] = ["sweep", "--config", config, "--sweep", oracle_spec,
+                                     "--out-dir", "."]
     width_preset, width_values = WIDTH_SWEEP
     width_spec = _write_json(inputs / "width_sweep_spec.json", {
         "parameter": "ma_width", "values": width_values, "schemes": ["proposed", "dense_ula"],
@@ -223,12 +235,14 @@ def main(argv=None) -> int:
     parser.add_argument("--float-rtol", type=float, metavar="R",
                         help="accept files that differ in float literals only, by at most "
                              "R relative (default: accept no difference)")
+    parser.add_argument("--base", type=Path, metavar="DIR",
+                        help="directory to hold the parent's checkout (default: a temporary one)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "inputs").mkdir()
         argvs = commands(tmp / "inputs")
-        with revision_checkout(args.parent) as parent_dir:
+        with revision_checkout(args.parent, args.base) as parent_dir:
             failed = run_side(parent_dir, argvs, tmp / "parent")
         failed += run_side(ROOT, argvs, tmp / "change")
         differ = differing_files(tmp / "parent", tmp / "change")

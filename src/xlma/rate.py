@@ -68,7 +68,8 @@ rho and sums each contiguous K'-row. Every scorer reduces through it, so one
 support scores the same bits in each. ``RateModel.marginal_objective`` is
 the one scorer of kept sums plus a column: of each column alone (the LP
 seed), of a selection less one column plus each column (replacement) and of
-a stack of head sums plus each later column (the exhaustive oracle).
+a stack of head sums plus each later column (the exhaustive oracle's
+float64 rescore; its float32 screen only bounds which subsets are scored).
 
 Grids with zero activation probability contribute nothing to either the
 weighted sum or the interference sums (their terms carry rho_i = 0), so the
@@ -84,31 +85,11 @@ from .channel import GainTables, LayoutStats, check_support
 from .errors import ConfigurationError
 from .scenario import ScenarioConfig
 
-FEJER_SIN_TOL = 1e-9
 # Bytes per float64 temporary in the interference assembly, which runs over
 # column blocks of this size. Below glibc's default 128 KiB mmap threshold,
 # freed temporaries are reused from the heap; whole (rows x columns) ones
 # are mapped and page-faulted afresh in every iteration.
 ASSEMBLY_BLOCK_BYTES = 120_000
-
-
-def _fejer_axis(delta_u, m, d_over_lambda):
-    """sin^2(m*x)/sin^2(x) with x = pi*d/lambda*delta_u; limit m^2 near x = n*pi."""
-    x = np.pi * d_over_lambda * delta_u
-    s = np.sin(x)
-    singular = np.abs(s) < FEJER_SIN_TOL
-    safe = np.where(singular, 1.0, s)
-    ratio = (np.sin(np.asarray(m) * x) / safe) ** 2
-    return np.where(singular, np.square(np.asarray(m, float)), ratio)
-
-
-def fejer_correlation(u_k, u_i, m_h, m_v, d_h, d_v, wavelength) -> float:
-    """Squared UPA steering correlation |a(u_k)^H a(u_i)|^2 in [0, M^2]."""
-    u_k = np.asarray(u_k, float)
-    u_i = np.asarray(u_i, float)
-    horiz = _fejer_axis(u_k[..., 1] - u_i[..., 1], m_h, d_h / wavelength)
-    vert = _fejer_axis(u_k[..., 2] - u_i[..., 2], m_v, d_v / wavelength)
-    return horiz * vert
 
 
 def _others(x):

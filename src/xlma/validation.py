@@ -3,7 +3,9 @@
 Run by ``xlma validate``. Each check is a closed-form identity or an
 exactness case with a deterministic verdict; the Monte Carlo moment check
 uses enough draws that a genuine formula error in its fourth-moment factor
-f (``rician_weights``) fails decisively.
+f (``rician_weights``) fails decisively. ``fejer_correlation`` is the
+closed-form steering correlation that the kernel check compares with the
+steering vectors, and that ``rate``'s lag sums expand.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .channel import (
 )
 from .montecarlo import SimOptions, simulate_trials
 from .pipeline import ScenarioContext
-from .rate import fejer_correlation, rician_weights
+from .rate import rician_weights
 from .rng import substream
 from .scenario import (
     ScenarioConfig,
@@ -30,6 +32,28 @@ from .scenario import (
     grid_linear_index,
     grid_multi_index,
 )
+
+
+FEJER_SIN_TOL = 1e-9
+
+
+def _fejer_axis(delta_u, m, d_over_lambda):
+    """sin^2(m*x)/sin^2(x) with x = pi*d/lambda*delta_u; limit m^2 near x = n*pi."""
+    x = np.pi * d_over_lambda * delta_u
+    s = np.sin(x)
+    singular = np.abs(s) < FEJER_SIN_TOL
+    safe = np.where(singular, 1.0, s)
+    ratio = (np.sin(np.asarray(m) * x) / safe) ** 2
+    return np.where(singular, np.square(np.asarray(m, float)), ratio)
+
+
+def fejer_correlation(u_k, u_i, m_h, m_v, d_h, d_v, wavelength) -> float:
+    """Squared UPA steering correlation |a(u_k)^H a(u_i)|^2 in [0, M^2]."""
+    u_k = np.asarray(u_k, float)
+    u_i = np.asarray(u_i, float)
+    horiz = _fejer_axis(u_k[..., 1] - u_i[..., 1], m_h, d_h / wavelength)
+    vert = _fejer_axis(u_k[..., 2] - u_i[..., 2], m_v, d_v / wavelength)
+    return horiz * vert
 
 
 @dataclass

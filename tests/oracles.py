@@ -39,9 +39,10 @@ import numpy as np
 from xlma.channel import channel_from_draws, draw_realization
 from xlma.errors import ConfigurationError, DomainError
 from xlma.montecarlo import _sinr_all_active
-from xlma.rate import ASSEMBLY_BLOCK_BYTES, RateModel, _fejer_axis, fejer_correlation
+from xlma.rate import ASSEMBLY_BLOCK_BYTES, RateModel
 from xlma.rng import _key, substream
 from xlma.scenario import segments_blocked
+from xlma.validation import _fejer_axis, fejer_correlation
 
 
 def aux_f(m, xi, kappa_bar, pure_los: bool):

@@ -113,7 +113,7 @@ def test_criterion_1_moment_identities():
     kap = stats.beta_los / stats.beta_nlos
     worst_sigma = 0.0
     from oracles import aux_g, aux_q
-    from xlma.rate import fejer_correlation
+    from xlma.validation import fejer_correlation
 
     for s, (a, b) in enumerate(stats.slices):
         n2 = np.sum(np.abs(h[:, :, a:b]) ** 2, axis=2)

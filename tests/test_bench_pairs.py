@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-# The scripts import their shared worktree helper by module name.
+# The scripts import their shared checkout helper by module name.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 import bench_pairs  # noqa: E402
 

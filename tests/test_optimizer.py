@@ -250,30 +250,27 @@ class TestExhaustive:
 
 
 def set_block_width(monkeypatch, model, width):
-    """Make exhaustive_search score at most ``width`` combinations per block."""
-    monkeypatch.setattr(rate, "ASSEMBLY_BLOCK_BYTES", 8 * len(model.rho) * width)
+    """Make exhaustive_search's screen score at most ``width`` combinations
+    per float32 block."""
+    monkeypatch.setattr(rate, "ASSEMBLY_BLOCK_BYTES", 4 * len(model.rho) * width)
 
 
-def block_of(model, n_select, width):
-    """{support: index of the block that scores it} for ``width``, N >= 2:
-    for each second-largest column x, chunks of at most
-    ``width // max(4, tails)`` heads in lexicographic order, and each
-    chunk's tails past x in ``marginal_objective`` blocks of
-    ``width // heads`` columns."""
-    blocks, block = {}, itertools.count()
+def chunk_of(model, n_select, width):
+    """{support: index of the chunk that scores it} for ``width``, N >= 2:
+    for each second-largest column x, chunks of at most ``width // 4``
+    heads in lexicographic order, each with every tail past x. A chunk's
+    rescore keeps its first maximum."""
+    chunks, chunk = {}, itertools.count()
     n_cols = model.n_cols
+    per_chunk = max(1, width // 4)
     for x in range(n_select - 2, n_cols - 1):
         heads = list(itertools.combinations(range(x), n_select - 2))
-        per_chunk = max(1, width // max(4, n_cols - x - 1))
         for h in range(0, len(heads), per_chunk):
-            chunk = heads[h:h + per_chunk]
-            per_block = max(1, width // len(chunk))
-            for d in range(x + 1, n_cols, per_block):
-                b = next(block)
-                for head in chunk:
-                    for tail in range(d, min(n_cols, d + per_block)):
-                        blocks[(*head, x, tail)] = b
-    return blocks
+            c = next(chunk)
+            for head in heads[h:h + per_chunk]:
+                for tail in range(x + 1, n_cols):
+                    chunks[(*head, x, tail)] = c
+    return chunks
 
 
 def random_model(seed, n_rows=12, n_cols=10, zero_den_row=None):
@@ -319,12 +316,16 @@ class TestInitLp:
 
 
 def test_every_scorer_reduces_through_objective(monkeypatch):
-    """``marginal_objective``, and through it each block of
+    """``marginal_objective``, and through it the rescore of
     ``exhaustive_search``, scores through ``RateModel.objective``, the only
     caller of ``log_rates``, and it and ``weighted_upper_bound`` weight
     through ``_weighted``: no scorer keeps a closed-form SINR or a weighted
-    reduction of its own, and the exhaustive winner is not scored again."""
+    reduction of its own. The exhaustive value comes from ``objective``:
+    with every value it returns scaled by 2**40, which keeps their order and
+    ties, the search returns the same support at 2**40 times its value, and
+    its float32 screen never calls ``log_rates``."""
     callers = {"log_rates": [], "objective": [], "_weighted": []}
+    library_objective = RateModel.objective
 
     def spy(name, library):
         def traced(*args, **kwargs):
@@ -339,26 +340,34 @@ def test_every_scorer_reduces_through_objective(monkeypatch):
     model = random_model(0)
 
     def calls(score):
+        """``score()`` and the callers each spy saw while it ran."""
         for names in callers.values():
             names.clear()
-        score()
-        return {name: names.copy() for name, names in callers.items()}
+        result = score()
+        return result, {name: names.copy() for name, names in callers.items()}
 
-    assert calls(lambda: model.objective(model.sums([0, 4]))) == {
+    assert calls(lambda: model.objective(model.sums([0, 4])))[1] == {
         "log_rates": ["objective"], "objective": ["<lambda>"], "_weighted": ["objective"]}
-    assert calls(lambda: model.weighted_upper_bound([0, 4])) == {
+    assert calls(lambda: model.weighted_upper_bound([0, 4]))[1] == {
         "log_rates": [], "objective": [], "_weighted": ["weighted_upper_bound"]}
-    set_block_width(monkeypatch, model, 3)
+    monkeypatch.setattr(rate, "ASSEMBLY_BLOCK_BYTES", 8 * len(model.rho) * 3)
     n_blocks = -(-model.n_cols // 3)
-    assert calls(model.marginal_objective) == {
+    assert calls(model.marginal_objective)[1] == {
         "log_rates": ["objective"] * n_blocks, "objective": ["marginal_objective"] * n_blocks,
         "_weighted": ["objective"] * n_blocks}
-    set_block_width(monkeypatch, model, 7)
-    n_blocks = len(set(block_of(model, 3, 7).values()))
-    assert n_blocks > 1
-    assert calls(lambda: exhaustive_search(model, 3)) == {
-        "log_rates": ["objective"] * n_blocks, "objective": ["marginal_objective"] * n_blocks,
-        "_weighted": ["objective"] * n_blocks}
+    support, value = exhaustive_search(model, 3)
+    assert value == model.weighted_sum(support)
+
+    def scaled(self, sums):
+        callers["objective"].append(sys._getframe(1).f_code.co_name)
+        return 2.0**40 * library_objective(self, sums)
+
+    monkeypatch.setattr(RateModel, "objective", scaled)
+    (scaled_support, scaled_value), found = calls(lambda: exhaustive_search(model, 3))
+    assert scaled_support.tolist() == support.tolist()
+    assert scaled_value == 2.0**40 * value
+    assert found["objective"] and set(found["objective"]) == {"marginal_objective"}
+    assert set(found["log_rates"]) == {"objective"}
 
 
 class TestExhaustiveBlocks:
@@ -468,9 +477,9 @@ class TestExhaustiveTies:
                     return model, first, second
         pytest.fail("no adjacent column copy keeps the tied pair optimal")
 
-    def _blocks(self, model, first, second, width):
-        blocks = block_of(model, self.N_SELECT, width)
-        return blocks[first], blocks[second]
+    def _chunks(self, model, first, second, width):
+        chunks = chunk_of(model, self.N_SELECT, width)
+        return chunks[first], chunks[second]
 
     def _check(self, monkeypatch, model, first, width):
         set_block_width(monkeypatch, model, width)
@@ -479,12 +488,12 @@ class TestExhaustiveTies:
         assert val == model.weighted_sum(np.array(first))
 
     def _shared_width(self, model, first, second):
-        """The smallest block width that scores the pair in one block."""
+        """The smallest block width that scores the pair in one chunk."""
         for width in range(1, math.comb(model.n_cols, self.N_SELECT) + 1):
-            b1, b2 = self._blocks(model, first, second, width)
+            b1, b2 = self._chunks(model, first, second, width)
             if b1 == b2:
                 return width
-        pytest.fail("the tied pair never shares a block")
+        pytest.fail("the tied pair never shares a chunk")
 
     def test_tie_within_one_block(self, monkeypatch, tie):
         model, first, second = tie
@@ -493,7 +502,7 @@ class TestExhaustiveTies:
     def test_tie_across_block_boundary(self, monkeypatch, tie):
         model, first, second = tie
         width = self._shared_width(model, first, second) - 1
-        b1, b2 = self._blocks(model, first, second, width)
+        b1, b2 = self._chunks(model, first, second, width)
         assert b1 != b2
         self._check(monkeypatch, model, first, width)
 
@@ -514,8 +523,8 @@ class TestExhaustiveTies:
         model = RateModel(np.arange(3), np.ones(3), np.full(3, 1e3), terms)
         first, second = (0, 5, 6), (1, 2, 3)
         set_block_width(monkeypatch, model, width)
-        blocks = block_of(model, self.N_SELECT, width)
-        assert blocks[second] < blocks[first]
+        chunks = chunk_of(model, self.N_SELECT, width)
+        assert chunks[second] < chunks[first]
         assert exhaustive_search_reference(model, self.N_SELECT)[0] == first
         assert model.weighted_sum(np.array(second)) == model.weighted_sum(np.array(first))
         support, val = exhaustive_search(model, self.N_SELECT)
@@ -542,3 +551,177 @@ def test_every_scorer_gives_a_support_the_same_bits(preset):
     for n_select in (1, 2, 4):
         support, value = exhaustive_search(head, n_select)
         assert value == head.weighted_sum(support)
+
+
+def screen_variants(seed, n_cols=40):
+    """``random_model`` and the zero terms the screen must cover: as drawn;
+    a grid whose every denominator term is 0 (its rate is 0); blocked
+    entries scattered, with mean and denominator 0; and pure LoS, every
+    variance 0."""
+    base = random_model(seed, n_cols=n_cols)
+    models = [base, random_model(seed, n_cols=n_cols, zero_den_row=3)]
+    blocked = np.random.default_rng(seed).random(base.terms.shape[1:]) < 0.3
+    terms = base.terms.copy()
+    terms[0][blocked] = terms[2][blocked] = 0.0
+    models.append(RateModel(base.grid_rows, base.rho, base.pbar, terms))
+    terms = base.terms.copy()
+    terms[1] = 0.0
+    models.append(RateModel(base.grid_rows, base.rho, base.pbar, terms))
+    return models
+
+
+class TestScreen:
+    """The float32 screen of ``exhaustive_search`` and its bound."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_error_within_a_quarter_of_the_bound(self, seed):
+        """|V32 - V64| <= E/4 on every subset of random heads of N - 1
+        columns and each tail past them: at least 25,000 subsets a seed."""
+        rng = np.random.default_rng(seed)
+        checked = 0
+        for model in screen_variants(seed):
+            n_cols = model.n_cols
+            for n_select in (2, 3, 5, 8):
+                screen = optimizer._Screen.of(model, n_select)
+                assert screen is not None
+                heads = np.sort(rng.random((800, n_cols)).argsort(axis=1)[:, :n_select - 1], axis=1)
+                v32 = screen.chunk(heads, 0, 4096)
+                v64 = model.marginal_objective(optimizer._fold(model.terms, heads, axis=1))
+                subsets = np.arange(n_cols) > heads[:, -1:]
+                bound = screen.err_fixed + screen.err_per_value * v64
+                assert v32.dtype == np.float32
+                assert (np.abs(v32 - v64) <= bound / 4)[subsets].all()
+                checked += subsets.sum()
+        assert checked >= 25_000
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_models_pass_the_guard(self, seed):
+        """Terms spread over about 2**-30 to 2**57 once folded, every N."""
+        model = random_model(seed)
+        for n_select in range(2, model.n_cols + 1):
+            assert optimizer._Screen.of(model, n_select) is not None
+
+    @pytest.mark.parametrize("k", [-60, 40])
+    def test_a_power_of_two_rescale_keeps_the_screen(self, k):
+        """Means times 2**k and variances and denominators times 4**k leave
+        every float64 value as it is, and would leave float32 out of range
+        without the screen's own power of two: the guard still passes, and
+        the search returns the same support and value."""
+        base = random_model(4)
+        terms = base.terms * np.ldexp(1.0, [[[k]], [[2 * k]], [[2 * k]]])
+        model = RateModel(base.grid_rows, base.rho, base.pbar, terms)
+        for n_select in (2, 3, 5):
+            assert optimizer._Screen.of(model, n_select) is not None
+            support, value = exhaustive_search(model, n_select)
+            expected = exhaustive_search(base, n_select)
+            assert support.tolist() == expected[0].tolist()
+            assert value == expected[1]
+
+    def test_float32_log2_within_the_bound(self):
+        """numpy's float32 log2 is within ``SCREEN_LOG2_ULPS`` ulps of the
+        float64 one on every float32 in [1, 1 + 2**-7] and on 2**21
+        log-spaced ones up to 2**127, and exact at 1."""
+        x = np.concatenate([1.0 + np.arange(2**16) * 2.0**-23,
+                            np.exp2(np.linspace(0.0, 127.0, 2**21))]).astype(np.float32)
+        ref = np.log2(x.astype(float))
+        ulps = np.abs(np.log2(x) - ref) / np.spacing(np.abs(ref).astype(np.float32))
+        assert ulps.max() <= optimizer.SCREEN_LOG2_ULPS
+        assert np.log2(np.float32(1.0)) == 0.0
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_supports_a_few_ulps_apart_the_higher_wins(self, monkeypatch, noisy):
+        """Column b copies column a of the best support, its signal raised
+        or lowered in steps of one eps, so that the support holding b scores
+        1-4 spacings above or below the one holding a. The float32 screen
+        cannot tell them apart; the float64 rescore picks the higher. So it
+        does when every screen value is pushed by up to 0.9 E at random, as
+        a screen may be within its bound."""
+        if noisy:
+            rng = np.random.default_rng(5)
+            block = optimizer._Screen._block
+
+            def pushed(self, head_sums, tails):
+                values = block(self, head_sums, tails).astype(float)
+                bound = self.err_fixed + self.err_per_value * values
+                return values + 0.9 * bound * rng.uniform(-1.0, 1.0, values.shape)
+
+            monkeypatch.setattr(optimizer._Screen, "_block", pushed)
+        base = random_model(1)
+        first, _ = exhaustive_search_reference(base, 3)
+        a = first[1]
+        b = next(c for c in (a + 1, a - 1) if c not in first)
+        other = tuple(sorted(set(first) - {a} | {b}))
+        seen = set()
+        for step in range(-300, 301):
+            terms = base.terms.copy()
+            terms[:, b] = terms[:, a]
+            terms[0, b] *= 1.0 + step * np.finfo(float).eps
+            model = RateModel(base.grid_rows, base.rho, base.pbar, terms)
+            low, high = model.weighted_sum(np.array(first)), model.weighted_sum(np.array(other))
+            gap = (high - low) / np.spacing(low)
+            if not 1 <= abs(gap) <= 4:
+                continue
+            supp, best = exhaustive_search_reference(model, 3)
+            if supp not in (first, other):
+                continue
+            support, value = exhaustive_search(model, 3)
+            assert tuple(support) == (other if gap > 0 else first) == supp
+            assert value == best == max(low, high)
+            seen.add(np.sign(gap) * gap)
+        assert {1, 2, 3, 4} <= seen
+
+    def test_every_subset_tied_gives_the_first_within_the_memory_bound(self):
+        """All columns alike: every subset is rescored, and (0, ..., N - 1)
+        wins with the 1 MB peak of ``test_memory_bounded``."""
+        base = random_model(3, n_rows=50, n_cols=40)
+        model = RateModel(base.grid_rows, base.rho, base.pbar,
+                          np.repeat(base.terms[:, :1], 40, axis=1))
+        tracemalloc.start()
+        try:
+            support, value = exhaustive_search(model, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert support.tolist() == [0, 1, 2, 3]
+        assert value == model.weighted_sum(support)
+        assert peak <= 1_000_000
+
+    @pytest.mark.parametrize("entry", [-1e-3, np.inf, 1e300])
+    @pytest.mark.parametrize("term", [0, 1, 2])
+    def test_models_outside_the_guard_equal_the_reference(self, entry, term):
+        """A negative, infinite or 1e300 term fails the guard; every subset
+        is then rescored, to the reference's support and value."""
+        base = random_model(2)
+        terms = base.terms.copy()
+        terms[term, 5, 3] = entry
+        model = RateModel(base.grid_rows, base.rho, base.pbar, terms)
+        with np.errstate(all="ignore"):
+            for n_select in (2, 3, 4):
+                assert optimizer._Screen.of(model, n_select) is None
+                support, value = exhaustive_search(model, n_select)
+                supp, best = exhaustive_search_reference(model, n_select)
+                assert tuple(support) == supp
+                assert value == best
+
+    @pytest.mark.parametrize("preset, n_select", [("desk_partial_los_3d_type1", 3),
+                                                  ("desk_partial_los", 2)])
+    def test_a_preset_rescores_few_subsets(self, monkeypatch, preset, n_select):
+        """On a Rician preset and a pure-LoS one with zero-denominator
+        terms, the float64 rescore scores under 5% of the subsets, and the
+        search returns the reference's support and value."""
+        model = ScenarioContext.build(load_scenario(PRESETS[preset]())).model
+        assert optimizer._Screen.of(model, n_select) is not None
+        scored = []
+        marginal = RateModel.marginal_objective
+
+        def counted(self, kept=None, start=0):
+            values = marginal(self, kept, start)
+            scored.append(values.size)
+            return values
+
+        monkeypatch.setattr(RateModel, "marginal_objective", counted)
+        support, value = exhaustive_search(model, n_select)
+        assert 0 < sum(scored) < math.comb(model.n_cols, n_select) / 20
+        supp, best = exhaustive_search_reference(model, n_select)
+        assert tuple(support) == supp
+        assert value == best

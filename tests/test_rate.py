@@ -20,13 +20,14 @@ from xlma.errors import ConfigurationError, DomainError
 from xlma.optimizer import SelectionState
 from xlma.pipeline import context_from_document
 from xlma.presets import PRESETS
-from xlma.rate import RateModel, fejer_correlation, rician_weights
+from xlma.rate import RateModel, rician_weights
 from xlma import rate as rate_module
 from oracles import (assemble_angle_addition, assemble_row_loop, aux_f, aux_g, aux_kernels,
                      aux_q,
                      build_kernel_tables, grid_rate, grid_sinr, marginal_rate,
                      model_with_assembly, others_reference, upper_bound_rate)
 from xlma.rng import substream
+from xlma.validation import fejer_correlation
 
 LAMBDA = 299792458.0 / 30e9
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-# The scripts import their shared worktree helper by module name.
+# The scripts import their shared checkout helper by module name.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "scripts"))
 import same_outputs  # noqa: E402
 
@@ -74,6 +74,12 @@ def test_commands_cover_the_gated_outputs(tmp_path, monkeypatch):
         assert doc["n_subarrays"] == n_select
         oracle_spec = json.loads(Path(oracle[oracle.index("--sweep") + 1]).read_text())
         assert "optimal" in oracle_spec["schemes"]
+    pure_los = argvs["sweep_optimal_pure_los"]  # the screen's zero-denominator path
+    doc = json.loads(Path(pure_los[pure_los.index("--config") + 1]).read_text())
+    assert doc == {**PRESETS["desk_partial_los"](), "n_subarrays": 3}
+    assert doc["rician_kappa_db"] == "infinite" and doc["obstacles"]
+    assert "optimal" in json.loads(Path(pure_los[pure_los.index("--sweep") + 1]).read_text())[
+        "schemes"]
     # validate, benchmark and the maps run the Rician weights at a finite kappa too
     rician = "desk_partial_los_3d_type1"
     assert rician in same_outputs.COMMAND_PRESETS
@@ -123,7 +129,7 @@ def _exit_status(monkeypatch, parent_files, change_files, *flags):
     files, with no checkout made and no command run."""
     monkeypatch.setattr(same_outputs, "commands", lambda inputs: {"plan_x": ["plan"]})
     monkeypatch.setattr(same_outputs, "revision_checkout",
-                        lambda rev: contextlib.nullcontext(Path("parent")))
+                        lambda rev, base: contextlib.nullcontext(Path("parent")))
 
     def run_side(checkout, argvs, out_root):
         _tree(out_root, parent_files if checkout == Path("parent") else change_files)
